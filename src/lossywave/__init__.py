@@ -36,7 +36,6 @@ from .spectrum import (
     log10_relative_truncation_error,
     relative_model_error,
     energy_band_edge,
-    write_spectrum_csv,
 )
 from .timedomain import (
     RealSignal,
@@ -46,8 +45,8 @@ from .timedomain import (
     forward_point_source,
     helmholtz_radial_residual,
     apply_dissipation_operator,
-    write_signal_csv,
 )
+from .tables import write_table
 from .bounds import (
     EnvelopeBoundConstants,
     EnvelopeCheck,

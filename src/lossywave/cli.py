@@ -42,6 +42,7 @@ from .laws import (
 from .numerics import NumericalError, integrate_decaying
 from .spectrum import (
     FrequencyGrid,
+    _gain_sq,
     log10_relative_truncation_error,
     relative_model_error,
     relative_truncation_error,
@@ -49,26 +50,15 @@ from .spectrum import (
     tail_cut_frequency,
     truncate_spectrum,
 )
-
-
+from .tables import write_table
 from .timedomain import (
     ForcingSignal,
     causality_energy_fraction,
     forward_point_source,
     synthesize_time_signal,
-    write_signal_csv,
 )
 
 QUADRATURE_RTOL = 1e-9
-
-
-def _band_integrand(law, r):
-    scale = 1.0 / (4.0 * math.pi * r) ** 2
-
-    def f(w):
-        return scale * np.exp(-2.0 * np.real(eval_alpha(law, w)) * r)
-
-    return f
 
 
 def _fmt(x):
@@ -88,23 +78,6 @@ def _out_dir(args):
     return out
 
 
-def _write_table(path_base, colnames, rows, fmt, comment=None):
-    """Write a table as CSV, or as a JSON list of row objects."""
-    if fmt == "json":
-        path = path_base.with_suffix(".json")
-        payload = [dict(zip(colnames, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    else:
-        path = path_base.with_suffix(".csv")
-        lines = []
-        if comment:
-            lines.append(f"# {comment}")
-        lines.append(",".join(colnames))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 def _preset_dict(preset):
     return {
         "name": preset.name,
@@ -119,9 +92,10 @@ def _preset_dict(preset):
 
 def cmd_table1(args):
     gammas = _parse_floats(args.gammas, "--gammas")
-    rows = [(g, small_frequency_bound(g, args.tau0, args.threshold)) for g in gammas]
-    path = _write_table(_out_dir(args) / "table1", ["gamma", "bound_M"], rows, args.format,
-                        comment=f"tau0={_fmt(args.tau0)} threshold={_fmt(args.threshold)}")
+    bounds = [small_frequency_bound(g, args.tau0, args.threshold) for g in gammas]
+    path = write_table(_out_dir(args) / "table1", ["gamma", "bound_M"], [gammas, bounds],
+                       comment=f"tau0={_fmt(args.tau0)} threshold={_fmt(args.threshold)}",
+                       fmt=args.format)
     print(f"wrote {path}")
     return 0
 
@@ -129,13 +103,11 @@ def cmd_table1(args):
 def cmd_table2(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
-    rows = [
-        (r, relative_model_error(preset.causal, preset.powerlaw, r, args.m,
-                                 rtol=QUADRATURE_RTOL))
-        for r in r_list
-    ]
-    path = _write_table(_out_dir(args) / "table2", ["r", "model_error"], rows, args.format,
-                        comment=f"preset={preset.name} M={_fmt(args.m)}")
+    errors = [relative_model_error(preset.causal, preset.powerlaw, r, args.m,
+                                   rtol=QUADRATURE_RTOL)
+              for r in r_list]
+    path = write_table(_out_dir(args) / "table2", ["r", "model_error"], [r_list, errors],
+                       comment=f"preset={preset.name} M={_fmt(args.m)}", fmt=args.format)
     print(f"wrote {path}")
     return 0
 
@@ -160,44 +132,45 @@ def cmd_fig(args):
         w_spd = np.linspace(0.1, 60.0, 600)
         att_c, att_pl = _attenuations(preset, w_att)
         spd_c, spd_pl = _phase_speeds(preset, w_spd)
-        written.append(_write_table(
+        written.append(write_table(
             out / "fig1_attenuation", ["omega", "attenuation_causal", "attenuation_powerlaw"],
-            list(zip(w_att, att_c, att_pl)), "csv", comment=f"preset={preset.name}"))
-        written.append(_write_table(
+            [w_att, att_c, att_pl], comment=f"preset={preset.name}"))
+        written.append(write_table(
             out / "fig1_phasespeed", ["omega", "speed_causal", "speed_powerlaw"],
-            list(zip(w_spd, spd_c, spd_pl)), "csv", comment=f"preset={preset.name}"))
+            [w_spd, spd_c, spd_pl], comment=f"preset={preset.name}"))
     elif which == "fig2":
         w = np.geomspace(1.0, 1e8, 961)
         att_c, att_pl = _attenuations(preset, w)
         spd_c, spd_pl = _phase_speeds(preset, w)
-        pole = powerlaw_phase_singularity(preset)
-        written.append(_write_table(
+        # a gamma = 2 power law has no phase-speed pole: the marker is left out
+        marker = ("" if preset.powerlaw.gamma == 2.0 else
+                  f" phase_speed_pole_omega={_fmt(powerlaw_phase_singularity(preset))}")
+        written.append(write_table(
             out / "fig2_attenuation", ["omega", "attenuation_causal", "attenuation_powerlaw"],
-            list(zip(w, att_c, att_pl)), "csv", comment=f"preset={preset.name} log grid"))
-        written.append(_write_table(
+            [w, att_c, att_pl], comment=f"preset={preset.name} log grid"))
+        written.append(write_table(
             out / "fig2_phasespeed", ["omega", "speed_causal", "speed_powerlaw"],
-            list(zip(w, spd_c, spd_pl)), "csv",
-            comment=f"preset={preset.name} phase_speed_pole_omega={_fmt(pole)}"))
+            [w, spd_c, spd_pl], comment=f"preset={preset.name}{marker}"))
     elif which == "fig3":
         r = args.r
         m0 = np.linspace(0.5, 2.0 * args.m, 100)
         # cumulative slice integrals: increments are non-negative by
         # construction, so the curve is exactly monotone
         g_curve = []
-        energy = 2.0 * integrate_decaying(_band_integrand(preset.causal, r), 0.0, m0[0],
+        energy = 2.0 * integrate_decaying(_gain_sq(preset.causal, r), 0.0, m0[0],
                                           rtol=QUADRATURE_RTOL)
         g_curve.append(math.sqrt(energy))
         for lo, hi in zip(m0[:-1], m0[1:]):
-            energy += 2.0 * integrate_decaying(_band_integrand(preset.causal, r), lo, hi,
+            energy += 2.0 * integrate_decaying(_gain_sq(preset.causal, r), lo, hi,
                                                rtol=QUADRATURE_RTOL)
             g_curve.append(math.sqrt(energy))
-        written.append(_write_table(
-            out / "fig3_bandnorm", ["m0", "band_norm"], list(zip(m0, g_curve)), "csv",
+        written.append(write_table(
+            out / "fig3_bandnorm", ["m0", "band_norm"], [m0, g_curve],
             comment=f"preset={preset.name} r={_fmt(r)}"))
         w = np.linspace(0.0, args.m, 501)
         dev = deviation_factor(preset.causal, preset.powerlaw, r, w)
-        written.append(_write_table(
-            out / "fig3_deviation", ["omega", "deviation_factor"], list(zip(w, dev)), "csv",
+        written.append(write_table(
+            out / "fig3_deviation", ["omega", "deviation_factor"], [w, dev],
             comment=f"preset={preset.name} r={_fmt(r)}"))
     for path in written:
         print(f"wrote {path}")
@@ -275,9 +248,12 @@ def cmd_pulse(args):
     forcing = ForcingSignal(kind=args.kind, center=args.center, width=args.width,
                             carrier=args.carrier)
     signal = forward_point_source(law, args.r, forcing, _grid_from_args(args))
-    out = _out_dir(args) / "pulse.csv"
-    write_signal_csv(signal, out, law_tag=law.tag,
-                     grid_note=f"omega_max={_fmt(args.omega_max)} samples={args.samples} ")
+    comment = (f"r={_fmt(signal.r)} law={law.tag} t0={_fmt(signal.t0)} dt={_fmt(signal.dt)} "
+               f"n={len(signal.samples)} omega_max={_fmt(args.omega_max)} "
+               f"samples={args.samples} convention=forward-kernel exp(+i w t), "
+               "unitary 1/sqrt(2 pi)")
+    out = write_table(_out_dir(args) / "pulse", ["t", "value"],
+                      [signal.times(), signal.samples], comment=comment)
     print(f"wrote {out}")
     return 0
 
@@ -303,7 +279,6 @@ def cmd_causality(args):
             "raw_fraction": causality_energy_fraction(signal, arrival, guard=0.0),
             "guarded_fraction": causality_energy_fraction(signal, arrival),
             "guard": 2.0 * signal.dt,
-            "residual_imag": signal.residual_imag,
         }
     out = _out_dir(args) / "causality.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

@@ -44,7 +44,6 @@ __all__ = [
     "log10_relative_truncation_error",
     "relative_model_error",
     "energy_band_edge",
-    "write_spectrum_csv",
 ]
 
 _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-9
@@ -52,12 +51,13 @@ _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rt
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform symmetric frequency grid w_k = -omega_max + k*delta, k = 0..n-1.
+    """Half-line frequency grid of an n-sample time window.
 
-    n must be a power of two >= 16 so the grid maps directly onto an
-    FFT; delta = 2*omega_max/n.  The grid contains 0 exactly; the
-    lone -omega_max sample has no positive partner (standard even-n
-    FFT layout).
+    Nodes w_m = m*delta, m = 0..n/2, with delta = 2*omega_max/n; n is
+    the number of time samples and must be a power of two >= 16.  The
+    nodes are exact multiples of delta (the last one is omega_max), so
+    the mirrored nodes -w_m that a real signal implies are exactly
+    symmetric for any omega_max.
     """
 
     omega_max: float
@@ -74,17 +74,18 @@ class FrequencyGrid:
         return 2.0 * self.omega_max / self.n
 
     def omegas(self):
-        return -self.omega_max + self.delta_omega * np.arange(self.n)
+        return self.delta_omega * np.arange(self.n // 2 + 1)
 
 
 @dataclass(frozen=True)
 class ComplexSpectrum:
-    """Sampled Green-function spectrum on a FrequencyGrid.
+    """Sampled Green-function spectrum on the nodes w_m >= 0 of a FrequencyGrid.
 
-    values[k] = G_hat(r, w_k).  `cutoff` records a band truncation
-    (values are zero for |w_k| > cutoff).  Spectra built from the
-    dispersion laws are Hermitian: values at -w equal the conjugate of
-    values at +w for every paired grid point.
+    values[m] = G_hat(r, w_m).  The values at -w_m are the conjugates
+    of the stored ones and are never stored, so the spectrum is
+    Hermitian by construction.  Only the real parts of the values at
+    w = 0 and at the Nyquist node w = omega_max enter a real signal.
+    `cutoff` records a band truncation (values are zero for w_m > cutoff).
     """
 
     grid: FrequencyGrid
@@ -94,13 +95,8 @@ class ComplexSpectrum:
     cutoff: Optional[float] = None
 
     def __post_init__(self):
-        if len(self.values) != self.grid.n:
-            raise ValueError("values length does not match the grid")
-
-    def hermitian_defect(self):
-        """max |values(-w) - conj(values(+w))| over paired grid points."""
-        v = self.values
-        return float(np.max(np.abs(v[1:] - np.conj(v[1:][::-1]))))
+        if len(self.values) != self.grid.n // 2 + 1:
+            raise ValueError("values length does not match the grid: n/2 + 1 expected")
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,7 @@ def green_hat(law, r, omega):
     if not r > 0.0:
         raise ValueError("zero distance: the Green function is singular at r = 0")
     w = np.asarray(omega, dtype=float)
-    out = np.exp(-eval_alpha(law, w) * r) * np.exp(1j * w * r / law.c0) / (4.0 * math.pi * r)
+    out = np.exp(-eval_alpha(law, w) * r + 1j * (w * (r / law.c0))) / (4.0 * math.pi * r)
     return out if out.ndim else complex(out)
 
 
@@ -151,13 +147,12 @@ def sample_green_spectrum(law, r, grid):
 def truncate_spectrum(spec, m):
     """Zero the spectrum outside [-m, m] (hard characteristic-function cut).
 
-    Samples at |w_k| = m are kept.  Repeated truncation composes:
+    Samples at w_m = m are kept.  Repeated truncation composes:
     the recorded cutoff is the minimum of m and any existing cutoff.
     """
     if not m > 0.0:
         raise ValueError("truncation frequency must be positive")
-    w = spec.grid.omegas()
-    values = np.where(np.abs(w) > m, 0.0 + 0.0j, spec.values)
+    values = np.where(spec.grid.omegas() > m, 0.0 + 0.0j, spec.values)
     cutoff = m if spec.cutoff is None else min(m, spec.cutoff)
     return replace(spec, values=values, cutoff=cutoff)
 
@@ -316,23 +311,3 @@ def energy_band_edge(law, r, delta, rtol=1e-9):
         return cut
     return bisect_root(lambda m: tail_sq(m) - target, 0.0, cut,
                        rtol=1e-12, f_tol=1e-6 * target)
-
-
-def write_spectrum_csv(spec, path):
-    """Write a sampled spectrum as CSV: omega, re, im, modulus.
-
-    The leading comment line records the law tag, distance, cutoff and
-    grid so the file is self-describing.  Floats are written with 17
-    significant digits (round-trip safe).
-    """
-    w = spec.grid.omegas()
-    cut = "none" if spec.cutoff is None else f"{spec.cutoff:.17g}"
-    lines = [
-        f"# law={spec.law_tag} r={spec.r:.17g} cutoff={cut} "
-        f"omega_max={spec.grid.omega_max:.17g} n={spec.grid.n}",
-        "omega,re,im,modulus",
-    ]
-    for wk, vk in zip(w, spec.values):
-        lines.append(f"{wk:.17g},{vk.real:.17g},{vk.imag:.17g},{abs(vk):.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -11,15 +11,19 @@ Green spectrum, and the dissipation operator has the multiplier
 alpha*(w)/sqrt(2*pi).  This is a modeling choice; it is asserted by
 the delta-arrival test rather than assumed.
 
-Discretely, a spectrum on the grid w_k = -W + k*dw maps to samples on
-t_j = j*dt with dt = 2*pi/(n*dw) = pi/W, and the discrete transform
-satisfies Parseval exactly: sum |g_j|^2 dt = sum |ghat_k|^2 dw.
+Discretely, a spectrum stored on the half grid w_m = m*dw, m = 0..n/2,
+stands for its Hermitian extension ghat(-w) = conj(ghat(w)) and maps to
+n real samples on t_j = j*dt with dt = 2*pi/(n*dw) = pi/W through a
+real inverse FFT.  The Nyquist node w = W has no partner in the
+extension and contributes its real part, as does w = 0.  Discrete
+Parseval holds exactly over the extension:
+sum g_j^2 dt = (|ghat_0|^2 + 2*sum_{0<m<n/2} |ghat_m|^2 + (Re ghat_{n/2})^2) dw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,27 +38,19 @@ __all__ = [
     "forward_point_source",
     "helmholtz_radial_residual",
     "apply_dissipation_operator",
-    "write_signal_csv",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class RealSignal:
-    """Real time-domain samples on t_j = t0 + j*dt at distance r.
-
-    residual_imag records the largest imaginary component discarded
-    during synthesis; for Hermitian input it is pure round-off, at or
-    below 1e-8 of the peak sample.
-    """
+    """Real time-domain samples on t_j = t0 + j*dt at distance r."""
 
     t0: float
     dt: float
     samples: np.ndarray
     r: float
-    residual_imag: float = 0.0
 
     def times(self):
         return self.t0 + self.dt * np.arange(len(self.samples))
@@ -105,53 +101,37 @@ class ForcingSignal:
 
 
 def _inverse_transform(values, grid, t0=0.0):
-    """Inverse transform of grid samples onto t_j = t0 + j*dt.
+    """Real samples on t_j = t0 + j*dt from half-grid spectrum values.
 
-    g_j = (dw/sqrt(2pi)) * sum_k values_k * exp(-1j*w_k*t_j); with
-    w_k = -W + k*dw and dt = pi/W this reduces to an FFT with an
-    alternating-sign twiddle.
+    g_j = (dw/sqrt(2pi)) * sum over the Hermitian extension of
+    values_m * exp(-1j*w_m*t_j); with w_m = m*dw and dt = pi/W this is
+    (dw/sqrt(2pi)) * n * irfft(conj(values)), which uses the real parts
+    of the w = 0 and Nyquist values.
     """
-    n = grid.n
-    dw = grid.delta_omega
     v = np.asarray(values, dtype=complex)
     if t0 != 0.0:
         v = v * np.exp(-1j * grid.omegas() * t0)
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return (dw / _SQRT_2PI) * sign * np.fft.fft(v)
+    return (grid.delta_omega / _SQRT_2PI * grid.n) * np.fft.irfft(np.conj(v), grid.n)
 
 
 def _forward_transform(signal):
-    """Forward transform of a RealSignal back onto its implied grid."""
+    """Forward transform of a RealSignal onto the half grid its window implies."""
     n = len(signal.samples)
     dw = 2.0 * math.pi / (n * signal.dt)
     grid = FrequencyGrid(omega_max=0.5 * n * dw, n=n)
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    ghat = (signal.dt * n / _SQRT_2PI) * np.fft.ifft(signal.samples * sign)
+    ghat = (signal.dt / _SQRT_2PI) * np.conj(np.fft.rfft(signal.samples))
     if signal.t0 != 0.0:
         ghat = ghat * np.exp(1j * grid.omegas() * signal.t0)
     return ghat, grid
 
 
 def synthesize_time_signal(spec):
-    """Real time signal from a Hermitian sampled spectrum.
+    """Real time signal from a sampled half spectrum.
 
-    Validates the pairwise Hermitian symmetry of the input to 1e-12
-    relative.  The lone -omega_max sample is self-conjugate under the
-    discrete transform and must be real; its imaginary part (zero for
-    any spectrum that has decayed by the grid edge) is dropped.  The
-    output window is t in [0, n*dt) with dt = pi/omega_max; the
-    largest discarded imaginary component is recorded on the signal.
+    The output window is t in [0, n*dt) with dt = pi/omega_max.
     """
-    peak = float(np.max(np.abs(spec.values)))
-    if peak > 0.0 and spec.hermitian_defect() > _HERMITIAN_RTOL * peak:
-        raise ValueError("spectrum is not Hermitian: a real signal cannot be synthesized")
-    v = np.array(spec.values, dtype=complex)
-    v[0] = v[0].real
-    g = _inverse_transform(v, spec.grid)
-    residual = float(np.max(np.abs(g.imag)))
     return RealSignal(t0=0.0, dt=math.pi / spec.grid.omega_max,
-                      samples=np.ascontiguousarray(g.real), r=spec.r,
-                      residual_imag=residual)
+                      samples=_inverse_transform(spec.values, spec.grid), r=spec.r)
 
 
 def causality_energy_fraction(signal, arrival, guard=None):
@@ -187,10 +167,8 @@ def forward_point_source(law, r, forcing, grid):
     never band-limited; the product decays through G_hat alone).
     """
     ghat = forcing.spectrum(grid.omegas())
-    if forcing.kind != "delta":
-        edge = max(abs(complex(forcing.spectrum(grid.omega_max))), abs(complex(ghat[0])))
-        if edge >= 1e-12 * float(np.max(np.abs(ghat))):
-            raise ValueError("forcing bandwidth exceeds the grid: raise omega_max")
+    if forcing.kind != "delta" and abs(ghat[-1]) >= 1e-12 * float(np.max(np.abs(ghat))):
+        raise ValueError("forcing bandwidth exceeds the grid: raise omega_max")
     spec = sample_green_spectrum(law, r, grid)
     product = ComplexSpectrum(grid=grid, r=float(r),
                               values=spec.values * ghat * _SQRT_2PI,
@@ -224,33 +202,8 @@ def apply_dissipation_operator(law, signal):
 
     The operator multiplies the signal spectrum by
     alpha*(w)/sqrt(2*pi) under the package Fourier convention.  The
-    multiplier is Hermitian, so the output is real; the discarded
-    imaginary residue is recorded.
+    multiplier is Hermitian, so the output is real.
     """
     ghat, grid = _forward_transform(signal)
     product = ghat * eval_alpha(law, grid.omegas()) / _SQRT_2PI
-    product[0] = product[0].real  # unpaired -omega_max bin is self-conjugate
-    out = _inverse_transform(product, grid, t0=signal.t0)
-    return RealSignal(t0=signal.t0, dt=signal.dt,
-                      samples=np.ascontiguousarray(out.real), r=signal.r,
-                      residual_imag=float(np.max(np.abs(out.imag))))
-
-
-def write_signal_csv(signal, path, law_tag="", grid_note=""):
-    """Write a time signal as CSV: t, value.
-
-    The comment line records the distance, law tag, grid parameters
-    and the Fourier convention so the file is self-describing.
-    """
-    parts = [
-        f"r={signal.r:.17g}", f"law={law_tag or 'unknown'}", f"t0={signal.t0:.17g}",
-        f"dt={signal.dt:.17g}", f"n={len(signal.samples)}",
-    ]
-    if grid_note:
-        parts.append(grid_note.strip())
-    parts.append("convention=forward-kernel exp(+i w t), unitary 1/sqrt(2 pi)")
-    lines = ["# " + " ".join(parts), "t,value"]
-    for t, s in zip(signal.times(), signal.samples):
-        lines.append(f"{t:.17g},{s:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return replace(signal, samples=_inverse_transform(product, grid, t0=signal.t0))

@@ -169,11 +169,11 @@ def test_criterion_07_model_error_bound_report():
 def _time_domain_truncation_error(law, r, m, omega_max, n):
     grid = FrequencyGrid(omega_max, n)
     spec = sample_green_spectrum(law, r, grid)
-    w = grid.omegas()
     # G - G_M is synthesized from its own (tail-only) spectrum: by linearity
     # of the transform this is exact, and it keeps a 1e-40-scale difference
     # representable where direct sample subtraction would round to zero.
-    tail_spec = replace(spec, values=np.where(np.abs(w) > m, spec.values, 0.0))
+    # The spectrum holds w >= 0 only; the tail is w > m.
+    tail_spec = replace(spec, values=np.where(grid.omegas() > m, spec.values, 0.0))
     return synthesize_time_signal(tail_spec).l2_norm() / synthesize_time_signal(spec).l2_norm()
 
 

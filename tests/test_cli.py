@@ -1,9 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from lossywave import FrequencyGrid, ForcingSignal, builtin_preset, green_hat
 
 
 def run_cli(*args, cwd=None):
@@ -80,12 +83,19 @@ class TestTable2:
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
+        grid = ("--omega-max", "200", "--samples", "4096")
         for out in (out1, out2):
             proc = run_cli("table2", "--r-list", "1e-2,1", "--out", str(out))
             assert proc.returncode == 0, proc.stderr
             proc = run_cli("fig1", "--out", str(out))
             assert proc.returncode == 0, proc.stderr
-        for name in ("table2.csv", "fig1_attenuation.csv", "fig1_phasespeed.csv"):
+            proc = run_cli("pulse", *grid, "--kind", "gaussian-modulated-sine", "--center", "3",
+                           "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            proc = run_cli("causality", *grid, "--r", "0.1", "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+        for name in ("table2.csv", "fig1_attenuation.csv", "fig1_phasespeed.csv",
+                     "pulse.csv", "causality.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -105,6 +115,20 @@ class TestFigures:
         assert "phase_speed_pole_omega=" in header
         pole = float(header.split("phase_speed_pole_omega=")[1].split()[0])
         assert 7.79e6 <= pole <= 8.11e6
+
+    def test_fig2_gamma_two_leaves_out_pole_marker(self, tmp_path):
+        # a gamma = 2 power law has no phase-speed pole; the curves are still defined
+        preset = {"name": "quadratic", "gamma": 2.0, "c0": 0.15, "alpha1": 138.08, "tau0": 1e-6}
+        path = tmp_path / "quadratic.json"
+        path.write_text(json.dumps(preset))
+        proc = run_cli("fig2", "--preset", str(path), "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        header = (tmp_path / "fig2_phasespeed.csv").read_text().splitlines()[0]
+        assert header == "# preset=quadratic"
+        for name in ("fig2_attenuation.csv", "fig2_phasespeed.csv"):
+            data = load_csv(tmp_path / name)
+            assert data.shape == (961, 3)
+            assert np.all(np.isfinite(data))
 
     def test_fig3_band_norm_monotone(self, tmp_path):
         proc = run_cli("fig3", "--out", str(tmp_path))
@@ -156,9 +180,35 @@ class TestPulseAndCausality:
         proc = run_cli("pulse", "--omega-max", "200", "--samples", "16384",
                        "--center", "3", "--width", "0.5", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
+        header = (tmp_path / "pulse.csv").read_text().splitlines()[:2]
+        assert header[0].startswith("# r=1 law=causal t0=0 dt=")
+        assert header[0].endswith("convention=forward-kernel exp(+i w t), unitary 1/sqrt(2 pi)")
+        assert header[1] == "t,value"
         data = load_csv(tmp_path / "pulse.csv")
         assert data.shape == (16384, 2)
         assert np.max(np.abs(data[:, 1])) > 0.0
+
+    def test_pulse_on_non_round_grid(self, tmp_path):
+        # this grid used to fail a 1e-12 Hermitian check that rounding in the
+        # full grid's negative nodes broke; the half grid has no such check
+        r, w_max, n = 0.0072, 1800.399, 2**18
+        forcing = ForcingSignal("gaussian-modulated-sine", center=0.088, width=0.011,
+                                carrier=400.0)
+        proc = run_cli("pulse", "--kind", forcing.kind, "--r", str(r), "--omega-max", str(w_max),
+                       "--samples", str(n), "--center", str(forcing.center),
+                       "--width", str(forcing.width), "--carrier", str(forcing.carrier),
+                       "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        g = load_csv(tmp_path / "pulse.csv")[:, 1]
+        # discrete Parseval against the spectrum on the full grid
+        # w_k = -W + k*dw, whose lone -W node carries its real part
+        dw = FrequencyGrid(w_max, n).delta_omega
+        w = dw * (np.arange(n) - n // 2)
+        law = builtin_preset("castor-oil").causal
+        values = green_hat(law, r, w) * math.sqrt(2.0 * math.pi) * forcing.spectrum(w)
+        values[0] = values[0].real
+        energy = float(np.sum(np.abs(values) ** 2)) * dw
+        assert float(np.sum(g * g)) * (math.pi / w_max) == pytest.approx(energy, rel=1e-12)
 
     def test_pulse_band_violation_exits_2(self, tmp_path):
         proc = run_cli("pulse", "--omega-max", "2", "--samples", "64",
@@ -174,3 +224,12 @@ class TestPulseAndCausality:
             entry = doc[key]
             assert 0.0 <= entry["guarded_fraction"] <= entry["raw_fraction"] <= 1.0
         assert doc["causal"]["guarded_fraction"] < 1e-6
+
+    def test_causality_on_non_round_grid(self, tmp_path):
+        proc = run_cli("causality", "--r", "0.017888", "--omega-max", "1046.324",
+                       "--samples", "262144", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "causality.json").read_text())
+        assert doc["grid"] == {"omega_max": 1046.324, "n": 262144}
+        assert 0.0 <= doc["causal"]["guarded_fraction"] < 1e-12
+        assert 0.0 < doc["truncated_powerlaw"]["guarded_fraction"] < 1e-3

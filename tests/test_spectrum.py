@@ -18,7 +18,7 @@ from lossywave import (
     spectral_l2_norm,
     tail_cut_frequency,
     truncate_spectrum,
-    write_spectrum_csv,
+    write_table,
 )
 
 from conftest import trapezoid_norm
@@ -28,11 +28,16 @@ LOSSLESS = PowerLaw(gamma=1.5, a1=0.0, a2=0.0, c0=0.15)
 
 class TestFrequencyGrid:
     def test_symmetric_and_contains_zero(self):
-        g = FrequencyGrid(100.0, 32)
-        w = g.omegas()
-        assert w[0] == -100.0
-        assert w[16] == 0.0
-        assert np.allclose(w[1:] + w[1:][::-1], 0.0)
+        # half grid: 0 and omega_max are nodes, every node an exact multiple
+        # of the step, so the implied mirror nodes -w are exactly symmetric
+        # also for a non-round omega_max
+        for omega_max, n in ((100.0, 32), (1046.324, 2**18)):
+            g = FrequencyGrid(omega_max, n)
+            w = g.omegas()
+            assert len(w) == n // 2 + 1
+            assert w[0] == 0.0
+            assert w[-1] == omega_max
+            assert np.array_equal(w, g.delta_omega * np.arange(n // 2 + 1))
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -73,17 +78,21 @@ class TestSampling:
     def test_length_and_center_value(self, castor):
         grid = FrequencyGrid(50.0, 16)
         spec = sample_green_spectrum(castor.causal, 2.0, grid)
-        assert len(spec.values) == 16
-        assert spec.values[8] == pytest.approx(1.0 / (8.0 * math.pi))
+        assert len(spec.values) == 9
+        assert spec.values[0] == pytest.approx(1.0 / (8.0 * math.pi))
 
     def test_hermitian_defect_tiny(self, castor):
+        # the stored half stands for G_hat(-w) = conj(G_hat(w)); check that
+        # against the Green function sampled at the mirrored nodes
         spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(200.0, 4096))
-        assert spec.hermitian_defect() <= 1e-12 * np.max(np.abs(spec.values))
+        mirrored = green_hat(castor.causal, 1.0, -spec.grid.omegas())
+        defect = np.max(np.abs(mirrored - np.conj(spec.values)))
+        assert defect <= 1e-12 * np.max(np.abs(spec.values))
 
     def test_peak_at_zero_frequency(self, castor):
         spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(200.0, 4096))
         mods = np.abs(spec.values)
-        assert int(np.argmax(mods)) == 2048
+        assert int(np.argmax(mods)) == 0
 
 
 class TestTruncation:
@@ -247,13 +256,17 @@ class TestCsvExport:
     def test_roundtrip(self, castor, tmp_path):
         grid = FrequencyGrid(50.0, 32)
         spec = truncate_spectrum(sample_green_spectrum(castor.causal, 1.0, grid), 30.0)
-        path = tmp_path / "spec.csv"
-        write_spectrum_csv(spec, path)
+        v = spec.values
+        path = write_table(tmp_path / "spec", ["omega", "re", "im", "modulus"],
+                           [grid.omegas(), v.real, v.imag, np.abs(v)],
+                           comment=f"law={spec.law_tag} cutoff={spec.cutoff:.17g}")
+        assert path.name == "spec.csv"
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# law=causal")
         assert "cutoff=30" in lines[0]
         assert lines[1] == "omega,re,im,modulus"
         data = np.loadtxt(path, delimiter=",", skiprows=2)
-        assert data.shape == (32, 4)
-        assert np.allclose(data[:, 0], grid.omegas())
-        assert np.allclose(data[:, 1] + 1j * data[:, 2], spec.values)
+        assert data.shape == (17, 4)
+        # 17 significant digits round-trip exactly
+        assert np.array_equal(data[:, 0], grid.omegas())
+        assert np.array_equal(data[:, 1] + 1j * data[:, 2], spec.values)

@@ -19,9 +19,11 @@ from lossywave import (
     spectral_l2_norm,
     synthesize_time_signal,
     truncate_spectrum,
-    write_signal_csv,
+    write_table,
 )
 from lossywave.timedomain import _forward_transform, _inverse_transform
+
+from conftest import full_grid_synthesis
 
 LOSSLESS = PowerLaw(gamma=1.5, a1=0.0, a2=0.0, c0=0.15)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -46,9 +48,15 @@ class TestSynthesize:
         assert sig.dt == pytest.approx(math.pi / 400.0, rel=1e-15)
 
     def test_realness_residual_tiny(self, castor):
-        spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(400.0, 2**15))
-        sig = synthesize_time_signal(spec)
-        assert sig.residual_imag <= 1e-8 * np.max(np.abs(sig.samples))
+        # irfft output is real by type; the complex full-grid transform
+        # leaves a round-off imaginary residue and its real part is the signal
+        grid = FrequencyGrid(400.0, 2**15)
+        sig = synthesize_time_signal(sample_green_spectrum(castor.causal, 1.0, grid))
+        oracle, _ = full_grid_synthesis(castor.causal, 1.0, grid)
+        peak = np.max(np.abs(sig.samples))
+        assert sig.samples.dtype == np.float64
+        assert np.max(np.abs(oracle.imag)) <= 1e-8 * peak
+        assert np.max(np.abs(sig.samples - oracle.real)) <= 1e-8 * peak
 
     def test_parseval_against_quadrature(self, castor):
         # time-domain norm of the synthesized wave equals the spectral norm
@@ -59,11 +67,13 @@ class TestSynthesize:
             assert sig.l2_norm() == pytest.approx(qnorm, rel=1e-5)
 
     def test_non_hermitian_rejected(self, castor):
+        # the spectrum type stores w >= 0 only, so a full-grid array, which
+        # could break the pairing, does not fit it
         spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(100.0, 64))
-        values = spec.values.copy()
+        values = np.concatenate([np.conj(spec.values[:0:-1]), spec.values[:-1]])
         values[40] += 0.1 * np.max(np.abs(values))
         with pytest.raises(ValueError):
-            synthesize_time_signal(replace(spec, values=values))
+            replace(spec, values=values)
 
     def test_fft_matches_direct_summation(self):
         # thermoviscous quadratic law against an O(n^2) direct inverse transform
@@ -71,9 +81,11 @@ class TestSynthesize:
         grid = FrequencyGrid(50.0, 2**10)
         spec = sample_green_spectrum(law, 0.5, grid)
         sig = synthesize_time_signal(spec)
-        w = grid.omegas()
-        vals = np.array(spec.values)
-        vals[0] = vals[0].real
+        # the Hermitian extension on w_k = (k - n/2)*dw; the lone -omega_max
+        # node carries the real part of the Nyquist value
+        w = grid.delta_omega * (np.arange(grid.n) - grid.n // 2)
+        v = spec.values
+        vals = np.concatenate([[v[-1].real], np.conj(v[-2:0:-1]), v[:-1]])
         t_sel = sig.times()[:96]
         direct = np.array([
             (grid.delta_omega / SQRT_2PI) * np.sum(vals * np.exp(-1j * w * tj))
@@ -197,15 +209,14 @@ class TestDissipationOperator:
             castor.causal, apply_dissipation_operator(castor.causal, sig))
         ghat, grid = _forward_transform(sig)
         product = ghat * eval_alpha(castor.causal, grid.omegas()) ** 2 / (2.0 * math.pi)
-        product[0] = product[0].real
-        direct = _inverse_transform(product, grid).real
+        direct = _inverse_transform(product, grid)
         assert np.max(np.abs(twice.samples - direct)) <= 1e-10 * np.max(np.abs(direct))
 
     def test_forward_inverse_roundtrip(self):
         sig = _gaussian_signal()
         ghat, grid = _forward_transform(sig)
         back = _inverse_transform(ghat, grid, t0=sig.t0)
-        assert np.max(np.abs(back.real - sig.samples)) <= 1e-12
+        assert np.max(np.abs(back - sig.samples)) <= 1e-12
 
 
 class TestTimeFrequencyConsistency:
@@ -217,8 +228,7 @@ class TestTimeFrequencyConsistency:
         r, m = 0.1, 100.0
         grid = FrequencyGrid(400.0, 2**21)
         spec = sample_green_spectrum(castor.causal, r, grid)
-        w = grid.omegas()
-        tail_spec = replace(spec, values=np.where(np.abs(w) > m, spec.values, 0.0))
+        tail_spec = replace(spec, values=np.where(grid.omegas() > m, spec.values, 0.0))
         err_time = (synthesize_time_signal(tail_spec).l2_norm()
                     / synthesize_time_signal(spec).l2_norm())
         err_spectral = relative_truncation_error(castor.causal, r, m)
@@ -254,14 +264,15 @@ class TestForcingSignal:
 
 
 def test_write_signal_csv(tmp_path, castor):
+    # a synthesized signal through the package writer: rows round-trip exactly
     spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(100.0, 64))
     sig = synthesize_time_signal(spec)
-    path = tmp_path / "signal.csv"
-    write_signal_csv(sig, path, law_tag="causal")
+    path = write_table(tmp_path / "signal", ["t", "value"], [sig.times(), sig.samples],
+                       comment=f"r={sig.r:.17g}")
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# r=1")
-    assert "convention=forward-kernel exp(+i w t)" in lines[0]
+    assert lines[0] == "# r=1"
     assert lines[1] == "t,value"
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     assert data.shape == (64, 2)
-    assert np.allclose(data[:, 1], sig.samples)
+    assert np.array_equal(data[:, 0], sig.times())
+    assert np.array_equal(data[:, 1], sig.samples)
