@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,10 @@ from .laws import (
 from .numerics import NumericalError, integrate_decaying
 from .spectrum import (
     FrequencyGrid,
+    _check_distance,
     _gain_sq,
     log10_relative_truncation_error,
     relative_model_error,
-    relative_truncation_error,
     sample_green_spectrum,
     tail_cut_frequency,
     truncate_spectrum,
@@ -79,15 +80,8 @@ def _out_dir(args):
 
 
 def _preset_dict(preset):
-    return {
-        "name": preset.name,
-        "gamma": preset.causal.gamma,
-        "c0": preset.causal.c0,
-        "alpha1": preset.causal.alpha1,
-        "tau0": preset.causal.tau0,
-        "a1": preset.powerlaw.a1,
-        "a2": preset.powerlaw.a2,
-    }
+    return {"name": preset.name, **asdict(preset.causal),
+            "a1": preset.powerlaw.a1, "a2": preset.powerlaw.a2}
 
 
 def cmd_table1(args):
@@ -153,17 +147,16 @@ def cmd_fig(args):
             [w, spd_c, spd_pl], comment=f"preset={preset.name}{marker}"))
     elif which == "fig3":
         r = args.r
+        _check_distance(r)
         m0 = np.linspace(0.5, 2.0 * args.m, 100)
         # cumulative slice integrals: increments are non-negative by
-        # construction, so the curve is exactly monotone
-        g_curve = []
-        energy = 2.0 * integrate_decaying(_gain_sq(preset.causal, r), 0.0, m0[0],
-                                          rtol=QUADRATURE_RTOL)
-        g_curve.append(math.sqrt(energy))
-        for lo, hi in zip(m0[:-1], m0[1:]):
-            energy += 2.0 * integrate_decaying(_gain_sq(preset.causal, r), lo, hi,
-                                               rtol=QUADRATURE_RTOL)
-            g_curve.append(math.sqrt(energy))
+        # construction, so the curve is exactly monotone; the absolute
+        # norm carries the prefactor 1/(4*pi*r) of G_hat
+        gain_sq = _gain_sq(preset.causal, r)
+        edges = np.concatenate(([0.0], m0))
+        energy = np.cumsum([2.0 * integrate_decaying(gain_sq, lo, hi, rtol=QUADRATURE_RTOL)
+                            for lo, hi in zip(edges[:-1], edges[1:])])
+        g_curve = np.sqrt(energy) / (4.0 * math.pi * r)
         written.append(write_table(
             out / "fig3_bandnorm", ["m0", "band_norm"], [m0, g_curve],
             comment=f"preset={preset.name} r={_fmt(r)}"))
@@ -188,6 +181,8 @@ def cmd_bounds(args):
         report = model_error_report(preset.causal, preset.powerlaw, r, args.m, args.delta,
                                     rtol=QUADRATURE_RTOL)
         corrected = corrected_truncation_error_bound(preset.causal, constants, r)
+        log10_error = log10_relative_truncation_error(preset.causal, r, args.m,
+                                                      rtol=QUADRATURE_RTOL)
         per_r.append({
             "r": r,
             "tail_cut": cut,
@@ -195,10 +190,8 @@ def cmd_bounds(args):
             "truncation_bound": truncation_error_bound(constants, r),
             "log10_truncation_bound": log10_truncation_error_bound(constants, r),
             "corrected_truncation_bound": corrected.to_dict(),
-            "truncation_error": relative_truncation_error(preset.causal, r, args.m,
-                                                          rtol=QUADRATURE_RTOL),
-            "log10_truncation_error": log10_relative_truncation_error(
-                preset.causal, r, args.m, rtol=QUADRATURE_RTOL),
+            "truncation_error": 10.0**log10_error,
+            "log10_truncation_error": log10_error,
             "model_error_report": report.to_dict(),
         })
     # the corrected bound uses the linear lower envelope on [m, split] and

@@ -39,8 +39,6 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import NumericalError, bisect_root
-
 __all__ = [
     "CausalLaw",
     "PowerLaw",
@@ -151,6 +149,17 @@ def alpha1_from_a1(a1, gamma, c0, tau0):
     return 2.0 * c0 * a1 / (tau0 ** (gamma - 1.0) * abs(math.cos(gamma * math.pi / 2.0)))
 
 
+def _is_derived_pair(causal, powerlaw):
+    """True when powerlaw carries the coefficients derived from causal, to 1e-12."""
+    if not (isinstance(causal, CausalLaw) and isinstance(powerlaw, PowerLaw)):
+        return False
+    if powerlaw.gamma != causal.gamma or powerlaw.c0 != causal.c0:
+        return False
+    a1, a2 = derive_powerlaw_coeffs(causal)
+    return (abs(powerlaw.a1 - a1) <= 1e-12 * abs(a1)
+            and abs(powerlaw.a2 - a2) <= 1e-12 * abs(a2))
+
+
 @dataclass(frozen=True)
 class MediumPreset:
     """Named bundle of a causal law and its derived power law."""
@@ -160,14 +169,8 @@ class MediumPreset:
     powerlaw: PowerLaw
 
     def __post_init__(self):
-        a1, a2 = derive_powerlaw_coeffs(self.causal)
-        ok = (
-            self.powerlaw.gamma == self.causal.gamma
-            and self.powerlaw.c0 == self.causal.c0
-            and abs(self.powerlaw.a1 - a1) <= 1e-12 * abs(a1)
-            and abs(self.powerlaw.a2 - a2) <= 1e-12 * abs(a2)
-        )
-        _require(ok, "power-law coefficients are inconsistent with the causal law")
+        _require(_is_derived_pair(self.causal, self.powerlaw),
+                 "power-law coefficients are inconsistent with the causal law")
 
     @classmethod
     def from_causal(cls, name, causal):
@@ -240,16 +243,6 @@ _DIFF_SERIES = (-3.0 / 8.0, 5.0 / 16.0, -35.0 / 128.0, 63.0 / 256.0,
                 -231.0 / 1024.0, 429.0 / 2048.0, -6435.0 / 32768.0)
 
 
-def _is_derived_pair(causal, powerlaw):
-    if not (isinstance(causal, CausalLaw) and isinstance(powerlaw, PowerLaw)):
-        return False
-    if powerlaw.gamma != causal.gamma or powerlaw.c0 != causal.c0:
-        return False
-    a1, a2 = derive_powerlaw_coeffs(causal)
-    return (abs(powerlaw.a1 - a1) <= 1e-12 * abs(a1)
-            and abs(powerlaw.a2 - a2) <= 1e-12 * abs(a2))
-
-
 def alpha_difference(causal, powerlaw, omega):
     """alpha*_powerlaw(omega) - alpha*_causal(omega), cancellation-free.
 
@@ -306,11 +299,10 @@ def powerlaw_phase_singularity(medium):
     """Positive frequency where the power-law phase speed diverges.
 
     Accepts a MediumPreset or a bare PowerLaw.  The root of
-    k(w) = w*(1/c0 + a2) - a1*|tan(gamma*pi/2)|*w**gamma is located by
-    bisection and verified against the closed form
-    ((1/c0 + a2)/(a1*|tan(gamma*pi/2)|))**(1/(gamma-1)) to 1e-9
-    relative.  Raises ValueError when no singularity exists
-    (gamma = 2, or a vanishing tangent/attenuation coefficient).
+    k(w) = w*(1/c0 + a2) - a1*|tan(gamma*pi/2)|*w**gamma has the closed
+    form ((1/c0 + a2)/(a1*|tan(gamma*pi/2)|))**(1/(gamma-1)).  Raises
+    ValueError when no singularity exists (gamma = 2, or a vanishing
+    tangent/attenuation coefficient).
     """
     law = medium.powerlaw if isinstance(medium, MediumPreset) else medium
     _require(isinstance(law, PowerLaw), "a power law is required")
@@ -320,21 +312,7 @@ def powerlaw_phase_singularity(medium):
     a_tan = law.a1 * abs(math.tan(g * math.pi / 2.0))
     if a_tan == 0.0:
         raise ValueError("no phase-speed singularity: a1*|tan(gamma*pi/2)| vanishes")
-    closed_form = ((1.0 / law.c0 + law.a2) / a_tan) ** (1.0 / (g - 1.0))
-
-    def k_of(w):
-        return w * (1.0 / law.c0 + law.a2) - a_tan * w**g
-
-    lo, hi = 1.0, 1e10
-    while k_of(lo) <= 0.0 and lo > 1e-300:
-        lo /= 16.0
-    while k_of(hi) >= 0.0 and hi < 1e150:
-        hi *= 16.0
-    root = bisect_root(k_of, lo, hi, rtol=1e-12)
-    if abs(root - closed_form) > 1e-9 * closed_form:
-        raise NumericalError(
-            f"singularity root {root!r} disagrees with closed form {closed_form!r}")
-    return root
+    return ((1.0 / law.c0 + law.a2) / a_tan) ** (1.0 / (g - 1.0))
 
 
 def small_frequency_bound(gamma, tau0, threshold=0.1):

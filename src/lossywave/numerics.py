@@ -142,7 +142,8 @@ def bisect_root(f, lo, hi, rtol=1e-12, f_tol=0.0, max_iter=200):
 
     Stops when the bracket shrinks below rtol relative to its midpoint
     or |f(mid)| <= f_tol.  Endpoints that are exact roots are returned
-    as-is.
+    as-is.  Raises NumericalError when max_iter halvings do not meet the
+    tolerance, rather than return a midpoint that is not a root.
     """
     flo = f(lo)
     if flo == 0.0:
@@ -161,7 +162,8 @@ def bisect_root(f, lo, hi, rtol=1e-12, f_tol=0.0, max_iter=200):
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise NumericalError(
+        f"bisection did not reach rtol {rtol!r} in {max_iter} steps; bracket [{lo!r}, {hi!r}]")
 
 
 def golden_section_max(f, lo, hi, iters=120):

@@ -13,11 +13,15 @@ differ only through alpha*).
 Norms are L2 in omega over the full line, a band [-M, M], or its
 complement ("tail").  By the Plancherel-Parseval equality these match
 the time-domain L2 norms of the synthesized signals, which is what
-`lossywave.timedomain` verifies.  Integration is adaptive Simpson
-with panel doubling (relative tolerance 1e-9, absolute floor 1e-300)
-on a geometrically subdivided interval; semi-infinite tails are cut
-where the integrand has decayed by a factor exp(-70) ~ 4e-31 from the
-domain peak, far below the quadrature tolerance.
+`lossywave.timedomain` verifies.  Every norm integrates |G_hat|^2
+without its prefactor 1/(4*pi*r)**2, scaled to 1 at the lower end of
+the interval, and returns the energy as a logarithm: a norm underflows
+to 0.0 only below the smallest double, not where its integrand does.
+Integration is adaptive Simpson with panel doubling (relative
+tolerance 1e-9) on a geometrically subdivided interval; semi-infinite
+tails are cut where the integrand has decayed by a factor
+exp(-70) ~ 4e-31 from the domain peak, far below the quadrature
+tolerance.  The distance r must be finite and positive.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .laws import alpha_difference, eval_alpha
-from .numerics import bisect_root, complex_expm1, integrate_decaying
+from .numerics import NumericalError, bisect_root, complex_expm1, integrate_decaying
 
 __all__ = [
     "FrequencyGrid",
@@ -47,6 +51,14 @@ __all__ = [
 ]
 
 _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-9
+_CUT_RTOL = 1e-9  # relative tolerance of the tail-cut bisection
+_LN_4PI = math.log(4.0 * math.pi)
+
+
+def _check_distance(r):
+    """Raise ValueError unless the distance r is finite and positive."""
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"distance must be finite and positive, got r={r!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +143,7 @@ def green_hat(law, r, omega):
     r must be positive: the Green function is singular at the origin.
     Vectorized over omega.
     """
-    if not r > 0.0:
-        raise ValueError("zero distance: the Green function is singular at r = 0")
+    _check_distance(r)
     w = np.asarray(omega, dtype=float)
     out = np.exp(-eval_alpha(law, w) * r + 1j * (w * (r / law.c0))) / (4.0 * math.pi * r)
     return out if out.ndim else complex(out)
@@ -158,11 +169,10 @@ def truncate_spectrum(spec, m):
 
 
 def _gain_sq(law, r, alpha_ref=0.0):
-    """|G_hat(r, w)|**2, scaled by exp(2*r*alpha_ref) when alpha_ref is given."""
-    scale = 1.0 / (4.0 * math.pi * r) ** 2
+    """|G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2, scaled by exp(2*r*alpha_ref)."""
 
     def f(w):
-        return scale * np.exp(-2.0 * (np.real(eval_alpha(law, w)) - alpha_ref) * r)
+        return np.exp(-2.0 * (np.real(eval_alpha(law, w)) - alpha_ref) * r)
 
     return f
 
@@ -171,28 +181,66 @@ def tail_cut_frequency(law, r, start=0.0):
     """Frequency beyond which |G_hat|^2 is below exp(-70) of its value at `start`.
 
     Solves 2*r*Re(alpha*(w)) = 2*r*Re(alpha*(start)) + 70 on the
-    monotone attenuation; used to cut semi-infinite norm integrals.
-    Returns inf for laws whose attenuation never reaches the threshold
-    (degenerate lossless laws): their line/tail norms diverge.
+    monotone attenuation, bracketed in factors of 4 from max(start, 1);
+    used to cut semi-infinite norm integrals.  Returns inf for laws
+    whose attenuation never grows (degenerate lossless laws): their
+    line/tail norms diverge.  Raises NumericalError for a growing
+    attenuation that reaches the threshold only where alpha overflows.
     """
-    if not r > 0.0:
-        raise ValueError("zero distance: the Green function is singular at r = 0")
-    target = 2.0 * r * float(np.real(eval_alpha(law, start))) + _TAIL_DECADES
+    _check_distance(r)
+
+    def att(w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.real(eval_alpha(law, w)))
+
+    target = 2.0 * r * att(start) + _TAIL_DECADES
 
     def excess(w):
-        return 2.0 * r * float(np.real(eval_alpha(law, w))) - target
+        return 2.0 * r * att(w) - target
 
-    hi = max(abs(start), 1.0)
+    lo = hi = max(abs(start), 1.0)
     f_hi = excess(hi)
-    while f_hi < 0.0 and hi < 1e150:
-        hi *= 4.0
+    while f_hi < 0.0 and hi <= np.finfo(float).max / 4.0:
+        lo, hi = hi, 4.0 * hi
         f_hi = excess(hi)
-    if not (math.isfinite(f_hi) and f_hi > 0.0):
+    if not (0.0 <= f_hi < math.inf):
+        if att(lo) > att(start):
+            raise NumericalError(
+                f"the tail cut at r={r!r} lies beyond the frequencies where alpha is finite")
         return math.inf
-    lo = max(start, hi / 4.0 if start == 0.0 else start)
-    if excess(lo) > 0.0:
-        lo = max(start, 1e-300)
-    return bisect_root(excess, lo, hi, rtol=1e-9)
+    while lo > start and excess(lo) > 0.0:  # the cut lies below 1
+        lo, hi = max(lo / 4.0, start), lo
+    return bisect_root(excess, lo, hi, rtol=_CUT_RTOL)
+
+
+def _integration_limit(law, r, lo, hi):
+    """min(hi, tail cut from lo); no cut is searched where it lies beyond a finite hi."""
+    _check_distance(r)
+    if math.isfinite(hi):
+        rise = float(np.real(eval_alpha(law, hi))) - float(np.real(eval_alpha(law, lo)))
+        if 2.0 * r * rise < _TAIL_DECADES:
+            return hi
+    return min(hi, tail_cut_frequency(law, r, start=lo))
+
+
+def _log_energy(law, r, lo, hi=math.inf, rtol=1e-9):
+    """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, hi].
+
+    The integrand is scaled to 1 at lo, where it peaks, and the factor
+    exp(-2*r*Re alpha*(lo)) is added back in log space.  The upper
+    limit is hi or the tail cut from lo, whichever comes first; a cut
+    closer to lo than twice its bisection tolerance is not resolved and
+    raises NumericalError.
+    """
+    top = _integration_limit(law, r, lo, hi)
+    if not math.isfinite(top):
+        raise ValueError("norm diverges: the law has no spectral decay")
+    if top - lo < 2.0 * _CUT_RTOL * lo:
+        raise NumericalError(f"at r={r!r} the spectrum beyond w={lo!r} decays within "
+                             f"{top - lo!r}, too narrow for the tail cut to resolve")
+    alpha_lo = float(np.real(eval_alpha(law, lo)))
+    energy = integrate_decaying(_gain_sq(law, r, alpha_ref=alpha_lo), lo, top, rtol=rtol)
+    return math.log(energy) - 2.0 * r * alpha_lo
 
 
 def spectral_l2_norm(law, r, domain, rtol=1e-9):
@@ -200,21 +248,19 @@ def spectral_l2_norm(law, r, domain, rtol=1e-9):
 
     Returns (integral of |G_hat(r, w)|^2 over the domain)**0.5, using
     the even symmetry of the integrand (integrate [0, inf) and
-    double).  Tail norms whose integrand underflows return 0.0.
+    double).  The prefactor sqrt(2)/(4*pi*r) is applied in log space,
+    so the norm underflows to 0.0 only where it lies below the smallest
+    double, not where its integrand underflows.
     """
-    if not r > 0.0:
-        raise ValueError("zero distance: the Green function is singular at r = 0")
-    f = _gain_sq(law, r)
-    if domain.kind == "full":
-        lo, hi = 0.0, tail_cut_frequency(law, r)
-    elif domain.kind == "band":
-        lo, hi = 0.0, min(domain.m, tail_cut_frequency(law, r))
+    if domain.kind == "tail":
+        log_energy = _log_energy(law, r, domain.m, rtol=rtol)
     else:
-        lo = domain.m
-        hi = tail_cut_frequency(law, r, start=domain.m)
-    if not math.isfinite(hi):
-        raise ValueError("norm diverges: the law has no spectral decay")
-    return math.sqrt(2.0 * integrate_decaying(f, lo, hi, rtol=rtol))
+        hi = domain.m if domain.kind == "band" else math.inf
+        log_energy = _log_energy(law, r, 0.0, hi, rtol=rtol)
+    try:
+        return math.exp(0.5 * (math.log(2.0) + log_energy) - _LN_4PI - math.log(r))
+    except OverflowError:
+        raise NumericalError(f"the {domain.kind} norm at r={r!r} exceeds the largest double")
 
 
 def relative_truncation_error(law, r, m, rtol=1e-9):
@@ -222,46 +268,34 @@ def relative_truncation_error(law, r, m, rtol=1e-9):
 
     norm over |w| > m divided by the full-line norm; by the
     Plancherel-Parseval equality this equals the time-domain relative
-    error of the truncated signal.  Always in [0, 1].
+    error of the truncated signal.  Always in [0, 1]; it is formed as
+    10**`log10_relative_truncation_error`.
     """
-    tail = spectral_l2_norm(law, r, NormDomain.tail(m), rtol=rtol)
-    full = spectral_l2_norm(law, r, NormDomain.full_line(), rtol=rtol)
-    return tail / full
+    return 10.0 ** log10_relative_truncation_error(law, r, m, rtol=rtol)
 
 
 def log10_relative_truncation_error(law, r, m, rtol=1e-9):
     """log10 of `relative_truncation_error`, finite where the linear value underflows.
 
-    The tail integrand is scaled by exp(2*r*alpha(m)), which makes its
-    peak at w = m equal to the band-edge value instead of e.g.
-    exp(-1800) at r = 10; the factor is restored in log space.  The
-    full-line integrand peaks at w = 0, where alpha vanishes, and needs
-    no scaling.
+    Half the difference of the log energies of the tail [m, inf) and of
+    the full line [0, inf), in decades; the prefactor of |G_hat|^2
+    cancels.
     """
-    if not r > 0.0:
-        raise ValueError("zero distance: the Green function is singular at r = 0")
     if not m > 0.0:
         raise ValueError("band edge must be positive")
-    alpha_m = float(np.real(eval_alpha(law, m)))
-    tail_cut = tail_cut_frequency(law, r, start=m)
-    full_cut = tail_cut_frequency(law, r)
-    if not (math.isfinite(tail_cut) and math.isfinite(full_cut)):
-        raise ValueError("norm diverges: the law has no spectral decay")
-    tail = integrate_decaying(_gain_sq(law, r, alpha_ref=alpha_m), m, tail_cut, rtol=rtol)
-    full = integrate_decaying(_gain_sq(law, r), 0.0, full_cut, rtol=rtol)
-    return (math.log(tail) - 2.0 * r * alpha_m - math.log(full)) / (2.0 * math.log(10.0))
+    tail = _log_energy(law, r, m, rtol=rtol)
+    full = _log_energy(law, r, 0.0, rtol=rtol)
+    return (tail - full) / (2.0 * math.log(10.0))
 
 
 def _model_diff_sq(causal, powerlaw, r):
-    scale = 1.0 / (4.0 * math.pi * r) ** 2
+    """|G_hat_causal - G_hat_powerlaw|**2 without the prefactor 1/(4*pi*r)**2."""
+    gain_sq = _gain_sq(causal, r)
 
     def f(w):
-        ac = eval_alpha(causal, w)
-        diff = alpha_difference(causal, powerlaw, w)
-        # |e^(-ac r) - e^(-ap r)| = e^(-Re(ac) r) |expm1(-(ap - ac) r)|; the
+        # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2; the
         # expm1 form survives the near-cancellation at small frequencies.
-        mod = np.exp(-np.real(ac) * r) * np.abs(complex_expm1(-diff * r))
-        return scale * mod**2
+        return gain_sq(w) * np.abs(complex_expm1(-alpha_difference(causal, powerlaw, w) * r)) ** 2
 
     return f
 
@@ -270,22 +304,22 @@ def relative_model_error(causal, powerlaw, r, m, rtol=1e-9):
     """Relative L2 distance of the two band-limited Green functions.
 
     ||G_hat_causal - G_hat_powerlaw|| / ||G_hat_causal||, both
-    restricted to the band [-m, m].  The common phase factor cancels,
-    so only the attenuation-dispersion difference contributes.
+    restricted to the band [-m, m].  The common phase factor and the
+    prefactor 1/(4*pi*r) cancel, so only the attenuation-dispersion
+    difference contributes.
     """
     if not m > 0.0:
         raise ValueError("band edge must be positive")
-    hi = min(m, tail_cut_frequency(causal, r))
-    num_sq = 2.0 * integrate_decaying(_model_diff_sq(causal, powerlaw, r), 0.0, hi, rtol=rtol)
-    den = spectral_l2_norm(causal, r, NormDomain.band(m), rtol=rtol)
-    return math.sqrt(num_sq) / den
+    hi = _integration_limit(causal, r, 0.0, m)
+    num_sq = integrate_decaying(_model_diff_sq(causal, powerlaw, r), 0.0, hi, rtol=rtol)
+    return math.sqrt(num_sq / math.exp(_log_energy(causal, r, 0.0, m, rtol=rtol)))
 
 
 def energy_band_edge(law, r, delta, rtol=1e-9):
     """Band edge M capturing the fraction (1 - delta) of the spectral energy.
 
     Solves band-norm(M)^2 = (1 - delta) * full-norm^2 by bisection on
-    the equivalent tail equation tail(M)^2 = delta * full^2, which is
+    the equivalent tail equation (tail(M)/full)^2 = delta, which is
     better conditioned for small delta; the band energy is strictly
     increasing in M so the root is unique.  Relative tolerance 1e-6 on
     the energy equation.
@@ -298,16 +332,16 @@ def energy_band_edge(law, r, delta, rtol=1e-9):
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     if delta == 1.0:
         return 0.0
-    full_sq = spectral_l2_norm(law, r, NormDomain.full_line(), rtol=rtol) ** 2
-    target = delta * full_sq
+    full = spectral_l2_norm(law, r, NormDomain.full_line(), rtol=rtol)
+    if not full > 0.0:
+        raise NumericalError(f"the full-line norm at r={r!r} underflows to 0.0")
     cut = tail_cut_frequency(law, r)
 
-    def tail_sq(m):
+    def tail_excess(m):
         if m <= 0.0:
-            return full_sq
-        return spectral_l2_norm(law, r, NormDomain.tail(m), rtol=rtol) ** 2
+            return 1.0 - delta
+        return (spectral_l2_norm(law, r, NormDomain.tail(m), rtol=rtol) / full) ** 2 - delta
 
-    if tail_sq(cut) >= target:
+    if tail_excess(cut) >= 0.0:
         return cut
-    return bisect_root(lambda m: tail_sq(m) - target, 0.0, cut,
-                       rtol=1e-12, f_tol=1e-6 * target)
+    return bisect_root(tail_excess, 0.0, cut, rtol=1e-12, f_tol=1e-6 * delta)

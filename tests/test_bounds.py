@@ -230,6 +230,10 @@ class TestDeviationFactor:
             b = alpha_difference(castor.causal, castor.powerlaw, w) * r
             ref = abs(np.exp(-b) - 1.0) ** 2
             assert abs(got - ref) <= 1e-12 * max(1.0, ref) + 1e-15
+            # the displayed form |1 - 2 e^(-b1 r) cos(b2 r) + e^(-2 b1 r)|
+            displayed = abs(1.0 - 2.0 * math.exp(-b.real) * math.cos(b.imag)
+                            + math.exp(-2.0 * b.real))
+            assert abs(displayed - got) <= 1e-12 * max(1.0, got)
 
     def test_castor_inner_band_scale(self, castor):
         # the inner-band supremum of the deviation factor at r = 1 sits at the

@@ -169,6 +169,15 @@ class TestBoundsCommand:
         assert entry["log10_truncation_error"] == pytest.approx(-394.20, abs=0.01)
         assert entry["log10_truncation_bound"] < entry["log10_truncation_error"] < corrected
 
+    def test_truncation_error_is_not_flushed_to_zero(self, tmp_path):
+        # the exact error 2.07e-269 is a double; its energy ratio (~4e-538) is not
+        proc = run_cli("bounds", "--r-list", "10", "--m", "79.333", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        entry = json.loads((tmp_path / "bounds.json").read_text())["per_distance"][0]
+        assert entry["truncation_error"] == pytest.approx(
+            10.0 ** entry["log10_truncation_error"], rel=1e-12, abs=0.0)
+        assert entry["truncation_error"] == pytest.approx(2.0734e-269, rel=1e-4, abs=0.0)
+
     def test_empty_r_list_exits_2(self, tmp_path):
         proc = run_cli("bounds", "--r-list", ",", "--out", str(tmp_path))
         assert proc.returncode == 2
@@ -233,3 +242,42 @@ class TestPulseAndCausality:
         assert doc["grid"] == {"omega_max": 1046.324, "n": 262144}
         assert 0.0 <= doc["causal"]["guarded_fraction"] < 1e-12
         assert 0.0 < doc["truncated_powerlaw"]["guarded_fraction"] < 1e-3
+
+
+def _log10_fields(doc):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key.startswith("log10"):
+                yield key, value
+            yield from _log10_fields(value)
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from _log10_fields(item)
+
+
+class TestDistanceContract:
+    @pytest.mark.parametrize("command", ["table2", "bounds"])
+    @pytest.mark.parametrize("r", ["nan", "inf", "0", "-1"])
+    def test_invalid_distance_exits_2(self, tmp_path, command, r):
+        proc = run_cli(command, f"--r-list={r}", "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert f"distance must be finite and positive, got r={float(r)!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["table2", "bounds"])
+    @pytest.mark.parametrize("r", ["1e-300", "1e200", "1e300"])
+    def test_extreme_distances_exit_cleanly(self, tmp_path, command, r):
+        proc = run_cli(command, "--r-list", r, "--out", str(tmp_path))
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if command == "table2":
+            # a band-limited quantity needs no tail cut
+            assert proc.returncode == 0, proc.stderr
+            assert np.all(np.isfinite(load_csv(tmp_path / "table2.csv")))
+        elif proc.returncode == 0:
+            doc = json.loads((tmp_path / "bounds.json").read_text())
+            fields = list(_log10_fields(doc))
+            assert fields
+            assert all(value is not None and math.isfinite(value) for _, value in fields)
+        else:
+            assert proc.stderr.startswith("numerical failure:")

@@ -205,6 +205,16 @@ class TestPhaseSingularity:
         w2 = powerlaw_phase_singularity(doubled)
         assert w2 == pytest.approx(w1 * 2.0 ** (-1.0 / (pl.gamma - 1.0)), rel=1e-9)
 
+    @pytest.mark.parametrize("gamma", [None, 1.1, 1.5, 1.9])
+    def test_closed_form_is_wavenumber_root(self, castor, gamma):
+        # gamma None is castor oil itself; the others vary its gamma only
+        preset = castor if gamma is None else MediumPreset.from_causal(
+            "varied", CausalLaw(gamma=gamma, c0=castor.causal.c0,
+                                alpha1=castor.causal.alpha1, tau0=castor.causal.tau0))
+        law = preset.powerlaw
+        root = powerlaw_phase_singularity(preset)
+        assert abs(wavenumber(law, root)) <= 1e-9 * root * (1.0 / law.c0 + law.a2)
+
     def test_gamma_two_has_no_singularity(self):
         with pytest.raises(ValueError):
             powerlaw_phase_singularity(PowerLaw(gamma=2.0, a1=0.1, a2=0.1, c0=1.0))

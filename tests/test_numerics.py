@@ -64,6 +64,12 @@ def test_bisect_root_unbracketed():
         bisect_root(lambda x: 1.0 + x**2, 0.0, 1.0)
 
 
+def test_bisect_root_raises_when_iterations_run_out():
+    # 200 halvings of [1e-300, 1] leave a bracket near 6e-61, far above the root
+    with pytest.raises(NumericalError, match="did not reach rtol"):
+        bisect_root(lambda x: x - 1e-100, 1e-300, 1.0, rtol=1e-9)
+
+
 def test_bisect_solves_flat_spectrum_band_energy():
     # flat spectrum of amplitude A hard-cut at Omega: band energy 2*m*A**2,
     # so the band edge holding (1-delta) of the energy is exactly (1-delta)*Omega

@@ -7,6 +7,7 @@ from lossywave import (
     ComplexSpectrum,
     FrequencyGrid,
     NormDomain,
+    NumericalError,
     PowerLaw,
     energy_band_edge,
     eval_alpha,
@@ -202,6 +203,62 @@ class TestLog10TruncationError:
             log10_relative_truncation_error(castor.causal, 1.0, 0.0)
         with pytest.raises(ValueError):
             log10_relative_truncation_error(LOSSLESS, 1.0, 100.0)
+
+
+class TestExtremeDistances:
+    @pytest.mark.parametrize("r,cut", [(1e200, 1.857e-119), (1e300, 1.066e-179)])
+    def test_tail_cut_converges_far_below_one(self, castor, r, cut):
+        # the cut lies hundreds of decades below 1; bracketing in factors of 4
+        # keeps the bisection inside its iteration budget
+        got = tail_cut_frequency(castor.causal, r)
+        assert got == pytest.approx(cut, rel=1e-3)
+        attenuation = float(np.real(eval_alpha(castor.causal, got)))
+        assert 2.0 * r * attenuation == pytest.approx(70.0, rel=1e-6)
+        # a tail cut from a start far below 1 brackets above the start
+        assert tail_cut_frequency(castor.causal, r, start=0.5 * got) > 0.5 * got
+
+    def test_tail_cut_beyond_the_double_range_names_r(self, castor):
+        with pytest.raises(NumericalError, match="r=1e-300"):
+            tail_cut_frequency(castor.causal, 1e-300)
+        # a law that does not decay still has no cut at all
+        assert tail_cut_frequency(LOSSLESS, 1e-300) == math.inf
+
+    def test_band_quantities_need_no_cut(self, castor):
+        r, m = 1e-300, 100.0
+        # exp(-2 r alpha) is 1 to double precision on the band
+        band = spectral_l2_norm(castor.causal, r, NormDomain.band(m))
+        assert band == pytest.approx(math.sqrt(2.0 * m) / (4.0 * math.pi * r), rel=1e-12)
+        assert 0.0 <= relative_model_error(castor.causal, castor.powerlaw, r, m) < 1e-290
+
+    def test_norm_underflows_only_below_the_smallest_double(self, castor):
+        # the tail energy (~1e-541) underflows; the tail norm (~1e-271) does not
+        r, m = 10.0, 79.333
+        tail = spectral_l2_norm(castor.causal, r, NormDomain.tail(m))
+        full = spectral_l2_norm(castor.causal, r, NormDomain.full_line())
+        log10_error = log10_relative_truncation_error(castor.causal, r, m)
+        assert log10_error == pytest.approx(-268.683, abs=1e-3)
+        assert tail / full == pytest.approx(10.0**log10_error, rel=1e-12, abs=0.0)
+        assert relative_truncation_error(castor.causal, r, m) == pytest.approx(
+            10.0**log10_error, rel=1e-12, abs=0.0)
+
+    def test_norm_above_the_largest_double_raises(self, castor):
+        with pytest.raises(NumericalError, match="exceeds the largest double"):
+            spectral_l2_norm(castor.causal, 1e-200, NormDomain.full_line())
+
+    def test_unresolvable_narrow_tail_raises(self, castor):
+        # at r = 1e100 the tail beyond m decays within far less than one ulp of m
+        with pytest.raises(NumericalError, match="too narrow"):
+            log10_relative_truncation_error(castor.causal, 1e100, 100.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_distance_rejected_everywhere(self, castor, r):
+        for call in (lambda: green_hat(castor.causal, r, 1.0),
+                     lambda: tail_cut_frequency(castor.causal, r),
+                     lambda: spectral_l2_norm(castor.causal, r, NormDomain.band(10.0)),
+                     lambda: relative_model_error(castor.causal, castor.powerlaw, r, 100.0),
+                     lambda: log10_relative_truncation_error(castor.causal, r, 100.0)):
+            with pytest.raises(ValueError, match="distance must be finite and positive"):
+                call()
 
 
 class TestModelError:
