@@ -16,6 +16,7 @@ from .laws import (
     alpha1_from_a1,
     eval_alpha,
     alpha_difference,
+    attenuation_rise,
     wavenumber,
     phase_speed,
     powerlaw_phase_singularity,

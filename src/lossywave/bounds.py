@@ -412,6 +412,8 @@ def model_error_report(causal, powerlaw, r, m, delta, rtol=1e-9, n_scan=100_001)
 
     full = spectral_l2_norm(causal, r, NormDomain.full_line(), rtol=rtol)
     band = spectral_l2_norm(causal, r, NormDomain.band(m), rtol=rtol)
+    if not band > 0.0:
+        raise NumericalError(f"the band norm at r={r!r} underflows to 0.0")
     err_band_norm = relative_model_error(causal, powerlaw, r, m, rtol=rtol)
     err_full_norm = err_band_norm * band / full
     ratio = full / band

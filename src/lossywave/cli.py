@@ -42,6 +42,7 @@ from .laws import (
 )
 from .numerics import NumericalError, integrate_decaying
 from .spectrum import (
+    BAND_EDGE_RTOL,
     FrequencyGrid,
     _check_distance,
     _gain_sq,
@@ -154,7 +155,7 @@ def cmd_fig(args):
         # norm carries the prefactor 1/(4*pi*r) of G_hat
         gain_sq = _gain_sq(preset.causal, r)
         edges = np.concatenate(([0.0], m0))
-        energy = np.cumsum([2.0 * integrate_decaying(gain_sq, lo, hi, rtol=QUADRATURE_RTOL)
+        energy = np.cumsum([2.0 * integrate_decaying(gain_sq, lo, hi, rtol=QUADRATURE_RTOL).value
                             for lo, hi in zip(edges[:-1], edges[1:])])
         g_curve = np.sqrt(energy) / (4.0 * math.pi * r)
         written.append(write_table(
@@ -204,7 +205,7 @@ def cmd_bounds(args):
         "delta": args.delta,
         "settings": {
             "quadrature_rtol": QUADRATURE_RTOL,
-            "energy_equation_rtol": 1e-6,
+            "energy_equation_rtol": BAND_EDGE_RTOL,
             "envelope_grid_points": 10_000,
             "deviation_scan_points": 100_001,
             "slope_factor": args.slope_factor,

@@ -48,6 +48,7 @@ __all__ = [
     "alpha1_from_a1",
     "eval_alpha",
     "alpha_difference",
+    "attenuation_rise",
     "wavenumber",
     "phase_speed",
     "powerlaw_phase_singularity",
@@ -270,6 +271,34 @@ def alpha_difference(causal, powerlaw, omega):
     g = np.where(small, series, direct)
     out = (causal.alpha1 / causal.c0) * (-1j * w) * g
     return out if out.ndim else complex(out)
+
+
+def attenuation_rise(law, lo, h):
+    """Re alpha*(lo + h) - Re alpha*(lo) for lo >= 0 and h >= 0, cancellation-free.
+
+    Vectorized over h.  Subtracting two evaluations of the law leaves
+    rounding of order eps*Re alpha*(lo) in a rise that may be far
+    smaller; here the rise is formed from h.  With t = log1p(h/lo):
+    the power law gives a1*lo**gamma*expm1(gamma*t); the causal law
+    writes u(lo + h) - u(lo) = u(lo)*expm1((gamma-1)*t) and differences
+    1/sqrt(1 + u) in conjugate form.  lo = 0 returns Re alpha*(h).
+    """
+    h = np.asarray(h, dtype=float)
+    if lo == 0.0:
+        return np.real(eval_alpha(law, h))
+    t = np.log1p(h / lo)
+    if isinstance(law, PowerLaw):
+        with np.errstate(over="ignore"):  # beyond the double range the rise is +inf
+            return law.a1 * lo**law.gamma * np.expm1(law.gamma * t)
+    if not isinstance(law, CausalLaw):
+        raise TypeError(f"not a dispersion law: {law!r}")
+    u_lo = (-1j * law.tau0 * lo) ** (law.gamma - 1.0)
+    du = u_lo * np.expm1((law.gamma - 1.0) * t)
+    s_lo = np.sqrt(1.0 + u_lo)
+    s = np.sqrt(1.0 + u_lo + du)
+    # alpha*(lo + h) - alpha*(lo) = (alpha1/c0)*(-1j)*(h/s + lo*(1/s - 1/s_lo))
+    rise = h / s - lo * (du / (s * s_lo * (s_lo + s)))
+    return (law.alpha1 / law.c0) * np.imag(rise)
 
 
 def wavenumber(law, omega):

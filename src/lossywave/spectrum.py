@@ -17,11 +17,17 @@ the time-domain L2 norms of the synthesized signals, which is what
 without its prefactor 1/(4*pi*r)**2, scaled to 1 at the lower end of
 the interval, and returns the energy as a logarithm: a norm underflows
 to 0.0 only below the smallest double, not where its integrand does.
-Integration is adaptive Simpson with panel doubling (relative
-tolerance 1e-9) on a geometrically subdivided interval; semi-infinite
-tails are cut where the integrand has decayed by a factor
-exp(-70) ~ 4e-31 from the domain peak, far below the quadrature
-tolerance.  The distance r must be finite and positive.
+The scaled integrand exp(-2*r*(Re alpha*(lo + h) - Re alpha*(lo))) is
+evaluated in the offset h from the lower end, so the rise of the
+attenuation carries no rounding of the attenuation itself.
+Integration is the graded Gauss-Kronrod 7/15 rule of
+`lossywave.numerics` (relative tolerance 1e-9); semi-infinite tails
+are cut where the integrand has decayed by a factor exp(-70) ~ 4e-31
+from the domain peak, far below the quadrature tolerance.  The band
+edge holding a given share of the energy comes from one quadrature of
+the full line: the tail energy is known at every panel edge, and a
+safeguarded Newton solve inside one panel finishes it.  The distance
+r must be finite and positive.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .laws import alpha_difference, eval_alpha
+from .laws import alpha_difference, attenuation_rise, eval_alpha
 from .numerics import NumericalError, bisect_root, complex_expm1, integrate_decaying
 
 __all__ = [
@@ -52,6 +58,9 @@ __all__ = [
 
 _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-9
 _CUT_RTOL = 1e-9  # relative tolerance of the tail-cut bisection
+BAND_EDGE_RTOL = 1e-10  # `energy_band_edge` solves its energy equation to this relative residual
+_BAND_EDGE_STEPS = 100  # Newton converges in a few; every other step halves the bracket
+_BAND_PASS_RTOL_FLOOR = 1e-12  # well above the rounding noise of exponents up to 70
 _LN_4PI = math.log(4.0 * math.pi)
 
 
@@ -168,11 +177,11 @@ def truncate_spectrum(spec, m):
     return replace(spec, values=values, cutoff=cutoff)
 
 
-def _gain_sq(law, r, alpha_ref=0.0):
-    """|G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2, scaled by exp(2*r*alpha_ref)."""
+def _gain_sq(law, r):
+    """|G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2."""
 
     def f(w):
-        return np.exp(-2.0 * (np.real(eval_alpha(law, w)) - alpha_ref) * r)
+        return np.exp(-2.0 * r * np.real(eval_alpha(law, w)))
 
     return f
 
@@ -223,14 +232,15 @@ def _integration_limit(law, r, lo, hi):
     return min(hi, tail_cut_frequency(law, r, start=lo))
 
 
-def _log_energy(law, r, lo, hi=math.inf, rtol=1e-9):
-    """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, hi].
+def _log_scaled_energy(law, r, lo, hi=math.inf, rtol=1e-9):
+    """ln of the integral of exp(-2*r*(Re alpha*(w) - Re alpha*(lo))) over [lo, hi].
 
-    The integrand is scaled to 1 at lo, where it peaks, and the factor
-    exp(-2*r*Re alpha*(lo)) is added back in log space.  The upper
-    limit is hi or the tail cut from lo, whichever comes first; a cut
-    closer to lo than twice its bisection tolerance is not resolved and
-    raises NumericalError.
+    The integrand is 1 at lo, where it peaks, and is integrated over
+    the offset h = w - lo with the rise of the attenuation from
+    `attenuation_rise`, so it carries no rounding of Re alpha*(lo).
+    The upper limit is hi or the tail cut from lo, whichever comes
+    first; a cut closer to lo than twice its bisection tolerance is not
+    resolved and raises NumericalError.
     """
     top = _integration_limit(law, r, lo, hi)
     if not math.isfinite(top):
@@ -238,9 +248,21 @@ def _log_energy(law, r, lo, hi=math.inf, rtol=1e-9):
     if top - lo < 2.0 * _CUT_RTOL * lo:
         raise NumericalError(f"at r={r!r} the spectrum beyond w={lo!r} decays within "
                              f"{top - lo!r}, too narrow for the tail cut to resolve")
-    alpha_lo = float(np.real(eval_alpha(law, lo)))
-    energy = integrate_decaying(_gain_sq(law, r, alpha_ref=alpha_lo), lo, top, rtol=rtol)
-    return math.log(energy) - 2.0 * r * alpha_lo
+
+    def scaled_gain_sq(h):
+        return np.exp(-2.0 * r * attenuation_rise(law, lo, h))
+
+    return math.log(integrate_decaying(scaled_gain_sq, 0.0, top - lo, rtol=rtol).value)
+
+
+def _log_energy(law, r, lo, hi=math.inf, rtol=1e-9):
+    """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, hi].
+
+    `_log_scaled_energy` with the factor exp(-2*r*Re alpha*(lo)) added
+    back in log space.
+    """
+    return (_log_scaled_energy(law, r, lo, hi, rtol=rtol)
+            - 2.0 * r * float(np.real(eval_alpha(law, lo))))
 
 
 def spectral_l2_norm(law, r, domain, rtol=1e-9):
@@ -311,37 +333,62 @@ def relative_model_error(causal, powerlaw, r, m, rtol=1e-9):
     if not m > 0.0:
         raise ValueError("band edge must be positive")
     hi = _integration_limit(causal, r, 0.0, m)
-    num_sq = integrate_decaying(_model_diff_sq(causal, powerlaw, r), 0.0, hi, rtol=rtol)
+    num_sq = integrate_decaying(_model_diff_sq(causal, powerlaw, r), 0.0, hi, rtol=rtol).value
     return math.sqrt(num_sq / math.exp(_log_energy(causal, r, 0.0, m, rtol=rtol)))
 
 
 def energy_band_edge(law, r, delta, rtol=1e-9):
     """Band edge M capturing the fraction (1 - delta) of the spectral energy.
 
-    Solves band-norm(M)^2 = (1 - delta) * full-norm^2 by bisection on
-    the equivalent tail equation (tail(M)/full)^2 = delta, which is
-    better conditioned for small delta; the band energy is strictly
-    increasing in M so the root is unique.  Relative tolerance 1e-6 on
-    the energy equation.
+    Solves the tail equation tail(M) = delta * full for the energy of
+    |G_hat|^2 beyond M, which is better conditioned for small delta
+    than the band equation; the band energy is strictly increasing in M
+    so the root is unique.  One quadrature of [0, tail cut] gives the
+    panel integrals; their reversed cumulative sum, plus the energy
+    beyond the cut, is the tail energy at every panel edge, which
+    locates the panel holding the root.  The pass runs at rtol*delta,
+    but not below 1e-12, so a tail energy near delta * full is accurate
+    to max(rtol, 1e-12/delta) relative.  Inside the panel Newton steps use
+    tail'(M) = -exp(-2*r*Re alpha*(M)) and a 15-node integral from the
+    panel's left edge each; a step that leaves the bracket falls back
+    to bisection.  The residual meets BAND_EDGE_RTOL relative to
+    delta * full.
 
     delta -> 0 edge: when even the tail-cut frequency cannot push the
-    tail mass below delta * full^2 the cut frequency itself is
-    returned.  delta = 1 returns 0.
+    tail mass below delta * full the cut frequency itself is returned.
+    delta = 1 returns 0.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     if delta == 1.0:
         return 0.0
-    full = spectral_l2_norm(law, r, NormDomain.full_line(), rtol=rtol)
-    if not full > 0.0:
-        raise NumericalError(f"the full-line norm at r={r!r} underflows to 0.0")
     cut = tail_cut_frequency(law, r)
-
-    def tail_excess(m):
-        if m <= 0.0:
-            return 1.0 - delta
-        return (spectral_l2_norm(law, r, NormDomain.tail(m), rtol=rtol) / full) ** 2 - delta
-
-    if tail_excess(cut) >= 0.0:
+    if not math.isfinite(cut):
+        raise ValueError("norm diverges: the law has no spectral decay")
+    gain_sq = _gain_sq(law, r)
+    pass_rtol = max(rtol * delta, _BAND_PASS_RTOL_FLOOR)
+    band = integrate_decaying(gain_sq, 0.0, cut, rtol=pass_rtol)
+    beyond = math.exp(_log_energy(law, r, cut, rtol=rtol))
+    target = delta * (band.value + beyond)
+    if beyond >= target:
         return cut
-    return bisect_root(tail_excess, 0.0, cut, rtol=1e-12, f_tol=1e-6 * delta)
+    # tails[k]: energy beyond edges[k]; the root lies where it falls through target
+    tails = np.append(beyond + np.cumsum(band.panels[::-1])[::-1], beyond)
+    k = int(np.count_nonzero(tails >= target)) - 1
+    anchor, excess = band.edges[k], tails[k] - target
+    lo, hi = anchor, band.edges[k + 1]
+    m = anchor + (hi - anchor) * (excess / band.panels[k])
+    for _ in range(_BAND_EDGE_STEPS):
+        if not lo < m < hi:
+            m = 0.5 * (lo + hi)
+        gap = excess - integrate_decaying(gain_sq, anchor, m, rtol=pass_rtol).value
+        if abs(gap) <= BAND_EDGE_RTOL * target or m in (lo, hi):
+            return float(m)
+        if gap > 0.0:
+            lo = m
+        else:
+            hi = m
+        slope = float(gain_sq(np.array([m]))[0])  # -tail'(m)
+        m += gap / slope if slope > 0.0 else math.inf
+    raise NumericalError(f"the band edge at r={r!r} did not converge in the bracket "
+                         f"[{lo!r}, {hi!r}]")

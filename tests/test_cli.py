@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lossywave import FrequencyGrid, ForcingSignal, builtin_preset, green_hat
+from lossywave import bounds, cli, numerics, spectrum
 
 
 def run_cli(*args, cwd=None):
@@ -281,3 +282,47 @@ class TestDistanceContract:
             assert all(value is not None and math.isfinite(value) for _, value in fields)
         else:
             assert proc.stderr.startswith("numerical failure:")
+
+    # castor-oil bounds exits 0 from r = 1e-120 to 1 and at the narrow tails
+    # of 1e5 ... 1e8; every other decade exits 3 (a norm or cut beyond the
+    # double range, a deviation scan that overflows, a tail too narrow to cut)
+    @pytest.mark.parametrize("r,code", [(f"1e{e}", 0 if -120 <= e <= 0 else 3)
+                                        for e in range(-300, 301, 10)]
+                             + [(r, 0) for r in ("1e5", "1e6", "3e7", "5e7", "1e8")])
+    def test_bounds_exit_code_across_decades(self, tmp_path, capsys, r, code):
+        assert cli.main(["bounds", "--r-list", r, "--out", str(tmp_path)]) == code, \
+            capsys.readouterr().err
+
+
+class TestQuadratureWork:
+    """Integrand samples and quadratures per command at its defaults.
+
+    The counts are deterministic, so they gate the cost of the
+    quadrature where wall time on a shared machine cannot.  Measured
+    with the graded Gauss-Kronrod rule: bounds 9405 samples in 71
+    quadratures, table2 1530 in 8 (Simpson doubling took 872178 in 157
+    and 31008 in 8).
+    """
+
+    @pytest.mark.parametrize("command,samples,quadratures", [("bounds", 9405, 71),
+                                                             ("table2", 1530, 8)])
+    def test_within_a_tenth_of_the_measured_counts(self, tmp_path, monkeypatch, capsys,
+                                                   command, samples, quadratures):
+        original = numerics.integrate_decaying
+        counts = {"samples": 0, "quadratures": 0}
+
+        def counting(f, *args, **kwargs):
+            counts["quadratures"] += 1
+
+            def counted(x):
+                counts["samples"] += np.size(x)
+                return f(x)
+
+            return original(counted, *args, **kwargs)
+
+        for module in (numerics, spectrum, bounds, cli):
+            if getattr(module, "integrate_decaying", None) is original:
+                monkeypatch.setattr(module, "integrate_decaying", counting)
+        assert cli.main([command, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+        assert 0 < counts["samples"] <= 1.1 * samples
+        assert 0 < counts["quadratures"] <= 1.1 * quadratures

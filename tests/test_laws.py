@@ -10,6 +10,7 @@ from lossywave import (
     PowerLaw,
     alpha1_from_a1,
     alpha_difference,
+    attenuation_rise,
     builtin_preset,
     derive_powerlaw_coeffs,
     eval_alpha,
@@ -162,6 +163,32 @@ class TestAlphaDifference:
 
     def test_identical_law_is_zero(self, castor):
         assert alpha_difference(castor.causal, castor.causal, 10.0) == 0.0
+
+
+class TestAttenuationRise:
+    def test_matches_plain_difference_over_wide_steps(self, castor):
+        h = np.geomspace(1.0, 1e9, 19)
+        for law in (castor.causal, castor.powerlaw):
+            for lo in (0.0, 3.0, 100.0, 1e7):
+                top = np.real(eval_alpha(law, lo + h))
+                plain = top - np.real(eval_alpha(law, lo))
+                # the plain difference carries rounding of order eps*top
+                got = attenuation_rise(law, lo, h)
+                assert np.all(np.abs(got - plain) <= 1e-12 * plain + 1e-14 * top)
+
+    def test_tiny_steps_follow_the_slope(self, castor):
+        # a step of 1e-13*lo leaves the plain difference with ~1e-3 relative
+        # rounding; the rise must be slope*h to the curvature term
+        lo, h = 100.0, 1e-11
+        for law in (castor.causal, castor.powerlaw):
+            step = 1e-3
+            slope = (np.real(eval_alpha(law, lo + step))
+                     - np.real(eval_alpha(law, lo - step))) / (2.0 * step)
+            assert attenuation_rise(law, lo, h) == pytest.approx(slope * h, rel=1e-7)
+
+    def test_quadratic_power_law_is_exact(self):
+        law = PowerLaw(gamma=2.0, a1=0.5, a2=3.0, c0=0.15)
+        assert attenuation_rise(law, 2.0, 1.0) == pytest.approx(0.5 * (9.0 - 4.0), rel=1e-15)
 
 
 class TestPhaseSpeed:

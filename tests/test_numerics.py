@@ -5,49 +5,87 @@ import pytest
 
 from lossywave.numerics import (
     NumericalError,
+    _gauss_kronrod,
     bisect_root,
     complex_expm1,
     golden_section_max,
     integrate_decaying,
     scan_max,
-    simpson_doubling,
 )
 
 
-def test_simpson_polynomial_exact():
-    assert simpson_doubling(lambda x: x**2, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+@pytest.mark.parametrize("degree", range(24))
+def test_rule_integrates_polynomials_to_degree_23_on_one_panel(degree):
+    # K15 is exact to degree 23 and its embedded G7 to degree 13
+    def poly(x):
+        return (degree + 1) * x**degree
+
+    value, gap = _gauss_kronrod(poly, np.array([0.0]), np.array([1.0]))
+    assert value[0] == pytest.approx(1.0, rel=1e-14)
+    if degree <= 13:
+        assert gap[0] <= 1e-14
+        quad = integrate_decaying(poly, 0.0, 1.0)
+        assert (quad.samples, list(quad.edges)) == (15, [0.0, 1.0])
+    else:
+        assert gap[0] > 1e-8
+        assert integrate_decaying(poly, 0.0, 1.0).value == pytest.approx(1.0, rel=1e-14)
 
 
-def test_simpson_sine():
-    assert simpson_doubling(np.sin, 0.0, np.pi) == pytest.approx(2.0, rel=1e-9)
+def test_rule_sine():
+    assert integrate_decaying(np.sin, 0.0, np.pi).value == pytest.approx(2.0, rel=1e-9)
 
 
-def test_simpson_empty_interval():
-    assert simpson_doubling(np.exp, 1.0, 1.0) == 0.0
-    assert simpson_doubling(np.exp, 2.0, 1.0) == 0.0
+def test_rule_empty_and_reversed_intervals_give_zero():
+    for a, b in ((1.0, 1.0), (2.0, 1.0)):
+        quad = integrate_decaying(np.exp, a, b)
+        assert (quad.value, quad.error, quad.samples) == (0.0, 0.0, 0)
 
 
-def test_simpson_underflowed_integrand_returns_zero():
-    assert simpson_doubling(lambda x: np.zeros_like(x), 0.0, 10.0) == 0.0
+def test_rule_underflowed_integrand_gives_zero():
+    quad = integrate_decaying(lambda x: np.exp(-1e4 * (x + 1.0)), 0.0, 10.0)
+    assert quad.value == 0.0
+    assert quad.samples == 15
 
 
-def test_simpson_nonconvergent_raises():
-    # deterministic wideband noise: no panel count can settle to 1e-9
+def test_rule_noisy_integrand_raises():
+    # deterministic wideband noise: no panel set settles to 1e-9
     def noisy(x):
         return np.sin(1e12 * x) ** 2
 
-    with pytest.raises(NumericalError):
-        simpson_doubling(noisy, 0.0, 1.0, rtol=1e-9, max_doublings=10)
+    with pytest.raises(NumericalError, match="did not reach rtol"):
+        integrate_decaying(noisy, 0.0, 1.0, rtol=1e-9)
+
+
+def test_rule_nan_integrand_raises_at_once():
+    calls = []
+
+    def nan_beyond_half(x):
+        calls.append(x.size)
+        return np.where(x > 0.5, np.nan, 1.0)
+
+    with pytest.raises(NumericalError, match="not finite"):
+        integrate_decaying(nan_beyond_half, 0.0, 1.0)
+    assert calls == [15]
+
+
+def test_rule_error_estimate_within_rtol():
+    quad = integrate_decaying(lambda x: np.exp(-(x**1.66)), 0.0, 70.0 ** (1 / 1.66))
+    assert 0.0 < quad.error <= 1e-9 * quad.value
+    assert quad.samples > 15
+    # the panels tile the interval and their integrals sum to the value
+    assert quad.edges[0] == 0.0 and quad.edges[-1] == 70.0 ** (1 / 1.66)
+    assert np.all(np.diff(quad.edges) > 0.0)
+    assert quad.panels.sum() == pytest.approx(quad.value, rel=1e-15)
 
 
 def test_integrate_decaying_exponential():
-    val = integrate_decaying(lambda x: np.exp(-x), 0.0, 80.0)
+    val = integrate_decaying(lambda x: np.exp(-x), 0.0, 80.0).value
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
 def test_integrate_decaying_stretched_exponential():
     # integral of exp(-x**1.66) over [0, inf) = Gamma(1 + 1/1.66)
-    val = integrate_decaying(lambda x: np.exp(-(x**1.66)), 0.0, 70.0 ** (1 / 1.66))
+    val = integrate_decaying(lambda x: np.exp(-(x**1.66)), 0.0, 70.0 ** (1 / 1.66)).value
     assert val == pytest.approx(math.gamma(1.0 + 1.0 / 1.66), rel=1e-7)
 
 

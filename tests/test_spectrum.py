@@ -22,6 +22,8 @@ from lossywave import (
     write_table,
 )
 
+from lossywave.spectrum import _log_energy, _log_scaled_energy
+
 from conftest import trapezoid_norm
 
 LOSSLESS = PowerLaw(gamma=1.5, a1=0.0, a2=0.0, c0=0.15)
@@ -259,6 +261,32 @@ class TestExtremeDistances:
                      lambda: log10_relative_truncation_error(castor.causal, r, 100.0)):
             with pytest.raises(ValueError, match="distance must be finite and positive"):
                 call()
+
+
+def _attenuation_slopes(law, w):
+    """First and second derivatives of Re alpha*(w) for a causal law, closed form."""
+    g = law.gamma
+    u = (-1j * law.tau0 * w) ** (g - 1.0)
+    s = 1.0 + u
+    d1 = s**-0.5 - 0.5 * (g - 1.0) * u * s**-1.5
+    d2 = (g - 1.0) * u / w * s**-2.5 * (-0.5 * g * s + 0.75 * (g - 1.0) * u)
+    return law.alpha1 / law.c0 * d1.imag, law.alpha1 / law.c0 * d2.imag
+
+
+class TestNarrowTail:
+    @pytest.mark.parametrize("r", [1e5, 1e6, 3e7, 5e7, 1e8])
+    def test_tail_energy_matches_laplace_expansion(self, castor, r):
+        # the tail beyond M is (70/k) wide: the integral of exp(-k h - r a'' h^2)
+        # is 1/k - 2 r a''/k^3 up to terms of relative order (a''/(r a'^2))^2
+        m = 100.0
+        slope, curvature = _attenuation_slopes(castor.causal, m)
+        k = 2.0 * r * slope
+        expected = math.log(1.0 / k - 2.0 * r * curvature / k**3)
+        assert _log_scaled_energy(castor.causal, r, m) == pytest.approx(expected, rel=1e-8)
+        # the unscaled log energy differs by 2 r Re alpha*(m) up to its rounding
+        scale = 2.0 * r * float(np.real(eval_alpha(castor.causal, m)))
+        assert _log_energy(castor.causal, r, m) + scale == pytest.approx(
+            expected, abs=4.0 * math.ulp(scale))
 
 
 class TestModelError:
