@@ -28,6 +28,8 @@ from .spectrum import (
     FrequencyGrid,
     ComplexSpectrum,
     NormDomain,
+    EnergyProfile,
+    energy_profile,
     green_hat,
     sample_green_spectrum,
     truncate_spectrum,
@@ -36,7 +38,6 @@ from .spectrum import (
     relative_truncation_error,
     log10_relative_truncation_error,
     relative_model_error,
-    energy_band_edge,
 )
 from .timedomain import (
     RealSignal,

@@ -57,7 +57,9 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
   convention (max of C^2) and the milder one (max of C) are computed
   and reported.  The outer supremum is sampled up to the tail-cut
   frequency and the analytic limit 1.0 (C -> 1 as the power-law
-  attenuation outgrows the causal one) is appended.
+  attenuation outgrows the causal one) is appended.  m_delta, the tail
+  cut and the full/band norm ratio are read from one `EnergyProfile`
+  of the causal law per distance.
 
   The exact error is reported under both normalizations: by the
   full-line norm and by the band-limited norm; the report flags which
@@ -73,14 +75,7 @@ import numpy as np
 
 from .laws import alpha_difference, eval_alpha
 from .numerics import NumericalError, complex_expm1, erfcx, scan_max
-from .spectrum import (
-    NormDomain,
-    _check_distance,
-    energy_band_edge,
-    relative_model_error,
-    spectral_l2_norm,
-    tail_cut_frequency,
-)
+from .spectrum import _check_band_edge, _check_distance, relative_model_error
 
 __all__ = [
     "EnvelopeBoundConstants",
@@ -99,6 +94,9 @@ __all__ = [
     "deviation_factor",
     "model_error_report",
 ]
+
+ENVELOPE_GRID_POINTS = 10_000  # log grid on which `verify_envelope` checks the envelope
+DEVIATION_SCAN_POINTS = 100_001  # seed grid of each deviation-factor supremum scan
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,9 @@ def envelope_bound_constants(preset, m, slope_factor=0.7):
     a1 and a2 are the power-law coefficients themselves; alpha_m is
     the exact causal attenuation at m.
     """
-    if not m > 0.0:
-        raise ValueError("band edge m must be positive")
+    _check_band_edge(m)
+    if not (slope_factor > 0.0 and math.isfinite(slope_factor)):
+        raise ValueError(f"slope_factor must be finite and positive, got {slope_factor!r}")
     pl = preset.powerlaw
     a0 = slope_factor * pl.a1 * pl.gamma * m ** (pl.gamma - 1.0)
     alpha_m = float(np.real(eval_alpha(preset.causal, m)))
@@ -153,8 +152,8 @@ class EnvelopeCheck:
         return asdict(self)
 
 
-def verify_envelope(causal, constants, omega_max, n_points=10_000):
-    """Check the envelope hypothesis on a log grid of (m, omega_max].
+def verify_envelope(causal, constants, omega_max):
+    """Check the envelope hypothesis on a log grid of (m, omega_max], ENVELOPE_GRID_POINTS long.
 
     A failed inequality is data (reported via the flags and worst
     violations), not an exception: the truncation bound is meaningful
@@ -163,7 +162,7 @@ def verify_envelope(causal, constants, omega_max, n_points=10_000):
     m = constants.m
     if not omega_max > m:
         raise ValueError("omega_max must exceed the band edge m")
-    w = np.geomspace(m * (1.0 + 1e-9), omega_max, n_points)
+    w = np.geomspace(m * (1.0 + 1e-9), omega_max, ENVELOPE_GRID_POINTS)
     alpha = np.real(eval_alpha(causal, w))
     lower = constants.alpha_m + constants.a0 * (w - m)
     upper = constants.a1 * w**2 + constants.a2 * w
@@ -372,29 +371,29 @@ class ModelErrorReport:
         return doc
 
 
-def model_error_report(causal, powerlaw, r, m, delta, rtol=1e-9, n_scan=100_001):
+def model_error_report(profile, powerlaw, m, delta):
     """Evaluate the band-limited model-error bound and the exact error.
 
-    m_delta comes from `energy_band_edge` on the causal law; the inner
-    supremum of the deviation factor is scanned on [0, m_delta], the
-    outer one on [m_delta, max(m, tail cut)] with the analytic limit
-    1.0 appended.  Both C-conventions and both normalizations are
-    reported; nothing is silently chosen.
+    m_delta and the full/band norm ratio come from `profile`, the
+    line `EnergyProfile` of the causal law; the inner supremum of the
+    deviation factor is scanned on [0, m_delta], the outer one on
+    [m_delta, max(m, tail cut)] with the analytic limit 1.0 appended.
+    Both C-conventions and both normalizations are reported; nothing
+    is silently chosen.
     """
-    _check_distance(r)
-    if not m > 0.0:
-        raise ValueError("band edge m must be positive")
-    m_delta = energy_band_edge(causal, r, delta, rtol=rtol)
+    _check_band_edge(m)
+    causal, r = profile.law, profile.r
+    m_delta = profile.band_edge(delta)
 
     def c_of(w):
         return deviation_factor(causal, powerlaw, r, w)
 
     if m_delta > 0.0:
-        w_inner, c_inner = scan_max(c_of, 0.0, m_delta, n_grid=n_scan)
+        w_inner, c_inner = scan_max(c_of, 0.0, m_delta, n_grid=DEVIATION_SCAN_POINTS)
     else:
         w_inner, c_inner = 0.0, 0.0
-    outer_hi = max(m, tail_cut_frequency(causal, r))
-    w_outer, c_outer_scan = scan_max(c_of, m_delta, outer_hi, n_grid=n_scan)
+    outer_hi = max(m, profile.top)
+    w_outer, c_outer_scan = scan_max(c_of, m_delta, outer_hi, n_grid=DEVIATION_SCAN_POINTS)
     if not (math.isfinite(c_inner) and math.isfinite(c_outer_scan)):
         raise NumericalError(f"the deviation factor at r={r!r} overflows on [0, {outer_hi!r}]")
     # C -> 1 beyond the sampled range whenever the power-law attenuation
@@ -410,13 +409,9 @@ def model_error_report(causal, powerlaw, r, m, delta, rtol=1e-9, n_scan=100_001)
     bound = math.sqrt((1.0 - delta) * d1 + delta * d2)
     bound_lin = math.sqrt((1.0 - delta) * c_inner + delta * c_outer)
 
-    full = spectral_l2_norm(causal, r, NormDomain.full_line(), rtol=rtol)
-    band = spectral_l2_norm(causal, r, NormDomain.band(m), rtol=rtol)
-    if not band > 0.0:
-        raise NumericalError(f"the band norm at r={r!r} underflows to 0.0")
-    err_band_norm = relative_model_error(causal, powerlaw, r, m, rtol=rtol)
-    err_full_norm = err_band_norm * band / full
-    ratio = full / band
+    ratio = math.sqrt(profile.total / profile.at(m))  # full-line norm / band norm
+    err_band_norm = relative_model_error(causal, powerlaw, r, m)
+    err_full_norm = err_band_norm / ratio
 
     return ModelErrorReport(
         r=float(r), m=float(m), delta=float(delta), m_delta=float(m_delta),

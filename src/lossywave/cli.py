@@ -20,19 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    bound_coefficient,
-    bound_decay_rate,
-    corrected_truncation_error_bound,
-    deviation_factor,
-    envelope_bound_constants,
-    envelope_split,
-    log10_truncation_error_bound,
-    model_error_report,
-    power_lower_envelope,
-    truncation_error_bound,
-    verify_envelope,
-)
+from .bounds import (DEVIATION_SCAN_POINTS, ENVELOPE_GRID_POINTS, bound_coefficient,
+                     bound_decay_rate, corrected_truncation_error_bound, deviation_factor,
+                     envelope_bound_constants, envelope_split, log10_truncation_error_bound,
+                     model_error_report, power_lower_envelope, truncation_error_bound,
+                     verify_envelope)
 from .laws import (
     eval_alpha,
     load_preset,
@@ -40,18 +32,10 @@ from .laws import (
     small_frequency_bound,
     wavenumber,
 )
-from .numerics import NumericalError, integrate_decaying
-from .spectrum import (
-    BAND_EDGE_RTOL,
-    FrequencyGrid,
-    _check_distance,
-    _gain_sq,
-    log10_relative_truncation_error,
-    relative_model_error,
-    sample_green_spectrum,
-    tail_cut_frequency,
-    truncate_spectrum,
-)
+from .numerics import NumericalError
+from .spectrum import (BAND_EDGE_RTOL, ENERGY_PASS_RTOL, NORM_RTOL, FrequencyGrid,
+                       _check_band_edge, energy_profile, log10_relative_truncation_error,
+                       relative_model_error, sample_green_spectrum, truncate_spectrum)
 from .tables import write_table
 from .timedomain import (
     ForcingSignal,
@@ -59,9 +43,6 @@ from .timedomain import (
     forward_point_source,
     synthesize_time_signal,
 )
-
-QUADRATURE_RTOL = 1e-9
-
 
 def _fmt(x):
     return f"{x:.17g}"
@@ -98,9 +79,7 @@ def cmd_table1(args):
 def cmd_table2(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
-    errors = [relative_model_error(preset.causal, preset.powerlaw, r, args.m,
-                                   rtol=QUADRATURE_RTOL)
-              for r in r_list]
+    errors = [relative_model_error(preset.causal, preset.powerlaw, r, args.m) for r in r_list]
     path = write_table(_out_dir(args) / "table2", ["r", "model_error"], [r_list, errors],
                        comment=f"preset={preset.name} M={_fmt(args.m)}", fmt=args.format)
     print(f"wrote {path}")
@@ -148,16 +127,15 @@ def cmd_fig(args):
             [w, spd_c, spd_pl], comment=f"preset={preset.name}{marker}"))
     elif which == "fig3":
         r = args.r
-        _check_distance(r)
+        _check_band_edge(args.m)
+        if not 2.0 * args.m > 0.5:
+            raise ValueError(f"fig3 plots band edges from 0.5 to 2M, so M must exceed 0.25, "
+                             f"got M={args.m!r}")
         m0 = np.linspace(0.5, 2.0 * args.m, 100)
-        # cumulative slice integrals: increments are non-negative by
-        # construction, so the curve is exactly monotone; the absolute
-        # norm carries the prefactor 1/(4*pi*r) of G_hat
-        gain_sq = _gain_sq(preset.causal, r)
-        edges = np.concatenate(([0.0], m0))
-        energy = np.cumsum([2.0 * integrate_decaying(gain_sq, lo, hi, rtol=QUADRATURE_RTOL).value
-                            for lo, hi in zip(edges[:-1], edges[1:])])
-        g_curve = np.sqrt(energy) / (4.0 * math.pi * r)
+        # one energy profile of [0, 2M] read at every band edge; the
+        # absolute norm carries the prefactor 1/(4*pi*r) of G_hat
+        energy = energy_profile(preset.causal, r, 2.0 * args.m).at(m0)
+        g_curve = np.sqrt(2.0 * energy) / (4.0 * math.pi * r)
         written.append(write_table(
             out / "fig3_bandnorm", ["m0", "band_norm"], [m0, g_curve],
             comment=f"preset={preset.name} r={_fmt(r)}"))
@@ -177,16 +155,14 @@ def cmd_bounds(args):
     constants = envelope_bound_constants(preset, args.m, slope_factor=args.slope_factor)
     per_r = []
     for r in r_list:
-        cut = tail_cut_frequency(preset.causal, r)
-        env = verify_envelope(preset.causal, constants, max(cut, 1.0001 * args.m))
-        report = model_error_report(preset.causal, preset.powerlaw, r, args.m, args.delta,
-                                    rtol=QUADRATURE_RTOL)
+        profile = energy_profile(preset.causal, r)
+        env = verify_envelope(preset.causal, constants, max(profile.top, 1.0001 * args.m))
+        report = model_error_report(profile, preset.powerlaw, args.m, args.delta)
         corrected = corrected_truncation_error_bound(preset.causal, constants, r)
-        log10_error = log10_relative_truncation_error(preset.causal, r, args.m,
-                                                      rtol=QUADRATURE_RTOL)
+        log10_error = log10_relative_truncation_error(profile, args.m)
         per_r.append({
             "r": r,
-            "tail_cut": cut,
+            "tail_cut": profile.top,
             "envelope": env.to_dict(),
             "truncation_bound": truncation_error_bound(constants, r),
             "log10_truncation_bound": log10_truncation_error_bound(constants, r),
@@ -204,10 +180,11 @@ def cmd_bounds(args):
         "m": args.m,
         "delta": args.delta,
         "settings": {
-            "quadrature_rtol": QUADRATURE_RTOL,
+            "quadrature_rtol": NORM_RTOL,
+            "energy_pass_rtol": ENERGY_PASS_RTOL,
             "energy_equation_rtol": BAND_EDGE_RTOL,
-            "envelope_grid_points": 10_000,
-            "deviation_scan_points": 100_001,
+            "envelope_grid_points": ENVELOPE_GRID_POINTS,
+            "deviation_scan_points": DEVIATION_SCAN_POINTS,
             "slope_factor": args.slope_factor,
         },
         "envelope_constants": {

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["NumericalError", "complex_expm1", "erfcx"]
+
 
 class NumericalError(RuntimeError):
     """Quadrature or root bracketing failed to converge."""
@@ -108,7 +110,7 @@ class Quadrature:
     panels: np.ndarray
 
 
-def _gauss_kronrod(f, left, right):
+def gauss_kronrod(f, left, right):
     """K15 integrals and |K15 - G7| estimates of the panels [left, right], one call of f."""
     half = 0.5 * (right - left)
     x = (0.5 * (left + right))[:, None] + half[:, None] * _GK_NODES
@@ -138,13 +140,13 @@ def integrate_decaying(f, a, b, rtol=1e-9):
     if not b > a:
         return Quadrature(0.0, 0.0, 0, np.empty(0), np.empty(0))
     left, right = np.array([float(a)]), np.array([float(b)])
-    value, error = _gauss_kronrod(f, left, right)
+    value, error = gauss_kronrod(f, left, right)
     samples = _GK_NODES.size
     if error[0] > rtol * value[0]:
         edges = np.concatenate(([a], a + (b - a) * 0.5 ** np.arange(_GRADED_PANELS - 1, -1, -1)))
         edges[-1] = b
         left, right = edges[:-1], edges[1:]
-        value, error = _gauss_kronrod(f, left, right)
+        value, error = gauss_kronrod(f, left, right)
         samples += _GK_NODES.size * left.size
     while True:
         split = error > rtol * value.sum() / value.size
@@ -157,8 +159,8 @@ def integrate_decaying(f, a, b, rtol=1e-9):
                 f"within {_MAX_PANELS} panels")
         lo, hi = left[split], right[split]
         mid = 0.5 * (lo + hi)
-        new_value, new_error = _gauss_kronrod(f, np.concatenate((lo, mid)),
-                                              np.concatenate((mid, hi)))
+        new_value, new_error = gauss_kronrod(f, np.concatenate((lo, mid)),
+                                             np.concatenate((mid, hi)))
         samples += _GK_NODES.size * 2 * n_split
         keep = ~split
         left = np.concatenate((left[keep], lo, mid))

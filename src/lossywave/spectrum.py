@@ -11,40 +11,38 @@ of the medium it was derived from, so that two laws of one medium
 differ only through alpha*).
 
 Norms are L2 in omega over the full line, a band [-M, M], or its
-complement ("tail").  By the Plancherel-Parseval equality these match
-the time-domain L2 norms of the synthesized signals, which is what
-`lossywave.timedomain` verifies.  Every norm integrates |G_hat|^2
-without its prefactor 1/(4*pi*r)**2, scaled to 1 at the lower end of
-the interval, and returns the energy as a logarithm: a norm underflows
-to 0.0 only below the smallest double, not where its integrand does.
-The scaled integrand exp(-2*r*(Re alpha*(lo + h) - Re alpha*(lo))) is
-evaluated in the offset h from the lower end, so the rise of the
-attenuation carries no rounding of the attenuation itself.
-Integration is the graded Gauss-Kronrod 7/15 rule of
-`lossywave.numerics` (relative tolerance 1e-9); semi-infinite tails
-are cut where the integrand has decayed by a factor exp(-70) ~ 4e-31
-from the domain peak, far below the quadrature tolerance.  The band
-edge holding a given share of the energy comes from one quadrature of
-the full line: the tail energy is known at every panel edge, and a
-safeguarded Newton solve inside one panel finishes it.  The distance
-r must be finite and positive.
+complement ("tail"); by the Plancherel-Parseval equality they match
+the time-domain norms that `lossywave.timedomain` verifies.  Line and
+band energies and the band edge holding a share of the energy read one
+`EnergyProfile`: E(m), the integral of |G_hat|^2 without its prefactor
+over [0, m], from one graded Gauss-Kronrod 7/15 pass at rtol 1e-12.
+Semi-infinite integrals stop at the tail cut, where the integrand has
+decayed by exp(-70) ~ 4e-31.  Tails beyond a band edge M are integrated
+at rtol 1e-9 in the offset from M, scaled to 1 there, and returned as
+a logarithm: the rise of the attenuation carries no rounding of the
+attenuation itself, and a tail below the smallest double keeps a
+finite log10.  r and M must be finite and positive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .laws import alpha_difference, attenuation_rise, eval_alpha
-from .numerics import NumericalError, bisect_root, complex_expm1, integrate_decaying
+from .laws import DispersionLaw, alpha_difference, attenuation_rise, eval_alpha
+from .numerics import (NumericalError, Quadrature, bisect_root, complex_expm1, gauss_kronrod,
+                       integrate_decaying)
 
 __all__ = [
     "FrequencyGrid",
     "ComplexSpectrum",
     "NormDomain",
+    "EnergyProfile",
+    "energy_profile",
     "green_hat",
     "sample_green_spectrum",
     "truncate_spectrum",
@@ -53,14 +51,14 @@ __all__ = [
     "relative_truncation_error",
     "log10_relative_truncation_error",
     "relative_model_error",
-    "energy_band_edge",
 ]
 
 _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-9
 _CUT_RTOL = 1e-9  # relative tolerance of the tail-cut bisection
-BAND_EDGE_RTOL = 1e-10  # `energy_band_edge` solves its energy equation to this relative residual
+NORM_RTOL = 1e-9  # tails beyond a band edge and the band-limited model error
+ENERGY_PASS_RTOL = 1e-12  # the energy profile; well above the rounding noise of exponents up to 70
+BAND_EDGE_RTOL = 1e-10  # `EnergyProfile.band_edge` solves its energy equation to this residual
 _BAND_EDGE_STEPS = 100  # Newton converges in a few; every other step halves the bracket
-_BAND_PASS_RTOL_FLOOR = 1e-12  # well above the rounding noise of exponents up to 70
 _LN_4PI = math.log(4.0 * math.pi)
 
 
@@ -68,6 +66,12 @@ def _check_distance(r):
     """Raise ValueError unless the distance r is finite and positive."""
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"distance must be finite and positive, got r={r!r}")
+
+
+def _check_band_edge(m):
+    """Raise ValueError unless the band edge M is finite and positive."""
+    if not (m > 0.0 and math.isfinite(m)):
+        raise ValueError(f"band edge must be finite and positive, got M={m!r}")
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,8 @@ class NormDomain:
     def __post_init__(self):
         if self.kind not in ("full", "band", "tail"):
             raise ValueError(f"unknown norm domain {self.kind!r}")
-        if self.kind != "full" and not (self.m is not None and self.m > 0.0):
-            raise ValueError("band/tail domains need m > 0")
+        if self.kind != "full":
+            _check_band_edge(self.m)
 
     @classmethod
     def full_line(cls):
@@ -170,8 +174,7 @@ def truncate_spectrum(spec, m):
     Samples at w_m = m are kept.  Repeated truncation composes:
     the recorded cutoff is the minimum of m and any existing cutoff.
     """
-    if not m > 0.0:
-        raise ValueError("truncation frequency must be positive")
+    _check_band_edge(m)
     values = np.where(spec.grid.omegas() > m, 0.0 + 0.0j, spec.values)
     cutoff = m if spec.cutoff is None else min(m, spec.cutoff)
     return replace(spec, values=values, cutoff=cutoff)
@@ -222,27 +225,22 @@ def tail_cut_frequency(law, r, start=0.0):
     return bisect_root(excess, lo, hi, rtol=_CUT_RTOL)
 
 
-def _integration_limit(law, r, lo, hi):
-    """min(hi, tail cut from lo); no cut is searched where it lies beyond a finite hi."""
+def _integration_limit(law, r, hi):
+    """min(hi, tail cut); no cut is searched where it lies beyond a finite hi."""
     _check_distance(r)
-    if math.isfinite(hi):
-        rise = float(np.real(eval_alpha(law, hi))) - float(np.real(eval_alpha(law, lo)))
-        if 2.0 * r * rise < _TAIL_DECADES:
-            return hi
-    return min(hi, tail_cut_frequency(law, r, start=lo))
+    if math.isfinite(hi) and 2.0 * r * float(np.real(eval_alpha(law, hi))) < _TAIL_DECADES:
+        return hi
+    return min(hi, tail_cut_frequency(law, r))
 
 
-def _log_scaled_energy(law, r, lo, hi=math.inf, rtol=1e-9):
-    """ln of the integral of exp(-2*r*(Re alpha*(w) - Re alpha*(lo))) over [lo, hi].
+def _log_scaled_energy(law, r, lo):
+    """ln of the integral of exp(-2*r*(Re alpha*(w) - Re alpha*(lo))) over [lo, inf).
 
-    The integrand is 1 at lo, where it peaks, and is integrated over
-    the offset h = w - lo with the rise of the attenuation from
-    `attenuation_rise`, so it carries no rounding of Re alpha*(lo).
-    The upper limit is hi or the tail cut from lo, whichever comes
-    first; a cut closer to lo than twice its bisection tolerance is not
-    resolved and raises NumericalError.
+    The integrand, 1 at lo, is integrated to the tail cut from lo in the
+    offset h = w - lo through `attenuation_rise`, free of the rounding of
+    Re alpha*(lo).  A cut within twice its bisection tolerance of lo raises.
     """
-    top = _integration_limit(law, r, lo, hi)
+    top = tail_cut_frequency(law, r, start=lo)
     if not math.isfinite(top):
         raise ValueError("norm diverges: the law has no spectral decay")
     if top - lo < 2.0 * _CUT_RTOL * lo:
@@ -252,20 +250,103 @@ def _log_scaled_energy(law, r, lo, hi=math.inf, rtol=1e-9):
     def scaled_gain_sq(h):
         return np.exp(-2.0 * r * attenuation_rise(law, lo, h))
 
-    return math.log(integrate_decaying(scaled_gain_sq, 0.0, top - lo, rtol=rtol).value)
+    return math.log(integrate_decaying(scaled_gain_sq, 0.0, top - lo, rtol=NORM_RTOL).value)
 
 
-def _log_energy(law, r, lo, hi=math.inf, rtol=1e-9):
-    """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, hi].
-
-    `_log_scaled_energy` with the factor exp(-2*r*Re alpha*(lo)) added
-    back in log space.
-    """
-    return (_log_scaled_energy(law, r, lo, hi, rtol=rtol)
-            - 2.0 * r * float(np.real(eval_alpha(law, lo))))
+def _log_energy(law, r, lo):
+    """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, inf), finite where it underflows."""
+    return _log_scaled_energy(law, r, lo) - 2.0 * r * float(np.real(eval_alpha(law, lo)))
 
 
-def spectral_l2_norm(law, r, domain, rtol=1e-9):
+@dataclass(frozen=True)
+class EnergyProfile:
+    """E(m), the integral over [0, m] of exp(-2*r*Re alpha*(w)); `energy` is its pass to top."""
+
+    law: DispersionLaw
+    r: float
+    top: float
+    energy: Quadrature
+
+    @property
+    def total(self):
+        """E(top)."""
+        return self.energy.value
+
+    @cached_property
+    def log_beyond(self):
+        """ln of the energy beyond top, integrated log-scaled from top on first use."""
+        return _log_energy(self.law, self.r, self.top)
+
+    def at(self, m):
+        """E(m), vectorized over m; an m outside [0, top] counts as the nearer end.
+
+        The panels below m plus one 15-node Gauss-Kronrod panel from the last edge to m.
+        """
+        m = np.clip(np.asarray(m, dtype=float), 0.0, self.top)
+        edges = self.energy.edges
+        k = np.searchsorted(edges, m, side="right") - 1
+        below = np.concatenate(([0.0], np.cumsum(self.energy.panels)))[k]
+        partial, _ = gauss_kronrod(_gain_sq(self.law, self.r), np.ravel(edges[k]), np.ravel(m))
+        out = below + partial.reshape(m.shape)
+        return out if out.ndim else float(out)
+
+    def band_edge(self, delta):
+        """Band edge M capturing the fraction (1 - delta) of the spectral energy.
+
+        Solves tail(M) = delta * full, better conditioned for small delta
+        than the band equation.  The tail energy at every panel edge, the
+        energy beyond top plus the panels above, locates the panel holding
+        the root; a tail near delta * full is accurate to 1e-12/delta.
+        Newton steps inside it use tail'(M) = -exp(-2*r*Re alpha*(M)) and
+        one 15-node integral from the panel's left edge each, falling back
+        to bisection outside the bracket, until the residual meets
+        BAND_EDGE_RTOL relative to delta * full.  Where even top leaves
+        more than delta * full beyond it, top is returned; delta = 1 gives 0.
+        """
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+        if delta == 1.0:
+            return 0.0
+        band, cut, r = self.energy, self.top, self.r
+        gain_sq = _gain_sq(self.law, r)
+        beyond = math.exp(self.log_beyond)
+        target = delta * (band.value + beyond)
+        if beyond >= target:
+            return cut
+        # tails[k]: energy beyond edges[k]; the root lies where it falls through target
+        tails = np.append(beyond + np.cumsum(band.panels[::-1])[::-1], beyond)
+        k = int(np.count_nonzero(tails >= target)) - 1
+        anchor, excess = band.edges[k], tails[k] - target
+        lo, hi = anchor, band.edges[k + 1]
+        m = anchor + (hi - anchor) * (excess / band.panels[k])
+        for _ in range(_BAND_EDGE_STEPS):
+            if not lo < m < hi:
+                m = 0.5 * (lo + hi)
+            gap = excess - integrate_decaying(gain_sq, anchor, m, rtol=ENERGY_PASS_RTOL).value
+            if abs(gap) <= BAND_EDGE_RTOL * target or m in (lo, hi):
+                return float(m)
+            if gap > 0.0:
+                lo = m
+            else:
+                hi = m
+            slope = float(gain_sq(np.array([m]))[0])  # -tail'(m)
+            m += gap / slope if slope > 0.0 else math.inf
+        raise NumericalError(f"the band edge at r={r!r} did not converge in the bracket "
+                             f"[{lo!r}, {hi!r}]")
+
+
+def energy_profile(law, r, hi=math.inf):
+    """EnergyProfile of `law` at r: one pass at ENERGY_PASS_RTOL over [0, min(hi, tail cut)]."""
+    if hi != math.inf:
+        _check_band_edge(hi)
+    top = _integration_limit(law, r, hi)
+    if not math.isfinite(top):
+        raise ValueError("norm diverges: the law has no spectral decay")
+    energy = integrate_decaying(_gain_sq(law, r), 0.0, top, rtol=ENERGY_PASS_RTOL)
+    return EnergyProfile(law, float(r), float(top), energy)
+
+
+def spectral_l2_norm(law, r, domain):
     """L2 norm of the Green-function spectrum over a NormDomain.
 
     Returns (integral of |G_hat(r, w)|^2 over the domain)**0.5, using
@@ -275,39 +356,38 @@ def spectral_l2_norm(law, r, domain, rtol=1e-9):
     double, not where its integrand underflows.
     """
     if domain.kind == "tail":
-        log_energy = _log_energy(law, r, domain.m, rtol=rtol)
+        log_energy = _log_energy(law, r, domain.m)
     else:
         hi = domain.m if domain.kind == "band" else math.inf
-        log_energy = _log_energy(law, r, 0.0, hi, rtol=rtol)
+        log_energy = math.log(energy_profile(law, r, hi).total)
     try:
         return math.exp(0.5 * (math.log(2.0) + log_energy) - _LN_4PI - math.log(r))
     except OverflowError:
         raise NumericalError(f"the {domain.kind} norm at r={r!r} exceeds the largest double")
 
 
-def relative_truncation_error(law, r, m, rtol=1e-9):
-    """Relative L2 error of the band truncation at m.
+def relative_truncation_error(profile, m):
+    """Relative L2 error of the band truncation at m, from an EnergyProfile.
 
     norm over |w| > m divided by the full-line norm; by the
     Plancherel-Parseval equality this equals the time-domain relative
     error of the truncated signal.  Always in [0, 1]; it is formed as
     10**`log10_relative_truncation_error`.
     """
-    return 10.0 ** log10_relative_truncation_error(law, r, m, rtol=rtol)
+    return 10.0 ** log10_relative_truncation_error(profile, m)
 
 
-def log10_relative_truncation_error(law, r, m, rtol=1e-9):
+def log10_relative_truncation_error(profile, m):
     """log10 of `relative_truncation_error`, finite where the linear value underflows.
 
     Half the difference of the log energies of the tail [m, inf) and of
-    the full line [0, inf), in decades; the prefactor of |G_hat|^2
-    cancels.
+    the full line, the profile's total and the energy beyond it, in
+    decades; the prefactor of |G_hat|^2 cancels.
     """
-    if not m > 0.0:
-        raise ValueError("band edge must be positive")
-    tail = _log_energy(law, r, m, rtol=rtol)
-    full = _log_energy(law, r, 0.0, rtol=rtol)
-    return (tail - full) / (2.0 * math.log(10.0))
+    _check_band_edge(m)
+    tail = _log_energy(profile.law, profile.r, m)
+    full = np.logaddexp(math.log(profile.total), profile.log_beyond)
+    return float(tail - full) / (2.0 * math.log(10.0))
 
 
 def _model_diff_sq(causal, powerlaw, r):
@@ -322,73 +402,17 @@ def _model_diff_sq(causal, powerlaw, r):
     return f
 
 
-def relative_model_error(causal, powerlaw, r, m, rtol=1e-9):
+def relative_model_error(causal, powerlaw, r, m, rtol=NORM_RTOL):
     """Relative L2 distance of the two band-limited Green functions.
 
     ||G_hat_causal - G_hat_powerlaw|| / ||G_hat_causal||, both
-    restricted to the band [-m, m].  The common phase factor and the
+    restricted to the band [-m, m] and integrated over [0, min(m, tail
+    cut)] with one rule at rtol.  The common phase factor and the
     prefactor 1/(4*pi*r) cancel, so only the attenuation-dispersion
     difference contributes.
     """
-    if not m > 0.0:
-        raise ValueError("band edge must be positive")
-    hi = _integration_limit(causal, r, 0.0, m)
+    _check_band_edge(m)
+    hi = _integration_limit(causal, r, m)
     num_sq = integrate_decaying(_model_diff_sq(causal, powerlaw, r), 0.0, hi, rtol=rtol).value
-    return math.sqrt(num_sq / math.exp(_log_energy(causal, r, 0.0, m, rtol=rtol)))
-
-
-def energy_band_edge(law, r, delta, rtol=1e-9):
-    """Band edge M capturing the fraction (1 - delta) of the spectral energy.
-
-    Solves the tail equation tail(M) = delta * full for the energy of
-    |G_hat|^2 beyond M, which is better conditioned for small delta
-    than the band equation; the band energy is strictly increasing in M
-    so the root is unique.  One quadrature of [0, tail cut] gives the
-    panel integrals; their reversed cumulative sum, plus the energy
-    beyond the cut, is the tail energy at every panel edge, which
-    locates the panel holding the root.  The pass runs at rtol*delta,
-    but not below 1e-12, so a tail energy near delta * full is accurate
-    to max(rtol, 1e-12/delta) relative.  Inside the panel Newton steps use
-    tail'(M) = -exp(-2*r*Re alpha*(M)) and a 15-node integral from the
-    panel's left edge each; a step that leaves the bracket falls back
-    to bisection.  The residual meets BAND_EDGE_RTOL relative to
-    delta * full.
-
-    delta -> 0 edge: when even the tail-cut frequency cannot push the
-    tail mass below delta * full the cut frequency itself is returned.
-    delta = 1 returns 0.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-    if delta == 1.0:
-        return 0.0
-    cut = tail_cut_frequency(law, r)
-    if not math.isfinite(cut):
-        raise ValueError("norm diverges: the law has no spectral decay")
-    gain_sq = _gain_sq(law, r)
-    pass_rtol = max(rtol * delta, _BAND_PASS_RTOL_FLOOR)
-    band = integrate_decaying(gain_sq, 0.0, cut, rtol=pass_rtol)
-    beyond = math.exp(_log_energy(law, r, cut, rtol=rtol))
-    target = delta * (band.value + beyond)
-    if beyond >= target:
-        return cut
-    # tails[k]: energy beyond edges[k]; the root lies where it falls through target
-    tails = np.append(beyond + np.cumsum(band.panels[::-1])[::-1], beyond)
-    k = int(np.count_nonzero(tails >= target)) - 1
-    anchor, excess = band.edges[k], tails[k] - target
-    lo, hi = anchor, band.edges[k + 1]
-    m = anchor + (hi - anchor) * (excess / band.panels[k])
-    for _ in range(_BAND_EDGE_STEPS):
-        if not lo < m < hi:
-            m = 0.5 * (lo + hi)
-        gap = excess - integrate_decaying(gain_sq, anchor, m, rtol=pass_rtol).value
-        if abs(gap) <= BAND_EDGE_RTOL * target or m in (lo, hi):
-            return float(m)
-        if gap > 0.0:
-            lo = m
-        else:
-            hi = m
-        slope = float(gain_sq(np.array([m]))[0])  # -tail'(m)
-        m += gap / slope if slope > 0.0 else math.inf
-    raise NumericalError(f"the band edge at r={r!r} did not converge in the bracket "
-                         f"[{lo!r}, {hi!r}]")
+    den_sq = integrate_decaying(_gain_sq(causal, r), 0.0, hi, rtol=rtol).value
+    return math.sqrt(num_sq / den_sq)

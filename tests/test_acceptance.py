@@ -22,6 +22,7 @@ from lossywave import (
     causality_energy_fraction,
     corrected_truncation_error_bound,
     derive_powerlaw_coeffs,
+    energy_profile,
     envelope_bound_constants,
     bound_decay_rate,
     helmholtz_radial_residual,
@@ -125,7 +126,7 @@ def test_criterion_05_truncation_bound_dominates():
     for r in (1e-6, 1e-4, 1e-2, 1.0, 10.0):
         corrected = corrected_truncation_error_bound(causal, constants, r)
         envelope = verify_envelope(causal, constants, corrected.split)
-        exact = log10_relative_truncation_error(causal, r, m)
+        exact = log10_relative_truncation_error(energy_profile(causal, r), m)
         published = log10_truncation_error_bound(
             constants, r, coefficient=REFERENCE_BOUND_COEFFICIENT)
         lower = _log10_truncation_error_lower_bound(causal, r, m)
@@ -156,7 +157,7 @@ def test_criterion_06_model_error_table():
 
 
 def test_criterion_07_model_error_bound_report():
-    rep = model_error_report(CASTOR.causal, CASTOR.powerlaw, 1.0, 100.0, 6e-4)
+    rep = model_error_report(energy_profile(CASTOR.causal, 1.0), CASTOR.powerlaw, 100.0, 6e-4)
     ok = (5.0 <= rep.m_delta <= 20.0
           and 0.5 <= rep.d2 <= 2.1
           and 0.0125 <= rep.bound <= 0.05
@@ -183,7 +184,7 @@ def test_criterion_08_plancherel_consistency():
     details = []
     for r, (omega_max, n) in cases.items():
         err_t = _time_domain_truncation_error(CASTOR.causal, r, 100.0, omega_max, n)
-        err_w = relative_truncation_error(CASTOR.causal, r, 100.0)
+        err_w = relative_truncation_error(energy_profile(CASTOR.causal, r), 100.0)
         rel = abs(err_t - err_w) / err_w
         worst = max(worst, rel)
         details.append(f"r={r:g}: {rel:.2e}")

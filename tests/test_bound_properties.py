@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from lossywave import (  # noqa: E402
     builtin_preset,
     corrected_truncation_error_bound,
+    energy_profile,
     envelope_bound_constants,
     log10_relative_truncation_error,
     verify_envelope,
@@ -25,4 +26,5 @@ def test_corrected_bound_dominates_exact_error(log10_r, m):
     bound = corrected_truncation_error_bound(CASTOR.causal, constants, r)
     envelope = verify_envelope(CASTOR.causal, constants, bound.split)
     assert envelope.holds_lower and envelope.holds_upper
-    assert bound.log10_bound >= log10_relative_truncation_error(CASTOR.causal, r, m)
+    profile = energy_profile(CASTOR.causal, r)
+    assert bound.log10_bound >= log10_relative_truncation_error(profile, m)

@@ -11,6 +11,7 @@ from lossywave import (
     bound_decay_rate,
     corrected_truncation_error_bound,
     deviation_factor,
+    energy_profile,
     envelope_bound_constants,
     envelope_split,
     erfcx,
@@ -245,7 +246,7 @@ class TestDeviationFactor:
 
 class TestModelErrorReport:
     def test_castor_reference(self, castor):
-        rep = model_error_report(castor.causal, castor.powerlaw, 1.0, 100.0, 6e-4)
+        rep = model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)
         assert 5.0 <= rep.m_delta <= 20.0
         assert 0.5 <= rep.d2 <= 2.1
         assert 0.0125 <= rep.bound <= 0.05
@@ -253,20 +254,20 @@ class TestModelErrorReport:
         assert rep.dominates_sq or rep.dominates_max_c
 
     def test_identical_laws_give_zero_bound(self, castor):
-        rep = model_error_report(castor.causal, castor.causal, 1.0, 100.0, 6e-4)
+        rep = model_error_report(energy_profile(castor.causal, 1.0), castor.causal, 100.0, 6e-4)
         assert rep.d1 == 0.0
         assert rep.d2 == 0.0
         assert rep.bound == 0.0
         assert rep.exact_error == 0.0
 
     def test_delta_one_edge(self, castor):
-        rep = model_error_report(castor.causal, castor.powerlaw, 1.0, 100.0, 1.0)
+        rep = model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 1.0)
         assert rep.m_delta == 0.0
         assert rep.d1 == 0.0
         assert rep.bound == pytest.approx(math.sqrt(rep.d2), rel=1e-12)
 
     def test_serializes_every_constant(self, castor):
-        rep = model_error_report(castor.causal, castor.powerlaw, 1.0, 100.0, 6e-4)
+        rep = model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)
         doc = rep.to_dict()
         for key in ("r", "m", "delta", "m_delta", "d1", "d2", "bound", "bound_band_norm",
                     "d1_max_c", "d2_max_c", "bound_max_c", "bound_max_c_band_norm",
@@ -276,7 +277,7 @@ class TestModelErrorReport:
         assert doc["omega_at_d2"] is None  # supremum attained at the analytic limit
 
     def test_bound_formula_consistency(self, castor):
-        rep = model_error_report(castor.causal, castor.powerlaw, 0.5, 100.0, 1e-3)
+        rep = model_error_report(energy_profile(castor.causal, 0.5), castor.powerlaw, 100.0, 1e-3)
         assert rep.bound == pytest.approx(
             math.sqrt((1.0 - rep.delta) * rep.d1 + rep.delta * rep.d2), rel=1e-12)
         assert rep.d1 == pytest.approx(rep.d1_max_c**2, rel=1e-12)

@@ -131,6 +131,23 @@ class TestFigures:
             assert data.shape == (961, 3)
             assert np.all(np.isfinite(data))
 
+    @pytest.mark.parametrize("r", [1e10, 1e100, 1e300])
+    def test_fig3_band_norm_where_the_first_slice_underflowed(self, tmp_path, capsys, r):
+        # every node of one 15-node panel over [0, 0.5] lies beyond the decay
+        # here, so slice-by-slice quadrature wrote 0.0; the profile grades
+        # its panels toward 0 over [0, tail cut]
+        assert cli.main(["fig3", "--r", repr(r), "--out", str(tmp_path)]) == 0, \
+            capsys.readouterr().err
+        m0, g = load_csv(tmp_path / "fig3_bandnorm.csv").T
+        assert np.all(np.diff(g) >= 0.0)
+        law = builtin_preset("castor-oil").causal
+        for i in (0, 37, 99):
+            want = spectrum.spectral_l2_norm(law, r, spectrum.NormDomain.band(m0[i]))
+            assert g[i] == pytest.approx(want, rel=1e-9, abs=0.0)
+        # at r = 1e300 the norm, about 2.4e-391, lies below the smallest double
+        if spectrum.spectral_l2_norm(law, r, spectrum.NormDomain.band(0.5)) > 0.0:
+            assert np.all(g > 0.0)
+
     def test_fig3_band_norm_monotone(self, tmp_path):
         proc = run_cli("fig3", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
@@ -182,6 +199,13 @@ class TestBoundsCommand:
     def test_empty_r_list_exits_2(self, tmp_path):
         proc = run_cli("bounds", "--r-list", ",", "--out", str(tmp_path))
         assert proc.returncode == 2
+        assert not (tmp_path / "bounds.json").exists()
+
+    @pytest.mark.parametrize("factor", ["nan", "0", "-1"])
+    def test_invalid_slope_factor_exits_2(self, tmp_path, capsys, factor):
+        assert cli.main(["bounds", f"--slope-factor={factor}", "--out", str(tmp_path)]) == 2
+        assert (f"slope_factor must be finite and positive, got {float(factor)!r}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "bounds.json").exists()
 
 
@@ -265,16 +289,18 @@ class TestDistanceContract:
         assert f"distance must be finite and positive, got r={float(r)!r}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("command", ["table2", "bounds"])
+    @pytest.mark.parametrize("command", ["table2", "bounds", "fig3"])
     @pytest.mark.parametrize("r", ["1e-300", "1e200", "1e300"])
     def test_extreme_distances_exit_cleanly(self, tmp_path, command, r):
-        proc = run_cli(command, "--r-list", r, "--out", str(tmp_path))
+        flag = "--r" if command == "fig3" else "--r-list"
+        proc = run_cli(command, flag, r, "--out", str(tmp_path))
         assert proc.returncode in (0, 3), proc.stderr
         assert "Traceback" not in proc.stderr
-        if command == "table2":
-            # a band-limited quantity needs no tail cut
+        if command != "bounds":
+            # band-limited quantities are finite at every distance
             assert proc.returncode == 0, proc.stderr
-            assert np.all(np.isfinite(load_csv(tmp_path / "table2.csv")))
+            name = "table2.csv" if command == "table2" else "fig3_bandnorm.csv"
+            assert np.all(np.isfinite(load_csv(tmp_path / name)))
         elif proc.returncode == 0:
             doc = json.loads((tmp_path / "bounds.json").read_text())
             fields = list(_log10_fields(doc))
@@ -282,6 +308,20 @@ class TestDistanceContract:
             assert all(value is not None and math.isfinite(value) for _, value in fields)
         else:
             assert proc.stderr.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("command", ["table2", "fig3", "bounds"])
+    @pytest.mark.parametrize("m", ["nan", "inf", "0", "-5"])
+    def test_invalid_band_edge_exits_2(self, tmp_path, capsys, command, m):
+        assert cli.main([command, f"--m={m}", "--out", str(tmp_path)]) == 2
+        assert f"band edge must be finite and positive, got M={float(m)!r}" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_fig3_band_edges_must_rise(self, tmp_path, capsys):
+        # fig3 plots band edges from 0.5 to 2M; below M = 0.25 they would fall
+        assert cli.main(["fig3", "--m", "0.2", "--out", str(tmp_path)]) == 2
+        assert "got M=0.2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     # castor-oil bounds exits 0 from r = 1e-120 to 1 and at the narrow tails
     # of 1e5 ... 1e8; every other decade exits 3 (a norm or cut beyond the
@@ -295,34 +335,68 @@ class TestDistanceContract:
 
 
 class TestQuadratureWork:
-    """Integrand samples and quadratures per command at its defaults.
+    """Integrand samples, quadratures and tail cuts per command at its defaults.
 
     The counts are deterministic, so they gate the cost of the
-    quadrature where wall time on a shared machine cannot.  Measured
-    with the graded Gauss-Kronrod rule: bounds 9405 samples in 71
-    quadratures, table2 1530 in 8 (Simpson doubling took 872178 in 157
-    and 31008 in 8).
+    quadrature where wall time on a shared machine cannot.  Samples
+    include the single panels `EnergyProfile.at` evaluates.  Measured
+    with one energy profile per distance: bounds 6435 samples in 56
+    quadratures and 17 tail cuts, fig3 1875 in 1; table2 1530 in 8.
+    Before the profile, bounds took 9405 samples in 71 quadratures and
+    41 tail cuts, and fig3 11040 in 100.
     """
 
-    @pytest.mark.parametrize("command,samples,quadratures", [("bounds", 9405, 71),
-                                                             ("table2", 1530, 8)])
-    def test_within_a_tenth_of_the_measured_counts(self, tmp_path, monkeypatch, capsys,
-                                                   command, samples, quadratures):
-        original = numerics.integrate_decaying
-        counts = {"samples": 0, "quadratures": 0}
+    @staticmethod
+    def _count(monkeypatch, argv):
+        integrate, panels, cut = (numerics.integrate_decaying, spectrum.gauss_kronrod,
+                                  spectrum.tail_cut_frequency)
+        counts = {"samples": 0, "quadratures": 0, "tail_cuts": 0, "passes": []}
 
-        def counting(f, *args, **kwargs):
-            counts["quadratures"] += 1
-
-            def counted(x):
+        def counted(f):
+            def g(x):
                 counts["samples"] += np.size(x)
                 return f(x)
+            return g
 
-            return original(counted, *args, **kwargs)
+        def counting(f, a, b, rtol=1e-9):
+            counts["quadratures"] += 1
+            counts["passes"].append((a, b, rtol))
+            return integrate(counted(f), a, b, rtol=rtol)
+
+        def counting_cut(*args, **kwargs):
+            counts["tail_cuts"] += 1
+            return cut(*args, **kwargs)
 
         for module in (numerics, spectrum, bounds, cli):
-            if getattr(module, "integrate_decaying", None) is original:
+            if getattr(module, "integrate_decaying", None) is integrate:
                 monkeypatch.setattr(module, "integrate_decaying", counting)
-        assert cli.main([command, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
-        assert 0 < counts["samples"] <= 1.1 * samples
+            if getattr(module, "tail_cut_frequency", None) is cut:
+                monkeypatch.setattr(module, "tail_cut_frequency", counting_cut)
+        monkeypatch.setattr(spectrum, "gauss_kronrod",
+                            lambda f, *args: panels(counted(f), *args))
+        assert cli.main(argv) == 0
+        return counts
+
+    @pytest.mark.parametrize("command,samples,quadratures", [("bounds", 6435, 56),
+                                                             ("table2", 1530, 8),
+                                                             ("fig3", 1875, 1)])
+    def test_within_a_tenth_of_the_measured_counts(self, tmp_path, monkeypatch, capsys,
+                                                   command, samples, quadratures):
+        counts = self._count(monkeypatch, [command, "--out", str(tmp_path)])
+        assert 0 < counts["samples"] <= 1.1 * samples, capsys.readouterr().err
         assert 0 < counts["quadratures"] <= 1.1 * quadratures
+
+    def test_bounds_integrates_each_line_once(self, tmp_path, monkeypatch):
+        # one line profile per distance: its cut, the energy beyond it, the
+        # tail beyond M and the model-error band where it needs a cut
+        counts = self._count(monkeypatch, ["bounds", "--out", str(tmp_path)])
+        assert counts["tail_cuts"] <= 20
+        cuts = [entry["tail_cut"] for entry in
+                json.loads((tmp_path / "bounds.json").read_text())["per_distance"]]
+        assert len(cuts) == 5
+        for cut in cuts:
+            # the profile pass, and where the cut lies inside the band [0, 100]
+            # the model error's numerator and denominator at their own tolerance
+            passes = [rtol for a, b, rtol in counts["passes"] if a == 0.0 and b == cut]
+            assert sorted(passes) == sorted([spectrum.ENERGY_PASS_RTOL]
+                                            + [spectrum.NORM_RTOL] * 2 * (cut < 100.0))

@@ -5,7 +5,7 @@ import pytest
 
 from lossywave.numerics import (
     NumericalError,
-    _gauss_kronrod,
+    gauss_kronrod,
     bisect_root,
     complex_expm1,
     golden_section_max,
@@ -20,7 +20,7 @@ def test_rule_integrates_polynomials_to_degree_23_on_one_panel(degree):
     def poly(x):
         return (degree + 1) * x**degree
 
-    value, gap = _gauss_kronrod(poly, np.array([0.0]), np.array([1.0]))
+    value, gap = gauss_kronrod(poly, np.array([0.0]), np.array([1.0]))
     assert value[0] == pytest.approx(1.0, rel=1e-14)
     if degree <= 13:
         assert gap[0] <= 1e-14

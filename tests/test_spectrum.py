@@ -9,7 +9,7 @@ from lossywave import (
     NormDomain,
     NumericalError,
     PowerLaw,
-    energy_band_edge,
+    energy_profile,
     eval_alpha,
     green_hat,
     log10_relative_truncation_error,
@@ -160,15 +160,15 @@ class TestNorms:
 class TestTruncationError:
     def test_within_unit_interval(self, castor):
         for r in (1e-4, 1e-2, 1.0):
-            e = relative_truncation_error(castor.causal, r, 100.0)
+            e = relative_truncation_error(energy_profile(castor.causal, r), 100.0)
             assert 0.0 <= e <= 1.0
 
     def test_vanishes_for_huge_band(self, castor):
         cut = tail_cut_frequency(castor.causal, 1.0)
-        assert relative_truncation_error(castor.causal, 1.0, 2.0 * cut) <= 1e-12
+        assert relative_truncation_error(energy_profile(castor.causal, 1.0), 2.0 * cut) <= 1e-12
 
     def test_decreasing_in_distance(self, castor):
-        errors = [relative_truncation_error(castor.causal, r, 100.0)
+        errors = [relative_truncation_error(energy_profile(castor.causal, r), 100.0)
                   for r in (1e-6, 1e-4, 1e-2, 1.0, 10.0)]
         assert all(b <= a for a, b in zip(errors, errors[1:]))
 
@@ -176,8 +176,8 @@ class TestTruncationError:
 class TestLog10TruncationError:
     def test_matches_linear_value(self, castor):
         for r in (1e-4, 1e-2, 1.0):
-            linear = relative_truncation_error(castor.causal, r, 100.0)
-            got = log10_relative_truncation_error(castor.causal, r, 100.0)
+            linear = relative_truncation_error(energy_profile(castor.causal, r), 100.0)
+            got = log10_relative_truncation_error(energy_profile(castor.causal, r), 100.0)
             assert got == pytest.approx(math.log10(linear), abs=1e-8)
         assert got == pytest.approx(-39.88, abs=0.005)
 
@@ -188,23 +188,23 @@ class TestLog10TruncationError:
                               alpha_ref=alpha_m)
         full = trapezoid_norm(castor.causal, r, 0.0, tail_cut_frequency(castor.causal, r))
         oracle = math.log10(tail / full) - r * alpha_m / math.log(10.0)
-        assert log10_relative_truncation_error(castor.causal, r, m) == pytest.approx(
-            oracle, abs=1e-8)
+        profile = energy_profile(castor.causal, r)
+        assert log10_relative_truncation_error(profile, m) == pytest.approx(oracle, abs=1e-8)
 
     @pytest.mark.parametrize("r", [10.0, 1e3])
     def test_finite_where_linear_value_underflows(self, castor, r):
-        assert relative_truncation_error(castor.causal, r, 100.0) == 0.0
-        got = log10_relative_truncation_error(castor.causal, r, 100.0)
+        assert relative_truncation_error(energy_profile(castor.causal, r), 100.0) == 0.0
+        got = log10_relative_truncation_error(energy_profile(castor.causal, r), 100.0)
         assert math.isfinite(got)
         assert got < -300.0
 
     def test_rejects_bad_arguments(self, castor):
         with pytest.raises(ValueError):
-            log10_relative_truncation_error(castor.causal, 0.0, 100.0)
+            log10_relative_truncation_error(energy_profile(castor.causal, 0.0), 100.0)
         with pytest.raises(ValueError):
-            log10_relative_truncation_error(castor.causal, 1.0, 0.0)
+            log10_relative_truncation_error(energy_profile(castor.causal, 1.0), 0.0)
         with pytest.raises(ValueError):
-            log10_relative_truncation_error(LOSSLESS, 1.0, 100.0)
+            log10_relative_truncation_error(energy_profile(LOSSLESS, 1.0), 100.0)
 
 
 class TestExtremeDistances:
@@ -237,10 +237,10 @@ class TestExtremeDistances:
         r, m = 10.0, 79.333
         tail = spectral_l2_norm(castor.causal, r, NormDomain.tail(m))
         full = spectral_l2_norm(castor.causal, r, NormDomain.full_line())
-        log10_error = log10_relative_truncation_error(castor.causal, r, m)
+        log10_error = log10_relative_truncation_error(energy_profile(castor.causal, r), m)
         assert log10_error == pytest.approx(-268.683, abs=1e-3)
         assert tail / full == pytest.approx(10.0**log10_error, rel=1e-12, abs=0.0)
-        assert relative_truncation_error(castor.causal, r, m) == pytest.approx(
+        assert relative_truncation_error(energy_profile(castor.causal, r), m) == pytest.approx(
             10.0**log10_error, rel=1e-12, abs=0.0)
 
     def test_norm_above_the_largest_double_raises(self, castor):
@@ -250,7 +250,7 @@ class TestExtremeDistances:
     def test_unresolvable_narrow_tail_raises(self, castor):
         # at r = 1e100 the tail beyond m decays within far less than one ulp of m
         with pytest.raises(NumericalError, match="too narrow"):
-            log10_relative_truncation_error(castor.causal, 1e100, 100.0)
+            log10_relative_truncation_error(energy_profile(castor.causal, 1e100), 100.0)
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_distance_rejected_everywhere(self, castor, r):
@@ -258,7 +258,7 @@ class TestExtremeDistances:
                      lambda: tail_cut_frequency(castor.causal, r),
                      lambda: spectral_l2_norm(castor.causal, r, NormDomain.band(10.0)),
                      lambda: relative_model_error(castor.causal, castor.powerlaw, r, 100.0),
-                     lambda: log10_relative_truncation_error(castor.causal, r, 100.0)):
+                     lambda: energy_profile(castor.causal, r)):
             with pytest.raises(ValueError, match="distance must be finite and positive"):
                 call()
 
@@ -315,9 +315,67 @@ class TestModelError:
             assert coarse == pytest.approx(fine, rel=1e-6)
 
 
+class TestEnergyProfile:
+    @staticmethod
+    def _oracle_energy(law, r, m):
+        # E(m) from the dense-trapezoid norm, prefactor and doubling undone
+        return 0.5 * (4.0 * math.pi * r * trapezoid_norm(law, r, 0.0, m)) ** 2
+
+    def test_matches_trapezoid_oracle(self, castor):
+        r = 0.4
+        profile = energy_profile(castor.causal, r)
+        edges = profile.energy.edges
+        assert profile.top == tail_cut_frequency(castor.causal, r)
+        # inside the first graded panel, on a panel edge, mid-range and at the top
+        for m in (0.5 * edges[1], edges[5], 0.5 * profile.top, profile.top):
+            assert profile.at(m) == pytest.approx(
+                self._oracle_energy(castor.causal, r, m), rel=1e-6)
+        assert profile.at(profile.top) == pytest.approx(profile.total, rel=1e-15)
+
+    def test_array_call_equals_scalar_calls(self, castor):
+        profile = energy_profile(castor.causal, 1.0)
+        m = np.concatenate((profile.energy.edges[[0, 3, 7]], np.linspace(0.1, 60.0, 7)))
+        # equal up to the summation order of one vectorized panel rule
+        assert profile.at(m) == pytest.approx([profile.at(x) for x in m], rel=1e-15, abs=0.0)
+        assert isinstance(profile.at(3.0), float)
+
+    def test_non_decreasing(self, castor):
+        profile = energy_profile(castor.causal, 1.0)
+        energy = profile.at(np.linspace(0.0, profile.top, 1000))
+        assert energy[0] == 0.0
+        assert np.all(np.diff(energy) >= 0.0)
+
+    def test_band_limited_lossless_profile_is_the_band_width(self):
+        profile = energy_profile(LOSSLESS, 2.0, 25.0)
+        assert profile.top == 25.0
+        m = np.array([1e-3, 0.7, 12.5, 24.9, 25.0])
+        assert np.allclose(profile.at(m), m, rtol=1e-12, atol=0.0)
+
+    def test_energy_beyond_a_band_completes_the_line(self, castor):
+        line, band = energy_profile(castor.causal, 1.0), energy_profile(castor.causal, 1.0, 30.0)
+        assert band.top == 30.0 < line.top
+        assert band.band_edge(6e-4) == pytest.approx(line.band_edge(6e-4), rel=1e-9)
+        assert log10_relative_truncation_error(band, 20.0) == pytest.approx(
+            log10_relative_truncation_error(line, 20.0), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_band_edge_rejected_everywhere(self, castor, m):
+        profile = energy_profile(castor.causal, 1.0)
+        calls = [lambda: log10_relative_truncation_error(profile, m),
+                 lambda: relative_model_error(castor.causal, castor.powerlaw, 1.0, m),
+                 lambda: NormDomain.band(m),
+                 lambda: truncate_spectrum(
+                     sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(50.0, 32)), m)]
+        if m != math.inf:  # a profile up to hi = inf is the full line
+            calls.append(lambda: energy_profile(castor.causal, 1.0, m))
+        for call in calls:
+            with pytest.raises(ValueError, match="band edge must be finite and positive, got M="):
+                call()
+
+
 class TestEnergyBandEdge:
     def test_castor_reference(self, castor):
-        edge = energy_band_edge(castor.causal, 1.0, 6e-4)
+        edge = energy_profile(castor.causal, 1.0).band_edge(6e-4)
         assert 5.0 <= edge <= 20.0
         # the returned edge solves the energy equation to its stated tolerance
         full_sq = spectral_l2_norm(castor.causal, 1.0, NormDomain.full_line()) ** 2
@@ -326,15 +384,15 @@ class TestEnergyBandEdge:
 
     def test_tiny_delta_returns_tail_cut(self, castor):
         cut = tail_cut_frequency(castor.causal, 1.0)
-        assert energy_band_edge(castor.causal, 1.0, 1e-40) == pytest.approx(cut, rel=1e-12)
+        assert energy_profile(castor.causal, 1.0).band_edge(1e-40) == pytest.approx(cut, rel=1e-12)
 
     def test_delta_one_returns_zero(self, castor):
-        assert energy_band_edge(castor.causal, 1.0, 1.0) == 0.0
+        assert energy_profile(castor.causal, 1.0).band_edge(1.0) == 0.0
 
     def test_rejects_out_of_range_delta(self, castor):
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                energy_band_edge(castor.causal, 1.0, bad)
+                energy_profile(castor.causal, 1.0).band_edge(bad)
 
 
 class TestCsvExport:
