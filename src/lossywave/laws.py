@@ -249,28 +249,48 @@ def alpha_difference(causal, powerlaw, omega):
 
     For a power law derived from the causal law the difference has the
     closed form (alpha1/c0)*(-1j*w)*g(u) with u = (-1j*tau0*w)**(gamma-1)
-    and g(u) = 1 - u/2 - (1+u)**-0.5; g is evaluated by series for
-    small |u|, where the plain difference of the two laws would lose
-    most of its digits to cancellation.  Unrelated law pairs fall back
-    to the plain difference.
+    and g(u) = 1 - u/2 - (1+u)**-0.5, which the plain difference loses to
+    cancellation at small |u|.  With q = sqrt(1+u), t = q - 1 = u/(1+q),
+    g = -t**2*(1 + 2/q)/2 has none (Re q >= 1); from |u| = 4 on, t/q - u/2
+    also keeps the digits of Re g.  For |u| <= 0.01 its series runs as two
+    real Horner loops in |u|, the phase (-1j)**(gamma-1) of u folded into
+    the coefficients.  g is formed at |w| and conjugated for w < 0.
+    Unrelated law pairs fall back to the plain difference.
     """
     if not _is_derived_pair(causal, powerlaw):
         return eval_alpha(powerlaw, omega) - eval_alpha(causal, omega)
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("omega must be finite")
-    u = (-1j * causal.tau0 * w) ** (causal.gamma - 1.0)
-    small = np.abs(u) <= 0.01
-    u_small = np.where(small, u, 0.0)
-    series = np.zeros_like(u)
-    for coeff in reversed(_DIFF_SERIES):
-        series = coeff + u_small * series
-    series *= u_small * u_small
-    u_big = np.where(small, 1.0, u)  # placeholder avoids sqrt warnings off-branch
-    direct = 1.0 - 0.5 * u_big - 1.0 / np.sqrt(1.0 + u_big)
-    g = np.where(small, series, direct)
-    out = (causal.alpha1 / causal.c0) * (-1j * w) * g
-    return out if out.ndim else complex(out)
+    p = causal.gamma - 1.0
+    s = (causal.tau0 * np.abs(w)) ** p
+    g = np.empty(w.shape, dtype=complex)
+    small = s <= 0.01
+    if small.all():
+        small = ...  # the common case: every node, without masked copies
+    else:
+        u = s[~small] * (-1j) ** p
+        q = np.sqrt(1.0 + u)
+        t = u / (1.0 + q)  # q - 1 without cancellation: g = -t**2*(1 + 2/q)/2 = t/q - u/2
+        u *= -0.5
+        u += t / q
+        t *= t
+        t *= -0.5 - 1.0 / q
+        g[~small] = np.where(s[~small] <= 4.0, t, u)
+    x = s[small]
+    folded = _DIFF_SERIES * np.complex128(-1j) ** (p * np.arange(2, 2 + len(_DIFF_SERIES)))
+    re, im = np.full_like(x, folded[-1].real), np.full_like(x, folded[-1].imag)
+    for coeff in folded[-2::-1]:
+        re *= x
+        re += coeff.real
+        im *= x
+        im += coeff.imag
+    x *= x
+    g.real[small], g.imag[small] = re * x, im * x
+    scale = causal.alpha1 / causal.c0  # times -1j*|w|, then conjugated where w < 0
+    with np.errstate(over="ignore"):  # beyond the double range the difference is inf
+        g.real, g.imag = scale * np.abs(w) * g.imag, -scale * w * g.real
+    return g if g.ndim else complex(g)
 
 
 def attenuation_rise(law, lo, h):

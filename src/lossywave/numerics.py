@@ -201,32 +201,17 @@ def bisect_root(f, lo, hi, rtol=1e-12, f_tol=0.0, max_iter=200):
         f"bisection did not reach rtol {rtol!r} in {max_iter} steps; bracket [{lo!r}, {hi!r}]")
 
 
-def golden_section_max(f, lo, hi, iters=120):
-    """Maximum of a smooth function on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a <= 1e-15 * max(1.0, abs(a) + abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc > fd else d
-    return x, max(fc, fd)
+_REFINE_POINTS = 33  # points per refinement round of `scan_max`
 
 
 def scan_max(f_vec, lo, hi, n_grid=100_001):
-    """Maximum of f on [lo, hi]: dense vectorized grid seed + golden refinement.
+    """Maximum of f on [lo, hi]: dense vectorized grid seed + vectorized refinement.
 
-    f_vec must accept a numpy array.  Returns (argmax, max).
+    f_vec must accept a numpy array.  Returns (argmax, max), the best point
+    evaluated.  Each round evaluates _REFINE_POINTS points across the bracket
+    [a, b] of the last maximum's neighbours in one call, until b - a is under
+    1e-15*max(1, |a| + |b|).  An end-point maximum returns the end point
+    exactly; a nan (np.argmax finds it first) is returned as it is.
     """
     if hi <= lo:
         x = float(lo)
@@ -234,9 +219,13 @@ def scan_max(f_vec, lo, hi, n_grid=100_001):
     grid = np.linspace(lo, hi, n_grid)
     vals = np.asarray(f_vec(grid), dtype=float)
     i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n_grid - 1)]
-    x, fx = golden_section_max(lambda t: float(f_vec(np.array([t]))[0]), a, b)
-    if fx >= vals[i]:
-        return float(x), float(fx)
-    return float(grid[i]), float(vals[i])
+    x, fx = float(grid[i]), float(vals[i])
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]
+    while math.isfinite(fx) and b - a > 1e-15 * max(1.0, abs(a) + abs(b)):
+        grid = np.linspace(a, b, _REFINE_POINTS)
+        vals = np.asarray(f_vec(grid), dtype=float)
+        i = int(np.argmax(vals))
+        if not vals[i] <= fx:  # a nan found here is returned too
+            x, fx = float(grid[i]), float(vals[i])
+        a, b = grid[max(i - 1, 0)], grid[min(i + 1, _REFINE_POINTS - 1)]
+    return x, fx

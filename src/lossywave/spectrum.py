@@ -34,8 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .laws import DispersionLaw, alpha_difference, attenuation_rise, eval_alpha
-from .numerics import (NumericalError, Quadrature, bisect_root, complex_expm1, gauss_kronrod,
-                       integrate_decaying)
+from .numerics import NumericalError, Quadrature, bisect_root, gauss_kronrod, integrate_decaying
 
 __all__ = [
     "FrequencyGrid",
@@ -390,14 +389,25 @@ def log10_relative_truncation_error(profile, m):
     return float(tail - full) / (2.0 * math.log(10.0))
 
 
+def _deviation_sq(causal, powerlaw, r, w):
+    """|exp(-b*r) - 1|**2, b = alpha_pl(w) - alpha_c(w), as expm1(x)**2 + 4*exp(x)*sin(y/2)**2.
+
+    x = -r*Re(b), y = r*Im(b): two non-negative terms that keep their
+    digits where b*r is small.  Non-finite where b*r overflows.
+    """
+    b = alpha_difference(causal, powerlaw, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = -r * np.real(b)
+        half_sin = np.sin(0.5 * r * np.imag(b))
+        return np.expm1(x) ** 2 + 4.0 * np.exp(x) * half_sin * half_sin
+
+
 def _model_diff_sq(causal, powerlaw, r):
     """|G_hat_causal - G_hat_powerlaw|**2 without the prefactor 1/(4*pi*r)**2."""
     gain_sq = _gain_sq(causal, r)
 
-    def f(w):
-        # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2; the
-        # expm1 form survives the near-cancellation at small frequencies.
-        return gain_sq(w) * np.abs(complex_expm1(-alpha_difference(causal, powerlaw, w) * r)) ** 2
+    def f(w):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
+        return gain_sq(w) * _deviation_sq(causal, powerlaw, r, w)
 
     return f
 

@@ -282,3 +282,19 @@ class TestModelErrorReport:
             math.sqrt((1.0 - rep.delta) * rep.d1 + rep.delta * rep.d2), rel=1e-12)
         assert rep.d1 == pytest.approx(rep.d1_max_c**2, rel=1e-12)
         assert rep.d2 == pytest.approx(rep.d2_max_c**2, rel=1e-12)
+
+    @pytest.mark.parametrize("where", [0.0, 5.0, 1e3])
+    def test_non_finite_deviation_raises(self, castor, monkeypatch, where):
+        # one nan on a seed grid, inside the band or beyond it, is an error
+        from lossywave import NumericalError, bounds
+
+        factor = bounds.deviation_factor
+
+        def with_nan(causal, powerlaw, r, omega):
+            values = factor(causal, powerlaw, r, omega)
+            values[np.asarray(omega) == omega[np.argmin(np.abs(omega - where))]] = math.nan
+            return values
+
+        monkeypatch.setattr(bounds, "deviation_factor", with_nan)
+        with pytest.raises(NumericalError, match="deviation factor"):
+            model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)

@@ -400,3 +400,27 @@ class TestQuadratureWork:
             passes = [rtol for a, b, rtol in counts["passes"] if a == 0.0 and b == cut]
             assert sorted(passes) == sorted([spectrum.ENERGY_PASS_RTOL]
                                             + [spectrum.NORM_RTOL] * 2 * (cut < 100.0))
+
+
+class TestScanWork:
+    """Deviation-factor calls and samples in a default castor `bounds`.
+
+    Ten scans, each a 100,001-point seed grid refined by calls of 33
+    points: measured 82 calls and 1,002,386 samples.  Refining with one
+    point per call, as a golden-section search does, took 500 calls.  The
+    sample cap keeps the seed grids from shrinking to buy speed.
+    """
+
+    def test_within_the_measured_counts(self, tmp_path, monkeypatch):
+        counts = {"calls": 0, "samples": 0}
+        factor = bounds.deviation_factor
+
+        def counting(causal, powerlaw, r, omega):
+            counts["calls"] += 1
+            counts["samples"] += np.size(omega)
+            return factor(causal, powerlaw, r, omega)
+
+        monkeypatch.setattr(bounds, "deviation_factor", counting)
+        assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
+        assert 10 <= counts["calls"] <= 1.1 * 82
+        assert 10 * bounds.DEVIATION_SCAN_POINTS <= counts["samples"] <= 1.01 * 1_002_386

@@ -8,7 +8,6 @@ from lossywave.numerics import (
     gauss_kronrod,
     bisect_root,
     complex_expm1,
-    golden_section_max,
     integrate_decaying,
     scan_max,
 )
@@ -121,8 +120,9 @@ def test_bisect_solves_flat_spectrum_band_energy():
     assert root == pytest.approx((1.0 - delta) * omega, rel=1e-9)
 
 
-def test_golden_section_max_parabola():
-    x, fx = golden_section_max(lambda t: -((t - 1.3) ** 2), 0.0, 2.0)
+def test_scan_max_parabola():
+    # a coarse seed grid leaves the refinement rounds to locate the peak
+    x, fx = scan_max(lambda t: -((t - 1.3) ** 2), 0.0, 2.0, n_grid=11)
     assert x == pytest.approx(1.3, abs=1e-9)
     assert fx == pytest.approx(0.0, abs=1e-12)
 
