@@ -1,4 +1,4 @@
-"""Shared numerical routines: quadrature, bracketed roots, extrema search.
+"""Shared numerical routines: quadrature, extrema search, erfcx.
 
 Every integrand handled here is smooth and non-negative, and most
 peak at the left end of their interval and decay past it.  One fixed
@@ -17,27 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NumericalError", "complex_expm1", "erfcx"]
+__all__ = ["NumericalError", "erfcx"]
 
 
 class NumericalError(RuntimeError):
     """Quadrature or root bracketing failed to converge."""
-
-
-def complex_expm1(z):
-    """exp(z) - 1 for complex z, accurate for small |z|.
-
-    numpy has no complex expm1; the naive exp(z) - 1 loses all digits
-    once |z| approaches machine epsilon.  Split into real/imaginary
-    parts: Re = expm1(x)*cos(y) - 2*sin(y/2)**2, Im = exp(x)*sin(y).
-    """
-    z = np.asarray(z, dtype=complex)
-    x = z.real
-    y = z.imag
-    re = np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
-    im = np.exp(x) * np.sin(y)
-    out = re + 1j * im
-    return out if out.ndim else complex(out)
 
 
 _ERFCX_SERIES_FROM = 10.0  # the A&S 7.1.23 series reaches full precision beyond here
@@ -170,35 +154,6 @@ def integrate_decaying(f, a, b, rtol=1e-9):
     order = np.argsort(left)
     return Quadrature(value=float(value.sum()), error=float(error.sum()), samples=samples,
                       edges=np.append(left[order], float(b)), panels=value[order])
-
-
-def bisect_root(f, lo, hi, rtol=1e-12, f_tol=0.0, max_iter=200):
-    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
-
-    Stops when the bracket shrinks below rtol relative to its midpoint
-    or |f(mid)| <= f_tol.  Endpoints that are exact roots are returned
-    as-is.  Raises NumericalError when max_iter halvings do not meet the
-    tolerance, rather than return a midpoint that is not a root.
-    """
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NumericalError(f"root not bracketed on [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or abs(fm) <= f_tol or (hi - lo) <= rtol * abs(mid):
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    raise NumericalError(
-        f"bisection did not reach rtol {rtol!r} in {max_iter} steps; bracket [{lo!r}, {hi!r}]")
 
 
 _REFINE_POINTS = 33  # points per refinement round of `scan_max`

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .laws import DispersionLaw, alpha_difference, attenuation_rise, eval_alpha
-from .numerics import NumericalError, Quadrature, bisect_root, gauss_kronrod, integrate_decaying
+from .numerics import NumericalError, Quadrature, gauss_kronrod, integrate_decaying
 
 __all__ = [
     "FrequencyGrid",
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-9
-_CUT_RTOL = 1e-9  # relative tolerance of the tail-cut bisection
+_CUT_RTOL = 1e-9  # relative tolerance of the tail width h beyond the start, not of start + h
 NORM_RTOL = 1e-9  # tails beyond a band edge and the band-limited model error
 ENERGY_PASS_RTOL = 1e-12  # the energy profile; well above the rounding noise of exponents up to 70
 BAND_EDGE_RTOL = 1e-10  # `EnergyProfile.band_edge` solves its energy equation to this residual
@@ -188,40 +188,57 @@ def _gain_sq(law, r):
     return f
 
 
-def tail_cut_frequency(law, r, start=0.0):
-    """Frequency beyond which |G_hat|^2 is below exp(-70) of its value at `start`.
+# every power of two of the double range, after 0: one vector call brackets any tail width
+_WIDTHS = np.concatenate(([0.0], np.ldexp(1.0, np.arange(-1074, 1024))))
+_CUT_POINTS = 33  # points per vector call of a refinement round of `_tail_width`
 
-    Solves 2*r*Re(alpha*(w)) = 2*r*Re(alpha*(start)) + 70 on the
-    monotone attenuation, bracketed in factors of 4 from max(start, 1);
-    used to cut semi-infinite norm integrals.  Returns inf for laws
-    whose attenuation never grows (degenerate lossless laws): their
-    line/tail norms diverge.  Raises NumericalError for a growing
-    attenuation that reaches the threshold only where alpha overflows.
+
+def _tail_width(law, r, start):
+    """Width h > 0 at which 2*r*attenuation_rise(law, start, h) reaches _TAIL_DECADES.
+
+    One vector call of the rise at every power of two of the double
+    range brackets the first crossing.  Each round splits the bracket
+    by a grid of _CUT_POINTS points, evaluates its interior in one
+    vector call and keeps the sub-interval holding the crossing, until
+    the bracket is within _CUT_RTOL of h (or holds no double between its
+    ends); its upper end is returned.  Returns inf for a
+    law whose attenuation never grows; raises NumericalError for a
+    growing attenuation that reaches the threshold only beyond the
+    double range.
     """
     _check_distance(r)
 
-    def att(w):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.real(eval_alpha(law, w)))
+    def exponent(h):
+        with np.errstate(over="ignore", invalid="ignore"):  # the top powers overflow the rise
+            return 2.0 * r * attenuation_rise(law, start, h)
 
-    target = 2.0 * r * att(start) + _TAIL_DECADES
-
-    def excess(w):
-        return 2.0 * r * att(w) - target
-
-    lo = hi = max(abs(start), 1.0)
-    f_hi = excess(hi)
-    while f_hi < 0.0 and hi <= np.finfo(float).max / 4.0:
-        lo, hi = hi, 4.0 * hi
-        f_hi = excess(hi)
-    if not (0.0 <= f_hi < math.inf):
-        if att(lo) > att(start):
+    exponents = exponent(_WIDTHS)
+    k = int(np.argmax(exponents >= _TAIL_DECADES))  # 0, the width 0, where none reaches it
+    if not _TAIL_DECADES <= exponents[k] < math.inf:  # an overflowed rise is no crossing
+        if np.any(exponents > 0.0):
             raise NumericalError(
                 f"the tail cut at r={r!r} lies beyond the frequencies where alpha is finite")
         return math.inf
-    while lo > start and excess(lo) > 0.0:  # the cut lies below 1
-        lo, hi = max(lo / 4.0, start), lo
-    return bisect_root(excess, lo, hi, rtol=_CUT_RTOL)
+    lo, hi = _WIDTHS[k - 1], _WIDTHS[k]
+    while hi - lo > max(_CUT_RTOL * hi, math.ulp(hi)):
+        grid = np.linspace(lo, hi, _CUT_POINTS)
+        j = 1 + int(np.count_nonzero(exponent(grid[1:-1]) < _TAIL_DECADES))
+        lo, hi = grid[j - 1], grid[j]
+    return float(hi)
+
+
+def tail_cut_frequency(law, r, start=0.0):
+    """Frequency beyond which |G_hat|^2 is below exp(-70) of its value at `start`.
+
+    start plus the width h at which 2*r*(Re alpha*(start + h) - Re
+    alpha*(start)) reaches 70, solved in h from `attenuation_rise` to
+    _CUT_RTOL relative to h; used to cut semi-infinite norm integrals.
+    Returns inf for laws whose attenuation never grows (degenerate
+    lossless laws): their line/tail norms diverge.  Raises
+    NumericalError for a growing attenuation that reaches the threshold
+    only where alpha overflows.
+    """
+    return start + _tail_width(law, r, start)
 
 
 def _integration_limit(law, r, hi):
@@ -235,21 +252,19 @@ def _integration_limit(law, r, hi):
 def _log_scaled_energy(law, r, lo):
     """ln of the integral of exp(-2*r*(Re alpha*(w) - Re alpha*(lo))) over [lo, inf).
 
-    The integrand, 1 at lo, is integrated to the tail cut from lo in the
-    offset h = w - lo through `attenuation_rise`, free of the rounding of
-    Re alpha*(lo).  A cut within twice its bisection tolerance of lo raises.
+    The integrand, 1 at lo, is integrated in the offset h = w - lo
+    through `attenuation_rise` over [0, tail width], free of the
+    rounding of Re alpha*(lo) and of lo itself, so a tail narrower than
+    one ulp of lo keeps its digits.
     """
-    top = tail_cut_frequency(law, r, start=lo)
-    if not math.isfinite(top):
+    width = _tail_width(law, r, lo)
+    if not math.isfinite(width):
         raise ValueError("norm diverges: the law has no spectral decay")
-    if top - lo < 2.0 * _CUT_RTOL * lo:
-        raise NumericalError(f"at r={r!r} the spectrum beyond w={lo!r} decays within "
-                             f"{top - lo!r}, too narrow for the tail cut to resolve")
 
     def scaled_gain_sq(h):
         return np.exp(-2.0 * r * attenuation_rise(law, lo, h))
 
-    return math.log(integrate_decaying(scaled_gain_sq, 0.0, top - lo, rtol=NORM_RTOL).value)
+    return math.log(integrate_decaying(scaled_gain_sq, 0.0, width, rtol=NORM_RTOL).value)
 
 
 def _log_energy(law, r, lo):

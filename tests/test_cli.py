@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lossywave import FrequencyGrid, ForcingSignal, builtin_preset, green_hat
-from lossywave import bounds, cli, numerics, spectrum
+from lossywave import bounds, cli, laws, numerics, spectrum
 
 
 def run_cli(*args, cwd=None):
@@ -323,12 +323,13 @@ class TestDistanceContract:
         assert "got M=0.2" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    # castor-oil bounds exits 0 from r = 1e-120 to 1 and at the narrow tails
-    # of 1e5 ... 1e8; every other decade exits 3 (a norm or cut beyond the
-    # double range, a deviation scan that overflows, a tail too narrow to cut)
-    @pytest.mark.parametrize("r,code", [(f"1e{e}", 0 if -120 <= e <= 0 else 3)
+    # castor-oil bounds exits 0 from r = 1e-120 to 1e300, the narrow tails of
+    # 1e5 ... 1e9 included; below, it exits 3 (a cut beyond the double range,
+    # a deviation scan that overflows)
+    @pytest.mark.parametrize("r,code", [(f"1e{e}", 0 if e >= -120 else 3)
                                         for e in range(-300, 301, 10)]
-                             + [(r, 0) for r in ("1e5", "1e6", "3e7", "5e7", "1e8")])
+                             + [(r, 0) for r in ("1e5", "1e6", "3e7", "5e7", "1e8",
+                                                 "2e8", "5e8", "1e9")])
     def test_bounds_exit_code_across_decades(self, tmp_path, capsys, r, code):
         assert cli.main(["bounds", "--r-list", r, "--out", str(tmp_path)]) == code, \
             capsys.readouterr().err
@@ -400,6 +401,49 @@ class TestQuadratureWork:
             passes = [rtol for a, b, rtol in counts["passes"] if a == 0.0 and b == cut]
             assert sorted(passes) == sorted([spectrum.ENERGY_PASS_RTOL]
                                             + [spectrum.NORM_RTOL] * 2 * (cut < 100.0))
+
+
+class TestTailCutWork:
+    """Law evaluations per tail-width solve in a default castor `bounds`.
+
+    Each `tail_cut_frequency` call and each log-scaled tail solves for
+    the width beyond its start: one vector call of `attenuation_rise` at
+    every power of two of the double range brackets it, and six rounds of
+    33 points narrow it to 1e-9 relative, 7 calls and no scalar
+    `eval_alpha` call.  Solving the cut in w by bracketing in factors of
+    4 and bisecting took 37-48 scalar calls per cut.
+    """
+
+    def test_at_most_seven_vector_calls_per_solve(self, tmp_path, monkeypatch):
+        rise, alpha, width = spectrum.attenuation_rise, laws.eval_alpha, spectrum._tail_width
+        per_solve = []  # [rise calls, scalar eval_alpha calls] of each solve, the open one last
+        inside = []
+
+        def counting_rise(law, lo, h):
+            if inside:
+                per_solve[-1][0] += 1
+            return rise(law, lo, h)
+
+        def counting_alpha(law, omega):
+            if inside and np.ndim(omega) == 0:
+                per_solve[-1][1] += 1
+            return alpha(law, omega)
+
+        def counting_width(*args):
+            per_solve.append([0, 0])
+            inside.append(True)
+            try:
+                return width(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(spectrum, "attenuation_rise", counting_rise)
+        monkeypatch.setattr(spectrum, "eval_alpha", counting_alpha)
+        monkeypatch.setattr(laws, "eval_alpha", counting_alpha)
+        monkeypatch.setattr(spectrum, "_tail_width", counting_width)
+        assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
+        assert len(per_solve) >= 10
+        assert all(1 <= rises <= 7 and scalars == 0 for rises, scalars in per_solve), per_solve
 
 
 class TestScanWork:

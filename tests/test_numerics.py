@@ -6,8 +6,6 @@ import pytest
 from lossywave.numerics import (
     NumericalError,
     gauss_kronrod,
-    bisect_root,
-    complex_expm1,
     integrate_decaying,
     scan_max,
 )
@@ -88,38 +86,6 @@ def test_integrate_decaying_stretched_exponential():
     assert val == pytest.approx(math.gamma(1.0 + 1.0 / 1.66), rel=1e-7)
 
 
-def test_bisect_root_cosine():
-    assert bisect_root(math.cos, 0.0, 2.0) == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-
-def test_bisect_root_endpoint():
-    assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
-
-
-def test_bisect_root_unbracketed():
-    with pytest.raises(NumericalError):
-        bisect_root(lambda x: 1.0 + x**2, 0.0, 1.0)
-
-
-def test_bisect_root_raises_when_iterations_run_out():
-    # 200 halvings of [1e-300, 1] leave a bracket near 6e-61, far above the root
-    with pytest.raises(NumericalError, match="did not reach rtol"):
-        bisect_root(lambda x: x - 1e-100, 1e-300, 1.0, rtol=1e-9)
-
-
-def test_bisect_solves_flat_spectrum_band_energy():
-    # flat spectrum of amplitude A hard-cut at Omega: band energy 2*m*A**2,
-    # so the band edge holding (1-delta) of the energy is exactly (1-delta)*Omega
-    omega, amp, delta = 37.5, 0.25, 6e-4
-    full = 2.0 * omega * amp**2
-
-    def energy_gap(m):
-        return 2.0 * m * amp**2 - (1.0 - delta) * full
-
-    root = bisect_root(energy_gap, 0.0, omega, rtol=1e-15)
-    assert root == pytest.approx((1.0 - delta) * omega, rel=1e-9)
-
-
 def test_scan_max_parabola():
     # a coarse seed grid leaves the refinement rounds to locate the peak
     x, fx = scan_max(lambda t: -((t - 1.3) ** 2), 0.0, 2.0, n_grid=11)
@@ -131,14 +97,3 @@ def test_scan_max_matches_known_peak():
     x, fx = scan_max(lambda t: np.exp(-((t - 4.0) ** 2)), 0.0, 10.0, n_grid=1001)
     assert x == pytest.approx(4.0, abs=1e-6)
     assert fx == pytest.approx(1.0, rel=1e-10)
-
-
-def test_complex_expm1_small_argument():
-    z = 1e-9 * np.exp(1j * 0.7)
-    exact = z + z**2 / 2.0 + z**3 / 6.0
-    assert abs(complex_expm1(z) - exact) <= 1e-12 * abs(exact)
-
-
-def test_complex_expm1_moderate_argument():
-    z = 0.3 - 1.2j
-    assert complex_expm1(z) == pytest.approx(np.exp(z) - 1.0, rel=1e-14)
