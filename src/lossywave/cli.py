@@ -35,7 +35,7 @@ from .laws import (
 from .numerics import NumericalError
 from .spectrum import (BAND_EDGE_RTOL, ENERGY_PASS_RTOL, NORM_RTOL, FrequencyGrid,
                        _check_band_edge, energy_profile, log10_relative_truncation_error,
-                       relative_model_error, sample_green_spectrum, truncate_spectrum)
+                       relative_model_error, sample_green_spectrum)
 from .tables import write_table
 from .timedomain import (
     ForcingSignal,
@@ -242,8 +242,7 @@ def cmd_causality(args):
     }
     for key, spec in (
         ("causal", sample_green_spectrum(preset.causal, args.r, grid)),
-        ("truncated_powerlaw",
-         truncate_spectrum(sample_green_spectrum(preset.powerlaw, args.r, grid), args.m)),
+        ("truncated_powerlaw", sample_green_spectrum(preset.powerlaw, args.r, grid, args.m)),
     ):
         signal = synthesize_time_signal(spec)
         doc[key] = {

@@ -161,10 +161,23 @@ def green_hat(law, r, omega):
     return out if out.ndim else complex(out)
 
 
-def sample_green_spectrum(law, r, grid):
-    """Sample the Green-function spectrum on a FrequencyGrid."""
-    values = green_hat(law, r, grid.omegas())
-    return ComplexSpectrum(grid=grid, r=float(r), values=values, law_tag=law.tag)
+def sample_green_spectrum(law, r, grid, band_edge=None):
+    """Sample the Green-function spectrum on a FrequencyGrid.
+
+    With a band edge M only the nodes w_m <= M are evaluated; the rest
+    are zero and `cutoff` is M.  The result equals
+    truncate_spectrum(sample_green_spectrum(law, r, grid), M) bit for bit.
+    """
+    omegas = grid.omegas()
+    if band_edge is None:
+        return ComplexSpectrum(grid=grid, r=float(r), values=green_hat(law, r, omegas),
+                               law_tag=law.tag)
+    _check_band_edge(band_edge)
+    band = np.searchsorted(omegas, band_edge, side="right")
+    values = np.zeros(len(omegas), dtype=complex)
+    values[:band] = green_hat(law, r, omegas[:band])
+    return ComplexSpectrum(grid=grid, r=float(r), values=values, law_tag=law.tag,
+                           cutoff=band_edge)
 
 
 def truncate_spectrum(spec, m):

@@ -2,21 +2,187 @@
 
 CSV files start with an optional `# comment` line and the column names;
 every value is written as f"{x:.17g}" (round-trip safe), so identical
-inputs give byte-identical files.  Rows are formatted one block at a
-time with a single `%` operation per block and written as they go, so
-memory stays flat however long the columns are.
+inputs give byte-identical files.  Rows are formatted one block of
+_BLOCK_ROWS at a time and written as they go, so memory stays flat
+however long the columns are.
+
+A block of fewer than _KERNEL_ROWS rows is formatted by one `%`
+operation.  A larger block goes through a numpy kernel that produces
+the same bytes: for each value it computes the 17-digit decimal
+significand D = round(|x| * 10**(16 - E)) in double-double arithmetic
+and lays out sign, digits, point and exponent by table lookups.  The
+kernel takes every finite x with 1e-270 <= |x| <= 1e270 whose scaled
+value is not within 1e-6 of a decimal tie (those must round half to
+even); the rest (zeros, subnormals, inf, nan, ties and magnitudes
+beyond that range) are formatted by `%` one value at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 __all__ = ["write_table"]
 
 _BLOCK_ROWS = 8192
+_KERNEL_ROWS = 2048  # smaller blocks keep one `%` each; the kernel has a fixed cost per block
+
+_MAGNITUDES = (1e-270, 1e270)  # |x| the kernel takes; their decimal exponents e lie within +-272
+_POWERS = range(16 - 280, 16 + 281)  # the k = 16 - e of the 10**k the kernel scales by
+_EXPONENTS = range(-300, 301)  # exponents of the "e+XX" table
+_TIE = 1e-6  # scaled values this close to a decimal tie go to `%`
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+# Slots of one value, 48 bytes = six uint64 words:
+#   0       '-'
+#   1-5     "0.000", the prefix of 1e-4 <= |x| < 1
+#   6-39    d0 . d1 . d2 . ... d16 .   digit j at 6 + 2j, the point after it at 7 + 2j
+#   40-44   'e', the exponent's sign and its 2 or 3 digits
+#   45      the separator: ',' or the newline after a row's last value
+# A table of keep-masks, one per sign, exponent class and count of
+# significant digits (1 to 17), selects the slots of each value's text.
+_SLOTS = 48
+_SEP = 45
+# exponents with a layout of their own: each fixed-point one, then 17 for every
+# exponent written with 2 digits and 100 for every one written with 3
+_CLASSES = (*range(-4, 17), 17, 100)
+
+
+def _printf(template, values):
+    """`template % tuple(values)`: every CSV byte the kernel does not produce."""
+    return template % tuple(values)
+
+
+def _split(a):
+    """Dekker split of a into hi + lo, each with at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _words(strings):
+    """Byte strings of at most 8 bytes as uint64 words, zero padded."""
+    return np.frombuffer(b"".join(s.ljust(8, b"\0") for s in strings), np.uint64)
+
+
+def _keep_mask(negative, e, digits):
+    """Kept slots of a value with decimal exponent e and `digits` significant digits."""
+    row = np.zeros(_SLOTS, bool)
+    row[0] = negative
+    row[_SEP] = True
+    if -4 <= e < 0:  # 0.000ddd
+        row[1:2 - e] = True
+        row[6:6 + 2 * digits:2] = True
+    elif 0 <= e <= 16:  # ddd.ddd, integer digits kept even where zero
+        row[6:6 + 2 * max(digits, e + 1):2] = True
+        row[7 + 2 * e] = digits > e + 1
+    else:  # d.ddde+XX
+        row[6:6 + 2 * digits:2] = True
+        row[7] = digits > 1
+        row[40:44 + (abs(e) >= 100)] = True
+    return row
+
+
+@functools.cache
+def _tables():
+    """Lookup tables of the kernel, built on first use (a few ms) to keep import fast.
+
+    pow10[k - _POWERS.start] = (hi, hi's Dekker halves, lo) with hi + lo = 10**k
+    to about 2**-106 relative: hi = 10**k and lo = 10**k - hi, each rounded
+    to nearest (Python's int true division is correctly rounded).
+    """
+    pairs = []
+    for k in _POWERS:
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        pairs.append((hi, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(pairs).T
+    digits4 = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quad = np.full((10000, 8), ord("."), np.uint8)  # "a.b.c.d." of each 4-digit group
+    quad[:, ::2] = digits4 + ord("0")
+    return SimpleNamespace(
+        pow10=np.column_stack([hi, *_split(hi), lo]),
+        lead=_words([b"-0.000%d." % d for d in range(10)]),
+        quad=quad.view(np.uint64).ravel(),
+        # significant digits of a 4-digit group: the place of its last nonzero digit, 0 for 0000
+        sig4=np.max(np.where(digits4 != 0, np.arange(1, 5), 0), axis=1),
+        expo=_words([b"e%+03d" % e for e in _EXPONENTS]),
+        keep=np.array([_keep_mask(neg, e, digits) for neg in (False, True) for e in _CLASSES
+                       for digits in range(18)]),
+        # the row of `keep` for a positive value with 0 digits, per exponent in _EXPONENTS
+        row0=18 * np.array([_CLASSES.index(e if -4 <= e <= 16 else 17 if abs(e) < 100 else 100)
+                            for e in _EXPONENTS]),
+    )
+
+
+def _scaled(ax, e, pow10):
+    """Integer part and fraction of ax * 10**(16 - e), good to about 1e-14 absolute.
+
+    ax * hi is split exactly into a double p and its rounding error
+    (Dekker's product); ax * lo adds the rest of 10**k.
+    """
+    h, hh, hl, lo = np.take(pow10, 16 - e - _POWERS.start, axis=0).T
+    p = ax * h
+    xh, xl = _split(ax)
+    t = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl) + ax * lo
+    whole = np.floor(p)
+    s = (p - whole) + t
+    carry = np.floor(s)
+    return whole.astype(np.int64) + carry.astype(np.int64), s - carry
+
+
+def _kernel(values, ncols):
+    """CSV bytes of `values` (a block, row-major, ncols per row): f"{x:.17g}" each."""
+    tb = _tables()
+    ax = np.abs(values)
+    fast = (ax >= _MAGNITUDES[0]) & (ax <= _MAGNITUDES[1])
+    ax[~fast] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    whole, frac = _scaled(ax, e, tb.pow10)
+    # log10 can miss the decimal exponent by one next to a power of ten
+    low, high = whole < 10**16, whole >= 10**17
+    moved = np.flatnonzero(low | high)
+    e[moved] += high[moved].astype(np.int64) - low[moved]
+    whole[moved], frac[moved] = _scaled(ax[moved], e[moved], tb.pow10)
+    d = whole + (frac > 0.5)
+    fast &= (d >= 10**16) & (d <= 10**17) & (np.abs(frac - 0.5) >= _TIE)
+    d[~fast] = 10**16  # any valid significand: `%` overwrites these values
+    carry = d == 10**17  # 99999999999999999.5 rounds up to 1e17
+    d[carry] = 10**16
+    e += carry
+
+    top = d // 10**8
+    bottom = (d - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    groups = [(top // 10**4) % 10**4, top % 10**4, bottom // 10**4, bottom % 10**4]
+    words = np.empty((len(values), _SLOTS // 8), np.uint64)
+    words[:, 0] = tb.lead[top // 10**8]
+    for i, g in enumerate(groups):
+        words[:, 1 + i] = tb.quad[g]
+    words[:, 5] = tb.expo[e - _EXPONENTS.start]
+    chars = words.view(np.uint8)
+    separators = np.frombuffer(b"," * (ncols - 1) + b"\n", np.uint8)
+    chars[:, _SEP] = np.tile(separators, len(values) // ncols)
+
+    # significant digits, up to the last nonzero one: d0 never is zero
+    digits = 1
+    for i, g in enumerate(groups):
+        digits = np.where(g != 0, 1 + 4 * i + tb.sig4[g], digits)
+    row = tb.row0[e - _EXPONENTS.start] + digits
+    keep = np.take(tb.keep, np.where(values < 0, row + len(tb.keep) // 2, row), axis=0)
+
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        texts = _printf(b"%.17g\n" * len(slow), values[slow].tolist()).split(b"\n")
+        for i, text in zip(slow, texts):
+            chars[i, :len(text)] = np.frombuffer(text, np.uint8)
+            keep[i, :_SEP] = np.arange(_SEP) < len(text)
+    return np.compress(keep.ravel(), chars.ravel()).tobytes()
 
 
 def write_table(path, colnames, columns, comment=None, fmt="csv"):
@@ -32,12 +198,15 @@ def write_table(path, colnames, columns, comment=None, fmt="csv"):
         payload = [dict(zip(colnames, row)) for row in rows]
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         return path
-    row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    row_fmt = b",".join([b"%.17g"] * len(cols)) + b"\n"
+    with open(path, "wb") as fh:
         if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(colnames) + "\n")
+            fh.write(f"# {comment}\n".encode("utf-8"))
+        fh.write((",".join(colnames) + "\n").encode("utf-8"))
         for start in range(0, len(cols[0]), _BLOCK_ROWS):
             block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            if len(block) < _KERNEL_ROWS:
+                fh.write(_printf(row_fmt * len(block), block.ravel().tolist()))
+            else:
+                fh.write(_kernel(block.ravel(), len(cols)))
     return path

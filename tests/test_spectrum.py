@@ -120,6 +120,16 @@ class TestTruncation:
         removed = total - np.sum(np.abs(cut.values) ** 2)
         assert removed / total <= 1e-3
 
+    @pytest.mark.parametrize("omega_max,n,m", [(430.0, 2**19, 78.956), (400.0, 2**16, 100.0),
+                                               (900.0, 2**14, 120.0), (50.0, 32, 1e-9),
+                                               (50.0, 32, 1e9)])
+    def test_band_sampling_is_truncation_bit_for_bit(self, castor, omega_max, n, m):
+        grid = FrequencyGrid(omega_max, n)
+        ref = truncate_spectrum(sample_green_spectrum(castor.powerlaw, 0.05, grid), m)
+        band = sample_green_spectrum(castor.powerlaw, 0.05, grid, band_edge=m)
+        assert np.array_equal(band.values.view(np.uint64), ref.values.view(np.uint64))
+        assert band.cutoff == ref.cutoff == m
+
     def test_rejects_nonpositive_cut(self, castor):
         spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(100.0, 64))
         with pytest.raises(ValueError):
@@ -374,7 +384,8 @@ class TestEnergyProfile:
                  lambda: relative_model_error(castor.causal, castor.powerlaw, 1.0, m),
                  lambda: NormDomain.band(m),
                  lambda: truncate_spectrum(
-                     sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(50.0, 32)), m)]
+                     sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(50.0, 32)), m),
+                 lambda: sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(50.0, 32), m)]
         if m != math.inf:  # a profile up to hi = inf is the full line
             calls.append(lambda: energy_profile(castor.causal, 1.0, m))
         for call in calls:

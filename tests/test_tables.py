@@ -1,10 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from lossywave import write_table
-from lossywave.tables import _BLOCK_ROWS
+from lossywave import cli, tables, write_table
+from lossywave.tables import _BLOCK_ROWS, _KERNEL_ROWS
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # a test extra: without it only the property test is left out
+    given = None
 
 # signed zero, the smallest subnormal, huge and tiny magnitudes, integers
 # (written through float) and values whose 17-digit form is not their repr
@@ -44,3 +55,101 @@ def test_json_rows(tmp_path):
     assert path.name == "rows.json"
     assert json.loads(path.read_text(encoding="utf-8")) == [
         {"gamma": 1.5, "bound": 1e4}, {"gamma": 2.0, "bound": 3.0}]
+
+
+# the writer's numpy kernel against per-value `%`
+
+def _data_lines(path):
+    return path.read_text(encoding="utf-8").split("\n")[1:-1]
+
+
+@pytest.fixture
+def printed(monkeypatch):
+    """The values each `%` call of the writer formats, one list per call."""
+    calls = []
+
+    def counting(template, values):
+        calls.append(list(values))
+        return real(template, values)
+
+    real = tables._printf
+    monkeypatch.setattr(tables, "_printf", counting)
+    return calls
+
+
+def _is_decimal_tie(x):
+    """True where x lies exactly halfway between two 17-digit decimals."""
+    digits = "".join(map(str, Decimal(x).as_tuple().digits)).rstrip("0")
+    return len(digits) == 18 and digits[-1] == "5"
+
+
+def _kernel_table(path, values):
+    """A one-column table of at least _KERNEL_ROWS rows holding `values`."""
+    column = np.resize(np.asarray(values, dtype=float), max(len(values), _KERNEL_ROWS))
+    return write_table(path, ["x"], [column]), column
+
+
+# exact decimal ties at the 18th significant digit: the 17th digit is even and odd in turn
+TIES = [1 + 2**-17, 3 + 5 * 2**-17, 9.5 + 2**-17] + [1 + j * 2**-17 for j in range(3, 64, 2)]
+NEAR_POWERS = [v for k in range(-300, 301) for p in [10.0**k]
+               for v in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))]
+EDGES = [1e16 - 1, 1e16 + 2, 99999999999999998.0, 9.9999999999999995e-07, 1e-4, 9.9999999999999e-5,
+         1e-270, 1e270, 2**-1022, 2**-1074, 2.5e-310, 0.0, math.inf, math.nan]
+
+
+def test_decimal_ties_round_half_to_even(tmp_path):
+    path, column = _kernel_table(tmp_path / "ties", TIES + [-t for t in TIES])
+    assert _data_lines(path) == [f"{x:.17g}" for x in column]
+    assert {f"{x:.17g}" for x in TIES[:3]} == {"1.0000076293945312", "3.0000381469726562",
+                                               "9.5000076293945312"}
+
+
+def test_neighbours_of_powers_of_ten_take_the_kernel(tmp_path, printed):
+    values = [v for v in NEAR_POWERS if 1e-270 <= v <= 1e270]
+    path, column = _kernel_table(tmp_path / "powers", values + [-v for v in values])
+    assert _data_lines(path) == [f"{x:.17g}" for x in column]
+    # the exponent is corrected in the kernel; only exact decimal ties are left to `%`
+    assert all(_is_decimal_tie(x) for call in printed for x in call)
+
+
+def test_edges_zeros_subnormals_and_non_finite(tmp_path):
+    values = NEAR_POWERS + EDGES + [-x for x in NEAR_POWERS + EDGES]
+    path, column = _kernel_table(tmp_path / "edges", values)
+    assert _data_lines(path) == [f"{x:.17g}" for x in column]
+
+
+def test_seam_between_kernel_and_printf_blocks(tmp_path, printed):
+    n = _BLOCK_ROWS + _KERNEL_ROWS - 1
+    t = 1e-3 * math.pi * np.arange(n)
+    value = np.sin(0.01 * np.arange(n)) * np.exp(-1e-4 * np.arange(n)) - 0.25
+    columns = [t, value, -1e-200 * value]
+    path = write_table(tmp_path / "seam", ["t", "value", "tiny"], columns)
+    assert _data_lines(path) == _expected_rows(columns)
+    # the zero t[0] goes to `%` alone; the short last block goes to `%` whole
+    assert [len(c) for c in printed] == [1, 3 * (_KERNEL_ROWS - 1)]
+
+
+def test_pulse_table_takes_the_kernel(tmp_path, printed):
+    n = 2**18
+    code = cli.main(["pulse", "--kind", "gaussian-pulse", "--samples", str(n),
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert len(_data_lines(tmp_path / "pulse.csv")) == n + 1  # the column names, then n rows
+    assert sum(len(c) for c in printed) <= 0.01 * 2 * n
+
+
+def test_import_leaves_the_kernel_tables_unbuilt():
+    src = str(Path(tables.__file__).parents[1])
+    probe = "import lossywave; print(lossywave.tables._tables.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
+
+
+if given is not None:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=400))
+    def test_kernel_matches_printf_on_raw_bit_patterns(tmp_path_factory, patterns):
+        column = np.array(patterns, dtype=np.uint64).view(np.float64)
+        path, column = _kernel_table(tmp_path_factory.mktemp("bits") / "bits", column)
+        assert _data_lines(path) == [f"{x:.17g}" for x in column]
