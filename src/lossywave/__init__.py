@@ -48,7 +48,7 @@ from .timedomain import (
     helmholtz_radial_residual,
     apply_dissipation_operator,
 )
-from .tables import write_table
+from .tables import write_json, write_table
 from .bounds import (
     EnvelopeBoundConstants,
     EnvelopeCheck,

@@ -365,11 +365,7 @@ class ModelErrorReport:
     dominates_max_c: bool
 
     def to_dict(self):
-        doc = asdict(self)
-        for key, value in doc.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                doc[key] = None
-        return doc
+        return asdict(self)
 
 
 def model_error_report(profile, powerlaw, m, delta):
@@ -383,6 +379,9 @@ def model_error_report(profile, powerlaw, m, delta):
     is silently chosen.
     """
     _check_band_edge(m)
+    if profile.hi != math.inf:
+        raise ValueError(f"the model-error report needs the line energy profile, "
+                         f"got one of the band [0, {profile.hi!r}]")
     causal, r = profile.law, profile.r
     m_delta = profile.band_edge(delta)
 

@@ -293,6 +293,7 @@ class EnergyProfile:
     r: float
     top: float
     energy: Quadrature
+    hi: float  # the end of the band it was built for; inf for the line profile
 
     @property
     def total(self):
@@ -370,7 +371,7 @@ def energy_profile(law, r, hi=math.inf):
     if not math.isfinite(top):
         raise ValueError("norm diverges: the law has no spectral decay")
     energy = integrate_decaying(_gain_sq(law, r), 0.0, top, rtol=ENERGY_PASS_RTOL)
-    return EnergyProfile(law, float(r), float(top), energy)
+    return EnergyProfile(law, float(r), float(top), energy, float(hi))
 
 
 def spectral_l2_norm(law, r, domain):

@@ -1,5 +1,6 @@
-"""The one writer of every CSV/JSON table the package produces.
+"""The one writer of every CSV table and JSON document the package produces.
 
+JSON is indented by 2, ends with a newline and has null for inf and nan.
 CSV files start with an optional `# comment` line and the column names;
 every value is written as f"{x:.17g}" (round-trip safe), so identical
 inputs give byte-identical files.  Rows are formatted one block of
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["write_table"]
+__all__ = ["write_json", "write_table"]
 
 _BLOCK_ROWS = 8192
 _KERNEL_ROWS = 2048  # smaller blocks keep one `%` each; the kernel has a fixed cost per block
@@ -185,19 +187,34 @@ def _kernel(values, ncols):
     return np.compress(keep.ravel(), chars.ravel()).tobytes()
 
 
+def _json_safe(doc):
+    """doc with every non-finite float replaced by None."""
+    if isinstance(doc, dict):
+        return {key: _json_safe(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_json_safe(value) for value in doc]
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
+
+
+def write_json(path, doc):
+    """Write a document of dicts, lists and scalars as JSON; returns the path."""
+    path = Path(path)
+    path.write_text(json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")
+    return path
+
+
 def write_table(path, colnames, columns, comment=None, fmt="csv"):
     """Write equal-length columns as CSV, or as a JSON list of row objects.
 
     The file gets the suffix of `fmt` ("csv" or "json"); returns its path.
-    Values are converted to float.
+    Values are converted to float.  JSON has no comment.
     """
     path = Path(path).with_suffix("." + fmt)
     cols = [np.asarray(c, dtype=float) for c in columns]
     if fmt == "json":
         rows = zip(*(c.tolist() for c in cols))
-        payload = [dict(zip(colnames, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return path
+        return write_json(path, [dict(zip(colnames, row)) for row in rows])
     row_fmt = b",".join([b"%.17g"] * len(cols)) + b"\n"
     with open(path, "wb") as fh:
         if comment:

@@ -80,6 +80,8 @@ class ForcingSignal:
     def __post_init__(self):
         if self.kind not in _FORCING_KINDS:
             raise ValueError(f"unknown forcing kind {self.kind!r}; choose from {_FORCING_KINDS}")
+        if not all(map(math.isfinite, (self.center, self.width, self.carrier))):
+            raise ValueError(f"forcing center, width and carrier must be finite, got {self}")
         if self.kind != "delta" and not self.width > 0.0:
             raise ValueError("width must be positive for non-delta forcings")
 

@@ -274,7 +274,14 @@ class TestModelErrorReport:
                     "omega_at_d1", "omega_at_d2",
                     "exact_error", "exact_error_band_norm", "dominates_sq", "dominates_max_c"):
             assert key in doc
-        assert doc["omega_at_d2"] is None  # supremum attained at the analytic limit
+        assert doc["omega_at_d2"] == math.inf  # supremum attained at the analytic limit
+
+    def test_rejects_a_band_profile(self, castor):
+        # a band profile's total is the band energy and its band edge stops
+        # at the band's end: m_delta read 50 where the line gives 210.84
+        band = energy_profile(castor.causal, 1e-2, 50.0)
+        with pytest.raises(ValueError, match="line energy profile"):
+            model_error_report(band, castor.powerlaw, 100.0, 6e-4)
 
     def test_bound_formula_consistency(self, castor):
         rep = model_error_report(energy_profile(castor.causal, 0.5), castor.powerlaw, 100.0, 1e-3)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -79,6 +80,76 @@ class TestTable2:
     def test_unknown_preset_exits_2(self, tmp_path):
         proc = run_cli("table2", "--preset", "nonexistent", "--out", str(tmp_path))
         assert proc.returncode == 2
+
+
+# the values of every flag a subcommand does not read, which argparse rejects
+REMOVED_FLAGS = [
+    ("table1", "--preset", "castor-oil"), ("table1", "--omega-max", "400"),
+    ("table1", "--samples", "1024"), ("table2", "--omega-max", "400"),
+    ("table2", "--samples", "5"),
+    *[(fig, flag, value) for fig in ("fig1", "fig2")
+      for flag, value in (("--omega-max", "400"), ("--samples", "1024"), ("--r", "-5"),
+                          ("--m", "nan"))],
+    ("fig3", "--omega-max", "400"), ("fig3", "--samples", "1024"),
+    ("bounds", "--format", "json"), ("bounds", "--omega-max", "400"),
+    ("bounds", "--samples", "1024"), ("causality", "--format", "json"),
+]
+
+# small but complete runs of every command that writes tables
+TABLE_COMMANDS = [["table1"], ["table2", "--r-list", "1e-3,1"], ["fig1"], ["fig2"], ["fig3"],
+                  ["pulse", "--omega-max", "200", "--samples", "4096", "--center", "3"]]
+
+
+class TestArtifacts:
+    """`main` writes every artifact; each subcommand accepts only the flags it reads."""
+
+    def test_settable_flag_count(self):
+        assert len(REMOVED_FLAGS) == 19
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = [opt for p in subparsers.choices.values() for a in p._actions
+                 if a.dest != "help" for opt in a.option_strings[:1]]
+        assert len(flags) == 44
+
+    @pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: argv[0])
+    def test_json_format_rows_equal_csv_values(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path / "csv")]) == 0
+        assert cli.main([*argv, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+        tables = sorted(path.stem for path in (tmp_path / "csv").iterdir())
+        assert tables
+        assert sorted(path.name for path in (tmp_path / "json").iterdir()) == \
+            [f"{name}.json" for name in tables]
+        for name in tables:
+            path = tmp_path / "csv" / f"{name}.csv"
+            header = path.read_text().splitlines()[1].split(",")
+            rows = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+            assert [[row[key] for key in header] for row in rows] == load_csv(path).tolist()
+
+    @pytest.mark.parametrize("argv,code", [(["fig3", "--m", "0.2"], 2),
+                                           (["pulse", "--center", "inf"], 2),
+                                           (["bounds", "--r-list", "1e-300"], 3)])
+    def test_failure_leaves_no_output_directory(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "new" / "out"
+        assert cli.main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "new").exists()
+
+    def test_non_finite_values_written_as_null(self, tmp_path, capsys):
+        # the model-error supremum beyond the band is the analytic limit at omega = inf
+        assert cli.main(["bounds", "--r-list", "1", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "bounds.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        report = json.loads(text)["per_distance"][0]["model_error_report"]
+        assert report["omega_at_d2"] is None
 
 
 class TestDeterminism:
@@ -243,6 +314,16 @@ class TestPulseAndCausality:
         values[0] = values[0].real
         energy = float(np.sum(np.abs(values) ** 2)) * dw
         assert float(np.sum(g * g)) * (math.pi / w_max) == pytest.approx(energy, rel=1e-12)
+
+    @pytest.mark.parametrize("forcing", [["--center", "inf"], ["--center", "nan"],
+                                         ["--kind", "gaussian-modulated-sine", "--carrier", "nan"],
+                                         ["--width", "inf"]])
+    def test_pulse_non_finite_forcing_exits_2(self, tmp_path, forcing):
+        proc = run_cli("pulse", "--omega-max", "200", "--samples", "64", *forcing,
+                       "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert "forcing center, width and carrier must be finite" in proc.stderr
+        assert not (tmp_path / "pulse.csv").exists()
 
     def test_pulse_band_violation_exits_2(self, tmp_path):
         proc = run_cli("pulse", "--omega-max", "2", "--samples", "64",
