@@ -37,6 +37,7 @@ from .spectrum import (
     spectral_l2_norm,
     relative_truncation_error,
     log10_relative_truncation_error,
+    deviation_factor,
     relative_model_error,
 )
 from .timedomain import (
@@ -63,7 +64,6 @@ from .bounds import (
     envelope_split,
     power_lower_envelope,
     corrected_truncation_error_bound,
-    deviation_factor,
     model_error_report,
 )
 

@@ -55,11 +55,13 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
   where d1/d2 are suprema of C^2 inside/outside [-m_delta, m_delta].
   Because C itself is already a squared modulus, both the stated
   convention (max of C^2) and the milder one (max of C) are computed
-  and reported.  Each supremum is a `scan_max` of C; on a flat maximum
-  its argmax holds about 8 digits.  The outer scan ends at the tail cut
-  and the analytic limit 1.0 (C -> 1 as the power-law attenuation
-  outgrows the causal one) is appended.  m_delta, the tail cut and the
-  full/band norm ratio come from one `EnergyProfile` per distance.
+  and reported.  C is `spectrum.deviation_factor`, which also weights
+  the exact model error.  Each supremum is a `scan_max` of C; on a flat
+  maximum its argmax holds about 8 digits.  The outer scan ends at the
+  tail cut and the analytic limit 1.0 (C -> 1 as the power-law
+  attenuation outgrows the causal one) is appended.  m_delta, the tail
+  cut, the full/band norm ratio and the exact error's denominator come
+  from one `EnergyProfile` per distance.
 
   The exact error is reported under both normalizations: by the
   full-line norm and by the band-limited norm; the report flags which
@@ -75,7 +77,7 @@ import numpy as np
 
 from .laws import alpha_difference, eval_alpha
 from .numerics import NumericalError, erfcx, scan_max
-from .spectrum import _check_band_edge, _check_distance, _deviation_sq, relative_model_error
+from .spectrum import _check_band_edge, _check_distance, deviation_factor, relative_model_error
 
 __all__ = [
     "EnvelopeBoundConstants",
@@ -91,7 +93,6 @@ __all__ = [
     "envelope_split",
     "power_lower_envelope",
     "corrected_truncation_error_bound",
-    "deviation_factor",
     "model_error_report",
 ]
 
@@ -112,9 +113,6 @@ class EnvelopeBoundConstants:
     a1: float
     a2: float
     alpha_m: float
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def envelope_bound_constants(preset, m, slope_factor=0.7):
@@ -148,9 +146,6 @@ class EnvelopeCheck:
     worst_upper_violation: float
     omega_checked_max: float
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def verify_envelope(causal, constants, omega_max):
     """Check the envelope hypothesis on a log grid of (m, omega_max], ENVELOPE_GRID_POINTS long.
@@ -179,8 +174,8 @@ def verify_envelope(causal, constants, omega_max):
 
 
 def bound_coefficient(constants):
-    """Closed-form coefficient (2*a1/(pi*a0**2))**(1/4) of the truncation bound."""
-    return (2.0 * constants.a1 / (math.pi * constants.a0**2)) ** 0.25
+    """Coefficient (2*a1/(pi*a0**2))**(1/4) of the bound, formed without a0**2 (over/underflow)."""
+    return (2.0 * constants.a1 / math.pi) ** 0.25 / math.sqrt(constants.a0)
 
 
 def bound_decay_rate(constants):
@@ -316,20 +311,6 @@ def corrected_truncation_error_bound(causal, constants, r):
     )
 
 
-def deviation_factor(causal, powerlaw, r, omega):
-    """Squared relative deviation of the two Green spectra at one frequency.
-
-    C = |1 - 2*exp(-b1*r)*cos(b2*r) + exp(-2*b1*r)| with
-    b1 + i*b2 = alpha_pl(w) - alpha_c(w).  Algebraically this equals
-    |exp(-(b1 + i*b2)*r) - 1|^2 = |G_hat_pl/G_hat_c - 1|^2, which is
-    returned as expm1(-b1*r)**2 + 4*exp(-b1*r)*sin(b2*r/2)**2: real
-    arithmetic that keeps its digits where b*r is small.  Vectorized
-    over omega; non-finite where b*r overflows.
-    """
-    c = _deviation_sq(causal, powerlaw, r, omega)
-    return c if np.ndim(c) else float(c)
-
-
 @dataclass(frozen=True)
 class ModelErrorReport:
     """Model-error bound and exact error at one (r, m, delta).
@@ -363,9 +344,6 @@ class ModelErrorReport:
     exact_error_band_norm: float
     dominates_sq: bool
     dominates_max_c: bool
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def model_error_report(profile, powerlaw, m, delta):
@@ -410,7 +388,7 @@ def model_error_report(profile, powerlaw, m, delta):
     bound_lin = math.sqrt((1.0 - delta) * c_inner + delta * c_outer)
 
     ratio = math.sqrt(profile.total / profile.at(m))  # full-line norm / band norm
-    err_band_norm = relative_model_error(causal, powerlaw, r, m)
+    err_band_norm = relative_model_error(profile, powerlaw, m)
     err_full_norm = err_band_norm / ratio
 
     return ModelErrorReport(

@@ -23,16 +23,16 @@ import numpy as np
 
 from . import __version__
 from .bounds import (DEVIATION_SCAN_POINTS, ENVELOPE_GRID_POINTS, bound_coefficient,
-                     bound_decay_rate, corrected_truncation_error_bound, deviation_factor,
-                     envelope_bound_constants, envelope_split, log10_truncation_error_bound,
-                     model_error_report, power_lower_envelope, truncation_error_bound,
-                     verify_envelope)
+                     bound_decay_rate, corrected_truncation_error_bound, envelope_bound_constants,
+                     envelope_split, log10_truncation_error_bound, model_error_report,
+                     power_lower_envelope, truncation_error_bound, verify_envelope)
 from .laws import (eval_alpha, load_preset, powerlaw_phase_singularity, small_frequency_bound,
                    wavenumber)
 from .numerics import NumericalError
 from .spectrum import (BAND_EDGE_RTOL, ENERGY_PASS_RTOL, NORM_RTOL, FrequencyGrid,
-                       _check_band_edge, energy_profile, log10_relative_truncation_error,
-                       relative_model_error, sample_green_spectrum)
+                       _check_band_edge, deviation_factor, energy_profile,
+                       log10_relative_truncation_error, relative_model_error,
+                       sample_green_spectrum)
 from .tables import write_json, write_table
 from .timedomain import (ForcingSignal, causality_energy_fraction, forward_point_source,
                          synthesize_time_signal)
@@ -64,7 +64,9 @@ def cmd_table1(args):
 def cmd_table2(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
-    errors = [relative_model_error(preset.causal, preset.powerlaw, r, args.m) for r in r_list]
+    causal, powerlaw, m = preset.causal, preset.powerlaw, args.m
+    _check_band_edge(m)  # energy_profile takes M = inf for the whole line
+    errors = [relative_model_error(energy_profile(causal, r, m), powerlaw, m) for r in r_list]
     return [("table2", {"r": r_list, "model_error": errors},
              f"preset={preset.name} M={_fmt(args.m)}")]
 
@@ -128,13 +130,13 @@ def cmd_bounds(args):
         per_r.append({
             "r": r,
             "tail_cut": profile.top,
-            "envelope": env.to_dict(),
+            "envelope": asdict(env),
             "truncation_bound": truncation_error_bound(constants, r),
             "log10_truncation_bound": log10_truncation_error_bound(constants, r),
             "corrected_truncation_bound": corrected.to_dict(),
             "truncation_error": 10.0**log10_error,
             "log10_truncation_error": log10_error,
-            "model_error_report": report.to_dict(),
+            "model_error_report": asdict(report),
         })
     # the corrected bound uses the linear lower envelope on [m, split] and
     # the analytic power envelope beyond; the split does not depend on r
@@ -153,7 +155,7 @@ def cmd_bounds(args):
             "slope_factor": args.slope_factor,
         },
         "envelope_constants": {
-            **constants.to_dict(),
+            **asdict(constants),
             "bound_coefficient": bound_coefficient(constants),
             "bound_decay_rate": bound_decay_rate(constants),
         },
@@ -161,8 +163,8 @@ def cmd_bounds(args):
                                  "see corrected_truncation_bound",
         "corrected_bound_envelope": {
             "split": split,
-            "linear_envelope": verify_envelope(
-                preset.causal, constants, max(split, 1.0001 * args.m)).to_dict(),
+            "linear_envelope": asdict(verify_envelope(
+                preset.causal, constants, max(split, 1.0001 * args.m))),
             "power_envelope_kappa": kappa,
             "power_envelope_exponent": exponent,
         },

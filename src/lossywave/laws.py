@@ -39,6 +39,8 @@ from typing import Union
 
 import numpy as np
 
+from .numerics import NumericalError
+
 __all__ = [
     "CausalLaw",
     "PowerLaw",
@@ -367,9 +369,15 @@ def powerlaw_phase_singularity(medium):
 def small_frequency_bound(gamma, tau0, threshold=0.1):
     """Largest M with |tau0*omega|**(gamma-1) <= threshold for |omega| <= M.
 
-    M = threshold**(1/(gamma-1)) / tau0.
+    M = threshold**(1/(gamma-1)) / tau0 on the laws' domain 1 < gamma <= 2
+    and a finite tau0 > 0; raises NumericalError where M exceeds the
+    largest double.
     """
-    _require(gamma > 1.0, f"gamma must exceed 1, got {gamma}")
-    _require(tau0 > 0.0, "tau0 must be positive")
+    _require(1.0 < gamma <= 2.0, f"gamma must lie in (1, 2], got {gamma}")
+    _require(0.0 < tau0 < math.inf, f"tau0 must be finite and positive, got {tau0}")
     _require(0.0 < threshold < 1.0, "threshold must lie in (0, 1)")
-    return threshold ** (1.0 / (gamma - 1.0)) / tau0
+    bound = threshold ** (1.0 / (gamma - 1.0)) / tau0
+    if bound == math.inf:
+        raise NumericalError(f"the small-frequency bound at gamma={gamma!r}, tau0={tau0!r} "
+                             "exceeds the largest double")
+    return bound

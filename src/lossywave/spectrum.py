@@ -49,6 +49,7 @@ __all__ = [
     "spectral_l2_norm",
     "relative_truncation_error",
     "log10_relative_truncation_error",
+    "deviation_factor",
     "relative_model_error",
 ]
 
@@ -254,14 +255,6 @@ def tail_cut_frequency(law, r, start=0.0):
     return start + _tail_width(law, r, start)
 
 
-def _integration_limit(law, r, hi):
-    """min(hi, tail cut); no cut is searched where it lies beyond a finite hi."""
-    _check_distance(r)
-    if math.isfinite(hi) and 2.0 * r * float(np.real(eval_alpha(law, hi))) < _TAIL_DECADES:
-        return hi
-    return min(hi, tail_cut_frequency(law, r))
-
-
 def _log_scaled_energy(law, r, lo):
     """ln of the integral of exp(-2*r*(Re alpha*(w) - Re alpha*(lo))) over [lo, inf).
 
@@ -367,7 +360,10 @@ def energy_profile(law, r, hi=math.inf):
     """EnergyProfile of `law` at r: one pass at ENERGY_PASS_RTOL over [0, min(hi, tail cut)]."""
     if hi != math.inf:
         _check_band_edge(hi)
-    top = _integration_limit(law, r, hi)
+    _check_distance(r)
+    top = hi  # no cut is searched where it lies beyond a finite hi
+    if not (hi < math.inf and 2.0 * r * float(np.real(eval_alpha(law, hi))) < _TAIL_DECADES):
+        top = min(hi, tail_cut_frequency(law, r))
     if not math.isfinite(top):
         raise ValueError("norm diverges: the law has no spectral decay")
     energy = integrate_decaying(_gain_sq(law, r), 0.0, top, rtol=ENERGY_PASS_RTOL)
@@ -418,40 +414,43 @@ def log10_relative_truncation_error(profile, m):
     return float(tail - full) / (2.0 * math.log(10.0))
 
 
-def _deviation_sq(causal, powerlaw, r, w):
-    """|exp(-b*r) - 1|**2, b = alpha_pl(w) - alpha_c(w), as expm1(x)**2 + 4*exp(x)*sin(y/2)**2.
+def deviation_factor(causal, powerlaw, r, omega):
+    """Squared relative deviation C = |G_hat_pl/G_hat_c - 1|**2 of the two Green spectra.
 
-    x = -r*Re(b), y = r*Im(b): two non-negative terms that keep their
-    digits where b*r is small.  Non-finite where b*r overflows.
+    With b1 + i*b2 = alpha_pl(w) - alpha_c(w), C = |exp(-(b1 + i*b2)*r) - 1|**2
+    = |1 - 2*exp(-b1*r)*cos(b2*r) + exp(-2*b1*r)|, returned as
+    expm1(-b1*r)**2 + 4*exp(-b1*r)*sin(b2*r/2)**2: two non-negative terms
+    in real arithmetic that keep their digits where b*r is small.
+    Vectorized over omega; non-finite where b*r overflows.
     """
-    b = alpha_difference(causal, powerlaw, w)
+    b = alpha_difference(causal, powerlaw, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         x = -r * np.real(b)
         half_sin = np.sin(0.5 * r * np.imag(b))
-        return np.expm1(x) ** 2 + 4.0 * np.exp(x) * half_sin * half_sin
+        c = np.expm1(x) ** 2 + 4.0 * np.exp(x) * half_sin * half_sin
+    return c if np.ndim(c) else float(c)
 
 
-def _model_diff_sq(causal, powerlaw, r):
-    """|G_hat_causal - G_hat_powerlaw|**2 without the prefactor 1/(4*pi*r)**2."""
-    gain_sq = _gain_sq(causal, r)
+def relative_model_error(profile, powerlaw, m):
+    """Relative L2 distance of the band-limited causal and power-law Green functions.
 
-    def f(w):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
-        return gain_sq(w) * _deviation_sq(causal, powerlaw, r, w)
-
-    return f
-
-
-def relative_model_error(causal, powerlaw, r, m, rtol=NORM_RTOL):
-    """Relative L2 distance of the two band-limited Green functions.
-
-    ||G_hat_causal - G_hat_powerlaw|| / ||G_hat_causal||, both
-    restricted to the band [-m, m] and integrated over [0, min(m, tail
-    cut)] with one rule at rtol.  The common phase factor and the
-    prefactor 1/(4*pi*r) cancel, so only the attenuation-dispersion
-    difference contributes.
+    ||G_hat_causal - G_hat_powerlaw|| / ||G_hat_causal||, both restricted
+    to the band [-m, m], with the causal law and r of `profile`, an
+    EnergyProfile that reaches m.  The denominator is profile.at(m); the
+    numerator is one integral at NORM_RTOL of |G_hat_causal|**2 times
+    `deviation_factor` over [0, min(m, profile.top)].  The common phase
+    factor and the prefactor 1/(4*pi*r) cancel, so only the
+    attenuation-dispersion difference contributes.
     """
     _check_band_edge(m)
-    hi = _integration_limit(causal, r, m)
-    num_sq = integrate_decaying(_model_diff_sq(causal, powerlaw, r), 0.0, hi, rtol=rtol).value
-    den_sq = integrate_decaying(_gain_sq(causal, r), 0.0, hi, rtol=rtol).value
-    return math.sqrt(num_sq / den_sq)
+    if profile.hi < m:
+        raise ValueError(f"the model error at M={m!r} needs a profile that reaches M, "
+                         f"got one of the band [0, {profile.hi!r}]")
+    causal, r = profile.law, profile.r
+    gain_sq = _gain_sq(causal, r)
+
+    def diff_sq(w):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
+        return gain_sq(w) * deviation_factor(causal, powerlaw, r, w)
+
+    num_sq = integrate_decaying(diff_sq, 0.0, min(m, profile.top), rtol=NORM_RTOL).value
+    return math.sqrt(num_sq / profile.at(m))

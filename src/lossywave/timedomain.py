@@ -89,16 +89,17 @@ class ForcingSignal:
         """Forcing spectrum under the package Fourier convention."""
         w = np.asarray(omega, dtype=float)
         phase = np.exp(1j * w * self.center)
-        if self.kind == "delta":
-            out = phase / _SQRT_2PI
-        elif self.kind == "gaussian-pulse":
-            out = self.width * phase * np.exp(-0.5 * (w * self.width) ** 2)
-        else:
-            k = self.carrier
-            out = (self.width * phase / 2j) * (
-                np.exp(-0.5 * ((w + k) * self.width) ** 2)
-                - np.exp(-0.5 * ((w - k) * self.width) ** 2)
-            )
+        with np.errstate(over="ignore"):  # an envelope exp(-inf) = 0 where (w*width)**2 overflows
+            if self.kind == "delta":
+                out = phase / _SQRT_2PI
+            elif self.kind == "gaussian-pulse":
+                out = self.width * phase * np.exp(-0.5 * (w * self.width) ** 2)
+            else:
+                k = self.carrier
+                out = (self.width * phase / 2j) * (
+                    np.exp(-0.5 * ((w + k) * self.width) ** 2)
+                    - np.exp(-0.5 * ((w - k) * self.width) ** 2)
+                )
         return out if out.ndim else complex(out)
 
 

@@ -146,7 +146,8 @@ def test_criterion_05_truncation_bound_dominates():
 
 
 def test_criterion_06_model_error_table():
-    values = {r: relative_model_error(CASTOR.causal, CASTOR.powerlaw, r, 100.0)
+    values = {r: relative_model_error(energy_profile(CASTOR.causal, r, 100.0),
+                                      CASTOR.powerlaw, 100.0)
               for r in TABLE2_REFERENCE}
     within_factor_two = all(ref / 2.0 <= values[r] <= ref * 2.0
                             for r, ref in TABLE2_REFERENCE.items())

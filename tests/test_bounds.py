@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ class TestEnvelopeConstants:
         c = envelope_bound_constants(castor, 100.0)
         assert bound_coefficient(c) == pytest.approx(
             (2.0 * c.a1 / (math.pi * c.a0**2)) ** 0.25, rel=1e-14)
+
+    @pytest.mark.parametrize("a0", [1e-300, 1e300])
+    def test_coefficient_where_a0_squared_leaves_the_double_range(self, castor, a0):
+        c = replace(envelope_bound_constants(castor, 100.0), a0=a0)
+        expected = 10.0 ** (0.25 * math.log10(2.0 * c.a1 / math.pi) - 0.5 * math.log10(a0))
+        assert bound_coefficient(c) == pytest.approx(expected, rel=1e-13)
 
 
 class TestVerifyEnvelope:
@@ -268,7 +275,7 @@ class TestModelErrorReport:
 
     def test_serializes_every_constant(self, castor):
         rep = model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)
-        doc = rep.to_dict()
+        doc = asdict(rep)
         for key in ("r", "m", "delta", "m_delta", "d1", "d2", "bound", "bound_band_norm",
                     "d1_max_c", "d2_max_c", "bound_max_c", "bound_max_c_band_norm",
                     "omega_at_d1", "omega_at_d2",

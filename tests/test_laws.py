@@ -7,6 +7,7 @@ import pytest
 from lossywave import (
     CausalLaw,
     MediumPreset,
+    NumericalError,
     PowerLaw,
     alpha1_from_a1,
     alpha_difference,
@@ -258,6 +259,23 @@ class TestSmallFrequencyBound:
     def test_rejects_gamma_at_most_one(self):
         with pytest.raises(ValueError):
             small_frequency_bound(1.0, 1e-6)
+
+    @pytest.mark.parametrize("gamma", [2.0 + 1e-12, 3.0, math.inf, math.nan])
+    def test_rejects_gamma_beyond_the_law_domain(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(1, 2\]"):
+            small_frequency_bound(gamma, 1e-6)
+
+    @pytest.mark.parametrize("tau0", [0.0, -1e-6, math.inf, math.nan])
+    def test_rejects_tau0_that_is_not_finite_and_positive(self, tau0):
+        with pytest.raises(ValueError, match="tau0 must be finite and positive"):
+            small_frequency_bound(1.5, tau0)
+
+    @pytest.mark.parametrize("gamma,tau0", [(1.1, 1e-320), (1.5, 5e-324), (2.0, 1e-310)])
+    def test_bound_beyond_the_largest_double_raises(self, gamma, tau0):
+        with pytest.raises(NumericalError, match="exceeds the largest double"):
+            small_frequency_bound(gamma, tau0)
+        # a bound just inside the double range is returned
+        assert small_frequency_bound(2.0, 1e-308) == pytest.approx(1e307, rel=1e-12)
 
 
 class TestPresets:

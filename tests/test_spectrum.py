@@ -10,6 +10,7 @@ from lossywave import (
     NumericalError,
     PowerLaw,
     attenuation_rise,
+    deviation_factor,
     energy_profile,
     eval_alpha,
     green_hat,
@@ -23,6 +24,7 @@ from lossywave import (
     write_table,
 )
 
+from lossywave.numerics import integrate_decaying
 from lossywave.spectrum import _log_energy, _log_scaled_energy, _tail_width
 
 from conftest import trapezoid_norm
@@ -254,7 +256,8 @@ class TestExtremeDistances:
         # exp(-2 r alpha) is 1 to double precision on the band
         band = spectral_l2_norm(castor.causal, r, NormDomain.band(m))
         assert band == pytest.approx(math.sqrt(2.0 * m) / (4.0 * math.pi * r), rel=1e-12)
-        assert 0.0 <= relative_model_error(castor.causal, castor.powerlaw, r, m) < 1e-290
+        band_profile = energy_profile(castor.causal, r, m)
+        assert 0.0 <= relative_model_error(band_profile, castor.powerlaw, m) < 1e-290
 
     def test_norm_underflows_only_below_the_smallest_double(self, castor):
         # the tail energy (~1e-541) underflows; the tail norm (~1e-271) does not
@@ -276,7 +279,8 @@ class TestExtremeDistances:
         for call in (lambda: green_hat(castor.causal, r, 1.0),
                      lambda: tail_cut_frequency(castor.causal, r),
                      lambda: spectral_l2_norm(castor.causal, r, NormDomain.band(10.0)),
-                     lambda: relative_model_error(castor.causal, castor.powerlaw, r, 100.0),
+                     lambda: relative_model_error(energy_profile(castor.causal, r, 100.0),
+                                                  castor.powerlaw, 100.0),
                      lambda: energy_profile(castor.causal, r)):
             with pytest.raises(ValueError, match="distance must be finite and positive"):
                 call()
@@ -310,11 +314,12 @@ class TestNarrowTail:
 
 class TestModelError:
     def test_identical_laws_give_zero(self, castor):
-        assert relative_model_error(castor.causal, castor.causal, 1.0, 100.0) == 0.0
+        profile = energy_profile(castor.causal, 1.0, 100.0)
+        assert relative_model_error(profile, castor.causal, 100.0) == 0.0
 
     def test_triangle_sanity(self, castor):
         r, m = 0.1, 100.0
-        eps = relative_model_error(castor.causal, castor.powerlaw, r, m)
+        eps = relative_model_error(energy_profile(castor.causal, r, m), castor.powerlaw, m)
         band_c = spectral_l2_norm(castor.causal, r, NormDomain.band(m))
         band_pl = spectral_l2_norm(castor.powerlaw, r, NormDomain.band(m))
         assert eps <= (band_c + band_pl) / band_c
@@ -322,16 +327,42 @@ class TestModelError:
     @pytest.mark.parametrize("r,reference", [(1e-6, 7.62e-8), (1e-3, 7.35e-5),
                                              (1e-1, 4.46e-4), (10.0, 7.13e-5)])
     def test_castor_reference_values(self, castor, r, reference):
-        eps = relative_model_error(castor.causal, castor.powerlaw, r, 100.0)
+        eps = relative_model_error(energy_profile(castor.causal, r, 100.0), castor.powerlaw, 100.0)
         assert reference / 2.0 <= eps <= reference * 2.0
 
     def test_halved_band_stable_under_tolerance(self, castor):
-        # values at M = 50 re-derived at two quadrature tolerances agree,
-        # pinning the pipeline rather than a published figure
+        # values at M = 50 agree with a numerator integrated here at rtol 1e-11
+        # over the same profile denominator, pinning the pipeline rather than
+        # a published figure
+        m = 50.0
         for r in (1e-3, 1e-1, 10.0):
-            coarse = relative_model_error(castor.causal, castor.powerlaw, r, 50.0, rtol=1e-9)
-            fine = relative_model_error(castor.causal, castor.powerlaw, r, 50.0, rtol=1e-11)
-            assert coarse == pytest.approx(fine, rel=1e-6)
+            profile = energy_profile(castor.causal, r, m)
+
+            def diff_sq(w, r=r):
+                return (np.exp(-2.0 * r * np.real(eval_alpha(castor.causal, w)))
+                        * deviation_factor(castor.causal, castor.powerlaw, r, w))
+
+            fine = integrate_decaying(diff_sq, 0.0, profile.top, rtol=1e-11).value
+            assert relative_model_error(profile, castor.powerlaw, m) == pytest.approx(
+                math.sqrt(fine / profile.at(m)), rel=1e-6)
+
+    @pytest.mark.parametrize("r", [1e-6, 1e-3, 1e-1, 1.0, 10.0])
+    def test_line_profile_gives_the_band_value(self, castor, r):
+        # the line profile of `bounds` and the band profile of `table2` give
+        # one model error: the same numerator, denominators E(M) that agree to
+        # the profile pass's tolerance
+        m = 100.0
+        line = relative_model_error(energy_profile(castor.causal, r), castor.powerlaw, m)
+        band = relative_model_error(energy_profile(castor.causal, r, m), castor.powerlaw, m)
+        assert line == pytest.approx(band, rel=1e-12, abs=0.0)
+
+    def test_profile_short_of_the_band_edge_rejected(self, castor):
+        # a band profile ending below M has no energy for the band [0, M]
+        short = energy_profile(castor.causal, 1.0, 50.0)
+        with pytest.raises(ValueError, match=r"needs a profile that reaches M, got one of the "
+                                             r"band \[0, 50.0\]"):
+            relative_model_error(short, castor.powerlaw, 100.0)
+        assert relative_model_error(short, castor.powerlaw, 50.0) > 0.0
 
 
 class TestEnergyProfile:
@@ -381,7 +412,7 @@ class TestEnergyProfile:
     def test_invalid_band_edge_rejected_everywhere(self, castor, m):
         profile = energy_profile(castor.causal, 1.0)
         calls = [lambda: log10_relative_truncation_error(profile, m),
-                 lambda: relative_model_error(castor.causal, castor.powerlaw, 1.0, m),
+                 lambda: relative_model_error(profile, castor.powerlaw, m),
                  lambda: NormDomain.band(m),
                  lambda: truncate_spectrum(
                      sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(50.0, 32)), m),
