@@ -27,14 +27,10 @@ from .laws import (
 from .spectrum import (
     FrequencyGrid,
     ComplexSpectrum,
-    NormDomain,
     EnergyProfile,
     energy_profile,
     green_hat,
     sample_green_spectrum,
-    truncate_spectrum,
-    tail_cut_frequency,
-    spectral_l2_norm,
     relative_truncation_error,
     log10_relative_truncation_error,
     deviation_factor,

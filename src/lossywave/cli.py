@@ -29,10 +29,9 @@ from .bounds import (DEVIATION_SCAN_POINTS, ENVELOPE_GRID_POINTS, bound_coeffici
 from .laws import (eval_alpha, load_preset, powerlaw_phase_singularity, small_frequency_bound,
                    wavenumber)
 from .numerics import NumericalError
-from .spectrum import (BAND_EDGE_RTOL, ENERGY_PASS_RTOL, NORM_RTOL, FrequencyGrid,
-                       _check_band_edge, deviation_factor, energy_profile,
-                       log10_relative_truncation_error, relative_model_error,
-                       sample_green_spectrum)
+from .spectrum import (BAND_EDGE_RTOL, QUADRATURE_RTOL, FrequencyGrid, _check_band_edge,
+                       deviation_factor, energy_profile, log10_relative_truncation_error,
+                       relative_model_error, sample_green_spectrum)
 from .tables import write_json, write_table
 from .timedomain import (ForcingSignal, causality_energy_fraction, forward_point_source,
                          synthesize_time_signal)
@@ -147,8 +146,7 @@ def cmd_bounds(args):
         "m": args.m,
         "delta": args.delta,
         "settings": {
-            "quadrature_rtol": NORM_RTOL,
-            "energy_pass_rtol": ENERGY_PASS_RTOL,
+            "quadrature_rtol": QUADRATURE_RTOL,
             "energy_equation_rtol": BAND_EDGE_RTOL,
             "envelope_grid_points": ENVELOPE_GRID_POINTS,
             "deviation_scan_points": DEVIATION_SCAN_POINTS,

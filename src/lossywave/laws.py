@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -370,14 +371,22 @@ def small_frequency_bound(gamma, tau0, threshold=0.1):
     """Largest M with |tau0*omega|**(gamma-1) <= threshold for |omega| <= M.
 
     M = threshold**(1/(gamma-1)) / tau0 on the laws' domain 1 < gamma <= 2
-    and a finite tau0 > 0; raises NumericalError where M exceeds the
-    largest double.
+    and a finite tau0 > 0; where the power alone underflows, M is formed
+    from logarithms.  Raises NumericalError where M exceeds the largest
+    double or lies below the smallest normal one.
     """
     _require(1.0 < gamma <= 2.0, f"gamma must lie in (1, 2], got {gamma}")
     _require(0.0 < tau0 < math.inf, f"tau0 must be finite and positive, got {tau0}")
     _require(0.0 < threshold < 1.0, "threshold must lie in (0, 1)")
-    bound = threshold ** (1.0 / (gamma - 1.0)) / tau0
+    exponent = 1.0 / (gamma - 1.0)
+    power = threshold**exponent
+    if power >= sys.float_info.min:
+        bound = power / tau0
+    else:  # the power underflows, the bound need not; it stays below 2**52
+        bound = math.exp(exponent * math.log(threshold) - math.log(tau0))
+    where = f"the small-frequency bound at gamma={gamma!r}, tau0={tau0!r}"
     if bound == math.inf:
-        raise NumericalError(f"the small-frequency bound at gamma={gamma!r}, tau0={tau0!r} "
-                             "exceeds the largest double")
+        raise NumericalError(f"{where} exceeds the largest double")
+    if bound < sys.float_info.min:
+        raise NumericalError(f"{where} lies below the smallest normal double")
     return bound

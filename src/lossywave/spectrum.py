@@ -1,4 +1,4 @@
-"""Frequency-domain Green function: sampling, truncation, L2 norms.
+"""Frequency-domain Green function: sampling, band truncation, L2 energies.
 
 The Green function of a homogeneous dissipative medium at distance
 r > 0 from a point impulse has the spectrum
@@ -10,24 +10,25 @@ c0 is the phase reference carried by the law (for a power law, the c0
 of the medium it was derived from, so that two laws of one medium
 differ only through alpha*).
 
-Norms are L2 in omega over the full line, a band [-M, M], or its
-complement ("tail"); by the Plancherel-Parseval equality they match
-the time-domain norms that `lossywave.timedomain` verifies.  Line and
-band energies and the band edge holding a share of the energy read one
-`EnergyProfile`: E(m), the integral of |G_hat|^2 without its prefactor
-over [0, m], from one graded Gauss-Kronrod 7/15 pass at rtol 1e-12.
-Semi-infinite integrals stop at the tail cut, where the integrand has
-decayed by exp(-70) ~ 4e-31.  Tails beyond a band edge M are integrated
-at rtol 1e-9 in the offset from M, scaled to 1 there, and returned as
-a logarithm: the rise of the attenuation carries no rounding of the
-attenuation itself, and a tail below the smallest double keeps a
-finite log10.  r and M must be finite and positive.
+Norms are L2 in omega over the full line or a band [-M, M]; by the
+Plancherel-Parseval equality they match the time-domain norms that
+`lossywave.timedomain` verifies.  Every energy of |G_hat|^2 is one
+energy pass from a start lo: the integral of exp(-2*r*(Re alpha*(lo + h)
+- Re alpha*(lo))) over the offset h, one graded Gauss-Kronrod 7/15 pass
+at rtol 1e-12 up to a band edge or to the tail cut, where the integrand
+has decayed by exp(-70) ~ 4e-31.  From lo = 0 it is the `EnergyProfile`
+E(m) that line and band energies, norms and the band edge holding a
+share of the energy read.  From a band edge M it is the tail beyond M,
+scaled to 1 at M and returned as a logarithm: the rise of the
+attenuation carries no rounding of the attenuation itself, and a tail
+below the smallest double keeps a finite log10.  r and M must be finite
+and positive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -39,24 +40,19 @@ from .numerics import NumericalError, Quadrature, gauss_kronrod, integrate_decay
 __all__ = [
     "FrequencyGrid",
     "ComplexSpectrum",
-    "NormDomain",
     "EnergyProfile",
     "energy_profile",
     "green_hat",
     "sample_green_spectrum",
-    "truncate_spectrum",
-    "tail_cut_frequency",
-    "spectral_l2_norm",
     "relative_truncation_error",
     "log10_relative_truncation_error",
     "deviation_factor",
     "relative_model_error",
 ]
 
-_TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-9
+_TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-12
 _CUT_RTOL = 1e-9  # relative tolerance of the tail width h beyond the start, not of start + h
-NORM_RTOL = 1e-9  # tails beyond a band edge and the band-limited model error
-ENERGY_PASS_RTOL = 1e-12  # the energy profile; well above the rounding noise of exponents up to 70
+QUADRATURE_RTOL = 1e-12  # every |G_hat|^2 energy; above the rounding noise of exponents up to 70
 BAND_EDGE_RTOL = 1e-10  # `EnergyProfile.band_edge` solves its energy equation to this residual
 _BAND_EDGE_STEPS = 100  # Newton converges in a few; every other step halves the bracket
 _LN_4PI = math.log(4.0 * math.pi)
@@ -124,32 +120,6 @@ class ComplexSpectrum:
             raise ValueError("values length does not match the grid: n/2 + 1 expected")
 
 
-@dataclass(frozen=True)
-class NormDomain:
-    """Integration domain for spectral norms: full line, band or tail."""
-
-    kind: str
-    m: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in ("full", "band", "tail"):
-            raise ValueError(f"unknown norm domain {self.kind!r}")
-        if self.kind != "full":
-            _check_band_edge(self.m)
-
-    @classmethod
-    def full_line(cls):
-        return cls("full")
-
-    @classmethod
-    def band(cls, m):
-        return cls("band", float(m))
-
-    @classmethod
-    def tail(cls, m):
-        return cls("tail", float(m))
-
-
 def green_hat(law, r, omega):
     """Green-function spectrum exp(-alpha*(w)*r)/(4*pi*r) * exp(1j*w*r/c0).
 
@@ -166,8 +136,8 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
     """Sample the Green-function spectrum on a FrequencyGrid.
 
     With a band edge M only the nodes w_m <= M are evaluated; the rest
-    are zero and `cutoff` is M.  The result equals
-    truncate_spectrum(sample_green_spectrum(law, r, grid), M) bit for bit.
+    are zero (a hard cut of the band [-M, M]) and `cutoff` is M.  The
+    band values equal those of the untruncated sampling bit for bit.
     """
     omegas = grid.omegas()
     if band_edge is None:
@@ -181,23 +151,14 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
                            cutoff=band_edge)
 
 
-def truncate_spectrum(spec, m):
-    """Zero the spectrum outside [-m, m] (hard characteristic-function cut).
+def _gain_sq(law, r, lo=0.0):
+    """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from `attenuation_rise`.
 
-    Samples at w_m = m are kept.  Repeated truncation composes:
-    the recorded cutoff is the minimum of m and any existing cutoff.
+    From lo = 0 it is |G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2.
     """
-    _check_band_edge(m)
-    values = np.where(spec.grid.omegas() > m, 0.0 + 0.0j, spec.values)
-    cutoff = m if spec.cutoff is None else min(m, spec.cutoff)
-    return replace(spec, values=values, cutoff=cutoff)
 
-
-def _gain_sq(law, r):
-    """|G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2."""
-
-    def f(w):
-        return np.exp(-2.0 * r * np.real(eval_alpha(law, w)))
+    def f(h):
+        return np.exp(-2.0 * r * attenuation_rise(law, lo, h))
 
     return f
 
@@ -241,41 +202,29 @@ def _tail_width(law, r, start):
     return float(hi)
 
 
-def tail_cut_frequency(law, r, start=0.0):
-    """Frequency beyond which |G_hat|^2 is below exp(-70) of its value at `start`.
+def _energy_pass(law, r, lo, hi):
+    """(extent, Quadrature) of `_gain_sq` from lo over the offsets [0, extent] at QUADRATURE_RTOL.
 
-    start plus the width h at which 2*r*(Re alpha*(start + h) - Re
-    alpha*(start)) reaches 70, solved in h from `attenuation_rise` to
-    _CUT_RTOL relative to h; used to cut semi-infinite norm integrals.
-    Returns inf for laws whose attenuation never grows (degenerate
-    lossless laws): their line/tail norms diverge.  Raises
-    NumericalError for a growing attenuation that reaches the threshold
-    only where alpha overflows.
+    extent is hi - lo where the integrand is still above exp(-70) at hi,
+    else the smaller of hi - lo and the `_tail_width` from lo.  Kept in
+    the offset, the integrand carries no rounding of Re alpha*(lo) or of
+    lo itself, so a tail narrower than one ulp of lo keeps its digits.
+    Raises ValueError where the extent is infinite: the law does not decay.
     """
-    return start + _tail_width(law, r, start)
-
-
-def _log_scaled_energy(law, r, lo):
-    """ln of the integral of exp(-2*r*(Re alpha*(w) - Re alpha*(lo))) over [lo, inf).
-
-    The integrand, 1 at lo, is integrated in the offset h = w - lo
-    through `attenuation_rise` over [0, tail width], free of the
-    rounding of Re alpha*(lo) and of lo itself, so a tail narrower than
-    one ulp of lo keeps its digits.
-    """
-    width = _tail_width(law, r, lo)
-    if not math.isfinite(width):
+    _check_distance(r)
+    extent = hi - lo  # no width is solved where hi comes first
+    if not (extent < math.inf
+            and 2.0 * r * float(attenuation_rise(law, lo, extent)) < _TAIL_DECADES):
+        extent = min(extent, _tail_width(law, r, lo))
+    if not math.isfinite(extent):
         raise ValueError("norm diverges: the law has no spectral decay")
-
-    def scaled_gain_sq(h):
-        return np.exp(-2.0 * r * attenuation_rise(law, lo, h))
-
-    return math.log(integrate_decaying(scaled_gain_sq, 0.0, width, rtol=NORM_RTOL).value)
+    return extent, integrate_decaying(_gain_sq(law, r, lo), 0.0, extent, rtol=QUADRATURE_RTOL)
 
 
 def _log_energy(law, r, lo):
     """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, inf), finite where it underflows."""
-    return _log_scaled_energy(law, r, lo) - 2.0 * r * float(np.real(eval_alpha(law, lo)))
+    _, tail = _energy_pass(law, r, lo, math.inf)
+    return math.log(tail.value) - 2.0 * r * float(np.real(eval_alpha(law, lo)))
 
 
 @dataclass(frozen=True)
@@ -295,8 +244,22 @@ class EnergyProfile:
 
     @cached_property
     def log_beyond(self):
-        """ln of the energy beyond top, integrated log-scaled from top on first use."""
+        """ln of the energy beyond top, from an energy pass from top on first use."""
         return _log_energy(self.law, self.r, self.top)
+
+    @property
+    def norm(self):
+        """L2 norm of G_hat over [-top, top]: the band's, or the line's up to its tail cut.
+
+        sqrt(2*total)/(4*pi*r), with the prefactor applied in log space,
+        so the norm underflows to 0.0 only where it lies below the
+        smallest double, not where its integrand underflows.
+        """
+        try:
+            return math.exp(0.5 * (math.log(2.0) + math.log(self.total)) - _LN_4PI
+                            - math.log(self.r))
+        except OverflowError:
+            raise NumericalError(f"the norm at r={self.r!r} exceeds the largest double") from None
 
     def at(self, m):
         """E(m), vectorized over m; an m outside [0, top] counts as the nearer end.
@@ -343,7 +306,7 @@ class EnergyProfile:
         for _ in range(_BAND_EDGE_STEPS):
             if not lo < m < hi:
                 m = 0.5 * (lo + hi)
-            gap = excess - integrate_decaying(gain_sq, anchor, m, rtol=ENERGY_PASS_RTOL).value
+            gap = excess - integrate_decaying(gain_sq, anchor, m, rtol=QUADRATURE_RTOL).value
             if abs(gap) <= BAND_EDGE_RTOL * target or m in (lo, hi):
                 return float(m)
             if gap > 0.0:
@@ -357,37 +320,11 @@ class EnergyProfile:
 
 
 def energy_profile(law, r, hi=math.inf):
-    """EnergyProfile of `law` at r: one pass at ENERGY_PASS_RTOL over [0, min(hi, tail cut)]."""
+    """EnergyProfile of `law` at r: the energy pass from 0 over [0, min(hi, tail cut)]."""
     if hi != math.inf:
         _check_band_edge(hi)
-    _check_distance(r)
-    top = hi  # no cut is searched where it lies beyond a finite hi
-    if not (hi < math.inf and 2.0 * r * float(np.real(eval_alpha(law, hi))) < _TAIL_DECADES):
-        top = min(hi, tail_cut_frequency(law, r))
-    if not math.isfinite(top):
-        raise ValueError("norm diverges: the law has no spectral decay")
-    energy = integrate_decaying(_gain_sq(law, r), 0.0, top, rtol=ENERGY_PASS_RTOL)
+    top, energy = _energy_pass(law, r, 0.0, hi)
     return EnergyProfile(law, float(r), float(top), energy, float(hi))
-
-
-def spectral_l2_norm(law, r, domain):
-    """L2 norm of the Green-function spectrum over a NormDomain.
-
-    Returns (integral of |G_hat(r, w)|^2 over the domain)**0.5, using
-    the even symmetry of the integrand (integrate [0, inf) and
-    double).  The prefactor sqrt(2)/(4*pi*r) is applied in log space,
-    so the norm underflows to 0.0 only where it lies below the smallest
-    double, not where its integrand underflows.
-    """
-    if domain.kind == "tail":
-        log_energy = _log_energy(law, r, domain.m)
-    else:
-        hi = domain.m if domain.kind == "band" else math.inf
-        log_energy = math.log(energy_profile(law, r, hi).total)
-    try:
-        return math.exp(0.5 * (math.log(2.0) + log_energy) - _LN_4PI - math.log(r))
-    except OverflowError:
-        raise NumericalError(f"the {domain.kind} norm at r={r!r} exceeds the largest double")
 
 
 def relative_truncation_error(profile, m):
@@ -437,7 +374,7 @@ def relative_model_error(profile, powerlaw, m):
     ||G_hat_causal - G_hat_powerlaw|| / ||G_hat_causal||, both restricted
     to the band [-m, m], with the causal law and r of `profile`, an
     EnergyProfile that reaches m.  The denominator is profile.at(m); the
-    numerator is one integral at NORM_RTOL of |G_hat_causal|**2 times
+    numerator is one integral at QUADRATURE_RTOL of |G_hat_causal|**2 times
     `deviation_factor` over [0, min(m, profile.top)].  The common phase
     factor and the prefactor 1/(4*pi*r) cancel, so only the
     attenuation-dispersion difference contributes.
@@ -452,5 +389,5 @@ def relative_model_error(profile, powerlaw, m):
     def diff_sq(w):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
         return gain_sq(w) * deviation_factor(causal, powerlaw, r, w)
 
-    num_sq = integrate_decaying(diff_sq, 0.0, min(m, profile.top), rtol=NORM_RTOL).value
+    num_sq = integrate_decaying(diff_sq, 0.0, min(m, profile.top), rtol=QUADRATURE_RTOL).value
     return math.sqrt(num_sq / profile.at(m))

@@ -165,13 +165,19 @@ def forward_point_source(law, r, forcing, grid):
     G_hat(r, w) * ghat(w) * sqrt(2*pi) (convolution theorem under the
     unitary convention); a delta forcing therefore reproduces
     synthesize_time_signal of the Green spectrum sample for sample.
-    Non-delta forcing spectra must be negligible at the grid edge:
-    |ghat(omega_max)| < 1e-12 * max|ghat|.  A delta is exempt (it is
-    never band-limited; the product decays through G_hat alone).
+    Non-delta forcing spectra must be negligible at the grid edge,
+    |ghat(omega_max)| < 1e-12 * max|ghat|, and nonzero at some node.  A
+    delta is exempt (it is never band-limited; the product decays
+    through G_hat alone).
     """
     ghat = forcing.spectrum(grid.omegas())
-    if forcing.kind != "delta" and abs(ghat[-1]) >= 1e-12 * float(np.max(np.abs(ghat))):
-        raise ValueError("forcing bandwidth exceeds the grid: raise omega_max")
+    if forcing.kind != "delta":
+        peak = float(np.max(np.abs(ghat)))
+        if peak == 0.0:
+            raise ValueError(f"the forcing spectrum is 0 at every node: the spacing "
+                             f"2*omega_max/n = {grid.delta_omega!r} is too coarse, raise n")
+        if abs(ghat[-1]) >= 1e-12 * peak:
+            raise ValueError("forcing bandwidth exceeds the grid: raise omega_max")
     spec = sample_green_spectrum(law, r, grid)
     product = ComplexSpectrum(grid=grid, r=float(r),
                               values=spec.values * ghat * _SQRT_2PI,

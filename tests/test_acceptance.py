@@ -15,7 +15,6 @@ import pytest
 
 from lossywave import (
     FrequencyGrid,
-    NormDomain,
     alpha1_from_a1,
     bound_coefficient,
     builtin_preset,
@@ -33,10 +32,7 @@ from lossywave import (
     relative_model_error,
     relative_truncation_error,
     sample_green_spectrum,
-    spectral_l2_norm,
     synthesize_time_signal,
-    tail_cut_frequency,
-    truncate_spectrum,
     verify_envelope,
 )
 
@@ -199,8 +195,8 @@ def test_criterion_09_causality_energy_fractions():
     for n in (2**17, 2**18):
         spec = sample_green_spectrum(CASTOR.causal, 1.0, FrequencyGrid(400.0, n))
         fractions.append(causality_energy_fraction(synthesize_time_signal(spec), arrival))
-    pl_spec = truncate_spectrum(
-        sample_green_spectrum(CASTOR.powerlaw, 1.0, FrequencyGrid(400.0, 2**17)), 100.0)
+    pl_spec = sample_green_spectrum(CASTOR.powerlaw, 1.0, FrequencyGrid(400.0, 2**17),
+                                    band_edge=100.0)
     pl_fraction = causality_energy_fraction(synthesize_time_signal(pl_spec), arrival)
     ok = (fractions[0] < 1e-6 and fractions[1] < fractions[0]
           and 0.0 < pl_fraction < 1e-3)
@@ -227,9 +223,10 @@ def test_criterion_11_quadrature_matches_brute_force():
         law = CASTOR.causal if i % 2 == 0 else CASTOR.powerlaw
         r = 10.0 ** rng.uniform(-1.3, 0.7)
         m = rng.uniform(20.0, 200.0)
-        cut = tail_cut_frequency(law, r)
-        band = spectral_l2_norm(law, r, NormDomain.band(m))
-        full = spectral_l2_norm(law, r, NormDomain.full_line())
+        line = energy_profile(law, r)
+        cut = line.top
+        band = energy_profile(law, r, m).norm
+        full = line.norm
         worst = max(worst,
                     abs(band / trapezoid_norm(law, r, 0.0, min(m, cut)) - 1.0),
                     abs(full / trapezoid_norm(law, r, 0.0, cut) - 1.0))

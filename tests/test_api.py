@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import lossywave
 
 INIT = Path(lossywave.__file__)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _reexports():
@@ -38,3 +40,11 @@ def test_all_equals_the_reexported_names(module):
     for name in names:
         assert getattr(lossywave, name) is getattr(importlib.import_module(f"lossywave.{module}"),
                                                    name)
+
+
+def test_readme_library_tour_runs():
+    # a removed or renamed public name fails here instead of leaving README stale
+    text = README.read_text(encoding="utf-8")
+    tour = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```", text, re.M | re.S)
+    assert tour is not None, "README has no python block under '## Library tour'"
+    exec(compile(tour.group(1), f"{README}:library tour", "exec"), {})

@@ -20,7 +20,6 @@ from lossywave import (
     log10_truncation_error_bound,
     model_error_report,
     power_lower_envelope,
-    tail_cut_frequency,
     truncation_error_bound,
     verify_envelope,
 )
@@ -60,7 +59,7 @@ class TestEnvelopeConstants:
 class TestVerifyEnvelope:
     def test_holds_on_effective_support(self, castor):
         c = envelope_bound_constants(castor, 100.0)
-        cut = tail_cut_frequency(castor.causal, 1e-6)
+        cut = energy_profile(castor.causal, 1e-6).top
         check = verify_envelope(castor.causal, c, cut)
         assert check.holds_lower and check.holds_upper
         assert check.worst_lower_violation == 0.0

@@ -74,6 +74,12 @@ class TestTable1:
         assert "exceeds the largest double" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_bound_below_the_smallest_normal_double_exits_3(self, tmp_path, capsys):
+        # 0.1**10000 / 1e-6 underflows: it wrote bound_M 0
+        assert cli.main(["table1", "--gammas", "1.0001", "--out", str(tmp_path)]) == 3
+        assert "lies below the smallest normal double" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestTable2:
     def test_single_distance(self, tmp_path):
@@ -233,10 +239,10 @@ class TestFigures:
         assert np.all(np.diff(g) >= 0.0)
         law = builtin_preset("castor-oil").causal
         for i in (0, 37, 99):
-            want = spectrum.spectral_l2_norm(law, r, spectrum.NormDomain.band(m0[i]))
+            want = spectrum.energy_profile(law, r, m0[i]).norm
             assert g[i] == pytest.approx(want, rel=1e-9, abs=0.0)
         # at r = 1e300 the norm, about 2.4e-391, lies below the smallest double
-        if spectrum.spectral_l2_norm(law, r, spectrum.NormDomain.band(0.5)) > 0.0:
+        if spectrum.energy_profile(law, r, 0.5).norm > 0.0:
             assert np.all(g > 0.0)
 
     def test_fig3_band_norm_monotone(self, tmp_path):
@@ -256,7 +262,8 @@ class TestBoundsCommand:
         assert doc["preset"]["name"] == "castor-oil"
         assert doc["envelope_constants"]["bound_decay_rate"] == pytest.approx(4.877e6, rel=2e-3)
         assert "bound_coefficient" in doc["envelope_constants"]
-        assert doc["settings"]["quadrature_rtol"] == 1e-9
+        assert doc["settings"]["quadrature_rtol"] == 1e-12
+        assert "energy_pass_rtol" not in doc["settings"]
         by_r = {entry["r"]: entry for entry in doc["per_distance"]}
         assert by_r[1.0]["envelope"]["holds_lower"]
         assert by_r[1.0]["envelope"]["holds_upper"]
@@ -366,6 +373,16 @@ class TestPulseAndCausality:
                              "--out", str(tmp_path)]) == 0, capsys.readouterr().err
         assert np.all(np.isfinite(load_csv(tmp_path / "pulse.csv")))
 
+    def test_pulse_forcing_missed_by_every_node_exits_2(self, tmp_path, capsys):
+        # the spacing 1250 steps over the band around the carrier 10, and the
+        # modulated sine has no energy at 0: it said "raise omega_max"
+        assert cli.main(["pulse", "--kind", "gaussian-modulated-sine", "--omega-max", "1e4",
+                         "--samples", "16", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "2*omega_max/n = 1250.0 is too coarse, raise n" in err
+        assert "raise omega_max" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_pulse_band_violation_exits_2(self, tmp_path):
         proc = run_cli("pulse", "--omega-max", "2", "--samples", "64",
                        "--width", "0.5", "--out", str(tmp_path))
@@ -458,7 +475,7 @@ class TestDistanceContract:
 
 
 class TestQuadratureWork:
-    """Integrand samples, quadratures and tail cuts per command at its defaults.
+    """Integrand samples, quadratures and tail-width solves per command at its defaults.
 
     The counts are deterministic, so they gate the cost of the
     quadrature where wall time on a shared machine cannot.  Samples
@@ -467,16 +484,19 @@ class TestQuadratureWork:
     quadratures and 17 tail cuts, fig3 1875 in 1; table2 1530 in 8.
     Before the profile, bounds took 9405 samples in 71 quadratures and
     41 tail cuts, and fig3 11040 in 100.  Since the model error reads
-    the profile, bounds takes 5655 in 51 and 15 tail-width solves, and
-    table2 2010 in 8: its denominator became a band profile at
-    ENERGY_PASS_RTOL in place of a second quadrature at NORM_RTOL.
+    the profile, bounds took 5655 in 51 and 15 tail-width solves, and
+    table2 2010 in 8.  With one energy pass at the one QUADRATURE_RTOL
+    of 1e-12 for profiles, tails and the model error's numerator, in
+    place of 1e-9 for the last two, bounds takes 6615 in 51 with the
+    same 15 solves (5 from 0), table2 2160 in 8 and fig3 1875 in 1; the
+    gates keep their parameters.
     """
 
     @staticmethod
     def _count(monkeypatch, argv):
-        integrate, panels, cut = (numerics.integrate_decaying, spectrum.gauss_kronrod,
-                                  spectrum.tail_cut_frequency)
-        counts = {"samples": 0, "quadratures": 0, "tail_cuts": 0, "passes": []}
+        integrate, panels, width = (numerics.integrate_decaying, spectrum.gauss_kronrod,
+                                    spectrum._tail_width)
+        counts = {"samples": 0, "quadratures": 0, "width_starts": [], "passes": []}
 
         def counted(f):
             def g(x):
@@ -489,15 +509,14 @@ class TestQuadratureWork:
             counts["passes"].append((a, b, rtol))
             return integrate(counted(f), a, b, rtol=rtol)
 
-        def counting_cut(*args, **kwargs):
-            counts["tail_cuts"] += 1
-            return cut(*args, **kwargs)
+        def counting_width(law, r, start):
+            counts["width_starts"].append(start)
+            return width(law, r, start)
 
         for module in (numerics, spectrum, bounds, cli):
             if getattr(module, "integrate_decaying", None) is integrate:
                 monkeypatch.setattr(module, "integrate_decaying", counting)
-            if getattr(module, "tail_cut_frequency", None) is cut:
-                monkeypatch.setattr(module, "tail_cut_frequency", counting_cut)
+        monkeypatch.setattr(spectrum, "_tail_width", counting_width)
         monkeypatch.setattr(spectrum, "gauss_kronrod",
                             lambda f, *args: panels(counted(f), *args))
         assert cli.main(argv) == 0
@@ -516,27 +535,29 @@ class TestQuadratureWork:
         # one line profile per distance: its cut, the energy beyond it and the
         # tail beyond M; the model error reads the profile and searches no cut
         counts = self._count(monkeypatch, ["bounds", "--out", str(tmp_path)])
-        assert counts["tail_cuts"] == 5
+        assert counts["width_starts"].count(0.0) == 5
+        assert len(counts["width_starts"]) == 15
+        assert {rtol for _, _, rtol in counts["passes"]} == {spectrum.QUADRATURE_RTOL}
         cuts = [entry["tail_cut"] for entry in
                 json.loads((tmp_path / "bounds.json").read_text())["per_distance"]]
         assert len(cuts) == 5
         for cut in cuts:
             # the profile pass, and where the cut lies inside the band [0, 100]
             # the model error's numerator; its denominator is the profile's
-            passes = [rtol for a, b, rtol in counts["passes"] if a == 0.0 and b == cut]
-            assert sorted(passes) == sorted([spectrum.ENERGY_PASS_RTOL]
-                                            + [spectrum.NORM_RTOL] * (cut < 100.0))
+            passes = [b for a, b, _ in counts["passes"] if a == 0.0 and b == cut]
+            assert len(passes) == 1 + (cut < 100.0)
 
 
 class TestTailCutWork:
     """Law evaluations per tail-width solve in a default castor `bounds`.
 
-    Each `tail_cut_frequency` call and each log-scaled tail solves for
-    the width beyond its start: one vector call of `attenuation_rise` at
-    every power of two of the double range brackets it, and six rounds of
-    33 points narrow it to 1e-9 relative, 7 calls and no scalar
-    `eval_alpha` call.  Solving the cut in w by bracketing in factors of
-    4 and bisecting took 37-48 scalar calls per cut.
+    Each energy pass that reaches no band edge first solves for the
+    width beyond its start, the line profile's cut from 0 among them:
+    one vector call of `attenuation_rise` at every power of two of the
+    double range brackets it, and six rounds of 33 points narrow it to
+    1e-9 relative, 7 calls and no scalar `eval_alpha` call.  Solving
+    the cut in w by bracketing in factors of 4 and bisecting took 37-48
+    scalar calls per cut.
     """
 
     def test_at_most_seven_vector_calls_per_solve(self, tmp_path, monkeypatch):

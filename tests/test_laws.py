@@ -277,6 +277,18 @@ class TestSmallFrequencyBound:
         # a bound just inside the double range is returned
         assert small_frequency_bound(2.0, 1e-308) == pytest.approx(1e307, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma,tau0", [(1.0001, 1e-6), (1.5, 1e306), (1.0025, 1e10)])
+    def test_bound_below_the_smallest_normal_double_raises(self, gamma, tau0):
+        # 0.1**10000 / 1e-6 and 0.01 / 1e306 wrote 0 or a subnormal
+        with pytest.raises(NumericalError, match="lies below the smallest normal double"):
+            small_frequency_bound(gamma, tau0)
+
+    def test_bound_where_only_the_power_underflows(self):
+        # 0.1**400 underflows to 0 although 0.1**400 / 1e-300 = 1e-100 does not
+        gamma = 1.0025
+        got = small_frequency_bound(gamma, 1e-300)
+        assert got == pytest.approx(10.0 ** (300.0 - 1.0 / (gamma - 1.0)), rel=1e-12)
+
 
 class TestPresets:
     def test_builtin_castor(self, castor):

@@ -6,7 +6,6 @@ import pytest
 from lossywave import (
     ComplexSpectrum,
     FrequencyGrid,
-    NormDomain,
     NumericalError,
     PowerLaw,
     attenuation_rise,
@@ -18,14 +17,11 @@ from lossywave import (
     relative_model_error,
     relative_truncation_error,
     sample_green_spectrum,
-    spectral_l2_norm,
-    tail_cut_frequency,
-    truncate_spectrum,
     write_table,
 )
 
 from lossywave.numerics import integrate_decaying
-from lossywave.spectrum import _log_energy, _log_scaled_energy, _tail_width
+from lossywave.spectrum import _energy_pass, _log_energy, _tail_width
 
 from conftest import trapezoid_norm
 
@@ -103,21 +99,16 @@ class TestSampling:
 
 class TestTruncation:
     def test_identity_when_cut_beyond_grid(self, castor):
-        spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(100.0, 64))
-        out = truncate_spectrum(spec, 150.0)
+        grid = FrequencyGrid(100.0, 64)
+        spec = sample_green_spectrum(castor.causal, 1.0, grid)
+        out = sample_green_spectrum(castor.causal, 1.0, grid, band_edge=150.0)
         assert np.array_equal(out.values, spec.values)
         assert out.cutoff == 150.0
 
-    def test_composition_takes_minimum(self, castor):
-        spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(100.0, 64))
-        out = truncate_spectrum(truncate_spectrum(spec, 60.0), 80.0)
-        ref = truncate_spectrum(spec, 60.0)
-        assert np.array_equal(out.values, ref.values)
-        assert out.cutoff == 60.0
-
     def test_removed_mass_negligible_for_castor(self, castor):
-        spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(200.0, 8192))
-        cut = truncate_spectrum(spec, 100.0)
+        grid = FrequencyGrid(200.0, 8192)
+        spec = sample_green_spectrum(castor.causal, 1.0, grid)
+        cut = sample_green_spectrum(castor.causal, 1.0, grid, band_edge=100.0)
         total = np.sum(np.abs(spec.values) ** 2)
         removed = total - np.sum(np.abs(cut.values) ** 2)
         assert removed / total <= 1e-3
@@ -127,47 +118,47 @@ class TestTruncation:
                                                (50.0, 32, 1e9)])
     def test_band_sampling_is_truncation_bit_for_bit(self, castor, omega_max, n, m):
         grid = FrequencyGrid(omega_max, n)
-        ref = truncate_spectrum(sample_green_spectrum(castor.powerlaw, 0.05, grid), m)
+        full = sample_green_spectrum(castor.powerlaw, 0.05, grid)
+        ref = np.where(grid.omegas() > m, 0.0 + 0.0j, full.values)
         band = sample_green_spectrum(castor.powerlaw, 0.05, grid, band_edge=m)
-        assert np.array_equal(band.values.view(np.uint64), ref.values.view(np.uint64))
-        assert band.cutoff == ref.cutoff == m
+        assert np.array_equal(band.values.view(np.uint64), ref.view(np.uint64))
+        assert band.cutoff == m
 
     def test_rejects_nonpositive_cut(self, castor):
-        spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(100.0, 64))
         with pytest.raises(ValueError):
-            truncate_spectrum(spec, 0.0)
+            sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(100.0, 64), band_edge=0.0)
 
 
 class TestNorms:
     def test_lossless_band_closed_form(self):
         r, m = 2.0, 25.0
-        got = spectral_l2_norm(LOSSLESS, r, NormDomain.band(m))
+        got = energy_profile(LOSSLESS, r, m).norm
         assert got == pytest.approx(math.sqrt(2.0 * m) / (4.0 * math.pi * r), rel=1e-12)
 
     def test_lossless_full_line_diverges(self):
         with pytest.raises(ValueError):
-            spectral_l2_norm(LOSSLESS, 1.0, NormDomain.full_line())
+            energy_profile(LOSSLESS, 1.0).norm
 
     def test_full_at_least_band(self, castor):
-        full = spectral_l2_norm(castor.causal, 1.0, NormDomain.full_line())
-        band = spectral_l2_norm(castor.causal, 1.0, NormDomain.band(100.0))
+        full = energy_profile(castor.causal, 1.0).norm
+        band = energy_profile(castor.causal, 1.0, 100.0).norm
         assert full >= band
 
     def test_matches_trapezoid_oracle(self, castor):
         r = 0.4
-        cut = tail_cut_frequency(castor.causal, r)
-        got = spectral_l2_norm(castor.causal, r, NormDomain.full_line())
-        assert got == pytest.approx(trapezoid_norm(castor.causal, r, 0.0, cut), rel=1e-6)
+        profile = energy_profile(castor.causal, r)
+        got = profile.norm
+        assert got == pytest.approx(trapezoid_norm(castor.causal, r, 0.0, profile.top), rel=1e-6)
 
     def test_band_norm_strictly_increasing(self, castor):
         # resolvable range: increments must exceed the quadrature tolerance
         m_values = np.linspace(0.5, 12.0, 50)
-        norms = [spectral_l2_norm(castor.causal, 1.0, NormDomain.band(m)) for m in m_values]
+        norms = [energy_profile(castor.causal, 1.0, m).norm for m in m_values]
         assert all(b > a for a, b in zip(norms, norms[1:]))
 
     def test_zero_distance_rejected(self, castor):
         with pytest.raises(ValueError):
-            spectral_l2_norm(castor.causal, 0.0, NormDomain.full_line())
+            energy_profile(castor.causal, 0.0).norm
 
 
 class TestTruncationError:
@@ -177,8 +168,8 @@ class TestTruncationError:
             assert 0.0 <= e <= 1.0
 
     def test_vanishes_for_huge_band(self, castor):
-        cut = tail_cut_frequency(castor.causal, 1.0)
-        assert relative_truncation_error(energy_profile(castor.causal, 1.0), 2.0 * cut) <= 1e-12
+        line = energy_profile(castor.causal, 1.0)
+        assert relative_truncation_error(line, 2.0 * line.top) <= 1e-12
 
     def test_decreasing_in_distance(self, castor):
         errors = [relative_truncation_error(energy_profile(castor.causal, r), 100.0)
@@ -197,9 +188,9 @@ class TestLog10TruncationError:
     def test_matches_scaled_trapezoid_oracle(self, castor):
         r, m = 10.0, 100.0
         alpha_m = float(np.real(eval_alpha(castor.causal, m)))
-        tail = trapezoid_norm(castor.causal, r, m, tail_cut_frequency(castor.causal, r, start=m),
+        tail = trapezoid_norm(castor.causal, r, m, m + _tail_width(castor.causal, r, m),
                               alpha_ref=alpha_m)
-        full = trapezoid_norm(castor.causal, r, 0.0, tail_cut_frequency(castor.causal, r))
+        full = trapezoid_norm(castor.causal, r, 0.0, _tail_width(castor.causal, r, 0.0))
         oracle = math.log10(tail / full) - r * alpha_m / math.log(10.0)
         profile = energy_profile(castor.causal, r)
         assert log10_relative_truncation_error(profile, m) == pytest.approx(oracle, abs=1e-8)
@@ -225,18 +216,18 @@ class TestExtremeDistances:
     def test_tail_cut_converges_far_below_one(self, castor, r, cut):
         # the cut lies hundreds of decades below 1, inside the bracket of the
         # powers of two that the width solve starts from
-        got = tail_cut_frequency(castor.causal, r)
+        got = _tail_width(castor.causal, r, 0.0)
         assert got == pytest.approx(cut, rel=1e-3)
         attenuation = float(np.real(eval_alpha(castor.causal, got)))
         assert 2.0 * r * attenuation == pytest.approx(70.0, rel=1e-6)
         # a tail cut from a start far below 1 brackets above the start
-        assert tail_cut_frequency(castor.causal, r, start=0.5 * got) > 0.5 * got
+        assert 0.5 * got + _tail_width(castor.causal, r, 0.5 * got) > 0.5 * got
 
     def test_tail_cut_beyond_the_double_range_names_r(self, castor):
         with pytest.raises(NumericalError, match="r=1e-300"):
-            tail_cut_frequency(castor.causal, 1e-300)
+            _tail_width(castor.causal, 1e-300, 0.0)
         # a law that does not decay still has no cut at all
-        assert tail_cut_frequency(LOSSLESS, 1e-300) == math.inf
+        assert _tail_width(LOSSLESS, 1e-300, 0.0) == math.inf
 
     @pytest.mark.parametrize("r", [1e16, 1e22, 1e26])
     def test_subnormal_width_is_the_first_double_past_the_threshold(self, r):
@@ -254,16 +245,17 @@ class TestExtremeDistances:
     def test_band_quantities_need_no_cut(self, castor):
         r, m = 1e-300, 100.0
         # exp(-2 r alpha) is 1 to double precision on the band
-        band = spectral_l2_norm(castor.causal, r, NormDomain.band(m))
-        assert band == pytest.approx(math.sqrt(2.0 * m) / (4.0 * math.pi * r), rel=1e-12)
         band_profile = energy_profile(castor.causal, r, m)
+        assert band_profile.norm == pytest.approx(math.sqrt(2.0 * m) / (4.0 * math.pi * r),
+                                                  rel=1e-12)
         assert 0.0 <= relative_model_error(band_profile, castor.powerlaw, m) < 1e-290
 
     def test_norm_underflows_only_below_the_smallest_double(self, castor):
         # the tail energy (~1e-541) underflows; the tail norm (~1e-271) does not
         r, m = 10.0, 79.333
-        tail = spectral_l2_norm(castor.causal, r, NormDomain.tail(m))
-        full = spectral_l2_norm(castor.causal, r, NormDomain.full_line())
+        tail = math.exp(0.5 * (math.log(2.0) + _log_energy(castor.causal, r, m))
+                        - math.log(4.0 * math.pi * r))
+        full = energy_profile(castor.causal, r).norm
         log10_error = log10_relative_truncation_error(energy_profile(castor.causal, r), m)
         assert log10_error == pytest.approx(-268.683, abs=1e-3)
         assert tail / full == pytest.approx(10.0**log10_error, rel=1e-12, abs=0.0)
@@ -272,13 +264,13 @@ class TestExtremeDistances:
 
     def test_norm_above_the_largest_double_raises(self, castor):
         with pytest.raises(NumericalError, match="exceeds the largest double"):
-            spectral_l2_norm(castor.causal, 1e-200, NormDomain.full_line())
+            energy_profile(castor.causal, 1e-200).norm
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_distance_rejected_everywhere(self, castor, r):
         for call in (lambda: green_hat(castor.causal, r, 1.0),
-                     lambda: tail_cut_frequency(castor.causal, r),
-                     lambda: spectral_l2_norm(castor.causal, r, NormDomain.band(10.0)),
+                     lambda: _tail_width(castor.causal, r, 0.0),
+                     lambda: energy_profile(castor.causal, r, 10.0).norm,
                      lambda: relative_model_error(energy_profile(castor.causal, r, 100.0),
                                                   castor.powerlaw, 100.0),
                      lambda: energy_profile(castor.causal, r)):
@@ -305,7 +297,8 @@ class TestNarrowTail:
         slope, curvature = _attenuation_slopes(castor.causal, m)
         k = 2.0 * r * slope
         expected = math.log(1.0 / k - 2.0 * r * curvature / k**3)
-        assert _log_scaled_energy(castor.causal, r, m) == pytest.approx(expected, rel=1e-8)
+        _, tail = _energy_pass(castor.causal, r, m, math.inf)
+        assert math.log(tail.value) == pytest.approx(expected, rel=1e-8)
         # the unscaled log energy differs by 2 r Re alpha*(m) up to its rounding
         scale = 2.0 * r * float(np.real(eval_alpha(castor.causal, m)))
         assert _log_energy(castor.causal, r, m) + scale == pytest.approx(
@@ -320,8 +313,8 @@ class TestModelError:
     def test_triangle_sanity(self, castor):
         r, m = 0.1, 100.0
         eps = relative_model_error(energy_profile(castor.causal, r, m), castor.powerlaw, m)
-        band_c = spectral_l2_norm(castor.causal, r, NormDomain.band(m))
-        band_pl = spectral_l2_norm(castor.powerlaw, r, NormDomain.band(m))
+        band_c = energy_profile(castor.causal, r, m).norm
+        band_pl = energy_profile(castor.powerlaw, r, m).norm
         assert eps <= (band_c + band_pl) / band_c
 
     @pytest.mark.parametrize("r,reference", [(1e-6, 7.62e-8), (1e-3, 7.35e-5),
@@ -375,7 +368,7 @@ class TestEnergyProfile:
         r = 0.4
         profile = energy_profile(castor.causal, r)
         edges = profile.energy.edges
-        assert profile.top == tail_cut_frequency(castor.causal, r)
+        assert profile.top == _tail_width(castor.causal, r, 0.0)
         # inside the first graded panel, on a panel edge, mid-range and at the top
         for m in (0.5 * edges[1], edges[5], 0.5 * profile.top, profile.top):
             assert profile.at(m) == pytest.approx(
@@ -413,10 +406,8 @@ class TestEnergyProfile:
         profile = energy_profile(castor.causal, 1.0)
         calls = [lambda: log10_relative_truncation_error(profile, m),
                  lambda: relative_model_error(profile, castor.powerlaw, m),
-                 lambda: NormDomain.band(m),
-                 lambda: truncate_spectrum(
-                     sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(50.0, 32)), m),
-                 lambda: sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(50.0, 32), m)]
+                 lambda: sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(50.0, 32),
+                                               band_edge=m)]
         if m != math.inf:  # a profile up to hi = inf is the full line
             calls.append(lambda: energy_profile(castor.causal, 1.0, m))
         for call in calls:
@@ -429,13 +420,13 @@ class TestEnergyBandEdge:
         edge = energy_profile(castor.causal, 1.0).band_edge(6e-4)
         assert 5.0 <= edge <= 20.0
         # the returned edge solves the energy equation to its stated tolerance
-        full_sq = spectral_l2_norm(castor.causal, 1.0, NormDomain.full_line()) ** 2
-        band_sq = spectral_l2_norm(castor.causal, 1.0, NormDomain.band(edge)) ** 2
+        full_sq = energy_profile(castor.causal, 1.0).norm ** 2
+        band_sq = energy_profile(castor.causal, 1.0, edge).norm ** 2
         assert band_sq == pytest.approx((1.0 - 6e-4) * full_sq, rel=5e-6)
 
     def test_tiny_delta_returns_tail_cut(self, castor):
-        cut = tail_cut_frequency(castor.causal, 1.0)
-        assert energy_profile(castor.causal, 1.0).band_edge(1e-40) == pytest.approx(cut, rel=1e-12)
+        line = energy_profile(castor.causal, 1.0)
+        assert line.band_edge(1e-40) == pytest.approx(line.top, rel=1e-12)
 
     def test_delta_one_returns_zero(self, castor):
         assert energy_profile(castor.causal, 1.0).band_edge(1.0) == 0.0
@@ -449,7 +440,7 @@ class TestEnergyBandEdge:
 class TestCsvExport:
     def test_roundtrip(self, castor, tmp_path):
         grid = FrequencyGrid(50.0, 32)
-        spec = truncate_spectrum(sample_green_spectrum(castor.causal, 1.0, grid), 30.0)
+        spec = sample_green_spectrum(castor.causal, 1.0, grid, band_edge=30.0)
         v = spec.values
         path = write_table(tmp_path / "spec", ["omega", "re", "im", "modulus"],
                            [grid.omegas(), v.real, v.imag, np.abs(v)],

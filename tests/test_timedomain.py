@@ -7,18 +7,16 @@ import pytest
 from lossywave import (
     ForcingSignal,
     FrequencyGrid,
-    NormDomain,
     PowerLaw,
     RealSignal,
     apply_dissipation_operator,
     causality_energy_fraction,
+    energy_profile,
     eval_alpha,
     forward_point_source,
     helmholtz_radial_residual,
     sample_green_spectrum,
-    spectral_l2_norm,
     synthesize_time_signal,
-    truncate_spectrum,
     write_table,
 )
 from lossywave.timedomain import _forward_transform, _inverse_transform
@@ -63,7 +61,7 @@ class TestSynthesize:
         for r in (0.1, 1.0):
             spec = sample_green_spectrum(castor.causal, r, FrequencyGrid(400.0, 2**17))
             sig = synthesize_time_signal(spec)
-            qnorm = spectral_l2_norm(castor.causal, r, NormDomain.full_line())
+            qnorm = energy_profile(castor.causal, r).norm
             assert sig.l2_norm() == pytest.approx(qnorm, rel=1e-5)
 
     def test_non_hermitian_rejected(self, castor):
@@ -221,7 +219,7 @@ class TestDissipationOperator:
 
 class TestTimeFrequencyConsistency:
     def test_truncation_error_matches_spectral(self, castor):
-        from lossywave import energy_profile, relative_truncation_error
+        from lossywave import relative_truncation_error
 
         # the discrete hard cut sits half a bin off the continuous one, so the
         # grid must resolve the tail decay scale well below the 1e-4 target
