@@ -56,12 +56,47 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
   Because C itself is already a squared modulus, both the stated
   convention (max of C^2) and the milder one (max of C) are computed
   and reported.  C is `spectrum.deviation_factor`, which also weights
-  the exact model error.  Each supremum is a `scan_max` of C; on a flat
-  maximum its argmax holds about 8 digits.  The outer scan ends at the
-  tail cut and the analytic limit 1.0 (C -> 1 as the power-law
-  attenuation outgrows the causal one) is appended.  m_delta, the tail
-  cut, the full/band norm ratio and the exact error's denominator come
-  from one `EnergyProfile` per distance.
+  the exact model error.  m_delta, the full/band norm ratio and the
+  exact error's denominator come from one `EnergyProfile` per distance.
+
+  Every supremum is a pair: the best C evaluated (a lower bound) and a
+  certified upper bound, which every bound uses.  Both come from a
+  branch and bound in the manner of Piyavskii and Shubert (Shubert
+  1972, "A sequential method seeking the global maximum of a
+  function"), run on [0, m_delta] and on [m_delta, W]:
+
+  - Slope majorant.  `laws.alpha_difference_slope_bound` gives B(w)
+    with |b'(v)| <= B(w) on all of [0, w], where b = b1 + i*b2; B rises
+    with w and at small frequency is the leading term of |b'|.
+  - Cell bound.  On a cell [a, b] of width h, with x = -r*b1 (so that
+    |E| = exp(x) for E = exp(-(b1 + i*b2)*r)) and D = sqrt(C) = |E - 1|
+    at both ends, x changes by at most r*B(b)*h across the cell, so
+    |E| <= Emax = exp(min(x_a, x_b) + r*B(b)*h) on it, and
+    |D'| <= |E'| = |E|*r*|b'| <= r*B(b)*Emax.  Both slopes meet above the
+    cell no higher than the mean of the ends plus half the rise:
+
+        C <= U = min((1 + Emax)**2, ((D_a + D_b)/2 + r*B(b)*Emax*h/2)**2).
+
+  - Search.  SUPREMUM_RTOL = 1e-7.  Each round splits every cell with
+    U > best*(1 + SUPREMUM_RTOL) into 16, evaluating all new nodes in
+    one vector call; the others are pruned and keep their U.  The
+    certified upper bound is max(best, largest pruned U), so it lies
+    within SUPREMUM_RTOL of the best value evaluated.  Cells a few ulps
+    wide are pruned too, and where C underflows to 0 at every seed node
+    the largest seed-cell U is the certificate.  Where x = -inf
+    because r*b1 overflows, r > 1 puts the true x below -DBL_MAX, which
+    serves as the end value; for r <= 1, b1 itself overflowed and the
+    search raises NumericalError, as it does for a non-finite C.
+  - Closure to infinity.  Re alpha_powerlaw = a1*w**gamma exactly, and
+    Re alpha_causal <= a2*w since |1 + (-i*tau0*w)**(gamma-1)| >= 1, so
+    b1 >= phi(w) = a1*w**gamma - a2*w, which rises beyond
+    w* = (a2/(gamma*a1))**(1/(gamma-1)).  With E as above,
+    C <= (1 + |E|)**2 <= (1 + exp(-r*phi(W)))**2 for every w >= W >= w*.
+    W is the least w >= max(m_delta, w*) with
+    r*phi(W) >= ln(2/SUPREMUM_RTOL), solved in ln(w), and the outer
+    supremum is the larger of the search on [m_delta, W] and this
+    closing term, at most (1 + SUPREMUM_RTOL/2)**2.  The report records
+    W as omega_closed.
 
   The exact error is reported under both normalizations: by the
   full-line norm and by the band-limited norm; the report flags which
@@ -71,13 +106,14 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .laws import alpha_difference, eval_alpha
-from .numerics import NumericalError, erfcx, scan_max
-from .spectrum import _check_band_edge, _check_distance, deviation_factor, relative_model_error
+from .laws import _is_derived_pair, alpha_difference_slope_bound, eval_alpha
+from .numerics import NumericalError, erfcx
+from .spectrum import _check_band_edge, _check_distance, _deviation, relative_model_error
 
 __all__ = [
     "EnvelopeBoundConstants",
@@ -97,7 +133,13 @@ __all__ = [
 ]
 
 ENVELOPE_GRID_POINTS = 10_000  # log grid on which `verify_envelope` checks the envelope
-DEVIATION_SCAN_POINTS = 100_001  # seed grid of each deviation-factor supremum scan
+SUPREMUM_RTOL = 1e-7  # a certified supremum exceeds the best value evaluated by at most this
+_SEED_CELLS = 64  # first cells of each supremum search
+_SPLIT = 16  # a cell the search keeps is split into this many
+_MAX_CELLS = 2**20  # cells one search may create
+_NARROW_ULPS = 32  # cells narrower than this many ulps are not split
+_DOUBLE_MAX = sys.float_info.max
+_LOG_DOUBLE_MAX = math.log(_DOUBLE_MAX)
 
 
 @dataclass(frozen=True)
@@ -159,8 +201,9 @@ def verify_envelope(causal, constants, omega_max):
         raise ValueError("omega_max must exceed the band edge m")
     w = np.geomspace(m * (1.0 + 1e-9), omega_max, ENVELOPE_GRID_POINTS)
     alpha = np.real(eval_alpha(causal, w))
-    lower = constants.alpha_m + constants.a0 * (w - m)
-    with np.errstate(over="ignore"):  # an infinite upper envelope holds trivially
+    # an infinite upper envelope holds trivially, an infinite lower one fails by inf
+    with np.errstate(over="ignore"):
+        lower = constants.alpha_m + constants.a0 * (w - m)
         upper = constants.a1 * w**2 + constants.a2 * w
     worst_lower = float(np.max(lower - alpha))
     worst_upper = float(np.max(alpha - upper))
@@ -311,19 +354,143 @@ def corrected_truncation_error_bound(causal, constants, r):
     )
 
 
+def _cell_bounds(causal, r, a, b, xa, xb, da, db):
+    """Upper bounds U of C on the cells [a, b], from x and D = sqrt(C) at their ends.
+
+    r*B(b)*(b - a), B the slope majorant at the right end, bounds the
+    change of x across a cell, so exp(x) stays below Emax =
+    exp(min(xa, xb) + r*B*h) and |D'| below r*B*Emax; see the module
+    docstring.  A bound that cannot be formed (nan) is inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rise = r * alpha_difference_slope_bound(causal, b) * (b - a)
+        e_max = np.exp(np.minimum(xa, xb) + rise)
+        u = np.minimum((1.0 + e_max) ** 2, (0.5 * (da + db + rise * e_max)) ** 2)
+    return np.where(np.isnan(u), np.inf, u)
+
+
+def _certified_max(causal, powerlaw, r, lo, hi):
+    """(omega, lower, upper): the best C evaluated on [lo, hi], where, and a certified upper bound.
+
+    Piyavskii-Shubert branch and bound (module docstring): _SEED_CELLS
+    cells, geometric where lo > 0 and hi > 4*lo, each bounded by
+    `_cell_bounds`; every round splits each cell whose bound exceeds
+    best*(1 + SUPREMUM_RTOL) into _SPLIT, its new nodes evaluated in
+    one kernel call for all cells.  Pruned cells keep their bound, so
+    lower <= upper <= lower*(1 + SUPREMUM_RTOL).  Raises NumericalError
+    on a non-finite C or when the cells exceed _MAX_CELLS.
+    """
+
+    def evaluate(w):
+        c, x = _deviation(causal, powerlaw, r, w)
+        # x = -inf where r*Re(b) overflows.  For r > 1 the true x lies below
+        # -DBL_MAX, which anchors the cell bounds; for r <= 1 Re(b) itself
+        # overflowed and leaves no anchor.
+        if not np.all(np.isfinite(c)) or (r <= 1.0 and np.isneginf(x).any()):
+            raise NumericalError(f"the deviation factor at r={r!r} overflows on [{lo!r}, {hi!r}]")
+        return c, np.maximum(x, -_DOUBLE_MAX)
+
+    if not hi > lo:
+        c, _ = evaluate(np.array([float(lo)]))
+        return float(lo), float(c[0]), float(c[0])
+    spaced = np.geomspace if 4.0 * lo < hi and lo > 0.0 else np.linspace
+    nodes = spaced(lo, hi, _SEED_CELLS + 1)
+    nodes[0], nodes[-1] = lo, hi
+    c, x = evaluate(nodes)
+    i = int(np.argmax(c))
+    omega, best = float(nodes[i]), float(c[i])
+    d = np.sqrt(c)
+    a, b, xa, xb, da, db = nodes[:-1], nodes[1:], x[:-1], x[1:], d[:-1], d[1:]
+    u = _cell_bounds(causal, r, a, b, xa, xb, da, db)
+    if best == 0.0:  # C underflows on every node: the seed cells' bounds certify it
+        return omega, 0.0, float(np.max(u))
+    pruned, cells, rounds = 0.0, _SEED_CELLS, 0
+    fractions = np.arange(1, _SPLIT) / _SPLIT
+    while True:
+        split = (u > best * (1.0 + SUPREMUM_RTOL)) & (b - a > _NARROW_ULPS * np.spacing(b))
+        if not split.all():
+            pruned = max(pruned, float(np.max(u[~split])))
+        if not split.any():
+            return omega, best, max(best, pruned)
+        cells += _SPLIT * int(np.count_nonzero(split))
+        if cells > _MAX_CELLS:
+            raise NumericalError(
+                f"the deviation-factor supremum on [{lo!r}, {hi!r}] at r={r!r} did not "
+                f"converge within {_MAX_CELLS} cells: best {best!r} after {rounds} rounds")
+        a, b, xa, xb, da, db = (v[split] for v in (a, b, xa, xb, da, db))
+        w = a[:, None] + (b - a)[:, None] * fractions
+        c, x = evaluate(w.ravel())
+        j = int(np.argmax(c))
+        if c[j] > best:
+            omega, best = float(w.flat[j]), float(c[j])
+        w = np.column_stack((a, w, b))
+        x = np.column_stack((xa, x.reshape(len(a), -1), xb))
+        d = np.column_stack((da, np.sqrt(c).reshape(len(a), -1), db))
+        a, b, xa, xb, da, db = (v.ravel() for v in (w[:, :-1], w[:, 1:], x[:, :-1], x[:, 1:],
+                                                     d[:, :-1], d[:, 1:]))
+        u = _cell_bounds(causal, r, a, b, xa, xb, da, db)
+        rounds += 1
+
+
+def _closure(causal, powerlaw, r, lo):
+    """(W, closing): C <= closing <= (1 + SUPREMUM_RTOL/2)**2 for every w >= W.
+
+    Re b >= a1*w**gamma - a2*w = phi(w), a2 = alpha1/c0, and phi rises
+    beyond w* = (a2/(gamma*a1))**(1/(gamma-1)); W is the least
+    w >= max(lo, w*) with r*phi(W) >= ln(2/SUPREMUM_RTOL), and closing is
+    (1 + exp(-r*phi(W)))**2.  It is solved by bisection in y = ln(w) on
+    ln(r*phi) = ln(r*a1) + gamma*y + log1p(-(a2/a1)*exp(-(gamma-1)*y)),
+    which overflows nowhere.  Raises NumericalError where W lies beyond
+    the double range.
+    """
+    gamma, p = causal.gamma, causal.gamma - 1.0
+    log_ratio = math.log(causal.alpha1 / causal.c0 / powerlaw.a1)  # ln(a2/a1)
+    log_target = math.log(math.log(2.0 / SUPREMUM_RTOL))
+    log_r_a1 = math.log(r) + math.log(powerlaw.a1)
+
+    def log_r_phi(y):  # ln(r*phi(e**y)), -inf where phi <= 0
+        z = log_ratio - p * y
+        return -math.inf if z >= 0.0 else log_r_a1 + gamma * y + math.log1p(-math.exp(z))
+
+    y_lo = (log_ratio - math.log(gamma)) / p  # ln(w*)
+    if lo > 0.0:
+        y_lo = max(y_lo, math.log(lo))
+    # there phi/(a1*w**gamma) >= 1/2 and r*a1*w**gamma >= 2*ln(2/rtol)
+    y_hi = max(y_lo, (log_ratio + math.log(2.0)) / p,
+               (log_target + math.log(2.0) - log_r_a1) / gamma)
+    if log_r_phi(y_lo) >= log_target:
+        y_hi = y_lo
+    while y_hi - y_lo > 1e-15 * max(1.0, abs(y_hi)):
+        mid = 0.5 * (y_lo + y_hi)
+        if log_r_phi(mid) >= log_target:
+            y_hi = mid
+        else:
+            y_lo = mid
+    if y_hi > _LOG_DOUBLE_MAX:
+        raise NumericalError(f"the deviation factor at r={r!r} does not settle below the "
+                             f"largest double: the closure needs w = e**{y_hi!r}")
+    w_closed = max(lo, math.exp(y_hi))
+    closing = (1.0 + math.exp(-math.exp(log_r_phi(math.log(w_closed))))) ** 2
+    return w_closed, closing
+
+
 @dataclass(frozen=True)
 class ModelErrorReport:
     """Model-error bound and exact error at one (r, m, delta).
 
     d1/d2 and bound follow the stated convention (suprema of C^2);
-    the *_max_c fields use the milder max-of-C convention.  bound_*
+    the *_max_c fields use the milder max-of-C convention.  d1_max_c
+    and d2_max_c are certified upper bounds of the suprema of C on
+    [0, m_delta] and on [m_delta, inf); every bound uses them.
+    d1_max_c_lower and d2_max_c_lower are the best values evaluated,
+    at omega_at_d1 and omega_at_d2, and lie within SUPREMUM_RTOL of
+    the upper ones (the outer one within the closing term beyond
+    omega_closed, where C <= (1 + SUPREMUM_RTOL/2)**2).  bound_*
     compares against exact_error (full-line normalization), the
     *_band_norm variants against exact_error_band_norm (band-limited
     normalization, bound scaled by full/band norm ratio).  The
     dominates_* flags state whether each convention's band-normalized
-    bound covers the band-normalized exact error.  omega_at_d1 and
-    omega_at_d2 locate the suprema; omega_at_d2 is inf (None in JSON)
-    when the analytic large-frequency limit is the supremum.
+    bound covers the band-normalized exact error.
     """
 
     r: float
@@ -336,10 +503,13 @@ class ModelErrorReport:
     bound_band_norm: float
     d1_max_c: float
     d2_max_c: float
+    d1_max_c_lower: float
+    d2_max_c_lower: float
     bound_max_c: float
     bound_max_c_band_norm: float
     omega_at_d1: float
     omega_at_d2: float
+    omega_closed: float
     exact_error: float
     exact_error_band_norm: float
     dominates_sq: bool
@@ -350,38 +520,31 @@ def model_error_report(profile, powerlaw, m, delta):
     """Evaluate the band-limited model-error bound and the exact error.
 
     m_delta and the full/band norm ratio come from `profile`, the
-    line `EnergyProfile` of the causal law; the inner supremum of the
-    deviation factor is scanned on [0, m_delta], the outer one on
-    [m_delta, max(m, tail cut)] with the analytic limit 1.0 appended.
-    Both C-conventions and both normalizations are reported; nothing
-    is silently chosen.
+    line `EnergyProfile` of the causal law.  The suprema of the
+    deviation factor are certified by `_certified_max` on [0, m_delta]
+    and on [m_delta, W], and `_closure` bounds C beyond W.  powerlaw
+    is the power law derived from the causal law, or the causal law
+    itself (C vanishes identically).  Both C-conventions and both
+    normalizations are reported; nothing is silently chosen.
     """
     _check_band_edge(m)
     if profile.hi != math.inf:
         raise ValueError(f"the model-error report needs the line energy profile, "
                          f"got one of the band [0, {profile.hi!r}]")
     causal, r = profile.law, profile.r
+    if not (powerlaw == causal or _is_derived_pair(causal, powerlaw)):
+        raise ValueError("the model-error report needs the power law derived from the "
+                         "causal law of the profile, or that causal law itself")
     m_delta = profile.band_edge(delta)
 
-    def c_of(w):
-        return deviation_factor(causal, powerlaw, r, w)
-
-    if m_delta > 0.0:
-        w_inner, c_inner = scan_max(c_of, 0.0, m_delta, n_grid=DEVIATION_SCAN_POINTS)
+    if powerlaw == causal:  # C vanishes identically
+        (w_inner, lo_inner, c_inner), w_closed = (0.0, 0.0, 0.0), m_delta
+        w_outer, lo_outer, c_outer = m_delta, 0.0, 0.0
     else:
-        w_inner, c_inner = 0.0, 0.0
-    outer_hi = max(m, profile.top)
-    w_outer, c_outer_scan = scan_max(c_of, m_delta, outer_hi, n_grid=DEVIATION_SCAN_POINTS)
-    if not (math.isfinite(c_inner) and math.isfinite(c_outer_scan)):
-        raise NumericalError(f"the deviation factor at r={r!r} overflows on [0, {outer_hi!r}]")
-    # C -> 1 beyond the sampled range whenever the power-law attenuation
-    # outgrows the causal one there; for coinciding laws the deviation
-    # vanishes identically and no limit is appended.
-    diverges = float(np.real(alpha_difference(causal, powerlaw, outer_hi))) > 0.0
-    if diverges and 1.0 > c_outer_scan:
-        w_outer, c_outer = math.inf, 1.0
-    else:
-        c_outer = c_outer_scan
+        w_inner, lo_inner, c_inner = _certified_max(causal, powerlaw, r, 0.0, m_delta)
+        w_closed, closing = _closure(causal, powerlaw, r, m_delta)
+        w_outer, lo_outer, c_outer = _certified_max(causal, powerlaw, r, m_delta, w_closed)
+        c_outer = max(c_outer, closing)
 
     d1, d2 = c_inner**2, c_outer**2
     bound = math.sqrt((1.0 - delta) * d1 + delta * d2)
@@ -394,9 +557,9 @@ def model_error_report(profile, powerlaw, m, delta):
     return ModelErrorReport(
         r=float(r), m=float(m), delta=float(delta), m_delta=float(m_delta),
         d1=d1, d2=d2, bound=bound, bound_band_norm=bound * ratio,
-        d1_max_c=c_inner, d2_max_c=c_outer, bound_max_c=bound_lin,
-        bound_max_c_band_norm=bound_lin * ratio,
-        omega_at_d1=float(w_inner), omega_at_d2=float(w_outer),
+        d1_max_c=c_inner, d2_max_c=c_outer, d1_max_c_lower=lo_inner, d2_max_c_lower=lo_outer,
+        bound_max_c=bound_lin, bound_max_c_band_norm=bound_lin * ratio,
+        omega_at_d1=float(w_inner), omega_at_d2=float(w_outer), omega_closed=float(w_closed),
         exact_error=err_full_norm, exact_error_band_norm=err_band_norm,
         dominates_sq=bound * ratio >= err_band_norm,
         dominates_max_c=bound_lin * ratio >= err_band_norm,

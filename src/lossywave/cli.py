@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (DEVIATION_SCAN_POINTS, ENVELOPE_GRID_POINTS, bound_coefficient,
-                     bound_decay_rate, corrected_truncation_error_bound, envelope_bound_constants,
-                     envelope_split, log10_truncation_error_bound, model_error_report,
-                     power_lower_envelope, truncation_error_bound, verify_envelope)
+from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, bound_coefficient, bound_decay_rate,
+                     corrected_truncation_error_bound, envelope_bound_constants, envelope_split,
+                     log10_truncation_error_bound, model_error_report, power_lower_envelope,
+                     truncation_error_bound, verify_envelope)
 from .laws import (eval_alpha, load_preset, powerlaw_phase_singularity, small_frequency_bound,
                    wavenumber)
 from .numerics import NumericalError
@@ -149,7 +149,7 @@ def cmd_bounds(args):
             "quadrature_rtol": QUADRATURE_RTOL,
             "energy_equation_rtol": BAND_EDGE_RTOL,
             "envelope_grid_points": ENVELOPE_GRID_POINTS,
-            "deviation_scan_points": DEVIATION_SCAN_POINTS,
+            "supremum_rtol": SUPREMUM_RTOL,
             "slope_factor": args.slope_factor,
         },
         "envelope_constants": {

@@ -51,6 +51,7 @@ __all__ = [
     "alpha1_from_a1",
     "eval_alpha",
     "alpha_difference",
+    "alpha_difference_slope_bound",
     "attenuation_rise",
     "wavenumber",
     "phase_speed",
@@ -294,6 +295,31 @@ def alpha_difference(causal, powerlaw, omega):
     with np.errstate(over="ignore"):  # beyond the double range the difference is inf
         g.real, g.imag = scale * np.abs(w) * g.imag, -scale * w * g.real
     return g if g.ndim else complex(g)
+
+
+def alpha_difference_slope_bound(causal, omega):
+    """B(w) >= |d/dw alpha_difference(causal, derived power law, v)| for every v in [0, w].
+
+    For the derived pair b = (alpha1/c0)*(-1j*w)*g(u) and u' = p*u/w,
+    p = gamma - 1, so b' = (alpha1/c0)*(-1j)*(g + p*u*g'(u)).  With
+    s = |u| = (tau0*w)**p, q = sqrt(1+u) (Re q >= 1, hence |q| >= 1 and
+    |1 + q| >= 2) and t = q - 1 = u/(1+q), |t| <= s/2.  Then
+    g = -t**2*(1 + 2/q)/2 gives |g| <= min(3s**2/8, 2 + s/2), and
+    u*g' = u*(q**-3 - 1)/2 = -u*t*(1 + 1/q + 1/q**2)/(2q) gives
+    |u*g'| <= min(3s**2/4, s).  Hence
+
+        B(w) = (alpha1/c0)*(min(3s**2/8, 2 + s/2) + p*min(3s**2/4, s)).
+
+    B rises with w, so it bounds |b'| on all of [0, w]; it has no
+    cancellation and at small s equals the leading term of the series
+    of |b'|.  Vectorized over omega >= 0.
+    """
+    p = causal.gamma - 1.0
+    with np.errstate(over="ignore"):  # beyond the double range the bound is inf
+        s = (causal.tau0 * np.asarray(omega, dtype=float)) ** p
+        s_sq = s * s
+        return (causal.alpha1 / causal.c0) * (np.minimum(0.375 * s_sq, 2.0 + 0.5 * s)
+                                              + p * np.minimum(0.75 * s_sq, s))
 
 
 def attenuation_rise(law, lo, h):

@@ -1,4 +1,4 @@
-"""Shared numerical routines: quadrature, extrema search, erfcx.
+"""Shared numerical routines: quadrature and erfcx.
 
 Every integrand handled here is smooth and non-negative, and most
 peak at the left end of their interval and decay past it.  One fixed
@@ -154,33 +154,3 @@ def integrate_decaying(f, a, b, rtol=1e-9):
     order = np.argsort(left)
     return Quadrature(value=float(value.sum()), error=float(error.sum()), samples=samples,
                       edges=np.append(left[order], float(b)), panels=value[order])
-
-
-_REFINE_POINTS = 33  # points per refinement round of `scan_max`
-
-
-def scan_max(f_vec, lo, hi, n_grid=100_001):
-    """Maximum of f on [lo, hi]: dense vectorized grid seed + vectorized refinement.
-
-    f_vec must accept a numpy array.  Returns (argmax, max), the best point
-    evaluated.  Each round evaluates _REFINE_POINTS points across the bracket
-    [a, b] of the last maximum's neighbours in one call, until b - a is under
-    1e-15*max(1, |a| + |b|).  An end-point maximum returns the end point
-    exactly; a nan (np.argmax finds it first) is returned as it is.
-    """
-    if hi <= lo:
-        x = float(lo)
-        return x, float(np.asarray(f_vec(np.array([x])))[0])
-    grid = np.linspace(lo, hi, n_grid)
-    vals = np.asarray(f_vec(grid), dtype=float)
-    i = int(np.argmax(vals))
-    x, fx = float(grid[i]), float(vals[i])
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]
-    while math.isfinite(fx) and b - a > 1e-15 * max(1.0, abs(a) + abs(b)):
-        grid = np.linspace(a, b, _REFINE_POINTS)
-        vals = np.asarray(f_vec(grid), dtype=float)
-        i = int(np.argmax(vals))
-        if not vals[i] <= fx:  # a nan found here is returned too
-            x, fx = float(grid[i]), float(vals[i])
-        a, b = grid[max(i - 1, 0)], grid[min(i + 1, _REFINE_POINTS - 1)]
-    return x, fx

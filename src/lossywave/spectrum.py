@@ -351,6 +351,23 @@ def log10_relative_truncation_error(profile, m):
     return float(tail - full) / (2.0 * math.log(10.0))
 
 
+def _deviation(causal, powerlaw, r, omega):
+    """(C, x) of `deviation_factor` at the nodes omega, from one `alpha_difference` call.
+
+    x = -r*Re(alpha_pl - alpha_c), so |exp(-b*r)| = exp(x); it is -inf where
+    r*Re b overflows.  Where exp(x) underflows to 0, C is expm1(x)**2 = 1
+    exactly: the sine term is dropped there, which would be 0*sin(inf) = nan
+    once b*r overflows.
+    """
+    b = alpha_difference(causal, powerlaw, omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = -r * np.real(b)
+        decay = np.exp(x)
+        half_sin = np.sin(0.5 * r * np.imag(b))
+        c = np.expm1(x) ** 2 + np.where(decay > 0.0, 4.0 * decay * half_sin * half_sin, 0.0)
+    return c, x
+
+
 def deviation_factor(causal, powerlaw, r, omega):
     """Squared relative deviation C = |G_hat_pl/G_hat_c - 1|**2 of the two Green spectra.
 
@@ -358,13 +375,10 @@ def deviation_factor(causal, powerlaw, r, omega):
     = |1 - 2*exp(-b1*r)*cos(b2*r) + exp(-2*b1*r)|, returned as
     expm1(-b1*r)**2 + 4*exp(-b1*r)*sin(b2*r/2)**2: two non-negative terms
     in real arithmetic that keep their digits where b*r is small.
-    Vectorized over omega; non-finite where b*r overflows.
+    Vectorized over omega; non-finite where b1*r overflows negative or
+    b2*r overflows while exp(-b1*r) does not underflow.
     """
-    b = alpha_difference(causal, powerlaw, omega)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = -r * np.real(b)
-        half_sin = np.sin(0.5 * r * np.imag(b))
-        c = np.expm1(x) ** 2 + 4.0 * np.exp(x) * half_sin * half_sin
+    c = _deviation(causal, powerlaw, r, omega)[0]
     return c if np.ndim(c) else float(c)
 
 

@@ -205,16 +205,18 @@ def write_json(path, doc):
 
 
 def write_table(path, colnames, columns, comment=None, fmt="csv"):
-    """Write equal-length columns as CSV, or as a JSON list of row objects.
+    """Write equal-length columns as CSV, or as JSON {"comment": ..., "rows": [row objects]}.
 
     The file gets the suffix of `fmt` ("csv" or "json"); returns its path.
-    Values are converted to float.  JSON has no comment.
+    Values are converted to float.  The comment is the CSV file's first
+    line without its "# ", or the JSON document's "comment".
     """
     path = Path(path).with_suffix("." + fmt)
     cols = [np.asarray(c, dtype=float) for c in columns]
     if fmt == "json":
         rows = zip(*(c.tolist() for c in cols))
-        return write_json(path, [dict(zip(colnames, row)) for row in rows])
+        return write_json(path, {"comment": comment,
+                                 "rows": [dict(zip(colnames, row)) for row in rows]})
     row_fmt = b",".join([b"%.17g"] * len(cols)) + b"\n"
     with open(path, "wb") as fh:
         if comment:

@@ -151,11 +151,19 @@ def causality_energy_fraction(signal, arrival, guard=None):
     edge = arrival - guard
     if edge <= signal.t0:
         raise ValueError("window too short: guarded arrival precedes the first sample")
-    total = float(np.sum(signal.samples**2))
+    energy = signal.samples**2
+    total = float(np.sum(energy))
     if total == 0.0:
         return 0.0
-    pre = float(np.sum(signal.samples[signal.times() < edge] ** 2))
-    return pre / total
+    # the samples with t0 + dt*j < edge, j < k, counted without building times();
+    # the estimate is corrected against that exact arithmetic
+    t0, dt, n = signal.t0, signal.dt, len(energy)
+    k = math.ceil(min((edge - t0) / dt, n))  # edge > t0, so k >= 1
+    while k > 0 and t0 + dt * (k - 1) >= edge:
+        k -= 1
+    while k < n and t0 + dt * k < edge:
+        k += 1
+    return float(np.sum(energy[:k])) / total
 
 
 def forward_point_source(law, r, forcing, grid):

@@ -1,18 +1,26 @@
-"""Property tests: invariants of the truncation bounds across parameter space."""
+"""Property tests: the truncation bound and the certified model-error suprema across media."""
 
+import math
+
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lossywave import (  # noqa: E402
+    CausalLaw,
+    MediumPreset,
     builtin_preset,
     corrected_truncation_error_bound,
+    deviation_factor,
     energy_profile,
     envelope_bound_constants,
     log10_relative_truncation_error,
+    model_error_report,
     verify_envelope,
 )
+from lossywave.bounds import SUPREMUM_RTOL  # noqa: E402
 
 CASTOR = builtin_preset("castor-oil")
 
@@ -28,3 +36,55 @@ def test_corrected_bound_dominates_exact_error(log10_r, m):
     assert envelope.holds_lower and envelope.holds_upper
     profile = energy_profile(CASTOR.causal, r)
     assert bound.log10_bound >= log10_relative_truncation_error(profile, m)
+
+
+@st.composite
+def derived_media(draw):
+    """A causal law over the ranges of test_spectrum_properties' `laws()`, with its power law."""
+    causal = CausalLaw(gamma=draw(st.floats(1.05, 2.0)), c0=0.15,
+                       alpha1=10.0 ** draw(st.floats(0.0, 3.0)),
+                       tau0=10.0 ** draw(st.floats(-9.0, -3.0)))
+    return MediumPreset.from_causal("drawn", causal)
+
+
+def _grid(lo, hi, n=100_001):
+    """Nodes of [lo, hi]: uniform, and geometric in the distance from lo, down to 1e-12 of it."""
+    span = hi - lo
+    return np.concatenate((np.linspace(lo, hi, n), lo + np.geomspace(1e-12 * span, span, n)))
+
+
+# Two media where a weaker certificate shows.  Castor oil at r = 1: C peaks
+# at w = 391, beyond both M and the tail cut, where a search without the
+# closure to infinity stops.  The second: a cell bound from half the slope
+# majorant prunes the outer peak at w ~ 2e3 and certifies 1.05808, 7e-5 short.
+@settings(max_examples=40, deadline=None)
+@given(medium=derived_media(), log10_r=st.floats(-6.0, 2.0), log10_delta=st.floats(-6.0, -0.3))
+@example(medium=CASTOR, log10_r=0.0, log10_delta=math.log10(6e-4))
+@example(medium=MediumPreset.from_causal("drawn", CausalLaw(
+    gamma=1.6991225607030942, c0=0.15, alpha1=229.76867756400878, tau0=1.4115541855112513e-08)),
+    log10_r=math.log10(2.623694646100546), log10_delta=math.log10(1.2318175251253916e-05))
+def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
+    # C sampled independently of the search, on [0, m_delta] and on [m_delta, 1e12]
+    # with a geometric grid out to 1e12 as well, never exceeds the certified bound
+    causal, powerlaw = medium.causal, medium.powerlaw
+    r, delta = 10.0**log10_r, 10.0**log10_delta
+    rep = model_error_report(energy_profile(causal, r), powerlaw, 100.0, delta)
+    inner = deviation_factor(causal, powerlaw, r, _grid(0.0, rep.m_delta))
+    outer = deviation_factor(causal, powerlaw, r, np.concatenate(
+        (_grid(rep.m_delta, 1e12), np.geomspace(rep.m_delta, 1e12, 100_001))))
+    assert np.max(inner) <= rep.d1_max_c * (1.0 + 1e-12)
+    assert np.max(outer) <= rep.d2_max_c * (1.0 + 1e-12)
+
+    # the best points evaluated, and how far above them the certificates lie;
+    # the closing term is recomputed here with rounding of its own, hence 1e-12
+    w = rep.omega_closed
+    a2 = causal.alpha1 / causal.c0
+    closing = (1.0 + math.exp(-r * (powerlaw.a1 * w**causal.gamma - a2 * w)))**2
+    assert 0.0 <= rep.omega_at_d1 <= rep.m_delta <= rep.omega_at_d2 <= w
+    for omega, lower in ((rep.omega_at_d1, rep.d1_max_c_lower),
+                         (rep.omega_at_d2, rep.d2_max_c_lower)):
+        # a lone node may round differently from one in a vector call
+        assert deviation_factor(causal, powerlaw, r, omega) == pytest.approx(lower, rel=1e-14)
+    assert rep.d1_max_c_lower <= rep.d1_max_c <= rep.d1_max_c_lower * (1.0 + SUPREMUM_RTOL)
+    assert rep.d2_max_c_lower <= rep.d2_max_c <= max(rep.d2_max_c_lower * (1.0 + SUPREMUM_RTOL),
+                                                     closing) * (1.0 + 1e-12)

@@ -226,6 +226,11 @@ class TestDeviationFactor:
         val = deviation_factor(castor.causal, castor.powerlaw, 1.0, 1e4)
         assert val == pytest.approx(1.0, rel=1e-6)
 
+    def test_exactly_one_where_the_difference_overflows(self, castor):
+        # b*r is inf at 1e200: exp(-b1*r) = 0 times sin(inf) gave nan
+        w = np.array([1e7, 1e50, 1e200])
+        assert np.all(deviation_factor(castor.causal, castor.powerlaw, 1.0, w) == 1.0)
+
     def test_matches_expm1_identity(self, castor):
         from lossywave import alpha_difference
 
@@ -276,11 +281,20 @@ class TestModelErrorReport:
         rep = model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)
         doc = asdict(rep)
         for key in ("r", "m", "delta", "m_delta", "d1", "d2", "bound", "bound_band_norm",
-                    "d1_max_c", "d2_max_c", "bound_max_c", "bound_max_c_band_norm",
-                    "omega_at_d1", "omega_at_d2",
-                    "exact_error", "exact_error_band_norm", "dominates_sq", "dominates_max_c"):
+                    "d1_max_c", "d2_max_c", "d1_max_c_lower", "d2_max_c_lower",
+                    "bound_max_c", "bound_max_c_band_norm", "omega_at_d1", "omega_at_d2",
+                    "omega_closed", "exact_error", "exact_error_band_norm", "dominates_sq",
+                    "dominates_max_c"):
             assert key in doc
-        assert doc["omega_at_d2"] == math.inf  # supremum attained at the analytic limit
+        # the outer supremum is the peak at 391 beyond M = 100, not a limit at infinity
+        assert doc["omega_at_d2"] == pytest.approx(391.31, rel=1e-4)
+        assert doc["m_delta"] < doc["omega_at_d2"] < doc["omega_closed"] < math.inf
+        assert doc["d2_max_c_lower"] <= doc["d2_max_c"] <= doc["d2_max_c_lower"] * (1.0 + 1e-7)
+
+    def test_rejects_an_unrelated_power_law(self, castor):
+        other = replace(castor.powerlaw, a1=2.0 * castor.powerlaw.a1)
+        with pytest.raises(ValueError, match="derived from the causal law"):
+            model_error_report(energy_profile(castor.causal, 1.0), other, 100.0, 6e-4)
 
     def test_rejects_a_band_profile(self, castor):
         # a band profile's total is the band energy and its band edge stops
@@ -298,16 +312,16 @@ class TestModelErrorReport:
 
     @pytest.mark.parametrize("where", [0.0, 5.0, 1e3])
     def test_non_finite_deviation_raises(self, castor, monkeypatch, where):
-        # one nan on a seed grid, inside the band or beyond it, is an error
+        # one nan among the seed nodes, inside the band or beyond it, is an error
         from lossywave import NumericalError, bounds
 
-        factor = bounds.deviation_factor
+        kernel = bounds._deviation
 
         def with_nan(causal, powerlaw, r, omega):
-            values = factor(causal, powerlaw, r, omega)
+            values, x = kernel(causal, powerlaw, r, omega)
             values[np.asarray(omega) == omega[np.argmin(np.abs(omega - where))]] = math.nan
-            return values
+            return values, x
 
-        monkeypatch.setattr(bounds, "deviation_factor", with_nan)
+        monkeypatch.setattr(bounds, "_deviation", with_nan)
         with pytest.raises(NumericalError, match="deviation factor"):
             model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)

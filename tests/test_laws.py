@@ -11,6 +11,7 @@ from lossywave import (
     PowerLaw,
     alpha1_from_a1,
     alpha_difference,
+    alpha_difference_slope_bound,
     attenuation_rise,
     builtin_preset,
     derive_powerlaw_coeffs,
@@ -164,6 +165,26 @@ class TestAlphaDifference:
 
     def test_identical_law_is_zero(self, castor):
         assert alpha_difference(castor.causal, castor.causal, 10.0) == 0.0
+
+
+class TestAlphaDifferenceSlopeBound:
+    @pytest.mark.parametrize("gamma", [1.05, 1.3, 1.66, 2.0])
+    def test_bounds_every_chord(self, gamma):
+        # |b(w2) - b(w1)| <= B(w2)*(w2 - w1): B bounds |b'| on [0, w2]
+        causal = CausalLaw(gamma=gamma, c0=0.15, alpha1=138.08, tau0=1e-6)
+        derived = MediumPreset.from_causal("drawn", causal).powerlaw
+        w = np.geomspace(1e-3, 1e12, 30001)
+        b = alpha_difference(causal, derived, w)
+        chords = np.abs(np.diff(b)) / np.diff(w)
+        assert np.all(chords <= alpha_difference_slope_bound(causal, w[1:]) * (1.0 + 1e-9))
+
+    def test_leading_term_at_small_frequency(self, castor):
+        # at |u| = 1e-4 the bound is the slope of (3/8)(alpha1/c0)*w*|u|**2 to 1e-3
+        w = 1e6 * 1e-4 ** (1.0 / 0.66)
+        h = 1e-6 * w
+        b = alpha_difference(castor.causal, castor.powerlaw, np.array([w - h, w]))
+        slope = abs(b[1] - b[0]) / h
+        assert slope == pytest.approx(alpha_difference_slope_bound(castor.causal, w), rel=1e-3)
 
 
 class TestAttenuationRise:

@@ -7,7 +7,6 @@ from lossywave.numerics import (
     NumericalError,
     gauss_kronrod,
     integrate_decaying,
-    scan_max,
 )
 
 
@@ -85,15 +84,3 @@ def test_integrate_decaying_stretched_exponential():
     val = integrate_decaying(lambda x: np.exp(-(x**1.66)), 0.0, 70.0 ** (1 / 1.66)).value
     assert val == pytest.approx(math.gamma(1.0 + 1.0 / 1.66), rel=1e-7)
 
-
-def test_scan_max_parabola():
-    # a coarse seed grid leaves the refinement rounds to locate the peak
-    x, fx = scan_max(lambda t: -((t - 1.3) ** 2), 0.0, 2.0, n_grid=11)
-    assert x == pytest.approx(1.3, abs=1e-9)
-    assert fx == pytest.approx(0.0, abs=1e-12)
-
-
-def test_scan_max_matches_known_peak():
-    x, fx = scan_max(lambda t: np.exp(-((t - 4.0) ** 2)), 0.0, 10.0, n_grid=1001)
-    assert x == pytest.approx(4.0, abs=1e-6)
-    assert fx == pytest.approx(1.0, rel=1e-10)

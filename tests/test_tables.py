@@ -51,10 +51,11 @@ def test_empty_columns_write_the_header(tmp_path):
 
 def test_json_rows(tmp_path):
     path = write_table(tmp_path / "rows", ["gamma", "bound"], [np.array([1.5, 2.0]), [1e4, 3]],
-                       fmt="json")
+                       comment="tau0=1e-06", fmt="json")
     assert path.name == "rows.json"
-    assert json.loads(path.read_text(encoding="utf-8")) == [
-        {"gamma": 1.5, "bound": 1e4}, {"gamma": 2.0, "bound": 3.0}]
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "comment": "tau0=1e-06",
+        "rows": [{"gamma": 1.5, "bound": 1e4}, {"gamma": 2.0, "bound": 3.0}]}
 
 
 # the writer's numpy kernel against per-value `%`

@@ -113,6 +113,19 @@ class TestCausalityFraction:
         assert causality_energy_fraction(sig, arrival) == 0.0
         assert causality_energy_fraction(sig, arrival, guard=0.0) == pytest.approx(1.0)
 
+    def test_matches_the_time_mask_bit_for_bit(self):
+        # the pre-arrival count by index equals the mask times() < edge, also
+        # where the edge falls on a sample time or between rounded neighbours
+        rng = np.random.default_rng(3)
+        for t0, dt in [(0.0, 0.1), (-0.37, 0.1), (2.5, math.pi / 400.0), (1e-3, 1e-7)]:
+            sig = RealSignal(t0=t0, dt=dt, samples=rng.standard_normal(1000), r=1.0)
+            times = sig.times()
+            for edge in [*times[[1, 2, 333, 999]], *np.nextafter(times[[1, 500]], -np.inf),
+                         *np.nextafter(times[[1, 500]], np.inf), times[-1] + 5.0 * dt,
+                         t0 + 0.5 * dt]:
+                mask = np.sum(sig.samples[times < edge] ** 2) / np.sum(sig.samples**2)
+                assert causality_energy_fraction(sig, edge, guard=0.0) == float(mask)
+
     def test_window_too_short(self):
         sig = RealSignal(t0=5.0, dt=0.1, samples=np.ones(10), r=1.0)
         with pytest.raises(ValueError):
