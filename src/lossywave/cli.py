@@ -196,11 +196,9 @@ def cmd_causality(args):
         "grid": {"omega_max": args.omega_max, "n": args.samples},
         "m": args.m,
     }
-    for key, spec in (
-        ("causal", sample_green_spectrum(preset.causal, args.r, grid)),
-        ("truncated_powerlaw", sample_green_spectrum(preset.powerlaw, args.r, grid, args.m)),
-    ):
-        signal = synthesize_time_signal(spec)
+    for key, law, band_edge in (("causal", preset.causal, None),
+                                ("truncated_powerlaw", preset.powerlaw, args.m)):
+        signal = synthesize_time_signal(sample_green_spectrum(law, args.r, grid, band_edge))
         doc[key] = {
             "raw_fraction": causality_energy_fraction(signal, arrival, guard=0.0),
             "guarded_fraction": causality_energy_fraction(signal, arrival),

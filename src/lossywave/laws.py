@@ -21,12 +21,14 @@ Branch convention for the fractional power:
 
     (-1j*omega)**p = |omega|**p * exp(-1j * p * (pi/2) * sign(omega)),
 
-the principal branch approached from the lower half-plane, which is
-exactly what numpy's complex power evaluates.  With it Re(alpha*) is
-even in omega, Im(alpha*) is odd, so sampled Green-function spectra
-are Hermitian and synthesized signals are real.  The square root in
-the causal law is the principal square root; its argument always has
-real part >= 1, so no branch cut is ever crossed.
+the principal branch approached from the lower half-plane.  Both laws
+are evaluated in real arithmetic on this form: a real power of |omega|
+times the constant phase (-1j)**p, the pair (Re alpha*, Im alpha*)
+formed at |omega| and the sign of omega applied to Im alpha* afterwards.
+So Re(alpha*) is even in omega and Im(alpha*) odd bit for bit, sampled
+Green-function spectra are Hermitian and synthesized signals are real.
+The square root in the causal law is the principal square root; its
+argument always has real part >= 1, so no branch cut is ever crossed.
 """
 
 from __future__ import annotations
@@ -217,28 +219,67 @@ def load_preset(source):
     return MediumPreset.from_causal(str(doc["name"]), causal)
 
 
+def _alpha_parts(law, omega):
+    """(Re alpha*(omega), Im alpha*(omega)) as two real arrays, the one law kernel.
+
+    Both parts are formed at a = |omega| and Im alpha* takes the sign of
+    omega afterwards.  Causal law: s = (tau0*a)**p, p = gamma - 1, and
+    1 + u = x - 1j*y with x = 1 + s*cos(p*pi/2) >= 1, y = s*sin(p*pi/2);
+    its principal square root is q - 1j*y/(2q) with q = sqrt((|1+u| + x)/2),
+    |1+u| from hypot, so alpha* = (alpha1/c0)*a*(y/(2q) - 1j*q)/|1+u| has no
+    cancellation.  Power law: a1*a**gamma*(1 + 1j*cot(p*pi/2)) - 1j*a2*a,
+    since -tan(gamma*pi/2) = cot(p*pi/2); gamma = 2 is the thermoviscous
+    a1*a**2 - 1j*a2*a, whose cotangent 0 the rounded pi would miss.
+    """
+    w = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("omega must be finite")
+    a = np.abs(w.reshape(-1))  # 1-d, so that every step below can work in place
+    if isinstance(law, CausalLaw):
+        phase = (-1j) ** (law.gamma - 1.0)  # exp(-1j*p*pi/2); exactly -1j at gamma = 2
+        s = np.multiply(a, law.tau0)
+        np.power(s, law.gamma - 1.0, out=s)
+        x = s * phase.real
+        x += 1.0
+        s *= -phase.imag  # y
+        m = np.hypot(x, s)  # |1 + u|
+        x += m
+        x *= 0.5
+        q = np.sqrt(x, out=x)
+        m *= law.c0
+        a *= law.alpha1
+        a /= m  # alpha1*a/(c0*|1 + u|)
+        s *= a
+        s *= 0.5
+        re = np.divide(s, q, out=s)
+        q *= a
+        im = np.negative(q, out=q)
+    elif isinstance(law, PowerLaw):
+        re = np.power(a, law.gamma)
+        re *= law.a1
+        a *= law.a2
+        if law.gamma == 2.0:
+            im = np.negative(a, out=a)
+        else:
+            im = re / math.tan(0.5 * math.pi * (law.gamma - 1.0))
+            im -= a
+    else:
+        raise TypeError(f"not a dispersion law: {law!r}")
+    np.negative(im, out=im, where=np.signbit(w.reshape(-1)))
+    return re.reshape(w.shape), im.reshape(w.shape)
+
+
 def eval_alpha(law, omega):
     """Complex attenuation-dispersion value alpha*(omega) in 1/cm.
 
     Accepts a scalar or a numpy array of finite frequencies in rad/us.
     Re(alpha*) is even in omega and positive away from zero (for
-    non-degenerate laws); Im(alpha*) is odd, so
-    eval_alpha(law, -w) == conj(eval_alpha(law, w)).
+    non-degenerate laws); Im(alpha*) is odd, and
+    eval_alpha(law, -w) == conj(eval_alpha(law, w)) holds bit for bit.
     """
-    w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("omega must be finite")
-    if isinstance(law, CausalLaw):
-        root = np.sqrt(1.0 + (-1j * law.tau0 * w) ** (law.gamma - 1.0))
-        out = law.alpha1 * (-1j * w) / (law.c0 * root)
-    elif isinstance(law, PowerLaw):
-        if law.gamma == 2.0:
-            out = law.a1 * w**2 - 1j * law.a2 * w
-        else:
-            out = (law.a1 * (-1j * w) ** law.gamma / math.cos(law.gamma * math.pi / 2.0)
-                   + law.a2 * (-1j * w))
-    else:
-        raise TypeError(f"not a dispersion law: {law!r}")
+    re, im = _alpha_parts(law, omega)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out if out.ndim else complex(out)
 
 
@@ -334,7 +375,7 @@ def attenuation_rise(law, lo, h):
     """
     h = np.asarray(h, dtype=float)
     if lo == 0.0:
-        return np.real(eval_alpha(law, h))
+        return _alpha_parts(law, h)[0]
     t = np.log1p(h / lo)
     if isinstance(law, PowerLaw):
         with np.errstate(over="ignore"):  # beyond the double range the rise is +inf

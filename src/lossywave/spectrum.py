@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .laws import DispersionLaw, alpha_difference, attenuation_rise, eval_alpha
+from .laws import DispersionLaw, _alpha_parts, alpha_difference, attenuation_rise
 from .numerics import NumericalError, Quadrature, gauss_kronrod, integrate_decaying
 
 __all__ = [
@@ -95,7 +95,7 @@ class FrequencyGrid:
         return 2.0 * self.omega_max / self.n
 
     def omegas(self):
-        return self.delta_omega * np.arange(self.n // 2 + 1)
+        return self.delta_omega * np.arange(self.n // 2 + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,45 @@ class ComplexSpectrum:
             raise ValueError("values length does not match the grid: n/2 + 1 expected")
 
 
+def _from_polar(magnitude, phase, lag=False):
+    """magnitude*exp(1j*phase) from one cos and one sin pass over real arrays.
+
+    lag=True subtracts a quarter turn from the phase exactly:
+    exp(1j*(phase - pi/2)) = sin(phase) - 1j*cos(phase).
+    """
+    out = np.empty(np.shape(magnitude), dtype=complex)
+    first, second = (np.sin, np.cos) if lag else (np.cos, np.sin)
+    part = first(phase, out=np.empty(out.shape))
+    np.multiply(magnitude, part, out=out.real)
+    second(phase, out=part)
+    if lag:
+        np.negative(part, out=part)
+    np.multiply(magnitude, part, out=out.imag)
+    return out
+
+
+def _green_polar(law, r, w):
+    """(magnitude, phase) of G_hat(r, w): exp(-r*Re alpha*)/(4*pi*r) and w*r/c0 - r*Im alpha*."""
+    _check_distance(r)
+    magnitude, phase = _alpha_parts(law, w)
+    magnitude *= -r
+    np.exp(magnitude, out=magnitude)
+    magnitude /= 4.0 * math.pi * r
+    phase *= -r
+    phase += w * (r / law.c0)
+    return magnitude, phase
+
+
 def green_hat(law, r, omega):
     """Green-function spectrum exp(-alpha*(w)*r)/(4*pi*r) * exp(1j*w*r/c0).
 
     r must be positive: the Green function is singular at the origin.
-    Vectorized over omega.
+    Vectorized over omega.  Formed in real arithmetic as a magnitude
+    exp(-r*Re alpha*)/(4*pi*r) times exp(1j*phi), phi = w*r/c0 - r*Im alpha*:
+    one exp and one cos/sin pass per node.
     """
-    _check_distance(r)
     w = np.asarray(omega, dtype=float)
-    out = np.exp(-eval_alpha(law, w) * r + 1j * (w * (r / law.c0))) / (4.0 * math.pi * r)
+    out = _from_polar(*_green_polar(law, r, w))
     return out if out.ndim else complex(out)
 
 
@@ -224,7 +254,7 @@ def _energy_pass(law, r, lo, hi):
 def _log_energy(law, r, lo):
     """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, inf), finite where it underflows."""
     _, tail = _energy_pass(law, r, lo, math.inf)
-    return math.log(tail.value) - 2.0 * r * float(np.real(eval_alpha(law, lo)))
+    return math.log(tail.value) - 2.0 * r * float(_alpha_parts(law, lo)[0])
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .laws import eval_alpha
-from .spectrum import ComplexSpectrum, FrequencyGrid, sample_green_spectrum
+from .spectrum import ComplexSpectrum, FrequencyGrid, _from_polar, _green_polar
 
 __all__ = [
     "RealSignal",
@@ -85,21 +85,29 @@ class ForcingSignal:
         if self.kind != "delta" and not self.width > 0.0:
             raise ValueError("width must be positive for non-delta forcings")
 
-    def spectrum(self, omega):
-        """Forcing spectrum under the package Fourier convention."""
-        w = np.asarray(omega, dtype=float)
-        phase = np.exp(1j * w * self.center)
+    @property
+    def _lags(self):
+        """True where the spectrum's phase is w*center - pi/2: the 1/(2j) of the modulated sine."""
+        return self.kind == "gaussian-modulated-sine"
+
+    def _envelope(self, w):
+        """Real envelope E(w) of the spectrum E(w)*exp(1j*w*center), lagged by pi/2 if `_lags`.
+
+        E is odd for the modulated sine, even otherwise.
+        """
         with np.errstate(over="ignore"):  # an envelope exp(-inf) = 0 where (w*width)**2 overflows
             if self.kind == "delta":
-                out = phase / _SQRT_2PI
-            elif self.kind == "gaussian-pulse":
-                out = self.width * phase * np.exp(-0.5 * (w * self.width) ** 2)
-            else:
-                k = self.carrier
-                out = (self.width * phase / 2j) * (
-                    np.exp(-0.5 * ((w + k) * self.width) ** 2)
-                    - np.exp(-0.5 * ((w - k) * self.width) ** 2)
-                )
+                return np.full(np.shape(w), 1.0 / _SQRT_2PI)
+            if self.kind == "gaussian-pulse":
+                return self.width * np.exp(-0.5 * (w * self.width) ** 2)
+            k = self.carrier
+            return 0.5 * self.width * (np.exp(-0.5 * ((w + k) * self.width) ** 2)
+                                       - np.exp(-0.5 * ((w - k) * self.width) ** 2))
+
+    def spectrum(self, omega):
+        """Forcing spectrum under the package Fourier convention: envelope times phase."""
+        w = np.asarray(omega, dtype=float)
+        out = _from_polar(self._envelope(w), w * self.center, lag=self._lags)
         return out if out.ndim else complex(out)
 
 
@@ -171,25 +179,30 @@ def forward_point_source(law, r, forcing, grid):
 
     The output is the inverse transform of
     G_hat(r, w) * ghat(w) * sqrt(2*pi) (convolution theorem under the
-    unitary convention); a delta forcing therefore reproduces
-    synthesize_time_signal of the Green spectrum sample for sample.
-    Non-delta forcing spectra must be negligible at the grid edge,
-    |ghat(omega_max)| < 1e-12 * max|ghat|, and nonzero at some node.  A
-    delta is exempt (it is never band-limited; the product decays
-    through G_hat alone).
+    unitary convention), formed in one magnitude and one phase per node:
+    the Green magnitude times the forcing's real envelope, and the Green
+    phase plus w*center (less pi/2 for the modulated sine).  A delta forcing
+    therefore reproduces synthesize_time_signal of the Green spectrum to
+    rounding, within 1e-12 of its peak.  Non-delta forcing spectra must be
+    negligible at the grid edge, |ghat(omega_max)| < 1e-12 * max|ghat|,
+    and nonzero at some node.  A delta is exempt (it is never
+    band-limited; the product decays through G_hat alone).
     """
-    ghat = forcing.spectrum(grid.omegas())
+    w = grid.omegas()
+    envelope = forcing._envelope(w)
     if forcing.kind != "delta":
-        peak = float(np.max(np.abs(ghat)))
+        peak = float(np.max(np.abs(envelope)))
         if peak == 0.0:
             raise ValueError(f"the forcing spectrum is 0 at every node: the spacing "
                              f"2*omega_max/n = {grid.delta_omega!r} is too coarse, raise n")
-        if abs(ghat[-1]) >= 1e-12 * peak:
+        if abs(envelope[-1]) >= 1e-12 * peak:
             raise ValueError("forcing bandwidth exceeds the grid: raise omega_max")
-    spec = sample_green_spectrum(law, r, grid)
-    product = ComplexSpectrum(grid=grid, r=float(r),
-                              values=spec.values * ghat * _SQRT_2PI,
-                              law_tag=spec.law_tag)
+    magnitude, phase = _green_polar(law, r, w)
+    magnitude *= envelope
+    magnitude *= _SQRT_2PI
+    phase += w * forcing.center
+    product = ComplexSpectrum(grid=grid, r=float(r), law_tag=law.tag,
+                              values=_from_polar(magnitude, phase, lag=forcing._lags))
     return synthesize_time_signal(product)
 
 

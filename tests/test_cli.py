@@ -588,8 +588,8 @@ class TestTailCutWork:
     """
 
     def test_at_most_seven_vector_calls_per_solve(self, tmp_path, monkeypatch):
-        rise, alpha, width = spectrum.attenuation_rise, laws.eval_alpha, spectrum._tail_width
-        per_solve = []  # [rise calls, scalar eval_alpha calls] of each solve, the open one last
+        rise, alpha, width = spectrum.attenuation_rise, laws._alpha_parts, spectrum._tail_width
+        per_solve = []  # [rise calls, scalar law-kernel calls] of each solve, the open one last
         inside = []
 
         def counting_rise(law, lo, h):
@@ -611,8 +611,8 @@ class TestTailCutWork:
                 inside.pop()
 
         monkeypatch.setattr(spectrum, "attenuation_rise", counting_rise)
-        monkeypatch.setattr(spectrum, "eval_alpha", counting_alpha)
-        monkeypatch.setattr(laws, "eval_alpha", counting_alpha)
+        monkeypatch.setattr(spectrum, "_alpha_parts", counting_alpha)
+        monkeypatch.setattr(laws, "_alpha_parts", counting_alpha)
         monkeypatch.setattr(spectrum, "_tail_width", counting_width)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
         # per distance the line profile's cut, the energy beyond it and the tail
@@ -645,3 +645,51 @@ class TestScanWork:
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
         assert 10 <= counts["calls"] <= 1.1 * 49
         assert 10 * (bounds._SEED_CELLS + 1) <= counts["samples"] <= 1.1 * 50_495
+
+
+class TestTimeDomainWork:
+    """Law evaluations of `pulse` and `causality`, counted at the one law kernel.
+
+    `pulse` forms the Green spectrum times the forcing as one magnitude and
+    one phase per node: one kernel call over the n/2 + 1 grid nodes and no
+    complex forcing spectrum.  `causality` samples the causal law on the
+    whole grid and the truncated power law only on its band.
+    """
+
+    N = 2**12
+
+    def _count_kernel(self, monkeypatch):
+        calls = []
+        kernel = laws._alpha_parts
+
+        def counting(law, omega):
+            calls.append((law.tag, np.size(omega)))
+            return kernel(law, omega)
+
+        for module in (laws, spectrum):  # every module that binds the kernel
+            monkeypatch.setattr(module, "_alpha_parts", counting)
+        return calls
+
+    @pytest.mark.parametrize("law", ["causal", "powerlaw"])
+    @pytest.mark.parametrize("kind", ["delta", "gaussian-pulse", "gaussian-modulated-sine"])
+    def test_pulse_evaluates_the_law_once_per_node(self, tmp_path, monkeypatch, law, kind):
+        calls = self._count_kernel(monkeypatch)
+        spectra = []
+        forcing_spectrum = ForcingSignal.spectrum
+
+        def counting_spectrum(self, omega):
+            spectra.append(np.size(omega))
+            return forcing_spectrum(self, omega)
+
+        monkeypatch.setattr(ForcingSignal, "spectrum", counting_spectrum)
+        assert cli.main(["pulse", "--out", str(tmp_path), "--law", law, "--kind", kind,
+                         "--samples", str(self.N)]) == 0
+        tag = "causal" if law == "causal" else "power-law"
+        assert calls == [(tag, self.N // 2 + 1)]
+        assert spectra == []
+
+    def test_causality_samples_the_power_law_only_in_its_band(self, tmp_path, monkeypatch):
+        calls = self._count_kernel(monkeypatch)
+        assert cli.main(["causality", "--out", str(tmp_path), "--samples", str(self.N)]) == 0
+        band = int(np.count_nonzero(FrequencyGrid(400.0, self.N).omegas() <= 100.0))
+        assert calls == [("causal", self.N // 2 + 1), ("power-law", band)]

@@ -103,12 +103,11 @@ class TestEvalAlpha:
         assert re_causal == pytest.approx(re_power, rel=1e-3)
 
     def test_hermitian_symmetry_random(self, castor):
+        # both parts are formed at |w| and Im takes the sign of w: exact symmetry
         rng = np.random.default_rng(42)
         w = rng.uniform(-1e7, 1e7, size=1000)
         for law in (castor.causal, castor.powerlaw):
-            va = eval_alpha(law, w)
-            vb = eval_alpha(law, -w)
-            assert np.all(np.abs(vb - np.conj(va)) <= 1e-12 * np.abs(va))
+            assert np.array_equal(eval_alpha(law, -w), np.conj(eval_alpha(law, w)))
 
     def test_attenuation_positive(self, castor):
         rng = np.random.default_rng(3)

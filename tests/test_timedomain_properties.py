@@ -5,12 +5,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import math  # noqa: E402
+
 import numpy as np  # noqa: E402
 
 from lossywave import (  # noqa: E402
     CausalLaw,
+    ComplexSpectrum,
+    ForcingSignal,
     FrequencyGrid,
     MediumPreset,
+    forward_point_source,
+    green_hat,
     sample_green_spectrum,
     synthesize_time_signal,
 )
@@ -38,4 +44,54 @@ def test_irfft_synthesis_matches_full_grid_oracle(gamma, c0, log10_alpha1, log10
     peak = float(np.max(np.abs(oracle)))
     assert np.max(np.abs(sig.samples - oracle.real)) <= 1e-12 * peak
     # discrete Parseval over the Hermitian extension
+    assert float(np.sum(sig.samples**2)) * sig.dt == pytest.approx(energy, rel=1e-12)
+
+
+@st.composite
+def forcings(draw, omega_max, window):
+    """A forcing of each kind whose spectrum is below 1e-14 of its peak at omega_max.
+
+    The width is 16 to 40 times 1/omega_max and the carrier at most half of
+    omega_max, so even the modulated sine's upper lobe has fallen by e**-32
+    at the grid edge; the center lies in the first quarter of the window.
+    """
+    kind = draw(st.sampled_from(["delta", "gaussian-pulse", "gaussian-modulated-sine"]))
+    center = draw(st.floats(0.0, 0.25)) * window
+    if kind == "delta":
+        return ForcingSignal(kind, center=center)
+    width = draw(st.floats(16.0, 40.0)) / omega_max
+    carrier = draw(st.floats(0.05, 0.5)) * omega_max if kind != "gaussian-pulse" else 0.0
+    return ForcingSignal(kind, center=center, width=width, carrier=carrier)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       gamma=st.floats(min_value=1.05, max_value=2.0),
+       c0=st.floats(min_value=0.05, max_value=2.0),
+       log10_alpha1=st.floats(min_value=0.0, max_value=3.0),
+       log10_tau0=st.floats(min_value=-8.0, max_value=-4.0),
+       powerlaw=st.booleans(),
+       log10_arrival=st.floats(min_value=-3.0, max_value=math.log10(0.5)),
+       omega_max=st.floats(min_value=1.0, max_value=5000.0),
+       log2_n=st.integers(min_value=4, max_value=12))
+def test_forward_point_source_is_the_product_of_the_spectra(
+        data, gamma, c0, log10_alpha1, log10_tau0, powerlaw, log10_arrival, omega_max, log2_n):
+    # r puts the bulk arrival r*(1 + alpha1)/c0 at a drawn share of the window, so no
+    # grid wraps the wave; the two sides round phases below n*pi apart, ~n*1e-16 each
+    causal = CausalLaw(gamma=gamma, c0=c0, alpha1=10.0**log10_alpha1, tau0=10.0**log10_tau0)
+    law = MediumPreset.from_causal("random", causal).powerlaw if powerlaw else causal
+    grid = FrequencyGrid(omega_max, 2**log2_n)
+    window = grid.n * math.pi / omega_max
+    r = 10.0**log10_arrival * window * c0 / (1.0 + causal.alpha1)
+    forcing = data.draw(forcings(omega_max, window))
+    w = grid.omegas()
+    values = green_hat(law, r, w) * forcing.spectrum(w) * math.sqrt(2.0 * math.pi)
+    oracle = synthesize_time_signal(ComplexSpectrum(grid=grid, r=r, values=values,
+                                                    law_tag=law.tag))
+    sig = forward_point_source(law, r, forcing, grid)
+    peak = float(np.max(np.abs(oracle.samples)))
+    assert np.max(np.abs(sig.samples - oracle.samples)) <= 1e-12 * peak
+    # discrete Parseval over the Hermitian extension: w = 0 and omega_max enter by their real parts
+    energy = (values[0].real ** 2 + 2.0 * float(np.sum(np.abs(values[1:-1]) ** 2))
+              + values[-1].real ** 2) * grid.delta_omega
     assert float(np.sum(sig.samples**2)) * sig.dt == pytest.approx(energy, rel=1e-12)
