@@ -44,7 +44,6 @@ from .timedomain import (
     causality_energy_fraction,
     forward_point_source,
     helmholtz_radial_residual,
-    apply_dissipation_operator,
 )
 from .tables import write_json, write_table
 from .bounds import (

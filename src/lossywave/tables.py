@@ -16,6 +16,12 @@ kernel takes every finite x with 1e-270 <= |x| <= 1e270 whose scaled
 value is not within 1e-6 of a decimal tie (those must round half to
 even); the rest (zeros, subnormals, inf, nan, ties and magnitudes
 beyond that range) are formatted by `%` one value at a time.
+
+Timed per block with the kernel's tables built, `%` and the kernel break
+even at 190 to 256 rows of 2 columns and near 128 rows of 3; at 601 rows
+of 3 the kernel takes 0.9 ms against 1.3 ms.  _KERNEL_ROWS is 256, where
+the kernel was not the slower in any run.  Its tables are built once per
+process, on first use, in 1 to 2 ms.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+from itertools import accumulate, repeat
+from operator import mul, sub, truediv
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,7 +39,7 @@ import numpy as np
 __all__ = ["write_json", "write_table"]
 
 _BLOCK_ROWS = 8192
-_KERNEL_ROWS = 2048  # smaller blocks keep one `%` each; the kernel has a fixed cost per block
+_KERNEL_ROWS = 256  # the measured crossover, see above: smaller blocks take one `%`
 
 _MAGNITUDES = (1e-270, 1e270)  # |x| the kernel takes; their decimal exponents e lie within +-272
 _POWERS = range(16 - 280, 16 + 281)  # the k = 16 - e of the 10**k the kernel scales by
@@ -68,57 +76,80 @@ def _split(a):
 
 def _words(strings):
     """Byte strings of at most 8 bytes as uint64 words, zero padded."""
-    return np.frombuffer(b"".join(s.ljust(8, b"\0") for s in strings), np.uint64)
+    return np.array(strings, "S8").view(np.uint64)
 
 
-def _keep_mask(negative, e, digits):
-    """Kept slots of a value with decimal exponent e and `digits` significant digits."""
-    row = np.zeros(_SLOTS, bool)
-    row[0] = negative
-    row[_SEP] = True
-    if -4 <= e < 0:  # 0.000ddd
-        row[1:2 - e] = True
-        row[6:6 + 2 * digits:2] = True
-    elif 0 <= e <= 16:  # ddd.ddd, integer digits kept even where zero
-        row[6:6 + 2 * max(digits, e + 1):2] = True
-        row[7 + 2 * e] = digits > e + 1
-    else:  # d.ddde+XX
-        row[6:6 + 2 * digits:2] = True
-        row[7] = digits > 1
-        row[40:44 + (abs(e) >= 100)] = True
-    return row
+def _pow10():
+    """hi and lo per k in _POWERS with hi + lo = 10**k to about 2**-106 relative.
+
+    hi = 10**k and lo = 10**k - hi, each rounded to nearest from exact
+    Python ints (int to float conversion and int true division are
+    correctly rounded).
+    """
+    ten = list(accumulate(repeat(10, _POWERS.stop - 1), mul, initial=1))  # 10**0 ... 10**296
+    up, down = ten[:_POWERS.stop], ten[-_POWERS.start:0:-1]  # 10**k for k >= 0, 10**-k for k < 0
+    hi_up = list(map(float, up))
+    lo_up = map(float, map(sub, up, map(int, hi_up)))
+    hi_down = list(map(truediv, repeat(1), down))
+    # 1/d - a/b = (b - a*d) / d / b, with b a power of two: the last division is exact
+    a, b = zip(*map(float.as_integer_ratio, hi_down))
+    lo_down = map(truediv, map(truediv, map(sub, b, map(mul, a, down)), down), b)
+    return np.array([*hi_down, *hi_up]), np.array([*lo_down, *lo_up])
+
+
+def _keep_table():
+    """Kept slots of every value, by sign, exponent class and count of significant digits.
+
+    Row 18 * (len(_CLASSES) * negative + class) + digits, class the index in
+    _CLASSES.  A slot is kept where the value has at least need[class, slot]
+    significant digits (18: never); the '-' where it is negative.
+    """
+    need = np.full((len(_CLASSES), _SLOTS), 18)
+    need[:, _SEP] = 0
+    need[:, 6:40:2] = np.arange(1, 18)  # digit j at 6 + 2j
+    for c, e in enumerate(_CLASSES):
+        if e < 0:  # 0.000ddd
+            need[c, 1:2 - e] = 0
+        elif e <= 16:  # ddd.ddd, integer digits kept even where zero
+            need[c, 6:8 + 2 * e:2] = 0
+            need[c, 7 + 2 * e] = e + 2
+        else:  # d.ddde+XX
+            need[c, 7] = 2
+            need[c, 40:44 + (e >= 100)] = 0
+    keep = np.arange(18)[:, None] >= need[:, None, :]
+    return np.concatenate([keep, keep | (np.arange(_SLOTS) == 0)]).reshape(-1, _SLOTS)
 
 
 @functools.cache
 def _tables():
-    """Lookup tables of the kernel, built on first use (a few ms) to keep import fast.
+    """Lookup tables of the kernel, built on first use (1 to 2 ms) to keep import fast.
 
-    pow10[k - _POWERS.start] = (hi, hi's Dekker halves, lo) with hi + lo = 10**k
-    to about 2**-106 relative: hi = 10**k and lo = 10**k - hi, each rounded
-    to nearest (Python's int true division is correctly rounded).
+    pow10[k - _POWERS.start] = (hi, hi's Dekker halves, lo), see _pow10.
     """
-    pairs = []
-    for k in _POWERS:
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        hi = num / den
-        a, b = hi.as_integer_ratio()
-        pairs.append((hi, (num * b - a * den) / (den * b)))
-    hi, lo = np.array(pairs).T
-    digits4 = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    quad = np.full((10000, 8), ord("."), np.uint8)  # "a.b.c.d." of each 4-digit group
-    quad[:, ::2] = digits4 + ord("0")
+    hi, lo = _pow10()
+    # "a.b.c.d." and the place of the last nonzero digit (0 for 0000) of each 4-digit group abcd
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quad = np.full((10, 10, 10, 10, 4, 2), ord("."), np.uint8)
+    quad[..., 0, 0] = digit[:, None, None, None]
+    quad[..., 1, 0] = digit[:, None, None]
+    quad[..., 2, 0] = digit[:, None]
+    quad[..., 3, 0] = digit
+    sig4 = np.zeros((10,) * 4, np.int64)
+    sig4[1:] = 1
+    sig4[:, 1:] = 2
+    sig4[:, :, 1:] = 3
+    sig4[:, :, :, 1:] = 4
+    exponent = np.arange(_EXPONENTS.start, _EXPONENTS.stop)
     return SimpleNamespace(
         pow10=np.column_stack([hi, *_split(hi), lo]),
         lead=_words([b"-0.000%d." % d for d in range(10)]),
-        quad=quad.view(np.uint64).ravel(),
-        # significant digits of a 4-digit group: the place of its last nonzero digit, 0 for 0000
-        sig4=np.max(np.where(digits4 != 0, np.arange(1, 5), 0), axis=1),
+        quad=quad.reshape(-1, 8).view(np.uint64).ravel(),
+        sig4=sig4.ravel(),
         expo=_words([b"e%+03d" % e for e in _EXPONENTS]),
-        keep=np.array([_keep_mask(neg, e, digits) for neg in (False, True) for e in _CLASSES
-                       for digits in range(18)]),
+        keep=_keep_table(),
         # the row of `keep` for a positive value with 0 digits, per exponent in _EXPONENTS
-        row0=18 * np.array([_CLASSES.index(e if -4 <= e <= 16 else 17 if abs(e) < 100 else 100)
-                            for e in _EXPONENTS]),
+        row0=18 * np.where((-4 <= exponent) & (exponent <= 16), exponent - _CLASSES[0],
+                           _CLASSES.index(17) + (np.abs(exponent) >= 100)),
     )
 
 

@@ -7,9 +7,8 @@ Fourier convention, fixed package-wide:
 
 With the +1j*w*t forward kernel a delta at t = r/c0 transforms to
 exp(1j*w*r/c0)/sqrt(2*pi), matching the phase factor of the sampled
-Green spectrum, and the dissipation operator has the multiplier
-alpha*(w)/sqrt(2*pi).  This is a modeling choice; it is asserted by
-the delta-arrival test rather than assumed.
+Green spectrum.  This is a modeling choice; it is asserted by the
+delta-arrival test rather than assumed.
 
 Discretely, a spectrum stored on the half grid w_m = m*dw, m = 0..n/2,
 stands for its Hermitian extension ghat(-w) = conj(ghat(w)) and maps to
@@ -23,12 +22,12 @@ sum g_j^2 dt = (|ghat_0|^2 + 2*sum_{0<m<n/2} |ghat_m|^2 + (Re ghat_{n/2})^2) dw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .laws import eval_alpha
-from .spectrum import ComplexSpectrum, FrequencyGrid, _from_polar, _green_polar
+from .spectrum import ComplexSpectrum, _from_polar, _green_polar
 
 __all__ = [
     "RealSignal",
@@ -37,7 +36,6 @@ __all__ = [
     "causality_energy_fraction",
     "forward_point_source",
     "helmholtz_radial_residual",
-    "apply_dissipation_operator",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -111,29 +109,15 @@ class ForcingSignal:
         return out if out.ndim else complex(out)
 
 
-def _inverse_transform(values, grid, t0=0.0):
-    """Real samples on t_j = t0 + j*dt from half-grid spectrum values.
+def _inverse_transform(values, grid):
+    """Real samples on t_j = j*dt from half-grid spectrum values.
 
     g_j = (dw/sqrt(2pi)) * sum over the Hermitian extension of
     values_m * exp(-1j*w_m*t_j); with w_m = m*dw and dt = pi/W this is
     (dw/sqrt(2pi)) * n * irfft(conj(values)), which uses the real parts
     of the w = 0 and Nyquist values.
     """
-    v = np.asarray(values, dtype=complex)
-    if t0 != 0.0:
-        v = v * np.exp(-1j * grid.omegas() * t0)
-    return (grid.delta_omega / _SQRT_2PI * grid.n) * np.fft.irfft(np.conj(v), grid.n)
-
-
-def _forward_transform(signal):
-    """Forward transform of a RealSignal onto the half grid its window implies."""
-    n = len(signal.samples)
-    dw = 2.0 * math.pi / (n * signal.dt)
-    grid = FrequencyGrid(omega_max=0.5 * n * dw, n=n)
-    ghat = (signal.dt / _SQRT_2PI) * np.conj(np.fft.rfft(signal.samples))
-    if signal.t0 != 0.0:
-        ghat = ghat * np.exp(1j * grid.omegas() * signal.t0)
-    return ghat, grid
+    return (grid.delta_omega / _SQRT_2PI * grid.n) * np.fft.irfft(np.conj(values), grid.n)
 
 
 def synthesize_time_signal(spec):
@@ -225,15 +209,3 @@ def helmholtz_radial_residual(law, r, omega, h):
     center = u(r)
     second = (u(r + h) - 2.0 * center + u(r - h)) / h**2
     return abs(second - k**2 * center) / abs(k**2 * center)
-
-
-def apply_dissipation_operator(law, signal):
-    """Apply the dissipative time-convolution operator to a signal.
-
-    The operator multiplies the signal spectrum by
-    alpha*(w)/sqrt(2*pi) under the package Fourier convention.  The
-    multiplier is Hermitian, so the output is real.
-    """
-    ghat, grid = _forward_transform(signal)
-    product = ghat * eval_alpha(law, grid.omegas()) / _SQRT_2PI
-    return replace(signal, samples=_inverse_transform(product, grid, t0=signal.t0))

@@ -1,9 +1,11 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +193,42 @@ class TestArtifacts:
         envelope = json.loads(text)["per_distance"][0]["envelope"]
         assert envelope["worst_lower_violation"] is None
         assert not envelope["holds_lower"]
+
+
+class TestParserCache:
+    """`main` parses with one parser per process, and one call leaves nothing to the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_leaves_the_parser_unbuilt(self):
+        src = str(Path(cli.__file__).parents[1])
+        probe = "import lossywave.cli; print(lossywave.cli.build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "0"
+
+    def test_successive_calls_are_independent(self, tmp_path, capsys):
+        proc = run_cli("fig3", "--out", str(tmp_path / "lone"))
+        assert proc.returncode == 0, proc.stderr
+        assert cli.main(["fig3", "--r", "2", "--format", "json",
+                         "--out", str(tmp_path / "r2")]) == 0
+        assert cli.main(["fig3", "--out", str(tmp_path / "next")]) == 0
+        for name in ("fig3_bandnorm.csv", "fig3_deviation.csv"):
+            assert (tmp_path / "next" / name).read_bytes() == \
+                (tmp_path / "lone" / name).read_bytes()
+
+    def test_unread_flags_exit_2_after_other_commands(self, tmp_path, capsys):
+        for argv in (["table1"], ["fig3", "--r", "2", "--m", "50"],
+                     ["pulse", "--omega-max", "200", "--samples", "64", "--center", "3"]):
+            assert cli.main([*argv, "--out", str(tmp_path / "ran")]) == 0
+        capsys.readouterr()
+        for command, flag, value in REMOVED_FLAGS:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, flag, value, "--out", str(tmp_path / "rejected")])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "rejected").exists()
 
 
 class TestDeterminism:

@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lossywave import cli, tables, write_table
-from lossywave.tables import _BLOCK_ROWS, _KERNEL_ROWS
+from lossywave.tables import _BLOCK_ROWS, _CLASSES, _KERNEL_ROWS, _POWERS, _SEP, _SLOTS
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -137,6 +138,69 @@ def test_pulse_table_takes_the_kernel(tmp_path, printed):
     assert code == 0
     assert len(_data_lines(tmp_path / "pulse.csv")) == n + 1  # the column names, then n rows
     assert sum(len(c) for c in printed) <= 0.01 * 2 * n
+
+
+def _refused(x):
+    """True for a value the kernel leaves to `%`: zero, subnormal, non-finite, huge, a tie."""
+    return not (math.isfinite(x) and 1e-270 <= abs(x) <= 1e270) or _is_decimal_tie(x)
+
+
+@pytest.mark.parametrize("command,rows", [("fig1", [601, 600]), ("fig2", [961, 961]),
+                                          ("fig3", [100, 501])], ids=["fig1", "fig2", "fig3"])
+def test_figure_tables_take_the_kernel(tmp_path, capsys, printed, command, rows):
+    args = cli.build_parser().parse_args([command])
+    tables_of = {name: [np.asarray(c, dtype=float) for c in columns.values()]
+                 for name, columns, _ in args.func(args)}
+    assert [len(cols[0]) for cols in tables_of.values()] == rows
+    assert cli.main([command, "--out", str(tmp_path)]) == 0
+    short = []
+    for name, cols in tables_of.items():
+        lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").split("\n")
+        assert lines[2:-1] == _expected_rows(cols)  # after the comment and the column names
+        if len(cols[0]) < _KERNEL_ROWS:
+            short.append([x for row in zip(*cols) for x in row])
+    # `%` formats the blocks below _KERNEL_ROWS whole (fig3's 100 band edges only),
+    # and of the rest what the kernel refuses
+    assert len(short) == (command == "fig3")
+    assert [call for call in printed if call in short] == short
+    assert all(_refused(x) for call in printed if call not in short for x in call)
+
+
+def _keep_mask(negative, e, digits):
+    """Kept slots of a value with decimal exponent e and `digits` significant digits."""
+    row = np.zeros(_SLOTS, bool)
+    row[0] = negative
+    row[_SEP] = True
+    if -4 <= e < 0:  # 0.000ddd
+        row[1:2 - e] = True
+        row[6:6 + 2 * digits:2] = True
+    elif 0 <= e <= 16:  # ddd.ddd, integer digits kept even where zero
+        row[6:6 + 2 * max(digits, e + 1):2] = True
+        row[7 + 2 * e] = digits > e + 1
+    else:  # d.ddde+XX
+        row[6:6 + 2 * digits:2] = True
+        row[7] = digits > 1
+        row[40:44 + (abs(e) >= 100)] = True
+    return row
+
+
+def test_keep_table_matches_the_slot_layout():
+    rows = [_keep_mask(neg, e, digits) for neg in (False, True) for e in _CLASSES
+            for digits in range(18)]
+    keep = tables._tables().keep
+    assert keep.shape == (len(rows), _SLOTS)
+    for i, row in enumerate(rows):
+        assert np.array_equal(keep[i], row), i
+
+
+def test_powers_of_ten_to_2_to_the_minus_106():
+    pow10 = tables._tables().pow10
+    assert len(pow10) == len(_POWERS)
+    for k, (hi, hi_big, hi_small, lo) in zip(_POWERS, pow10.tolist()):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106, k
+        assert abs(Fraction(hi) - exact) <= Fraction(math.ulp(hi)) / 2, k  # hi rounded to nearest
+        assert hi_big + hi_small == hi
 
 
 def test_import_leaves_the_kernel_tables_unbuilt():
