@@ -32,7 +32,6 @@ from .spectrum import (
     energy_profile,
     green_hat,
     sample_green_spectrum,
-    relative_truncation_error,
     log10_relative_truncation_error,
     deviation_factor,
     relative_model_error,
@@ -54,7 +53,6 @@ from .bounds import (
     verify_envelope,
     bound_coefficient,
     bound_decay_rate,
-    truncation_error_bound,
     log10_truncation_error_bound,
     TruncationBound,
     envelope_split,

@@ -14,13 +14,14 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
       error(r) <= (2*a1/(pi*a0**2))**(1/4)
                   * exp(-(alpha(M) + a2**2/(4*a1)) * r) / r**(1/4).
 
-  `truncation_error_bound` evaluates this form, with the coefficient
-  from the constants or a published figure.  It is not a bound: its
-  derivation lower-bounds the full energy under the upper envelope,
-  integral over w >= 0 of exp(-2*r*(a1*w**2 + a2*w)), by completing the
-  square as if the shifted Gaussian were integrated over the whole
-  line.  The term a2**2/(4*a1) is nearly all of the decay rate, and
-  the form undercuts the exact error at every r > ~1e-7 for castor oil.
+  `log10_truncation_error_bound` evaluates the log10 of this form, with
+  the coefficient from the constants or a published figure.  It is not
+  a bound: its derivation lower-bounds the full energy under the upper
+  envelope, integral over w >= 0 of exp(-2*r*(a1*w**2 + a2*w)), by
+  completing the square as if the shifted Gaussian were integrated over
+  the whole line.  The term a2**2/(4*a1) is nearly all of the decay
+  rate, and the form undercuts the exact error at every r > ~1e-7 for
+  castor oil.
 
 * Corrected truncation bound.  With x = a2*sqrt(r/(2*a1)) the exact
   value of that integral is sqrt(pi/(8*r*a1)) * erfcx(x), which gives
@@ -38,8 +39,8 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
   p = (3 - gamma)/2, of `power_lower_envelope` holds; s(r) is the
   ratio of its tail energy, an upper incomplete gamma function, to
   that of the linear envelope.
-  `corrected_truncation_error_bound` returns the bound in log10 as
-  well, so it does not underflow at large r.
+  `corrected_truncation_error_bound` returns the bound in log10 only,
+  so it does not underflow at large r.
 
 * Band-limited model-error bound.  With the deviation factor
 
@@ -107,11 +108,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import _is_derived_pair, alpha_difference_slope_bound, eval_alpha
+from .laws import _alpha_parts, _is_derived_pair, alpha_difference_slope_bound
 from .numerics import NumericalError, erfcx
 from .spectrum import _check_band_edge, _check_distance, _deviation, relative_model_error
 
@@ -123,7 +124,6 @@ __all__ = [
     "verify_envelope",
     "bound_coefficient",
     "bound_decay_rate",
-    "truncation_error_bound",
     "log10_truncation_error_bound",
     "TruncationBound",
     "envelope_split",
@@ -169,7 +169,7 @@ def envelope_bound_constants(preset, m, slope_factor=0.7):
         raise ValueError(f"slope_factor must be finite and positive, got {slope_factor!r}")
     pl = preset.powerlaw
     a0 = slope_factor * pl.a1 * pl.gamma * m ** (pl.gamma - 1.0)
-    alpha_m = float(np.real(eval_alpha(preset.causal, m)))
+    alpha_m = float(_alpha_parts(preset.causal, m)[0])
     return EnvelopeBoundConstants(m=float(m), a0=a0, a1=pl.a1, a2=pl.a2, alpha_m=alpha_m)
 
 
@@ -200,7 +200,7 @@ def verify_envelope(causal, constants, omega_max):
     if not omega_max > m:
         raise ValueError("omega_max must exceed the band edge m")
     w = np.geomspace(m * (1.0 + 1e-9), omega_max, ENVELOPE_GRID_POINTS)
-    alpha = np.real(eval_alpha(causal, w))
+    alpha = _alpha_parts(causal, w)[0]
     # an infinite upper envelope holds trivially, an infinite lower one fails by inf
     with np.errstate(over="ignore"):
         lower = constants.alpha_m + constants.a0 * (w - m)
@@ -226,20 +226,16 @@ def bound_decay_rate(constants):
     return constants.alpha_m + constants.a2**2 / (4.0 * constants.a1)
 
 
-def truncation_error_bound(constants, r, coefficient=None):
-    """Published truncation form coefficient * exp(-rate*r) / r**(1/4) at distance r.
+def log10_truncation_error_bound(constants, r, coefficient=None):
+    """log10 of the published form coefficient * exp(-rate*r) / r**(1/4) at distance r.
 
     This evaluates the published closed form, which undercuts the exact
     truncation error (see the module docstring); the valid bound is
     `corrected_truncation_error_bound`.  `coefficient` defaults to the
     closed form from the constants; pass an external reference value
-    to evaluate a published figure instead.  Strictly decreasing in r.
+    to evaluate a published figure instead.  Strictly decreasing in r,
+    and finite where the form itself underflows.
     """
-    return 10.0 ** log10_truncation_error_bound(constants, r, coefficient)
-
-
-def log10_truncation_error_bound(constants, r, coefficient=None):
-    """log10 of `truncation_error_bound`, finite where the linear value underflows."""
     _check_distance(r)
     coef = bound_coefficient(constants) if coefficient is None else coefficient
     return (math.log10(coef) - bound_decay_rate(constants) * r / math.log(10.0)
@@ -316,14 +312,6 @@ class TruncationBound:
     def log10_bound(self):
         """log10 of the bound after clipping at 1."""
         return min(self.log10_unclipped, 0.0)
-
-    @property
-    def bound(self):
-        """The clipped bound; underflows to 0.0 where log10_bound < -308."""
-        return 10.0**self.log10_bound
-
-    def to_dict(self):
-        return {**asdict(self), "log10_bound": self.log10_bound, "bound": self.bound}
 
 
 def corrected_truncation_error_bound(causal, constants, r):

@@ -27,13 +27,13 @@ from . import __version__
 from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, bound_coefficient, bound_decay_rate,
                      corrected_truncation_error_bound, envelope_bound_constants, envelope_split,
                      log10_truncation_error_bound, model_error_report, power_lower_envelope,
-                     truncation_error_bound, verify_envelope)
-from .laws import (eval_alpha, load_preset, powerlaw_phase_singularity, small_frequency_bound,
+                     verify_envelope)
+from .laws import (_alpha_parts, load_preset, powerlaw_phase_singularity, small_frequency_bound,
                    wavenumber)
-from .numerics import NumericalError
-from .spectrum import (BAND_EDGE_RTOL, QUADRATURE_RTOL, FrequencyGrid, _check_band_edge,
-                       deviation_factor, energy_profile, log10_relative_truncation_error,
-                       relative_model_error, sample_green_spectrum)
+from .numerics import QUADRATURE_RTOL, NumericalError
+from .spectrum import (BAND_EDGE_RTOL, FrequencyGrid, _check_band_edge, deviation_factor,
+                       energy_profile, log10_relative_truncation_error, relative_model_error,
+                       sample_green_spectrum)
 from .tables import write_json, write_table
 from .timedomain import (ForcingSignal, causality_energy_fraction, forward_point_source,
                          synthesize_time_signal)
@@ -48,6 +48,11 @@ def _parse_floats(text, what):
     if not items:
         raise ValueError(f"{what} must contain at least one value")
     return [float(s) for s in items]
+
+
+def _log10_pair(name, log10):
+    """{name: 10**log10, log10_name: log10}: a reported value is formed from its log10 once."""
+    return {name: 10.0**log10, f"log10_{name}": log10}
 
 
 def _preset_dict(preset):
@@ -75,7 +80,7 @@ def cmd_table2(args):
 def _curves(preset, fig, w_att, w_spd, att_note="", spd_note=""):
     """Attenuation and phase-speed tables of both laws, `fig`_attenuation and `fig`_phasespeed."""
     both = (preset.causal, preset.powerlaw)
-    att_c, att_pl = (np.real(eval_alpha(law, w_att)) for law in both)
+    att_c, att_pl = (_alpha_parts(law, w_att)[0] for law in both)
     spd_c, spd_pl = (w_spd / wavenumber(law, w_spd) for law in both)
     return [(f"{fig}_attenuation",
              {"omega": w_att, "attenuation_causal": att_c, "attenuation_powerlaw": att_pl},
@@ -127,16 +132,14 @@ def cmd_bounds(args):
         env = verify_envelope(preset.causal, constants, max(profile.top, 1.0001 * args.m))
         report = model_error_report(profile, preset.powerlaw, args.m, args.delta)
         corrected = corrected_truncation_error_bound(preset.causal, constants, r)
-        log10_error = log10_relative_truncation_error(profile, args.m)
         per_r.append({
             "r": r,
             "tail_cut": profile.top,
             "envelope": asdict(env),
-            "truncation_bound": truncation_error_bound(constants, r),
-            "log10_truncation_bound": log10_truncation_error_bound(constants, r),
-            "corrected_truncation_bound": corrected.to_dict(),
-            "truncation_error": 10.0**log10_error,
-            "log10_truncation_error": log10_error,
+            **_log10_pair("truncation_bound", log10_truncation_error_bound(constants, r)),
+            "corrected_truncation_bound": {**asdict(corrected),
+                                           **_log10_pair("bound", corrected.log10_bound)},
+            **_log10_pair("truncation_error", log10_relative_truncation_error(profile, args.m)),
             "model_error_report": asdict(report),
         })
     # the corrected bound uses the linear lower envelope on [m, split] and

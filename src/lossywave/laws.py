@@ -394,7 +394,7 @@ def attenuation_rise(law, lo, h):
 def wavenumber(law, omega):
     """Effective wavenumber k(omega) = omega/c0 - Im(alpha*(omega)) in rad/cm."""
     w = np.asarray(omega, dtype=float)
-    out = w / law.c0 - np.imag(eval_alpha(law, w))
+    out = w / law.c0 - _alpha_parts(law, w)[1]
     return out if out.ndim else float(out)
 
 
@@ -407,8 +407,9 @@ def phase_speed(law, omega):
     """
     w = float(omega)
     _require(w != 0.0 and math.isfinite(w), "omega must be finite and non-zero")
-    k = wavenumber(law, w)
-    scale = abs(w) / law.c0 + abs(float(np.imag(eval_alpha(law, w))))
+    im = float(_alpha_parts(law, w)[1])
+    k = w / law.c0 - im
+    scale = abs(w) / law.c0 + abs(im)
     if abs(k) <= 1e-9 * scale:
         raise ValueError(f"phase speed singular near omega={w!r}")
     return w / k

@@ -73,6 +73,7 @@ _GK_NODES = np.concatenate((-_GK_HALF_NODES, _GK_HALF_NODES[-2::-1]))
 _GK_KRONROD = np.concatenate((_GK_HALF_KRONROD, _GK_HALF_KRONROD[-2::-1]))
 _GK_GAP = _GK_KRONROD - np.concatenate((_GK_HALF_GAUSS, _GK_HALF_GAUSS[-2::-1]))
 
+QUADRATURE_RTOL = 1e-12  # every |G_hat|^2 energy; above the rounding noise of exponents up to 70
 _GRADED_PANELS = 12  # edges a + (b - a)*2**-k, k = 0..11, and a itself
 _MAX_PANELS = 4096
 
@@ -105,7 +106,7 @@ def gauss_kronrod(f, left, right):
     return half * (values @ _GK_KRONROD), np.abs(half * (values @ _GK_GAP))
 
 
-def integrate_decaying(f, a, b, rtol=1e-9):
+def integrate_decaying(f, a, b, rtol=QUADRATURE_RTOL):
     """Integrate a smooth, non-negative integrand on [a, b]; returns a Quadrature.
 
     f maps a 1-d numpy array of abscissae to an array of values.  One

@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
-
 import numpy as np
 
 from .laws import DispersionLaw, _alpha_parts, alpha_difference, attenuation_rise
@@ -44,7 +42,6 @@ __all__ = [
     "energy_profile",
     "green_hat",
     "sample_green_spectrum",
-    "relative_truncation_error",
     "log10_relative_truncation_error",
     "deviation_factor",
     "relative_model_error",
@@ -52,7 +49,6 @@ __all__ = [
 
 _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-12
 _CUT_RTOL = 1e-9  # relative tolerance of the tail width h beyond the start, not of start + h
-QUADRATURE_RTOL = 1e-12  # every |G_hat|^2 energy; above the rounding noise of exponents up to 70
 BAND_EDGE_RTOL = 1e-10  # `EnergyProfile.band_edge` solves its energy equation to this residual
 _BAND_EDGE_STEPS = 100  # Newton converges in a few; every other step halves the bracket
 _LN_4PI = math.log(4.0 * math.pi)
@@ -106,14 +102,11 @@ class ComplexSpectrum:
     of the stored ones and are never stored, so the spectrum is
     Hermitian by construction.  Only the real parts of the values at
     w = 0 and at the Nyquist node w = omega_max enter a real signal.
-    `cutoff` records a band truncation (values are zero for w_m > cutoff).
     """
 
     grid: FrequencyGrid
     r: float
     values: np.ndarray
-    law_tag: str
-    cutoff: Optional[float] = None
 
     def __post_init__(self):
         if len(self.values) != self.grid.n // 2 + 1:
@@ -166,19 +159,17 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
     """Sample the Green-function spectrum on a FrequencyGrid.
 
     With a band edge M only the nodes w_m <= M are evaluated; the rest
-    are zero (a hard cut of the band [-M, M]) and `cutoff` is M.  The
-    band values equal those of the untruncated sampling bit for bit.
+    are zero (a hard cut of the band [-M, M]).  The band values equal
+    those of the untruncated sampling bit for bit.
     """
     omegas = grid.omegas()
     if band_edge is None:
-        return ComplexSpectrum(grid=grid, r=float(r), values=green_hat(law, r, omegas),
-                               law_tag=law.tag)
+        return ComplexSpectrum(grid=grid, r=float(r), values=green_hat(law, r, omegas))
     _check_band_edge(band_edge)
     band = np.searchsorted(omegas, band_edge, side="right")
     values = np.zeros(len(omegas), dtype=complex)
     values[:band] = green_hat(law, r, omegas[:band])
-    return ComplexSpectrum(grid=grid, r=float(r), values=values, law_tag=law.tag,
-                           cutoff=band_edge)
+    return ComplexSpectrum(grid=grid, r=float(r), values=values)
 
 
 def _gain_sq(law, r, lo=0.0):
@@ -248,7 +239,7 @@ def _energy_pass(law, r, lo, hi):
         extent = min(extent, _tail_width(law, r, lo))
     if not math.isfinite(extent):
         raise ValueError("norm diverges: the law has no spectral decay")
-    return extent, integrate_decaying(_gain_sq(law, r, lo), 0.0, extent, rtol=QUADRATURE_RTOL)
+    return extent, integrate_decaying(_gain_sq(law, r, lo), 0.0, extent)
 
 
 def _log_energy(law, r, lo):
@@ -336,7 +327,7 @@ class EnergyProfile:
         for _ in range(_BAND_EDGE_STEPS):
             if not lo < m < hi:
                 m = 0.5 * (lo + hi)
-            gap = excess - integrate_decaying(gain_sq, anchor, m, rtol=QUADRATURE_RTOL).value
+            gap = excess - integrate_decaying(gain_sq, anchor, m).value
             if abs(gap) <= BAND_EDGE_RTOL * target or m in (lo, hi):
                 return float(m)
             if gap > 0.0:
@@ -357,23 +348,16 @@ def energy_profile(law, r, hi=math.inf):
     return EnergyProfile(law, float(r), float(top), energy, float(hi))
 
 
-def relative_truncation_error(profile, m):
-    """Relative L2 error of the band truncation at m, from an EnergyProfile.
-
-    norm over |w| > m divided by the full-line norm; by the
-    Plancherel-Parseval equality this equals the time-domain relative
-    error of the truncated signal.  Always in [0, 1]; it is formed as
-    10**`log10_relative_truncation_error`.
-    """
-    return 10.0 ** log10_relative_truncation_error(profile, m)
-
-
 def log10_relative_truncation_error(profile, m):
-    """log10 of `relative_truncation_error`, finite where the linear value underflows.
+    """log10 of the relative L2 error of the band truncation at m, from an EnergyProfile.
 
-    Half the difference of the log energies of the tail [m, inf) and of
-    the full line, the profile's total and the energy beyond it, in
-    decades; the prefactor of |G_hat|^2 cancels.
+    The error is the norm over |w| > m divided by the full-line norm; by
+    the Plancherel-Parseval equality it equals the time-domain relative
+    error of the truncated signal.  Its log10 is at most 0 and stays
+    finite where the error itself underflows.  It is half the difference
+    of the log energies of the tail [m, inf) and of the full line, the
+    profile's total and the energy beyond it, in decades; the prefactor
+    of |G_hat|^2 cancels.
     """
     _check_band_edge(m)
     tail = _log_energy(profile.law, profile.r, m)
@@ -433,5 +417,5 @@ def relative_model_error(profile, powerlaw, m):
     def diff_sq(w):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
         return gain_sq(w) * deviation_factor(causal, powerlaw, r, w)
 
-    num_sq = integrate_decaying(diff_sq, 0.0, min(m, profile.top), rtol=QUADRATURE_RTOL).value
+    num_sq = integrate_decaying(diff_sq, 0.0, min(m, profile.top)).value
     return math.sqrt(num_sq / profile.at(m))

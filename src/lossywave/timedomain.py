@@ -185,7 +185,7 @@ def forward_point_source(law, r, forcing, grid):
     magnitude *= envelope
     magnitude *= _SQRT_2PI
     phase += w * forcing.center
-    product = ComplexSpectrum(grid=grid, r=float(r), law_tag=law.tag,
+    product = ComplexSpectrum(grid=grid, r=float(r),
                               values=_from_polar(magnitude, phase, lag=forcing._lags))
     return synthesize_time_signal(product)
 

@@ -20,7 +20,6 @@ from lossywave import (
     log10_truncation_error_bound,
     model_error_report,
     power_lower_envelope,
-    truncation_error_bound,
     verify_envelope,
 )
 
@@ -89,29 +88,21 @@ class TestVerifyEnvelope:
 class TestTruncationBound:
     def test_strictly_decreasing_in_r(self, castor):
         c = envelope_bound_constants(castor, 100.0)
-        values = [truncation_error_bound(c, r) for r in (1e-8, 1e-7, 1e-6)]
-        assert values[0] > values[1] > values[2] > 0.0
+        values = [log10_truncation_error_bound(c, r) for r in (1e-8, 1e-7, 1e-6)]
+        assert all(math.isfinite(v) for v in values)
+        assert values[0] > values[1] > values[2]
 
     def test_coefficient_override(self, castor):
         c = envelope_bound_constants(castor, 100.0)
         rate = bound_decay_rate(c)
         expected = 0.0828 * math.exp(-rate * 1e-6) / 1e-6**0.25
-        assert truncation_error_bound(c, 1e-6, coefficient=0.0828) == pytest.approx(
-            expected, rel=1e-14)
+        assert log10_truncation_error_bound(c, 1e-6, coefficient=0.0828) == pytest.approx(
+            math.log10(expected), rel=1e-14)
 
     def test_zero_distance_rejected(self, castor):
         c = envelope_bound_constants(castor, 100.0)
         with pytest.raises(ValueError):
-            truncation_error_bound(c, 0.0)
-
-
-    def test_log10_matches_linear_value(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        for r in (1e-8, 1e-6, 1e-4):
-            for coefficient in (None, 0.0828):
-                linear = truncation_error_bound(c, r, coefficient=coefficient)
-                assert log10_truncation_error_bound(c, r, coefficient=coefficient) == \
-                    pytest.approx(math.log10(linear), rel=1e-12)
+            log10_truncation_error_bound(c, 0.0)
 
 
 class TestErfcx:
@@ -170,14 +161,12 @@ class TestCorrectedTruncationBound:
         bound = corrected_truncation_error_bound(castor.causal, c, 1e-6)
         assert bound.log10_unclipped == pytest.approx(1.48, abs=0.01)
         assert bound.log10_bound == 0.0
-        assert bound.bound == 1.0
 
     def test_log10_finite_where_linear_value_underflows(self, castor):
         c = envelope_bound_constants(castor, 100.0)
         bound = corrected_truncation_error_bound(castor.causal, c, 10.0)
-        assert bound.bound == 0.0
+        assert 10.0**bound.log10_bound == 0.0
         assert bound.log10_bound == pytest.approx(-391.99, abs=0.01)
-        assert bound.to_dict()["log10_bound"] == bound.log10_bound
 
     def test_split_covers_linear_envelope(self, castor):
         c = envelope_bound_constants(castor, 100.0)

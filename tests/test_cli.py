@@ -349,6 +349,30 @@ class TestBoundsCommand:
             10.0 ** entry["log10_truncation_error"], rel=1e-12, abs=0.0)
         assert entry["truncation_error"] == pytest.approx(2.0734e-269, rel=1e-4, abs=0.0)
 
+    def test_each_linear_field_is_its_log10_raised(self, tmp_path, capsys):
+        # a reported value X beside its log10_X is written once, as 10**log10_X
+        assert cli.main(["bounds", "--m", "79.333", "--r-list", "1e-6,1,10",
+                         "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "bounds.json").read_text())
+        pairs = []
+
+        def walk(node, path):
+            if isinstance(node, list):
+                for item in node:
+                    walk(item, path)
+            elif isinstance(node, dict):
+                for key, value in node.items():
+                    if key.startswith("log10_") and key[len("log10_"):] in node:
+                        name = key[len("log10_"):]
+                        pairs.append(".".join((*path, name)))
+                        assert node[name] == 10.0**value, (path, name)
+                    walk(value, (*path, key))
+
+        walk(doc, ())
+        assert sorted(pairs) == sorted(
+            3 * ["per_distance.truncation_bound", "per_distance.truncation_error",
+                 "per_distance.corrected_truncation_bound.bound"])
+
     def test_outer_peak_found_at_large_distance(self, tmp_path, capsys):
         # the peak of C sits just above m_delta, at w ~ 2e-15 ... 2e-127; a
         # uniform grid on [m_delta, 100] reported 1.022631 at 1e40 and 1.0 beyond
@@ -569,7 +593,7 @@ class TestQuadratureWork:
                 return f(x)
             return g
 
-        def counting(f, a, b, rtol=1e-9):
+        def counting(f, a, b, rtol=numerics.QUADRATURE_RTOL):
             counts["quadratures"] += 1
             counts["passes"].append((a, b, rtol))
             return integrate(counted(f), a, b, rtol=rtol)
@@ -602,7 +626,7 @@ class TestQuadratureWork:
         counts = self._count(monkeypatch, ["bounds", "--out", str(tmp_path)])
         assert counts["width_starts"].count(0.0) == 5
         assert len(counts["width_starts"]) == 15
-        assert {rtol for _, _, rtol in counts["passes"]} == {spectrum.QUADRATURE_RTOL}
+        assert {rtol for _, _, rtol in counts["passes"]} == {numerics.QUADRATURE_RTOL}
         cuts = [entry["tail_cut"] for entry in
                 json.loads((tmp_path / "bounds.json").read_text())["per_distance"]]
         assert len(cuts) == 5

@@ -86,8 +86,7 @@ def test_forward_point_source_is_the_product_of_the_spectra(
     forcing = data.draw(forcings(omega_max, window))
     w = grid.omegas()
     values = green_hat(law, r, w) * forcing.spectrum(w) * math.sqrt(2.0 * math.pi)
-    oracle = synthesize_time_signal(ComplexSpectrum(grid=grid, r=r, values=values,
-                                                    law_tag=law.tag))
+    oracle = synthesize_time_signal(ComplexSpectrum(grid=grid, r=r, values=values))
     sig = forward_point_source(law, r, forcing, grid)
     peak = float(np.max(np.abs(oracle.samples)))
     assert np.max(np.abs(sig.samples - oracle.samples)) <= 1e-12 * peak
