@@ -15,7 +15,6 @@ from .laws import (
     derive_powerlaw_coeffs,
     alpha1_from_a1,
     eval_alpha,
-    alpha_difference,
     alpha_difference_slope_bound,
     attenuation_rise,
     wavenumber,

@@ -112,7 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import _alpha_parts, _is_derived_pair, alpha_difference_slope_bound
+from .laws import _alpha_parts, alpha_difference_slope_bound, derive_powerlaw_coeffs
 from .numerics import NumericalError, erfcx
 from .spectrum import _check_band_edge, _check_distance, _deviation, relative_model_error
 
@@ -357,7 +357,7 @@ def _cell_bounds(causal, r, a, b, xa, xb, da, db):
     return np.where(np.isnan(u), np.inf, u)
 
 
-def _certified_max(causal, powerlaw, r, lo, hi):
+def _certified_max(causal, r, lo, hi):
     """(omega, lower, upper): the best C evaluated on [lo, hi], where, and a certified upper bound.
 
     Piyavskii-Shubert branch and bound (module docstring): _SEED_CELLS
@@ -370,7 +370,7 @@ def _certified_max(causal, powerlaw, r, lo, hi):
     """
 
     def evaluate(w):
-        c, x = _deviation(causal, powerlaw, r, w)
+        c, x = _deviation(causal, r, w)
         # x = -inf where r*Re(b) overflows.  For r > 1 the true x lies below
         # -DBL_MAX, which anchors the cell bounds; for r <= 1 Re(b) itself
         # overflowed and leaves no anchor.
@@ -420,7 +420,7 @@ def _certified_max(causal, powerlaw, r, lo, hi):
         rounds += 1
 
 
-def _closure(causal, powerlaw, r, lo):
+def _closure(causal, r, lo):
     """(W, closing): C <= closing <= (1 + SUPREMUM_RTOL/2)**2 for every w >= W.
 
     Re b >= a1*w**gamma - a2*w = phi(w), a2 = alpha1/c0, and phi rises
@@ -431,10 +431,10 @@ def _closure(causal, powerlaw, r, lo):
     which overflows nowhere.  Raises NumericalError where W lies beyond
     the double range.
     """
-    gamma, p = causal.gamma, causal.gamma - 1.0
-    log_ratio = math.log(causal.alpha1 / causal.c0 / powerlaw.a1)  # ln(a2/a1)
+    gamma, p, (a1, a2) = causal.gamma, causal.gamma - 1.0, derive_powerlaw_coeffs(causal)
+    log_ratio = math.log(a2 / a1)
     log_target = math.log(math.log(2.0 / SUPREMUM_RTOL))
-    log_r_a1 = math.log(r) + math.log(powerlaw.a1)
+    log_r_a1 = math.log(r) + math.log(a1)
 
     def log_r_phi(y):  # ln(r*phi(e**y)), -inf where phi <= 0
         z = log_ratio - p * y
@@ -504,42 +504,33 @@ class ModelErrorReport:
     dominates_max_c: bool
 
 
-def model_error_report(profile, powerlaw, m, delta):
+def model_error_report(profile, m, delta):
     """Evaluate the band-limited model-error bound and the exact error.
 
     m_delta and the full/band norm ratio come from `profile`, the
-    line `EnergyProfile` of the causal law.  The suprema of the
-    deviation factor are certified by `_certified_max` on [0, m_delta]
-    and on [m_delta, W], and `_closure` bounds C beyond W.  powerlaw
-    is the power law derived from the causal law, or the causal law
-    itself (C vanishes identically).  Both C-conventions and both
-    normalizations are reported; nothing is silently chosen.
+    line `EnergyProfile` of the causal law, which the power law
+    derived from it approximates.  The suprema of the deviation factor
+    are certified by `_certified_max` on [0, m_delta] and on
+    [m_delta, W], and `_closure` bounds C beyond W.  Both C-conventions
+    and both normalizations are reported; nothing is silently chosen.
     """
     _check_band_edge(m)
     if profile.hi != math.inf:
         raise ValueError(f"the model-error report needs the line energy profile, "
                          f"got one of the band [0, {profile.hi!r}]")
     causal, r = profile.law, profile.r
-    if not (powerlaw == causal or _is_derived_pair(causal, powerlaw)):
-        raise ValueError("the model-error report needs the power law derived from the "
-                         "causal law of the profile, or that causal law itself")
     m_delta = profile.band_edge(delta)
-
-    if powerlaw == causal:  # C vanishes identically
-        (w_inner, lo_inner, c_inner), w_closed = (0.0, 0.0, 0.0), m_delta
-        w_outer, lo_outer, c_outer = m_delta, 0.0, 0.0
-    else:
-        w_inner, lo_inner, c_inner = _certified_max(causal, powerlaw, r, 0.0, m_delta)
-        w_closed, closing = _closure(causal, powerlaw, r, m_delta)
-        w_outer, lo_outer, c_outer = _certified_max(causal, powerlaw, r, m_delta, w_closed)
-        c_outer = max(c_outer, closing)
+    w_inner, lo_inner, c_inner = _certified_max(causal, r, 0.0, m_delta)
+    w_closed, closing = _closure(causal, r, m_delta)
+    w_outer, lo_outer, c_outer = _certified_max(causal, r, m_delta, w_closed)
+    c_outer = max(c_outer, closing)
 
     d1, d2 = c_inner**2, c_outer**2
     bound = math.sqrt((1.0 - delta) * d1 + delta * d2)
     bound_lin = math.sqrt((1.0 - delta) * c_inner + delta * c_outer)
 
     ratio = math.sqrt(profile.total / profile.at(m))  # full-line norm / band norm
-    err_band_norm = relative_model_error(profile, powerlaw, m)
+    err_band_norm = relative_model_error(profile, m)
     err_full_norm = err_band_norm / ratio
 
     return ModelErrorReport(

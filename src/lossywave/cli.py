@@ -70,9 +70,9 @@ def cmd_table1(args):
 def cmd_table2(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
-    causal, powerlaw, m = preset.causal, preset.powerlaw, args.m
+    m = args.m
     _check_band_edge(m)  # energy_profile takes M = inf for the whole line
-    errors = [relative_model_error(energy_profile(causal, r, m), powerlaw, m) for r in r_list]
+    errors = [relative_model_error(energy_profile(preset.causal, r, m), m) for r in r_list]
     return [("table2", {"r": r_list, "model_error": errors},
              f"preset={preset.name} M={_fmt(args.m)}")]
 
@@ -116,7 +116,7 @@ def cmd_fig3(args):
     energy = energy_profile(preset.causal, r, 2.0 * m).at(m0)
     g_curve = np.sqrt(2.0 * energy) / (4.0 * math.pi * r)
     w = np.linspace(0.0, m, 501)
-    dev = deviation_factor(preset.causal, preset.powerlaw, r, w)
+    dev = deviation_factor(preset.causal, r, w)
     comment = f"preset={preset.name} r={_fmt(r)}"
     return [("fig3_bandnorm", {"m0": m0, "band_norm": g_curve}, comment),
             ("fig3_deviation", {"omega": w, "deviation_factor": dev}, comment)]
@@ -130,7 +130,7 @@ def cmd_bounds(args):
     for r in r_list:
         profile = energy_profile(preset.causal, r)
         env = verify_envelope(preset.causal, constants, max(profile.top, 1.0001 * args.m))
-        report = model_error_report(profile, preset.powerlaw, args.m, args.delta)
+        report = model_error_report(profile, args.m, args.delta)
         corrected = corrected_truncation_error_bound(preset.causal, constants, r)
         per_r.append({
             "r": r,

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -52,7 +52,6 @@ __all__ = [
     "derive_powerlaw_coeffs",
     "alpha1_from_a1",
     "eval_alpha",
-    "alpha_difference",
     "alpha_difference_slope_bound",
     "attenuation_rise",
     "wavenumber",
@@ -156,34 +155,17 @@ def alpha1_from_a1(a1, gamma, c0, tau0):
     return 2.0 * c0 * a1 / (tau0 ** (gamma - 1.0) * abs(math.cos(gamma * math.pi / 2.0)))
 
 
-def _is_derived_pair(causal, powerlaw):
-    """True when powerlaw carries the coefficients derived from causal, to 1e-12."""
-    if not (isinstance(causal, CausalLaw) and isinstance(powerlaw, PowerLaw)):
-        return False
-    if powerlaw.gamma != causal.gamma or powerlaw.c0 != causal.c0:
-        return False
-    a1, a2 = derive_powerlaw_coeffs(causal)
-    return (abs(powerlaw.a1 - a1) <= 1e-12 * abs(a1)
-            and abs(powerlaw.a2 - a2) <= 1e-12 * abs(a2))
-
-
 @dataclass(frozen=True)
 class MediumPreset:
-    """Named bundle of a causal law and its derived power law."""
+    """Named causal law and the power law derived from it on construction, never passed in."""
 
     name: str
     causal: CausalLaw
-    powerlaw: PowerLaw
+    powerlaw: PowerLaw = field(init=False)
 
     def __post_init__(self):
-        _require(_is_derived_pair(self.causal, self.powerlaw),
-                 "power-law coefficients are inconsistent with the causal law")
-
-    @classmethod
-    def from_causal(cls, name, causal):
-        a1, a2 = derive_powerlaw_coeffs(causal)
-        return cls(name=name, causal=causal,
-                   powerlaw=PowerLaw(gamma=causal.gamma, a1=a1, a2=a2, c0=causal.c0))
+        a1, a2 = derive_powerlaw_coeffs(self.causal)
+        object.__setattr__(self, "powerlaw", PowerLaw(self.causal.gamma, a1, a2, self.causal.c0))
 
 
 _BUILTIN_PRESETS = {
@@ -197,7 +179,7 @@ def builtin_preset(name):
         params = _BUILTIN_PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown preset {name!r}; built-ins: {sorted(_BUILTIN_PRESETS)}") from None
-    return MediumPreset.from_causal(name, CausalLaw(**params))
+    return MediumPreset(name, CausalLaw(**params))
 
 
 def load_preset(source):
@@ -216,7 +198,21 @@ def load_preset(source):
     _require(not missing, f"preset file {path} lacks fields {sorted(missing)}")
     causal = CausalLaw(gamma=float(doc["gamma"]), c0=float(doc["c0"]),
                        alpha1=float(doc["alpha1"]), tau0=float(doc["tau0"]))
-    return MediumPreset.from_causal(str(doc["name"]), causal)
+    return MediumPreset(str(doc["name"]), causal)
+
+
+def _causal_root(law, a):
+    """(y, |1 + u|, q) of the causal law at a = |omega|, as `_alpha_parts` defines them."""
+    phase = (-1j) ** (law.gamma - 1.0)  # exp(-1j*p*pi/2); exactly -1j at gamma = 2
+    s = np.multiply(a, law.tau0)
+    np.power(s, law.gamma - 1.0, out=s)
+    x = s * phase.real
+    x += 1.0
+    s *= -phase.imag  # y
+    m = np.hypot(x, s)
+    x += m
+    x *= 0.5
+    return s, m, np.sqrt(x, out=x)
 
 
 def _alpha_parts(law, omega):
@@ -227,8 +223,10 @@ def _alpha_parts(law, omega):
     1 + u = x - 1j*y with x = 1 + s*cos(p*pi/2) >= 1, y = s*sin(p*pi/2);
     its principal square root is q - 1j*y/(2q) with q = sqrt((|1+u| + x)/2),
     |1+u| from hypot, so alpha* = (alpha1/c0)*a*(y/(2q) - 1j*q)/|1+u| has no
-    cancellation.  Power law: a1*a**gamma*(1 + 1j*cot(p*pi/2)) - 1j*a2*a,
-    since -tan(gamma*pi/2) = cot(p*pi/2); gamma = 2 is the thermoviscous
+    cancellation.  Entries whose intermediates overflow are redone with a/|1+u|
+    and y/q formed first: for alpha1 >= c0, alpha* is inf only beyond the
+    doubles.  Power law: a1*a**gamma*(1 + 1j*cot(p*pi/2)) - 1j*a2*a, since
+    -tan(gamma*pi/2) = cot(p*pi/2); gamma = 2 is the thermoviscous
     a1*a**2 - 1j*a2*a, whose cotangent 0 the rounded pi would miss.
     """
     w = np.asarray(omega, dtype=float)
@@ -236,24 +234,22 @@ def _alpha_parts(law, omega):
         raise ValueError("omega must be finite")
     a = np.abs(w.reshape(-1))  # 1-d, so that every step below can work in place
     if isinstance(law, CausalLaw):
-        phase = (-1j) ** (law.gamma - 1.0)  # exp(-1j*p*pi/2); exactly -1j at gamma = 2
-        s = np.multiply(a, law.tau0)
-        np.power(s, law.gamma - 1.0, out=s)
-        x = s * phase.real
-        x += 1.0
-        s *= -phase.imag  # y
-        m = np.hypot(x, s)  # |1 + u|
-        x += m
-        x *= 0.5
-        q = np.sqrt(x, out=x)
-        m *= law.c0
-        a *= law.alpha1
-        a /= m  # alpha1*a/(c0*|1 + u|)
-        s *= a
-        s *= 0.5
-        re = np.divide(s, q, out=s)
-        q *= a
-        im = np.negative(q, out=q)
+        with np.errstate(over="ignore"):  # overflowed entries are redone; inf beyond the doubles
+            y, m, q = _causal_root(law, a)
+            m *= law.c0
+            a *= law.alpha1
+            a /= m  # alpha1*a/(c0*|1 + u|)
+            y *= a
+            y *= 0.5
+            re = np.divide(y, q, out=y)
+            q *= a
+            im = np.negative(q, out=q)
+            if not (re.max(initial=0.0) < math.inf and im.min(initial=0.0) > -math.inf):
+                over = ~(np.isfinite(re) & np.isfinite(im))
+                a = np.abs(w.reshape(-1)[over])
+                y, m, q = _causal_root(law, a)
+                re[over] = a / m * (0.5 * y / q) * (law.alpha1 / law.c0)
+                im[over] = -(a / m * q) * (law.alpha1 / law.c0)
     elif isinstance(law, PowerLaw):
         re = np.power(a, law.gamma)
         re *= law.a1
@@ -289,21 +285,19 @@ _DIFF_SERIES = (-3.0 / 8.0, 5.0 / 16.0, -35.0 / 128.0, 63.0 / 256.0,
                 -231.0 / 1024.0, 429.0 / 2048.0, -6435.0 / 32768.0)
 
 
-def alpha_difference(causal, powerlaw, omega):
+def _alpha_difference(causal, omega):
     """alpha*_powerlaw(omega) - alpha*_causal(omega), cancellation-free.
 
-    For a power law derived from the causal law the difference has the
-    closed form (alpha1/c0)*(-1j*w)*g(u) with u = (-1j*tau0*w)**(gamma-1)
-    and g(u) = 1 - u/2 - (1+u)**-0.5, which the plain difference loses to
-    cancellation at small |u|.  With q = sqrt(1+u), t = q - 1 = u/(1+q),
-    g = -t**2*(1 + 2/q)/2 has none (Re q >= 1); from |u| = 4 on, t/q - u/2
-    also keeps the digits of Re g.  For |u| <= 0.01 its series runs as two
-    real Horner loops in |u|, the phase (-1j)**(gamma-1) of u folded into
-    the coefficients.  g is formed at |w| and conjugated for w < 0.
-    Unrelated law pairs fall back to the plain difference.
+    The power law is the one derived from the causal law, so the
+    difference has the closed form (alpha1/c0)*(-1j*w)*g(u) with
+    u = (-1j*tau0*w)**(gamma-1) and g(u) = 1 - u/2 - (1+u)**-0.5, which the
+    plain difference loses to cancellation at small |u|.  With q = sqrt(1+u),
+    t = q - 1 = u/(1+q), g = -t**2*(1 + 2/q)/2 has none (Re q >= 1); from
+    |u| = 4 on, t/q - u/2 also keeps the digits of Re g.  For |u| <= 0.01
+    its series runs as two real Horner loops in |u|, the phase
+    (-1j)**(gamma-1) of u folded into the coefficients.  g is formed at
+    |w| and conjugated for w < 0.
     """
-    if not _is_derived_pair(causal, powerlaw):
-        return eval_alpha(powerlaw, omega) - eval_alpha(causal, omega)
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("omega must be finite")
@@ -339,7 +333,7 @@ def alpha_difference(causal, powerlaw, omega):
 
 
 def alpha_difference_slope_bound(causal, omega):
-    """B(w) >= |d/dw alpha_difference(causal, derived power law, v)| for every v in [0, w].
+    """B(w) >= |d/dw _alpha_difference(causal, v)| for every v in [0, w].
 
     For the derived pair b = (alpha1/c0)*(-1j*w)*g(u) and u' = p*u/w,
     p = gamma - 1, so b' = (alpha1/c0)*(-1j)*(g + p*u*g'(u)).  With

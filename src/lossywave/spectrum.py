@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .laws import DispersionLaw, _alpha_parts, alpha_difference, attenuation_rise
+from .laws import DispersionLaw, _alpha_difference, _alpha_parts, attenuation_rise
 from .numerics import NumericalError, Quadrature, gauss_kronrod, integrate_decaying
 
 __all__ = [
@@ -365,15 +365,15 @@ def log10_relative_truncation_error(profile, m):
     return float(tail - full) / (2.0 * math.log(10.0))
 
 
-def _deviation(causal, powerlaw, r, omega):
-    """(C, x) of `deviation_factor` at the nodes omega, from one `alpha_difference` call.
+def _deviation(causal, r, omega):
+    """(C, x) of `deviation_factor` at the nodes omega, from one `_alpha_difference` call.
 
     x = -r*Re(alpha_pl - alpha_c), so |exp(-b*r)| = exp(x); it is -inf where
     r*Re b overflows.  Where exp(x) underflows to 0, C is expm1(x)**2 = 1
     exactly: the sine term is dropped there, which would be 0*sin(inf) = nan
     once b*r overflows.
     """
-    b = alpha_difference(causal, powerlaw, omega)
+    b = _alpha_difference(causal, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         x = -r * np.real(b)
         decay = np.exp(x)
@@ -382,30 +382,30 @@ def _deviation(causal, powerlaw, r, omega):
     return c, x
 
 
-def deviation_factor(causal, powerlaw, r, omega):
-    """Squared relative deviation C = |G_hat_pl/G_hat_c - 1|**2 of the two Green spectra.
+def deviation_factor(causal, r, omega):
+    """Squared relative deviation C = |G_hat_pl/G_hat_c - 1|**2 of a causal law's Green spectra.
 
-    With b1 + i*b2 = alpha_pl(w) - alpha_c(w), C = |exp(-(b1 + i*b2)*r) - 1|**2
-    = |1 - 2*exp(-b1*r)*cos(b2*r) + exp(-2*b1*r)|, returned as
-    expm1(-b1*r)**2 + 4*exp(-b1*r)*sin(b2*r/2)**2: two non-negative terms
-    in real arithmetic that keep their digits where b*r is small.
+    With b1 + i*b2 = alpha_pl(w) - alpha_c(w), pl the derived power law, C =
+    |exp(-(b1 + i*b2)*r) - 1|**2 = |1 - 2*exp(-b1*r)*cos(b2*r) + exp(-2*b1*r)|,
+    returned as expm1(-b1*r)**2 + 4*exp(-b1*r)*sin(b2*r/2)**2: two non-negative
+    terms in real arithmetic that keep their digits where b*r is small.
     Vectorized over omega; non-finite where b1*r overflows negative or
     b2*r overflows while exp(-b1*r) does not underflow.
     """
-    c = _deviation(causal, powerlaw, r, omega)[0]
+    c = _deviation(causal, r, omega)[0]
     return c if np.ndim(c) else float(c)
 
 
-def relative_model_error(profile, powerlaw, m):
+def relative_model_error(profile, m):
     """Relative L2 distance of the band-limited causal and power-law Green functions.
 
     ||G_hat_causal - G_hat_powerlaw|| / ||G_hat_causal||, both restricted
     to the band [-m, m], with the causal law and r of `profile`, an
-    EnergyProfile that reaches m.  The denominator is profile.at(m); the
-    numerator is one integral at QUADRATURE_RTOL of |G_hat_causal|**2 times
-    `deviation_factor` over [0, min(m, profile.top)].  The common phase
-    factor and the prefactor 1/(4*pi*r) cancel, so only the
-    attenuation-dispersion difference contributes.
+    EnergyProfile that reaches m, and the power law derived from that law.
+    The denominator is profile.at(m); the numerator is one integral at
+    QUADRATURE_RTOL of |G_hat_causal|**2 times `deviation_factor` over
+    [0, min(m, profile.top)].  The common phase factor and the prefactor
+    1/(4*pi*r) cancel, so only the attenuation-dispersion difference contributes.
     """
     _check_band_edge(m)
     if profile.hi < m:
@@ -415,7 +415,7 @@ def relative_model_error(profile, powerlaw, m):
     gain_sq = _gain_sq(causal, r)
 
     def diff_sq(w):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
-        return gain_sq(w) * deviation_factor(causal, powerlaw, r, w)
+        return gain_sq(w) * deviation_factor(causal, r, w)
 
     num_sq = integrate_decaying(diff_sq, 0.0, min(m, profile.top)).value
     return math.sqrt(num_sq / profile.at(m))

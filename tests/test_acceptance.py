@@ -141,8 +141,7 @@ def test_criterion_05_truncation_bound_dominates():
 
 
 def test_criterion_06_model_error_table():
-    values = {r: relative_model_error(energy_profile(CASTOR.causal, r, 100.0),
-                                      CASTOR.powerlaw, 100.0)
+    values = {r: relative_model_error(energy_profile(CASTOR.causal, r, 100.0), 100.0)
               for r in TABLE2_REFERENCE}
     within_factor_two = all(ref / 2.0 <= values[r] <= ref * 2.0
                             for r, ref in TABLE2_REFERENCE.items())
@@ -153,7 +152,7 @@ def test_criterion_06_model_error_table():
 
 
 def test_criterion_07_model_error_bound_report():
-    rep = model_error_report(energy_profile(CASTOR.causal, 1.0), CASTOR.powerlaw, 100.0, 6e-4)
+    rep = model_error_report(energy_profile(CASTOR.causal, 1.0), 100.0, 6e-4)
     ok = (5.0 <= rep.m_delta <= 20.0
           and 0.5 <= rep.d2 <= 2.1
           and 0.0125 <= rep.bound <= 0.05

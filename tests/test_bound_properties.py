@@ -1,4 +1,4 @@
-"""Property tests: the truncation bound and the certified model-error suprema across media."""
+"""Property tests: the derived power law, the truncation bound and the certified suprema."""
 
 import math
 
@@ -11,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from lossywave import (  # noqa: E402
     CausalLaw,
     MediumPreset,
+    PowerLaw,
     builtin_preset,
     corrected_truncation_error_bound,
+    derive_powerlaw_coeffs,
     deviation_factor,
     energy_profile,
     envelope_bound_constants,
@@ -44,7 +46,17 @@ def derived_media(draw):
     causal = CausalLaw(gamma=draw(st.floats(1.05, 2.0)), c0=0.15,
                        alpha1=10.0 ** draw(st.floats(0.0, 3.0)),
                        tau0=10.0 ** draw(st.floats(-9.0, -3.0)))
-    return MediumPreset.from_causal("drawn", causal)
+    return MediumPreset("drawn", causal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(1.0001, 2.0), log10_c0=st.floats(-3.0, 3.0),
+       log10_alpha1=st.floats(-3.0, 6.0), log10_tau0=st.floats(-12.0, 0.0))
+def test_preset_power_law_is_the_derived_one(gamma, log10_c0, log10_alpha1, log10_tau0):
+    causal = CausalLaw(gamma=gamma, c0=10.0**log10_c0, alpha1=10.0**log10_alpha1,
+                       tau0=10.0**log10_tau0)
+    expected = PowerLaw(causal.gamma, *derive_powerlaw_coeffs(causal), causal.c0)
+    assert MediumPreset("drawn", causal).powerlaw == expected
 
 
 def _grid(lo, hi, n=100_001):
@@ -60,7 +72,7 @@ def _grid(lo, hi, n=100_001):
 @settings(max_examples=40, deadline=None)
 @given(medium=derived_media(), log10_r=st.floats(-6.0, 2.0), log10_delta=st.floats(-6.0, -0.3))
 @example(medium=CASTOR, log10_r=0.0, log10_delta=math.log10(6e-4))
-@example(medium=MediumPreset.from_causal("drawn", CausalLaw(
+@example(medium=MediumPreset("drawn", CausalLaw(
     gamma=1.6991225607030942, c0=0.15, alpha1=229.76867756400878, tau0=1.4115541855112513e-08)),
     log10_r=math.log10(2.623694646100546), log10_delta=math.log10(1.2318175251253916e-05))
 def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
@@ -68,9 +80,9 @@ def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
     # with a geometric grid out to 1e12 as well, never exceeds the certified bound
     causal, powerlaw = medium.causal, medium.powerlaw
     r, delta = 10.0**log10_r, 10.0**log10_delta
-    rep = model_error_report(energy_profile(causal, r), powerlaw, 100.0, delta)
-    inner = deviation_factor(causal, powerlaw, r, _grid(0.0, rep.m_delta))
-    outer = deviation_factor(causal, powerlaw, r, np.concatenate(
+    rep = model_error_report(energy_profile(causal, r), 100.0, delta)
+    inner = deviation_factor(causal, r, _grid(0.0, rep.m_delta))
+    outer = deviation_factor(causal, r, np.concatenate(
         (_grid(rep.m_delta, 1e12), np.geomspace(rep.m_delta, 1e12, 100_001))))
     assert np.max(inner) <= rep.d1_max_c * (1.0 + 1e-12)
     assert np.max(outer) <= rep.d2_max_c * (1.0 + 1e-12)
@@ -84,7 +96,7 @@ def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
     for omega, lower in ((rep.omega_at_d1, rep.d1_max_c_lower),
                          (rep.omega_at_d2, rep.d2_max_c_lower)):
         # a lone node may round differently from one in a vector call
-        assert deviation_factor(causal, powerlaw, r, omega) == pytest.approx(lower, rel=1e-14)
+        assert deviation_factor(causal, r, omega) == pytest.approx(lower, rel=1e-14)
     assert rep.d1_max_c_lower <= rep.d1_max_c <= rep.d1_max_c_lower * (1.0 + SUPREMUM_RTOL)
     assert rep.d2_max_c_lower <= rep.d2_max_c <= max(rep.d2_max_c_lower * (1.0 + SUPREMUM_RTOL),
                                                      closing) * (1.0 + 1e-12)

@@ -206,29 +206,25 @@ class TestPowerLowerEnvelope:
 
 
 class TestDeviationFactor:
-    def test_identical_laws_vanish(self, castor):
-        w = np.linspace(-20.0, 20.0, 41)
-        assert np.all(deviation_factor(castor.causal, castor.causal, 1.0, w) == 0.0)
-
     def test_limit_is_one_when_powerlaw_dominates(self, castor):
         # at w = 1e4 the power-law attenuation exceeds the causal by ~1e4 Np/cm
-        val = deviation_factor(castor.causal, castor.powerlaw, 1.0, 1e4)
+        val = deviation_factor(castor.causal, 1.0, 1e4)
         assert val == pytest.approx(1.0, rel=1e-6)
 
     def test_exactly_one_where_the_difference_overflows(self, castor):
         # b*r is inf at 1e200: exp(-b1*r) = 0 times sin(inf) gave nan
         w = np.array([1e7, 1e50, 1e200])
-        assert np.all(deviation_factor(castor.causal, castor.powerlaw, 1.0, w) == 1.0)
+        assert np.all(deviation_factor(castor.causal, 1.0, w) == 1.0)
 
     def test_matches_expm1_identity(self, castor):
-        from lossywave import alpha_difference
+        from lossywave.laws import _alpha_difference
 
         rng = np.random.default_rng(5)
         for _ in range(1000):
             r = 10.0 ** rng.uniform(-6, 1)
             w = rng.uniform(-100.0, 100.0)
-            got = deviation_factor(castor.causal, castor.powerlaw, r, w)
-            b = alpha_difference(castor.causal, castor.powerlaw, w) * r
+            got = deviation_factor(castor.causal, r, w)
+            b = _alpha_difference(castor.causal, w) * r
             ref = abs(np.exp(-b) - 1.0) ** 2
             assert abs(got - ref) <= 1e-12 * max(1.0, ref) + 1e-15
             # the displayed form |1 - 2 e^(-b1 r) cos(b2 r) + e^(-2 b1 r)|
@@ -240,34 +236,27 @@ class TestDeviationFactor:
         # the inner-band supremum of the deviation factor at r = 1 sits at the
         # band edge; its square is the quantity entering the error bound
         w = np.linspace(0.0, 10.0, 100001)
-        c_max = float(np.max(deviation_factor(castor.causal, castor.powerlaw, 1.0, w)))
+        c_max = float(np.max(deviation_factor(castor.causal, 1.0, w)))
         assert c_max**2 == pytest.approx(5.6e-13, rel=0.15)
 
 
 class TestModelErrorReport:
     def test_castor_reference(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)
+        rep = model_error_report(energy_profile(castor.causal, 1.0), 100.0, 6e-4)
         assert 5.0 <= rep.m_delta <= 20.0
         assert 0.5 <= rep.d2 <= 2.1
         assert 0.0125 <= rep.bound <= 0.05
         assert rep.exact_error_band_norm == pytest.approx(1.79e-4, rel=0.05)
         assert rep.dominates_sq or rep.dominates_max_c
 
-    def test_identical_laws_give_zero_bound(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 1.0), castor.causal, 100.0, 6e-4)
-        assert rep.d1 == 0.0
-        assert rep.d2 == 0.0
-        assert rep.bound == 0.0
-        assert rep.exact_error == 0.0
-
     def test_delta_one_edge(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 1.0)
+        rep = model_error_report(energy_profile(castor.causal, 1.0), 100.0, 1.0)
         assert rep.m_delta == 0.0
         assert rep.d1 == 0.0
         assert rep.bound == pytest.approx(math.sqrt(rep.d2), rel=1e-12)
 
     def test_serializes_every_constant(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)
+        rep = model_error_report(energy_profile(castor.causal, 1.0), 100.0, 6e-4)
         doc = asdict(rep)
         for key in ("r", "m", "delta", "m_delta", "d1", "d2", "bound", "bound_band_norm",
                     "d1_max_c", "d2_max_c", "d1_max_c_lower", "d2_max_c_lower",
@@ -280,20 +269,15 @@ class TestModelErrorReport:
         assert doc["m_delta"] < doc["omega_at_d2"] < doc["omega_closed"] < math.inf
         assert doc["d2_max_c_lower"] <= doc["d2_max_c"] <= doc["d2_max_c_lower"] * (1.0 + 1e-7)
 
-    def test_rejects_an_unrelated_power_law(self, castor):
-        other = replace(castor.powerlaw, a1=2.0 * castor.powerlaw.a1)
-        with pytest.raises(ValueError, match="derived from the causal law"):
-            model_error_report(energy_profile(castor.causal, 1.0), other, 100.0, 6e-4)
-
     def test_rejects_a_band_profile(self, castor):
         # a band profile's total is the band energy and its band edge stops
         # at the band's end: m_delta read 50 where the line gives 210.84
         band = energy_profile(castor.causal, 1e-2, 50.0)
         with pytest.raises(ValueError, match="line energy profile"):
-            model_error_report(band, castor.powerlaw, 100.0, 6e-4)
+            model_error_report(band, 100.0, 6e-4)
 
     def test_bound_formula_consistency(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 0.5), castor.powerlaw, 100.0, 1e-3)
+        rep = model_error_report(energy_profile(castor.causal, 0.5), 100.0, 1e-3)
         assert rep.bound == pytest.approx(
             math.sqrt((1.0 - rep.delta) * rep.d1 + rep.delta * rep.d2), rel=1e-12)
         assert rep.d1 == pytest.approx(rep.d1_max_c**2, rel=1e-12)
@@ -306,11 +290,11 @@ class TestModelErrorReport:
 
         kernel = bounds._deviation
 
-        def with_nan(causal, powerlaw, r, omega):
-            values, x = kernel(causal, powerlaw, r, omega)
+        def with_nan(causal, r, omega):
+            values, x = kernel(causal, r, omega)
             values[np.asarray(omega) == omega[np.argmin(np.abs(omega - where))]] = math.nan
             return values, x
 
         monkeypatch.setattr(bounds, "_deviation", with_nan)
         with pytest.raises(NumericalError, match="deviation factor"):
-            model_error_report(energy_profile(castor.causal, 1.0), castor.powerlaw, 100.0, 6e-4)
+            model_error_report(energy_profile(castor.causal, 1.0), 100.0, 6e-4)

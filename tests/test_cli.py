@@ -698,10 +698,10 @@ class TestScanWork:
         counts = {"calls": 0, "samples": 0}
         kernel = bounds._deviation
 
-        def counting(causal, powerlaw, r, omega):
+        def counting(causal, r, omega):
             counts["calls"] += 1
             counts["samples"] += np.size(omega)
-            return kernel(causal, powerlaw, r, omega)
+            return kernel(causal, r, omega)
 
         monkeypatch.setattr(bounds, "_deviation", counting)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0

@@ -1,4 +1,4 @@
-"""alpha_difference and deviation_factor against 50-digit mpmath.
+"""_alpha_difference and deviation_factor against 50-digit mpmath.
 
 The oracle derives a1 and a2 from (gamma, c0, alpha1, tau0) in mpmath
 and subtracts the two laws there: the float a2 = alpha1/c0 alone would
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
-from lossywave import MediumPreset, CausalLaw, alpha_difference, deviation_factor  # noqa: E402
+from lossywave import CausalLaw, deviation_factor  # noqa: E402
+from lossywave.laws import _alpha_difference  # noqa: E402
 
 mp = mpmath.mp
 RTOL_DIFF = 1e-13
@@ -41,14 +42,13 @@ def _exact_difference(causal, w):
 
 @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.66, 1.9, 2.0])
 def test_matches_mpmath(gamma):
-    preset = MediumPreset.from_causal("oracle", CausalLaw(gamma=gamma, c0=0.15, alpha1=138.08,
-                                                          tau0=1e-6))
+    causal = CausalLaw(gamma=gamma, c0=0.15, alpha1=138.08, tau0=1e-6)
     w = np.concatenate((OMEGAS, -OMEGAS))
-    got = alpha_difference(preset.causal, preset.powerlaw, w)
-    devs = {r: deviation_factor(preset.causal, preset.powerlaw, r, w) for r in DISTANCES}
+    got = _alpha_difference(causal, w)
+    devs = {r: deviation_factor(causal, r, w) for r in DISTANCES}
     with mp.workdps(50):
         for k, omega in enumerate(w):
-            exact = _exact_difference(preset.causal, omega)
+            exact = _exact_difference(causal, omega)
             assert abs(mpmath.mpc(got[k]) - exact) <= RTOL_DIFF * abs(exact), (omega, got[k])
             for part, exact_part in ((got[k].real, exact.real), (got[k].imag, exact.imag)):
                 assert abs(part - exact_part) <= RTOL_PART * abs(exact_part), (omega, got[k])

@@ -10,7 +10,6 @@ from lossywave import (
     NumericalError,
     PowerLaw,
     alpha1_from_a1,
-    alpha_difference,
     alpha_difference_slope_bound,
     attenuation_rise,
     builtin_preset,
@@ -22,6 +21,7 @@ from lossywave import (
     small_frequency_bound,
     wavenumber,
 )
+from lossywave.laws import _alpha_difference
 
 
 class TestValidation:
@@ -46,11 +46,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             PowerLaw(gamma=1.5, a1=-0.1, a2=0.0, c0=1.0)
 
-    def test_preset_consistency_enforced(self):
-        causal = CausalLaw(gamma=1.66, c0=0.15, alpha1=138.08, tau0=1e-6)
-        with pytest.raises(ValueError):
-            MediumPreset(name="broken", causal=causal,
-                         powerlaw=PowerLaw(gamma=1.66, a1=0.05, a2=900.0, c0=0.15))
+    def test_preset_consistency_enforced(self, castor):
+        # the power law is derived on construction: no pair can be passed in
+        mismatched = PowerLaw(gamma=1.66, a1=0.05, a2=900.0, c0=0.15)
+        for powerlaw in (mismatched, castor.powerlaw):
+            with pytest.raises(TypeError):
+                MediumPreset("broken", castor.causal, powerlaw)
+            with pytest.raises(TypeError):
+                MediumPreset(name="broken", causal=castor.causal, powerlaw=powerlaw)
+
+    def test_preset_rejects_a_causal_law_without_a_finite_derived_power_law(self):
+        # a2 = alpha1/c0 = 1e310 leaves the double range
+        with pytest.raises(ValueError, match="power law parameters must be finite"):
+            MediumPreset("x", CausalLaw(gamma=1.5, c0=1e-10, alpha1=1e300, tau0=1e-6))
 
 
 class TestDeriveCoefficients:
@@ -138,13 +146,13 @@ class TestAlphaDifference:
         # the plain difference keeps ~3 digits of headroom here, enough to
         # validate the series path against it
         w = np.geomspace(2e4, 2e6, 25)
-        stable = alpha_difference(castor.causal, castor.powerlaw, w)
+        stable = _alpha_difference(castor.causal, w)
         plain = eval_alpha(castor.powerlaw, w) - eval_alpha(castor.causal, w)
         assert np.max(np.abs(stable - plain) / np.abs(plain)) <= 1e-10
 
     def test_continuous_across_series_switch(self, castor):
         w = np.linspace(900.0, 970.0, 141)  # |u| crosses 0.01 near 933
-        v = alpha_difference(castor.causal, castor.powerlaw, w)
+        v = _alpha_difference(castor.causal, w)
         steps = np.abs(np.diff(v)) / np.abs(v[:-1])
         assert np.max(steps) <= 5.0 * np.median(steps)
 
@@ -153,17 +161,9 @@ class TestAlphaDifference:
         w = 10.0
         u = (-1j * castor.causal.tau0 * w) ** (castor.causal.gamma - 1.0)
         predicted = 0.375 * abs(u) ** 2 * (castor.causal.alpha1 / castor.causal.c0) * w
-        got = abs(alpha_difference(castor.causal, castor.powerlaw, w))
+        got = abs(_alpha_difference(castor.causal, w))
         assert got == pytest.approx(predicted, rel=1e-3)
 
-    def test_unmatched_pair_falls_back(self, castor):
-        other = PowerLaw(gamma=1.66, a1=0.05, a2=900.0, c0=0.15)
-        got = alpha_difference(castor.causal, other, 50.0)
-        ref = eval_alpha(other, 50.0) - eval_alpha(castor.causal, 50.0)
-        assert got == ref
-
-    def test_identical_law_is_zero(self, castor):
-        assert alpha_difference(castor.causal, castor.causal, 10.0) == 0.0
 
 
 class TestAlphaDifferenceSlopeBound:
@@ -171,9 +171,8 @@ class TestAlphaDifferenceSlopeBound:
     def test_bounds_every_chord(self, gamma):
         # |b(w2) - b(w1)| <= B(w2)*(w2 - w1): B bounds |b'| on [0, w2]
         causal = CausalLaw(gamma=gamma, c0=0.15, alpha1=138.08, tau0=1e-6)
-        derived = MediumPreset.from_causal("drawn", causal).powerlaw
         w = np.geomspace(1e-3, 1e12, 30001)
-        b = alpha_difference(causal, derived, w)
+        b = _alpha_difference(causal, w)
         chords = np.abs(np.diff(b)) / np.diff(w)
         assert np.all(chords <= alpha_difference_slope_bound(causal, w[1:]) * (1.0 + 1e-9))
 
@@ -181,7 +180,7 @@ class TestAlphaDifferenceSlopeBound:
         # at |u| = 1e-4 the bound is the slope of (3/8)(alpha1/c0)*w*|u|**2 to 1e-3
         w = 1e6 * 1e-4 ** (1.0 / 0.66)
         h = 1e-6 * w
-        b = alpha_difference(castor.causal, castor.powerlaw, np.array([w - h, w]))
+        b = _alpha_difference(castor.causal, np.array([w - h, w]))
         slope = abs(b[1] - b[0]) / h
         assert slope == pytest.approx(alpha_difference_slope_bound(castor.causal, w), rel=1e-3)
 
@@ -256,7 +255,7 @@ class TestPhaseSingularity:
     @pytest.mark.parametrize("gamma", [None, 1.1, 1.5, 1.9])
     def test_closed_form_is_wavenumber_root(self, castor, gamma):
         # gamma None is castor oil itself; the others vary its gamma only
-        preset = castor if gamma is None else MediumPreset.from_causal(
+        preset = castor if gamma is None else MediumPreset(
             "varied", CausalLaw(gamma=gamma, c0=castor.causal.c0,
                                 alpha1=castor.causal.alpha1, tau0=castor.causal.tau0))
         law = preset.powerlaw

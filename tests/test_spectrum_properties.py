@@ -24,7 +24,7 @@ def laws(draw, lossless=True):
     causal = CausalLaw(gamma=draw(st.floats(1.05, 2.0)), c0=0.15,
                        alpha1=10.0 ** draw(st.floats(0.0, 3.0)),
                        tau0=10.0 ** draw(st.floats(-9.0, -3.0)))
-    return causal if kind == "causal" else MediumPreset.from_causal("drawn", causal).powerlaw
+    return causal if kind == "causal" else MediumPreset("drawn", causal).powerlaw
 
 
 @settings(max_examples=300, deadline=None)

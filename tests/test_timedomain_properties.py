@@ -36,7 +36,7 @@ from conftest import full_grid_synthesis  # noqa: E402
 def test_irfft_synthesis_matches_full_grid_oracle(gamma, c0, log10_alpha1, log10_tau0,
                                                   powerlaw, log10_r, omega_max, log2_n):
     causal = CausalLaw(gamma=gamma, c0=c0, alpha1=10.0**log10_alpha1, tau0=10.0**log10_tau0)
-    law = MediumPreset.from_causal("random", causal).powerlaw if powerlaw else causal
+    law = MediumPreset("random", causal).powerlaw if powerlaw else causal
     r = 10.0**log10_r
     grid = FrequencyGrid(omega_max, 2**log2_n)
     sig = synthesize_time_signal(sample_green_spectrum(law, r, grid))
@@ -79,7 +79,7 @@ def test_forward_point_source_is_the_product_of_the_spectra(
     # r puts the bulk arrival r*(1 + alpha1)/c0 at a drawn share of the window, so no
     # grid wraps the wave; the two sides round phases below n*pi apart, ~n*1e-16 each
     causal = CausalLaw(gamma=gamma, c0=c0, alpha1=10.0**log10_alpha1, tau0=10.0**log10_tau0)
-    law = MediumPreset.from_causal("random", causal).powerlaw if powerlaw else causal
+    law = MediumPreset("random", causal).powerlaw if powerlaw else causal
     grid = FrequencyGrid(omega_max, 2**log2_n)
     window = grid.n * math.pi / omega_max
     r = 10.0**log10_arrival * window * c0 / (1.0 + causal.alpha1)
