@@ -48,13 +48,9 @@ from .bounds import (
     EnvelopeBoundConstants,
     EnvelopeCheck,
     ModelErrorReport,
-    envelope_bound_constants,
     verify_envelope,
-    bound_coefficient,
-    bound_decay_rate,
     log10_truncation_error_bound,
     TruncationBound,
-    envelope_split,
     power_lower_envelope,
     corrected_truncation_error_bound,
     model_error_report,

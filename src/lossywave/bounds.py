@@ -33,14 +33,14 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
   gives alpha_c(w) <= a2*|w|.  The linear lower envelope does not: the
   causal attenuation grows like w**((3-gamma)/2), so the line overtakes
   it far out (near w = 1e14 rad/us for castor oil at M = 100).  The
-  linear envelope is therefore used on [M, W] only, W = max(M, 1/tau0)
-  from `envelope_split`, and checked there by `verify_envelope`.
-  Beyond W the analytic envelope alpha_c(w) >= kappa*w**p,
-  p = (3 - gamma)/2, of `power_lower_envelope` holds; s(r) is the
-  ratio of its tail energy, an upper incomplete gamma function, to
-  that of the linear envelope.
+  linear envelope is therefore used on [M, W] only, W = max(M, 1/tau0),
+  and checked there by `verify_envelope`.  Beyond W the analytic
+  envelope alpha_c(w) >= kappa*w**p, p = (3 - gamma)/2, of
+  `power_lower_envelope` holds; s(r) is the ratio of its tail energy,
+  an upper incomplete gamma function, to that of the linear envelope.
   `corrected_truncation_error_bound` returns the bound in log10 only,
-  so it does not underflow at large r.
+  so it does not underflow at large r.  Both bounds read the law, a0,
+  a1, a2, alpha(M), W, kappa and p from one `EnvelopeBoundConstants`.
 
 * Band-limited model-error bound.  With the deviation factor
 
@@ -108,11 +108,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laws import _alpha_parts, alpha_difference_slope_bound, derive_powerlaw_coeffs
+from .laws import CausalLaw, _alpha_parts, alpha_difference_slope_bound, derive_powerlaw_coeffs
 from .numerics import NumericalError, erfcx
 from .spectrum import _check_band_edge, _check_distance, _deviation, relative_model_error
 
@@ -120,13 +120,9 @@ __all__ = [
     "EnvelopeBoundConstants",
     "EnvelopeCheck",
     "ModelErrorReport",
-    "envelope_bound_constants",
     "verify_envelope",
-    "bound_coefficient",
-    "bound_decay_rate",
     "log10_truncation_error_bound",
     "TruncationBound",
-    "envelope_split",
     "power_lower_envelope",
     "corrected_truncation_error_bound",
     "model_error_report",
@@ -144,33 +140,47 @@ _LOG_DOUBLE_MAX = math.log(_DOUBLE_MAX)
 
 @dataclass(frozen=True)
 class EnvelopeBoundConstants:
-    """Envelope constants for the truncation bound at band edge m.
+    """Envelope constants of the truncation bounds of one causal law at band edge m.
 
-    a0 is the lower-envelope slope, a1/a2 the upper-envelope quadratic
-    and linear coefficients, alpha_m the causal attenuation at m.
+    Every field past slope_factor is derived on construction and cannot
+    be passed in: a1/a2 from `derive_powerlaw_coeffs`, the lower-envelope
+    slope a0 = slope_factor * a1 * gamma * m**(gamma-1), the causal
+    attenuation alpha_m at m, the published form's
+    (2*a1/(pi*a0**2))**(1/4) (formed without a0**2) and decay rate
+    alpha_m + a2**2/(4*a1), and the power envelope kappa*w**exponent of
+    `power_lower_envelope` beyond split = max(m, 1/tau0).
     """
 
+    causal: CausalLaw
     m: float
-    a0: float
-    a1: float
-    a2: float
-    alpha_m: float
+    slope_factor: float = 0.7
+    a0: float = field(init=False)
+    a1: float = field(init=False)
+    a2: float = field(init=False)
+    alpha_m: float = field(init=False)
+    bound_coefficient: float = field(init=False)
+    bound_decay_rate: float = field(init=False)
+    split: float = field(init=False)
+    kappa: float = field(init=False)
+    exponent: float = field(init=False)
 
-
-def envelope_bound_constants(preset, m, slope_factor=0.7):
-    """Derive envelope constants from a medium preset.
-
-    a0 = slope_factor * d(alpha_powerlaw)/dw at m = slope_factor * a1 * gamma * m**(gamma-1);
-    a1 and a2 are the power-law coefficients themselves; alpha_m is
-    the exact causal attenuation at m.
-    """
-    _check_band_edge(m)
-    if not (slope_factor > 0.0 and math.isfinite(slope_factor)):
-        raise ValueError(f"slope_factor must be finite and positive, got {slope_factor!r}")
-    pl = preset.powerlaw
-    a0 = slope_factor * pl.a1 * pl.gamma * m ** (pl.gamma - 1.0)
-    alpha_m = float(_alpha_parts(preset.causal, m)[0])
-    return EnvelopeBoundConstants(m=float(m), a0=a0, a1=pl.a1, a2=pl.a2, alpha_m=alpha_m)
+    def __post_init__(self):
+        m, causal, slope_factor = self.m, self.causal, self.slope_factor
+        _check_band_edge(m)
+        if not (slope_factor > 0.0 and math.isfinite(slope_factor)):
+            raise ValueError(f"slope_factor must be finite and positive, got {slope_factor!r}")
+        m = float(m)
+        a1, a2 = derive_powerlaw_coeffs(causal)
+        a0 = slope_factor * a1 * causal.gamma * m ** (causal.gamma - 1.0)
+        alpha_m = float(_alpha_parts(causal, m)[0])
+        split = max(m, 1.0 / causal.tau0)
+        kappa, exponent = power_lower_envelope(causal, split)
+        derived = dict(m=m, a0=a0, a1=a1, a2=a2, alpha_m=alpha_m,
+                       bound_coefficient=(2.0 * a1 / math.pi) ** 0.25 / math.sqrt(a0),
+                       bound_decay_rate=alpha_m + a2**2 / (4.0 * a1),
+                       split=split, kappa=kappa, exponent=exponent)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -189,7 +199,7 @@ class EnvelopeCheck:
     omega_checked_max: float
 
 
-def verify_envelope(causal, constants, omega_max):
+def verify_envelope(constants, omega_max):
     """Check the envelope hypothesis on a log grid of (m, omega_max], ENVELOPE_GRID_POINTS long.
 
     A failed inequality is data (reported via the flags and worst
@@ -200,7 +210,7 @@ def verify_envelope(causal, constants, omega_max):
     if not omega_max > m:
         raise ValueError("omega_max must exceed the band edge m")
     w = np.geomspace(m * (1.0 + 1e-9), omega_max, ENVELOPE_GRID_POINTS)
-    alpha = _alpha_parts(causal, w)[0]
+    alpha = _alpha_parts(constants.causal, w)[0]
     # an infinite upper envelope holds trivially, an infinite lower one fails by inf
     with np.errstate(over="ignore"):
         lower = constants.alpha_m + constants.a0 * (w - m)
@@ -216,16 +226,6 @@ def verify_envelope(causal, constants, omega_max):
     )
 
 
-def bound_coefficient(constants):
-    """Coefficient (2*a1/(pi*a0**2))**(1/4) of the bound, formed without a0**2 (over/underflow)."""
-    return (2.0 * constants.a1 / math.pi) ** 0.25 / math.sqrt(constants.a0)
-
-
-def bound_decay_rate(constants):
-    """Exponential decay rate alpha_m + a2**2/(4*a1) of the truncation bound."""
-    return constants.alpha_m + constants.a2**2 / (4.0 * constants.a1)
-
-
 def log10_truncation_error_bound(constants, r, coefficient=None):
     """log10 of the published form coefficient * exp(-rate*r) / r**(1/4) at distance r.
 
@@ -237,18 +237,9 @@ def log10_truncation_error_bound(constants, r, coefficient=None):
     and finite where the form itself underflows.
     """
     _check_distance(r)
-    coef = bound_coefficient(constants) if coefficient is None else coefficient
-    return (math.log10(coef) - bound_decay_rate(constants) * r / math.log(10.0)
+    coef = constants.bound_coefficient if coefficient is None else coefficient
+    return (math.log10(coef) - constants.bound_decay_rate * r / math.log(10.0)
             - 0.25 * math.log10(r))
-
-
-def envelope_split(causal, m):
-    """Frequency W = max(m, 1/tau0) where the linear lower envelope hands over.
-
-    The corrected bound needs the linear envelope on [m, W] only; beyond
-    W it uses `power_lower_envelope`.
-    """
-    return max(float(m), 1.0 / causal.tau0)
 
 
 def power_lower_envelope(causal, omega):
@@ -314,28 +305,28 @@ class TruncationBound:
         return min(self.log10_unclipped, 0.0)
 
 
-def corrected_truncation_error_bound(causal, constants, r):
+def corrected_truncation_error_bound(constants, r):
     """Corrected truncation bound at distance r (see the module docstring).
 
     Computed in log space throughout: the tail energy under the linear
     envelope, exp(-2*r*alpha(M)) / (2*r*a0), plus that under the power
-    envelope beyond W = max(M, 1/tau0), (2*r*kappa)**(-1/p)/p
-    * Gamma(1/p, 2*r*kappa*W**p), over sqrt(pi/(8*r*a1)) * erfcx(x).
+    envelope beyond W = split, (2*r*kappa)**(-1/p)/p
+    * Gamma(1/p, 2*r*kappa*W**p), p = exponent, over
+    sqrt(pi/(8*r*a1)) * erfcx(x).
     """
     _check_distance(r)
     c = constants
-    split = envelope_split(causal, c.m)
     ln10 = math.log(10.0)
     log_lin = -2.0 * r * c.alpha_m - math.log(2.0 * r * c.a0)
-    kappa, p = power_lower_envelope(causal, split)
-    log_rate = math.log(2.0 * r * kappa)
+    log_rate = math.log(2.0 * r * c.kappa)
+    p = c.exponent
     log_pow = (-math.log(p) - log_rate / p
-               + _log_upper_gamma_bound(1.0 / p, log_rate + p * math.log(split)))
+               + _log_upper_gamma_bound(1.0 / p, log_rate + p * math.log(c.split)))
     x = c.a2 * math.sqrt(r / (2.0 * c.a1))
     log_full = 0.5 * math.log(math.pi / (8.0 * r * c.a1)) + math.log(erfcx(x))
     log_tail = float(np.logaddexp(log_lin, log_pow))
     return TruncationBound(
-        r=float(r), split=float(split),
+        r=float(r), split=c.split,
         log10_tail_linear=log_lin / ln10, log10_tail_power=log_pow / ln10,
         log10_full_lower=log_full / ln10,
         log10_unclipped=0.5 * (log_tail - log_full) / ln10,

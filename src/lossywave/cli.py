@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, bound_coefficient, bound_decay_rate,
-                     corrected_truncation_error_bound, envelope_bound_constants, envelope_split,
-                     log10_truncation_error_bound, model_error_report, power_lower_envelope,
-                     verify_envelope)
+from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, EnvelopeBoundConstants,
+                     corrected_truncation_error_bound, log10_truncation_error_bound,
+                     model_error_report, verify_envelope)
 from .laws import (_alpha_parts, load_preset, powerlaw_phase_singularity, small_frequency_bound,
                    wavenumber)
 from .numerics import QUADRATURE_RTOL, NumericalError
@@ -125,13 +124,13 @@ def cmd_fig3(args):
 def cmd_bounds(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
-    constants = envelope_bound_constants(preset, args.m, slope_factor=args.slope_factor)
+    constants = EnvelopeBoundConstants(preset.causal, args.m, args.slope_factor)
     per_r = []
     for r in r_list:
         profile = energy_profile(preset.causal, r)
-        env = verify_envelope(preset.causal, constants, max(profile.top, 1.0001 * args.m))
+        env = verify_envelope(constants, max(profile.top, 1.0001 * args.m))
         report = model_error_report(profile, args.m, args.delta)
-        corrected = corrected_truncation_error_bound(preset.causal, constants, r)
+        corrected = corrected_truncation_error_bound(constants, r)
         per_r.append({
             "r": r,
             "tail_cut": profile.top,
@@ -142,10 +141,7 @@ def cmd_bounds(args):
             **_log10_pair("truncation_error", log10_relative_truncation_error(profile, args.m)),
             "model_error_report": asdict(report),
         })
-    # the corrected bound uses the linear lower envelope on [m, split] and
-    # the analytic power envelope beyond; the split does not depend on r
-    split = envelope_split(preset.causal, args.m)
-    kappa, exponent = power_lower_envelope(preset.causal, split)
+    c = constants
     doc = {
         "preset": _preset_dict(preset),
         "m": args.m,
@@ -157,19 +153,17 @@ def cmd_bounds(args):
             "supremum_rtol": SUPREMUM_RTOL,
             "slope_factor": args.slope_factor,
         },
-        "envelope_constants": {
-            **asdict(constants),
-            "bound_coefficient": bound_coefficient(constants),
-            "bound_decay_rate": bound_decay_rate(constants),
-        },
+        "envelope_constants": {name: getattr(c, name) for name in (
+            "m", "a0", "a1", "a2", "alpha_m", "bound_coefficient", "bound_decay_rate")},
         "truncation_bound_form": "published closed form; undercuts the exact error, "
                                  "see corrected_truncation_bound",
+        # the corrected bound uses the linear lower envelope on [m, split] and
+        # the analytic power envelope beyond; neither depends on r
         "corrected_bound_envelope": {
-            "split": split,
-            "linear_envelope": asdict(verify_envelope(
-                preset.causal, constants, max(split, 1.0001 * args.m))),
-            "power_envelope_kappa": kappa,
-            "power_envelope_exponent": exponent,
+            "split": c.split,
+            "linear_envelope": asdict(verify_envelope(c, max(c.split, 1.0001 * args.m))),
+            "power_envelope_kappa": c.kappa,
+            "power_envelope_exponent": c.exponent,
         },
         "per_distance": per_r,
     }

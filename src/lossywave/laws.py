@@ -223,9 +223,10 @@ def _alpha_parts(law, omega):
     1 + u = x - 1j*y with x = 1 + s*cos(p*pi/2) >= 1, y = s*sin(p*pi/2);
     its principal square root is q - 1j*y/(2q) with q = sqrt((|1+u| + x)/2),
     |1+u| from hypot, so alpha* = (alpha1/c0)*a*(y/(2q) - 1j*q)/|1+u| has no
-    cancellation.  Entries whose intermediates overflow are redone with a/|1+u|
-    and y/q formed first: for alpha1 >= c0, alpha* is inf only beyond the
-    doubles.  Power law: a1*a**gamma*(1 + 1j*cot(p*pi/2)) - 1j*a2*a, since
+    cancellation.  Entries whose intermediates overflow, c0*|1+u| among them
+    (its overflow would turn alpha* into 0), are redone with a/|1+u| and y/q
+    formed first: for alpha1 >= c0, alpha* is inf only beyond the doubles.
+    Power law: a1*a**gamma*(1 + 1j*cot(p*pi/2)) - 1j*a2*a, since
     -tan(gamma*pi/2) = cot(p*pi/2); gamma = 2 is the thermoviscous
     a1*a**2 - 1j*a2*a, whose cotangent 0 the rounded pi would miss.
     """
@@ -244,8 +245,9 @@ def _alpha_parts(law, omega):
             re = np.divide(y, q, out=y)
             q *= a
             im = np.negative(q, out=q)
-            if not (re.max(initial=0.0) < math.inf and im.min(initial=0.0) > -math.inf):
-                over = ~(np.isfinite(re) & np.isfinite(im))
+            if not (re.max(initial=0.0) < math.inf and im.min(initial=0.0) > -math.inf
+                    and m.max(initial=0.0) < math.inf):
+                over = ~(np.isfinite(re) & np.isfinite(im)) | np.isinf(m)
                 a = np.abs(w.reshape(-1)[over])
                 y, m, q = _causal_root(law, a)
                 re[over] = a / m * (0.5 * y / q) * (law.alpha1 / law.c0)

@@ -14,16 +14,14 @@ import numpy as np
 import pytest
 
 from lossywave import (
+    EnvelopeBoundConstants,
     FrequencyGrid,
     alpha1_from_a1,
-    bound_coefficient,
     builtin_preset,
     causality_energy_fraction,
     corrected_truncation_error_bound,
     derive_powerlaw_coeffs,
     energy_profile,
-    envelope_bound_constants,
-    bound_decay_rate,
     helmholtz_radial_residual,
     log10_relative_truncation_error,
     log10_truncation_error_bound,
@@ -84,8 +82,8 @@ def test_criterion_03_phase_speed_singularity():
 
 
 def test_criterion_04_truncation_bound_decay_rate():
-    constants = envelope_bound_constants(CASTOR, 100.0)
-    rate = bound_decay_rate(constants)
+    constants = EnvelopeBoundConstants(CASTOR.causal, 100.0)
+    rate = constants.bound_decay_rate
     ok = abs(rate / REFERENCE_DECAY_RATE - 1.0) <= 2e-3
     report(4, "truncation-bound decay rate 4.877e6 within 0.2%", ok, f"(rate {rate:.6e})")
 
@@ -114,13 +112,13 @@ def test_criterion_05_truncation_bound_dominates():
     # the constants by a factor ~4.8; where 0.0828 comes from is unknown.
     causal = CASTOR.causal
     m = 100.0
-    constants = envelope_bound_constants(CASTOR, m)
-    formula_coefficient = bound_coefficient(constants)
+    constants = EnvelopeBoundConstants(CASTOR.causal, m)
+    formula_coefficient = constants.bound_coefficient
     rows = []
     ok = True
     for r in (1e-6, 1e-4, 1e-2, 1.0, 10.0):
-        corrected = corrected_truncation_error_bound(causal, constants, r)
-        envelope = verify_envelope(causal, constants, corrected.split)
+        corrected = corrected_truncation_error_bound(constants, r)
+        envelope = verify_envelope(constants, corrected.split)
         exact = log10_relative_truncation_error(energy_profile(causal, r), m)
         published = log10_truncation_error_bound(
             constants, r, coefficient=REFERENCE_BOUND_COEFFICIENT)

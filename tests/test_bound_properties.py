@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lossywave import (  # noqa: E402
     CausalLaw,
+    EnvelopeBoundConstants,
     MediumPreset,
     PowerLaw,
     builtin_preset,
@@ -17,9 +18,10 @@ from lossywave import (  # noqa: E402
     derive_powerlaw_coeffs,
     deviation_factor,
     energy_profile,
-    envelope_bound_constants,
+    eval_alpha,
     log10_relative_truncation_error,
     model_error_report,
+    power_lower_envelope,
     verify_envelope,
 )
 from lossywave.bounds import SUPREMUM_RTOL  # noqa: E402
@@ -32,9 +34,9 @@ CASTOR = builtin_preset("castor-oil")
        m=st.floats(min_value=20.0, max_value=200.0))
 def test_corrected_bound_dominates_exact_error(log10_r, m):
     r = 10.0**log10_r
-    constants = envelope_bound_constants(CASTOR, m)
-    bound = corrected_truncation_error_bound(CASTOR.causal, constants, r)
-    envelope = verify_envelope(CASTOR.causal, constants, bound.split)
+    constants = EnvelopeBoundConstants(CASTOR.causal, m)
+    bound = corrected_truncation_error_bound(constants, r)
+    envelope = verify_envelope(constants, bound.split)
     assert envelope.holds_lower and envelope.holds_upper
     profile = energy_profile(CASTOR.causal, r)
     assert bound.log10_bound >= log10_relative_truncation_error(profile, m)
@@ -47,6 +49,20 @@ def derived_media(draw):
                        alpha1=10.0 ** draw(st.floats(0.0, 3.0)),
                        tau0=10.0 ** draw(st.floats(-9.0, -3.0)))
     return MediumPreset("drawn", causal)
+
+
+@settings(max_examples=50, deadline=None)
+@given(medium=derived_media(), log10_m=st.floats(-3.0, 9.0),
+       slope_factor=st.floats(1e-3, 10.0))
+def test_envelope_constants_are_derived_from_the_law(medium, log10_m, slope_factor):
+    causal, m = medium.causal, 10.0**log10_m
+    c = EnvelopeBoundConstants(causal, m, slope_factor)
+    a1, a2 = derive_powerlaw_coeffs(causal)
+    split = max(m, 1.0 / causal.tau0)
+    assert (c.a1, c.a2) == (a1, a2)
+    assert c.a0 == slope_factor * a1 * causal.gamma * m ** (causal.gamma - 1.0)
+    assert c.alpha_m == eval_alpha(causal, m).real
+    assert (c.split, c.kappa, c.exponent) == (split, *power_lower_envelope(causal, split))
 
 
 @settings(max_examples=100, deadline=None)

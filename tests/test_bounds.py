@@ -8,13 +8,9 @@ from lossywave import (
     CausalLaw,
     EnvelopeBoundConstants,
     PowerLaw,
-    bound_coefficient,
-    bound_decay_rate,
     corrected_truncation_error_bound,
     deviation_factor,
     energy_profile,
-    envelope_bound_constants,
-    envelope_split,
     erfcx,
     eval_alpha,
     log10_truncation_error_bound,
@@ -26,7 +22,7 @@ from lossywave import (
 
 class TestEnvelopeConstants:
     def test_castor_values(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
         pl = castor.powerlaw
         assert c.a1 == pl.a1
         assert c.a2 == pl.a2
@@ -35,72 +31,83 @@ class TestEnvelopeConstants:
         assert c.alpha_m == pytest.approx(eval_alpha(castor.causal, 100.0).real, rel=1e-14)
 
     def test_slope_factor_scales_linearly(self, castor):
-        base = envelope_bound_constants(castor, 100.0, slope_factor=0.7)
-        half = envelope_bound_constants(castor, 100.0, slope_factor=0.35)
+        base = EnvelopeBoundConstants(castor.causal, 100.0, slope_factor=0.7)
+        half = EnvelopeBoundConstants(castor.causal, 100.0, slope_factor=0.35)
         assert half.a0 == pytest.approx(0.5 * base.a0, rel=1e-14)
 
     def test_decay_rate_matches_reference(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        assert bound_decay_rate(c) == pytest.approx(4.877e6, rel=2e-3)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        assert c.bound_decay_rate == pytest.approx(4.877e6, rel=2e-3)
 
     def test_coefficient_formula(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        assert bound_coefficient(c) == pytest.approx(
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        assert c.bound_coefficient == pytest.approx(
             (2.0 * c.a1 / (math.pi * c.a0**2)) ** 0.25, rel=1e-14)
 
     @pytest.mark.parametrize("a0", [1e-300, 1e300])
     def test_coefficient_where_a0_squared_leaves_the_double_range(self, castor, a0):
-        c = replace(envelope_bound_constants(castor, 100.0), a0=a0)
-        expected = 10.0 ** (0.25 * math.log10(2.0 * c.a1 / math.pi) - 0.5 * math.log10(a0))
-        assert bound_coefficient(c) == pytest.approx(expected, rel=1e-13)
+        # a0 is linear in the slope factor, so this slope factor puts a0 near the target
+        unit = EnvelopeBoundConstants(castor.causal, 100.0, slope_factor=1.0).a0
+        c = EnvelopeBoundConstants(castor.causal, 100.0, slope_factor=a0 / unit)
+        assert c.a0 == pytest.approx(a0, rel=1e-14)
+        expected = 10.0 ** (0.25 * math.log10(2.0 * c.a1 / math.pi) - 0.5 * math.log10(c.a0))
+        assert c.bound_coefficient == pytest.approx(expected, rel=1e-13)
+
+    def test_derived_fields_cannot_be_passed(self, castor):
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        with pytest.raises(TypeError):
+            EnvelopeBoundConstants(castor.causal, 100.0, a0=1.0)
+        with pytest.raises(ValueError):
+            replace(c, a0=1.0)
+        assert replace(c, slope_factor=0.35).a0 == pytest.approx(0.5 * c.a0, rel=1e-14)
 
 
 class TestVerifyEnvelope:
     def test_holds_on_effective_support(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
         cut = energy_profile(castor.causal, 1e-6).top
-        check = verify_envelope(castor.causal, c, cut)
+        check = verify_envelope(c, cut)
         assert check.holds_lower and check.holds_upper
         assert check.worst_lower_violation == 0.0
         assert check.worst_upper_violation == 0.0
 
     def test_zero_slope_reduces_to_monotonicity(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        flat = EnvelopeBoundConstants(m=c.m, a0=0.0, a1=c.a1, a2=c.a2, alpha_m=c.alpha_m)
-        check = verify_envelope(castor.causal, flat, 1e8)
+        flat = EnvelopeBoundConstants(castor.causal, 100.0, slope_factor=1e-300)
+        assert flat.a0 < 1e-299  # the line rises by less than 1e-291 up to 1e8
+        check = verify_envelope(flat, 1e8)
         assert check.holds_lower
 
     def test_lower_bound_fails_far_out(self, castor):
         # the causal attenuation grows sublinearly (~w**0.67), so the linear
         # lower envelope must eventually overtake it
-        c = envelope_bound_constants(castor, 100.0)
-        check = verify_envelope(castor.causal, c, 1e15)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        check = verify_envelope(c, 1e15)
         assert not check.holds_lower
         assert check.worst_lower_violation > 0.0
         assert check.holds_upper
 
     def test_requires_omega_beyond_m(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
         with pytest.raises(ValueError):
-            verify_envelope(castor.causal, c, 50.0)
+            verify_envelope(c, 50.0)
 
 
 class TestTruncationBound:
     def test_strictly_decreasing_in_r(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
         values = [log10_truncation_error_bound(c, r) for r in (1e-8, 1e-7, 1e-6)]
         assert all(math.isfinite(v) for v in values)
         assert values[0] > values[1] > values[2]
 
     def test_coefficient_override(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        rate = bound_decay_rate(c)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        rate = c.bound_decay_rate
         expected = 0.0828 * math.exp(-rate * 1e-6) / 1e-6**0.25
         assert log10_truncation_error_bound(c, 1e-6, coefficient=0.0828) == pytest.approx(
             math.log10(expected), rel=1e-14)
 
     def test_zero_distance_rejected(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
         with pytest.raises(ValueError):
             log10_truncation_error_bound(c, 0.0)
 
@@ -142,8 +149,8 @@ def _envelope_integrals(constants, r, n=2**20):
 class TestCorrectedTruncationBound:
     @pytest.mark.parametrize("r", [1e-4, 1.0])
     def test_closed_form_matches_envelope_quadrature(self, castor, r):
-        c = envelope_bound_constants(castor, 100.0)
-        bound = corrected_truncation_error_bound(castor.causal, c, r)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        bound = corrected_truncation_error_bound(c, r)
         tail, full = _envelope_integrals(c, r)
         assert bound.log10_tail_linear == pytest.approx(tail, abs=1e-8)
         assert bound.log10_full_lower == pytest.approx(full, abs=1e-8)
@@ -152,39 +159,39 @@ class TestCorrectedTruncationBound:
         assert bound.log10_tail_power < bound.log10_tail_linear - 100.0
         assert bound.log10_unclipped == pytest.approx(0.5 * (tail - full), abs=1e-8)
         x = c.a2 * math.sqrt(r / (2.0 * c.a1))
-        closed = (math.log10(bound_coefficient(c)) - c.alpha_m * r / math.log(10.0)
+        closed = (math.log10(c.bound_coefficient) - c.alpha_m * r / math.log(10.0)
                   - 0.25 * math.log10(r) - 0.5 * math.log10(erfcx(x)))
         assert bound.log10_unclipped == pytest.approx(closed, abs=1e-10)
 
     def test_clipped_at_one_for_small_distance(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        bound = corrected_truncation_error_bound(castor.causal, c, 1e-6)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        bound = corrected_truncation_error_bound(c, 1e-6)
         assert bound.log10_unclipped == pytest.approx(1.48, abs=0.01)
         assert bound.log10_bound == 0.0
 
     def test_log10_finite_where_linear_value_underflows(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        bound = corrected_truncation_error_bound(castor.causal, c, 10.0)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        bound = corrected_truncation_error_bound(c, 10.0)
         assert 10.0**bound.log10_bound == 0.0
         assert bound.log10_bound == pytest.approx(-391.99, abs=0.01)
 
     def test_split_covers_linear_envelope(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        bound = corrected_truncation_error_bound(castor.causal, c, 1.0)
-        assert bound.split == envelope_split(castor.causal, 100.0) == 1e6
-        check = verify_envelope(castor.causal, c, bound.split)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        bound = corrected_truncation_error_bound(c, 1.0)
+        assert bound.split == c.split == 1e6
+        check = verify_envelope(c, bound.split)
         assert check.holds_lower and check.holds_upper
 
     def test_extreme_distances(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
-        assert corrected_truncation_error_bound(castor.causal, c, 1e-300).log10_bound == 0.0
-        far = corrected_truncation_error_bound(castor.causal, c, 1e300).log10_bound
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
+        assert corrected_truncation_error_bound(c, 1e-300).log10_bound == 0.0
+        far = corrected_truncation_error_bound(c, 1e300).log10_bound
         assert math.isfinite(far) and far < -1e300
 
     def test_zero_distance_rejected(self, castor):
-        c = envelope_bound_constants(castor, 100.0)
+        c = EnvelopeBoundConstants(castor.causal, 100.0)
         with pytest.raises(ValueError):
-            corrected_truncation_error_bound(castor.causal, c, 0.0)
+            corrected_truncation_error_bound(c, 0.0)
 
 
 class TestPowerLowerEnvelope:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,23 @@ class TestBoundsCommand:
             report = entry["model_error_report"]
             assert report["d2_max_c"] >= 1.0227256, entry["r"]
             assert report["m_delta"] < report["omega_at_d2"] < 1e-14
+
+    def test_envelope_blocks_are_the_constants_fields(self, tmp_path, capsys):
+        # cmd_bounds writes both blocks field by field, in this key order
+        assert cli.main(["bounds", "--m", "70", "--slope-factor", "0.3", "--r-list", "1",
+                         "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "bounds.json").read_text())
+        c = bounds.EnvelopeBoundConstants(laws.load_preset("castor-oil").causal, 70.0, 0.3)
+        constants = doc["envelope_constants"]
+        assert list(constants) == ["m", "a0", "a1", "a2", "alpha_m", "bound_coefficient",
+                                   "bound_decay_rate"]
+        assert constants == {name: getattr(c, name) for name in constants}
+        envelope = doc["corrected_bound_envelope"]
+        assert list(envelope) == ["split", "linear_envelope", "power_envelope_kappa",
+                                  "power_envelope_exponent"]
+        assert (envelope["split"], envelope["power_envelope_kappa"],
+                envelope["power_envelope_exponent"]) == (c.split, c.kappa, c.exponent)
+        assert envelope["linear_envelope"] == asdict(bounds.verify_envelope(c, c.split))
 
     def test_empty_r_list_exits_2(self, tmp_path):
         proc = run_cli("bounds", "--r-list", ",", "--out", str(tmp_path))

@@ -8,8 +8,9 @@ Re(alpha*) is checked relative to itself and Im(alpha*) relative to
 pole.  Measured worst cases: 7e-16 for the real-arithmetic kernel, 2.7e-14
 for the complex power it replaced (power law, gamma = 1.005).  The causal
 law is also checked up to |w| = 1.7e308, where the kernel's intermediates
-overflow although alpha* need not; a part beyond the doubles must be inf
-with the sign of the exact value.
+overflow although alpha* need not, and for a medium with c0 = 1e300, whose
+c0*|1 + u| overflows while alpha* is far below 1; a part beyond the doubles
+must be inf with the sign of the exact value.
 """
 
 import math
@@ -45,10 +46,16 @@ def _close(value, exact, scale):
     return abs(value - exact) <= RTOL * scale
 
 
-@pytest.mark.parametrize("gamma", [1.005, 1.3, 1.66, 1.95, 2.0])
+MEDIA = {str(gamma): dict(gamma=gamma, c0=0.15, alpha1=138.08, tau0=1e-6)
+         for gamma in (1.005, 1.3, 1.66, 1.95, 2.0)}
+# c0*|1 + u| overflows from |w| ~ 3e22 on, where alpha* is still a double
+MEDIA["c0=1e300"] = dict(gamma=1.5, c0=1e300, alpha1=1.0, tau0=1e-6)
+
+
+@pytest.mark.parametrize("medium", MEDIA.values(), ids=MEDIA.keys())
 @pytest.mark.parametrize("kind", ["causal", "power-law"])
-def test_matches_mpmath(gamma, kind):
-    preset = MediumPreset("oracle", CausalLaw(gamma=gamma, c0=0.15, alpha1=138.08, tau0=1e-6))
+def test_matches_mpmath(medium, kind):
+    preset = MediumPreset("oracle", CausalLaw(**medium))
     law = preset.causal if kind == "causal" else preset.powerlaw
     omegas = np.concatenate((OMEGAS, HUGE)) if kind == "causal" else OMEGAS
     w = np.concatenate((omegas, -omegas))
