@@ -90,14 +90,11 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
     search raises NumericalError, as it does for a non-finite C.
   - Closure to infinity.  Re alpha_powerlaw = a1*w**gamma exactly, and
     Re alpha_causal <= a2*w since |1 + (-i*tau0*w)**(gamma-1)| >= 1, so
-    b1 >= phi(w) = a1*w**gamma - a2*w, which rises beyond
-    w* = (a2/(gamma*a1))**(1/(gamma-1)).  With E as above,
-    C <= (1 + |E|)**2 <= (1 + exp(-r*phi(W)))**2 for every w >= W >= w*.
-    W is the least w >= max(m_delta, w*) with
-    r*phi(W) >= ln(2/SUPREMUM_RTOL), solved in ln(w), and the outer
-    supremum is the larger of the search on [m_delta, W] and this
-    closing term, at most (1 + SUPREMUM_RTOL/2)**2.  The report records
-    W as omega_closed.
+    b1 >= phi(w) = a1*w**gamma - a2*w, and with E as above
+    C <= (1 + |E|)**2 <= (1 + exp(-r*phi(W)))**2 for every w >= W where
+    phi rises.  `_closure` solves for W, and the outer supremum is the larger
+    of the search on [m_delta, W] and this closing term, at most
+    (1 + SUPREMUM_RTOL/2)**2.  The report records W as omega_closed.
 
   The exact error is reported under both normalizations: by the
   full-line norm and by the band-limited norm; the report flags which
@@ -112,7 +109,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laws import CausalLaw, _alpha_parts, alpha_difference_slope_bound, derive_powerlaw_coeffs
+from .laws import (CausalLaw, _alpha_parts, _reduced, _scaled, alpha_difference_slope_bound,
+                   derive_powerlaw_coeffs)
 from .numerics import NumericalError, erfcx
 from .spectrum import _check_band_edge, _check_distance, _deviation, relative_model_error
 
@@ -172,6 +170,8 @@ class EnvelopeBoundConstants:
         m = float(m)
         a1, a2 = derive_powerlaw_coeffs(causal)
         a0 = slope_factor * a1 * causal.gamma * m ** (causal.gamma - 1.0)
+        if a0 == math.inf:
+            raise NumericalError(f"the envelope slope a0 at M={m!r} exceeds the largest double")
         alpha_m = float(_alpha_parts(causal, m)[0])
         split = max(m, 1.0 / causal.tau0)
         kappa, exponent = power_lower_envelope(causal, split)
@@ -245,23 +245,21 @@ def log10_truncation_error_bound(constants, r, coefficient=None):
 def power_lower_envelope(causal, omega):
     """Constants (kappa, p) with Re alpha_c(w) >= kappa * w**p for all w >= omega > 0.
 
-    p = (3 - gamma)/2.  Write z = 1 + t*exp(-i*theta), t = (tau0*w)**(gamma-1),
+    p = (3 - gamma)/2.  Write z = 1 + t*exp(-i*theta), t = |u| of `_reduced`,
     theta = (gamma-1)*pi/2 and phi = -arg(z)/2.  Then
     Re alpha_c(w) = (alpha1/c0) * w * sin(phi) / sqrt(|z|), where phi grows
-    with w and |z| <= 1 + t <= t*(1 + 1/t_omega).  Hence
+    with w and |z| <= 1 + t <= (1 + t_omega)*(w/omega)**(gamma-1).  Hence
 
-        kappa = (alpha1/c0) * tau0**((1-gamma)/2) * sin(phi_omega)
-                / sqrt(1 + 1/t_omega).
+        kappa = (alpha1/c0) * omega**((gamma-1)/2) * sin(phi_omega) / sqrt(1 + t_omega),
+
+    with t_omega kept as the ratio s/sigma, which never leaves the doubles.
     """
     if not omega > 0.0:
         raise ValueError("the power envelope needs omega > 0")
-    g = causal.gamma
-    theta = 0.5 * (g - 1.0) * math.pi
-    t = (causal.tau0 * omega) ** (g - 1.0)
-    phi = 0.5 * math.atan2(t * math.sin(theta), 1.0 + t * math.cos(theta))
-    kappa = (causal.alpha1 / causal.c0 * causal.tau0 ** (0.5 * (1.0 - g))
-             * math.sin(phi) / math.sqrt(1.0 + 1.0 / t))
-    return kappa, 0.5 * (3.0 - g)
+    _, (s,), (sigma,), phase, scale = _reduced(causal, omega)
+    phi = 0.5 * math.atan2(-s * phase.imag, sigma + s * phase.real)
+    kappa = omega ** (0.5 * (causal.gamma - 1.0)) * math.sin(phi) * math.sqrt(sigma / (sigma + s))
+    return float(_scaled(np.asarray(kappa), scale)), 0.5 * (3.0 - causal.gamma)
 
 
 def _log_upper_gamma_bound(s, log_x):
@@ -372,8 +370,9 @@ def _certified_max(causal, r, lo, hi):
     if not hi > lo:
         c, _ = evaluate(np.array([float(lo)]))
         return float(lo), float(c[0]), float(c[0])
-    spaced = np.geomspace if 4.0 * lo < hi and lo > 0.0 else np.linspace
-    nodes = spaced(lo, hi, _SEED_CELLS + 1)
+    # geometric as lo times a grid of ratios, so that scaling lo and hi scales every node
+    nodes = (lo * np.geomspace(1.0, hi / lo, _SEED_CELLS + 1) if 4.0 * lo < hi and lo > 0.0
+             else np.linspace(lo, hi, _SEED_CELLS + 1))
     nodes[0], nodes[-1] = lo, hi
     c, x = evaluate(nodes)
     i = int(np.argmax(c))
@@ -414,29 +413,37 @@ def _certified_max(causal, r, lo, hi):
 def _closure(causal, r, lo):
     """(W, closing): C <= closing <= (1 + SUPREMUM_RTOL/2)**2 for every w >= W.
 
-    Re b >= a1*w**gamma - a2*w = phi(w), a2 = alpha1/c0, and phi rises
-    beyond w* = (a2/(gamma*a1))**(1/(gamma-1)); W is the least
-    w >= max(lo, w*) with r*phi(W) >= ln(2/SUPREMUM_RTOL), and closing is
-    (1 + exp(-r*phi(W)))**2.  It is solved by bisection in y = ln(w) on
-    ln(r*phi) = ln(r*a1) + gamma*y + log1p(-(a2/a1)*exp(-(gamma-1)*y)),
-    which overflows nowhere.  Raises NumericalError where W lies beyond
-    the double range.
+    Re b >= phi(w) = a1*w**gamma - a2*w.  In y = ln(tau0*w), read from
+    `_reduced` at ref = lo (1 where lo = 0), c = |cos(gamma*pi/2)|/2,
+
+        ln(r*phi) = ln(Lambda) + ln(c) + gamma*y + ln(-expm1(-ln(c) - (gamma-1)*y)),
+
+    which overflows nowhere and rises beyond y* = -ln(gamma*c)/(gamma-1).
+    W is the least w >= max(lo, w*) with r*phi(W) >= ln(2/SUPREMUM_RTOL),
+    by bisection in y, so tau0*W depends on gamma, ln(Lambda) and tau0*lo
+    only; closing is (1 + exp(-r*phi(W)))**2.  Raises NumericalError where
+    W lies beyond the double range.
     """
-    gamma, p, (a1, a2) = causal.gamma, causal.gamma - 1.0, derive_powerlaw_coeffs(causal)
-    log_ratio = math.log(a2 / a1)
+    gamma, p, ref = causal.gamma, causal.gamma - 1.0, (lo if lo > 0.0 else 1.0)
+    _, (s,), (sigma,), _, (m_scale, e_scale) = _reduced(causal, ref)
+    y_ref = (math.log(s) - math.log(sigma)) / p  # ln(tau0*ref)
+    (m_r, e_r), (m_ref, e_ref) = math.frexp(r), math.frexp(ref)
+    log_c = math.log(0.5 * abs(math.cos(0.5 * gamma * math.pi)))
+    # ln(Lambda*c), Lambda = (alpha1/c0)*r*ref/e**y_ref from binary exponents: it need be no double
+    log_lambda_c = (math.log(m_scale * m_r * m_ref) + (e_scale + e_r + e_ref) * math.log(2.0)
+                    - y_ref + log_c)
     log_target = math.log(math.log(2.0 / SUPREMUM_RTOL))
-    log_r_a1 = math.log(r) + math.log(a1)
 
-    def log_r_phi(y):  # ln(r*phi(e**y)), -inf where phi <= 0
-        z = log_ratio - p * y
-        return -math.inf if z >= 0.0 else log_r_a1 + gamma * y + math.log1p(-math.exp(z))
+    def log_r_phi(y):  # ln(r*phi(w)) at y = ln(tau0*w), -inf where phi <= 0
+        z = -log_c - p * y
+        return -math.inf if z >= 0.0 else log_lambda_c + gamma * y + math.log(-math.expm1(z))
 
-    y_lo = (log_ratio - math.log(gamma)) / p  # ln(w*)
+    y_lo = -(log_c + math.log(gamma)) / p  # y*
     if lo > 0.0:
-        y_lo = max(y_lo, math.log(lo))
-    # there phi/(a1*w**gamma) >= 1/2 and r*a1*w**gamma >= 2*ln(2/rtol)
-    y_hi = max(y_lo, (log_ratio + math.log(2.0)) / p,
-               (log_target + math.log(2.0) - log_r_a1) / gamma)
+        y_lo = max(y_lo, y_ref)
+    # there phi/(Lambda*c*w'**gamma) >= 1/2 and Lambda*c*w'**gamma >= 2*ln(2/rtol)
+    y_hi = max(y_lo, (math.log(2.0) - log_c) / p,
+               (log_target + math.log(2.0) - log_lambda_c) / gamma)
     if log_r_phi(y_lo) >= log_target:
         y_hi = y_lo
     while y_hi - y_lo > 1e-15 * max(1.0, abs(y_hi)):
@@ -445,12 +452,11 @@ def _closure(causal, r, lo):
             y_hi = mid
         else:
             y_lo = mid
-    if y_hi > _LOG_DOUBLE_MAX:
+    log_w = y_hi - y_ref + math.log(ref)
+    if log_w > _LOG_DOUBLE_MAX:
         raise NumericalError(f"the deviation factor at r={r!r} does not settle below the "
-                             f"largest double: the closure needs w = e**{y_hi!r}")
-    w_closed = max(lo, math.exp(y_hi))
-    closing = (1.0 + math.exp(-math.exp(log_r_phi(math.log(w_closed))))) ** 2
-    return w_closed, closing
+                             f"largest double: the closure needs w = e**{log_w!r}")
+    return ref * math.exp(y_hi - y_ref), (1.0 + math.exp(-math.exp(log_r_phi(y_hi)))) ** 2
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ approximates the causal law.
 Unit convention, fixed throughout the package: angular frequency
 omega in rad/us (conventionally written "MHz"), length in cm, time in
 us, attenuation in Np/cm.  All constants are bare numbers in these
-units; no dimensional analysis is performed.
+units.  With w' = tau0*omega the causal law is r*alpha*(omega) =
+Lambda*psi(w'), Lambda = alpha1*r/(c0*tau0): `_reduced` alone forms w' and
+the scale, and the model and truncation errors depend on gamma, Lambda and
+M*tau0 only.
 
 Branch convention for the fractional power:
 
@@ -201,31 +204,44 @@ def load_preset(source):
     return MediumPreset(str(doc["name"]), causal)
 
 
-def _causal_root(law, a):
-    """(y, |1 + u|, q) of the causal law at a = |omega|, as `_alpha_parts` defines them."""
-    phase = (-1j) ** (law.gamma - 1.0)  # exp(-1j*p*pi/2); exactly -1j at gamma = 2
-    s = np.multiply(a, law.tau0)
-    np.power(s, law.gamma - 1.0, out=s)
-    x = s * phase.real
-    x += 1.0
-    s *= -phase.imag  # y
-    m = np.hypot(x, s)
-    x += m
-    x *= 0.5
-    return s, m, np.sqrt(x, out=x)
+def _reduced(causal, omega):
+    """(|omega|, s, sigma, phase, scale): the causal law at w' = tau0*|omega| in reduced form.
+
+    alpha*(omega) = K*(-1j*w')/sqrt(1 + u), K = alpha1/(c0*tau0), u = (-1j*w')**p
+    = |u|*phase, p = gamma - 1.  |u| = s/sigma with s = min(w', 1)**p and
+    sigma = min(1/w', 1)**p, from tau0*min(|omega|, 1/tau0) and
+    (1/tau0)/max(|omega|, 1/tau0): neither leaves the doubles where w' does
+    (tau0 > 1), and both keep their bits when tau0 and omega are rescaled by
+    reciprocal powers of two.  ln(w') = (ln(s) - ln(sigma))/p.  The scale
+    K*w' = (alpha1/c0)*|omega| is the (mantissa, exponent) of alpha1/c0, which
+    `_scaled` applies exactly: K is no double for alpha1 = 1e300, c0 = 1,
+    tau0 = 1e-10.
+    """
+    p, a = causal.gamma - 1.0, np.abs(np.asarray(omega, dtype=float).reshape(-1))
+    edge = min(1.0 / causal.tau0, sys.float_info.max)  # w' = 1
+    s = np.minimum(a, edge)
+    np.power(np.multiply(s, causal.tau0, out=s), p, out=s)
+    sigma = np.maximum(a, edge)
+    np.power(np.divide(edge, sigma, out=sigma), p, out=sigma)
+    (m_alpha, e_alpha), (m_c, e_c) = math.frexp(causal.alpha1), math.frexp(causal.c0)
+    return a, s, sigma, (-1j) ** p, (m_alpha / m_c, e_alpha - e_c)
+
+
+def _scaled(x, scale):
+    """The float array x times mantissa * 2**exponent of a (mantissa, exponent) scale, in place."""
+    np.multiply(x, scale[0], out=x)
+    return np.ldexp(x, scale[1], out=x)
 
 
 def _alpha_parts(law, omega):
     """(Re alpha*(omega), Im alpha*(omega)) as two real arrays, the one law kernel.
 
     Both parts are formed at a = |omega| and Im alpha* takes the sign of
-    omega afterwards.  Causal law: s = (tau0*a)**p, p = gamma - 1, and
-    1 + u = x - 1j*y with x = 1 + s*cos(p*pi/2) >= 1, y = s*sin(p*pi/2);
-    its principal square root is q - 1j*y/(2q) with q = sqrt((|1+u| + x)/2),
-    |1+u| from hypot, so alpha* = (alpha1/c0)*a*(y/(2q) - 1j*q)/|1+u| has no
-    cancellation.  Entries whose intermediates overflow, c0*|1+u| among them
-    (its overflow would turn alpha* into 0), are redone with a/|1+u| and y/q
-    formed first: for alpha1 >= c0, alpha* is inf only beyond the doubles.
+    omega afterwards.  Causal law, from `_reduced`: 1 + u = (x - 1j*y)/sigma
+    with x = sigma + s*cos(p*pi/2) > 0 and y = s*sin(p*pi/2) at most 2; with
+    q = sqrt((m + x)/2), m = hypot(x, y), alpha* = (alpha1/c0)*a*sqrt(sigma)*
+    (y/(2q) - 1j*q)/m has no cancellation and no intermediate above a before
+    the scale, applied last: a part is inf only beyond the doubles.
     Power law: a1*a**gamma*(1 + 1j*cot(p*pi/2)) - 1j*a2*a, since
     -tan(gamma*pi/2) = cot(p*pi/2); gamma = 2 is the thermoviscous
     a1*a**2 - 1j*a2*a, whose cotangent 0 the rounded pi would miss.
@@ -233,26 +249,26 @@ def _alpha_parts(law, omega):
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("omega must be finite")
-    a = np.abs(w.reshape(-1))  # 1-d, so that every step below can work in place
     if isinstance(law, CausalLaw):
-        with np.errstate(over="ignore"):  # overflowed entries are redone; inf beyond the doubles
-            y, m, q = _causal_root(law, a)
-            m *= law.c0
-            a *= law.alpha1
-            a /= m  # alpha1*a/(c0*|1 + u|)
-            y *= a
-            y *= 0.5
-            re = np.divide(y, q, out=y)
-            q *= a
-            im = np.negative(q, out=q)
-            if not (re.max(initial=0.0) < math.inf and im.min(initial=0.0) > -math.inf
-                    and m.max(initial=0.0) < math.inf):
-                over = ~(np.isfinite(re) & np.isfinite(im)) | np.isinf(m)
-                a = np.abs(w.reshape(-1)[over])
-                y, m, q = _causal_root(law, a)
-                re[over] = a / m * (0.5 * y / q) * (law.alpha1 / law.c0)
-                im[over] = -(a / m * q) * (law.alpha1 / law.c0)
+        a, s, sigma, phase, scale = _reduced(law, w)
+        x = s * phase.real
+        x += sigma
+        y = np.multiply(s, -phase.imag, out=s)
+        f = np.multiply(a, np.sqrt(sigma, out=sigma), out=a)  # a*sqrt(sigma)
+        m = np.hypot(x, y, out=sigma)
+        x += m
+        x *= 0.5
+        q = np.sqrt(x, out=x)
+        f /= m
+        y *= f
+        y /= q
+        y *= 0.5
+        q *= f
+        with np.errstate(over="ignore"):  # inf where the part lies beyond the doubles
+            re = _scaled(y, scale)
+            im = np.negative(_scaled(q, scale), out=q)
     elif isinstance(law, PowerLaw):
+        a = np.abs(w.reshape(-1))  # 1-d, so that every step below can work in place
         re = np.power(a, law.gamma)
         re *= law.a1
         a *= law.a2
@@ -291,8 +307,8 @@ def _alpha_difference(causal, omega):
     """alpha*_powerlaw(omega) - alpha*_causal(omega), cancellation-free.
 
     The power law is the one derived from the causal law, so the
-    difference has the closed form (alpha1/c0)*(-1j*w)*g(u) with
-    u = (-1j*tau0*w)**(gamma-1) and g(u) = 1 - u/2 - (1+u)**-0.5, which the
+    difference has the closed form K*(-1j*w')*g(u) = (alpha1/c0)*(-1j*w)*g(u)
+    in the variables of `_reduced`, g(u) = 1 - u/2 - (1+u)**-0.5, which the
     plain difference loses to cancellation at small |u|.  With q = sqrt(1+u),
     t = q - 1 = u/(1+q), g = -t**2*(1 + 2/q)/2 has none (Re q >= 1); from
     |u| = 4 on, t/q - u/2 also keeps the digits of Re g.  For |u| <= 0.01
@@ -303,14 +319,14 @@ def _alpha_difference(causal, omega):
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("omega must be finite")
-    p = causal.gamma - 1.0
-    s = (causal.tau0 * np.abs(w)) ** p
-    g = np.empty(w.shape, dtype=complex)
+    a, s, sigma, phase, scale = _reduced(causal, w)
+    p, s = causal.gamma - 1.0, np.divide(s, sigma, out=s)  # s = |u|
+    g = np.empty(s.shape, dtype=complex)
     small = s <= 0.01
     if small.all():
         small = ...  # the common case: every node, without masked copies
     else:
-        u = s[~small] * (-1j) ** p
+        u = s[~small] * phase
         q = np.sqrt(1.0 + u)
         t = u / (1.0 + q)  # q - 1 without cancellation: g = -t**2*(1 + 2/q)/2 = t/q - u/2
         u *= -0.5
@@ -328,9 +344,10 @@ def _alpha_difference(causal, omega):
         im += coeff.imag
     x *= x
     g.real[small], g.imag[small] = re * x, im * x
-    scale = causal.alpha1 / causal.c0  # times -1j*|w|, then conjugated where w < 0
     with np.errstate(over="ignore"):  # beyond the double range the difference is inf
-        g.real, g.imag = scale * np.abs(w) * g.imag, -scale * w * g.real
+        # times -1j*|w|, then conjugated where w < 0
+        g.real, g.imag = _scaled(a * g.imag, scale), _scaled(-w.reshape(-1) * g.real, scale)
+    g = g.reshape(w.shape)
     return g if g.ndim else complex(g)
 
 
@@ -345,18 +362,17 @@ def alpha_difference_slope_bound(causal, omega):
     u*g' = u*(q**-3 - 1)/2 = -u*t*(1 + 1/q + 1/q**2)/(2q) gives
     |u*g'| <= min(3s**2/4, s).  Hence
 
-        B(w) = (alpha1/c0)*(min(3s**2/8, 2 + s/2) + p*min(3s**2/4, s)).
+        B(w) = (alpha1/c0)*(min(3s**2/8, 2 + s/2) + p*min(3s**2/4, s)),
 
-    B rises with w, so it bounds |b'| on all of [0, w]; it has no
-    cancellation and at small s equals the leading term of the series
-    of |b'|.  Vectorized over omega >= 0.
+    formed without squaring s.  B rises with w, so it bounds |b'| on all
+    of [0, w]; it has no cancellation and at small s equals the leading
+    term of the series of |b'|.  Vectorized over omega >= 0.
     """
-    p = causal.gamma - 1.0
-    with np.errstate(over="ignore"):  # beyond the double range the bound is inf
-        s = (causal.tau0 * np.asarray(omega, dtype=float)) ** p
-        s_sq = s * s
-        return (causal.alpha1 / causal.c0) * (np.minimum(0.375 * s_sq, 2.0 + 0.5 * s)
-                                              + p * np.minimum(0.75 * s_sq, s))
+    _, s, sigma, _, scale = _reduced(causal, omega)
+    s = np.divide(s, sigma, out=s)
+    bound = np.minimum(0.375 * s, 0.5 + 2.0 / np.maximum(s, 1.0)) * s
+    bound += (causal.gamma - 1.0) * np.minimum(0.75 * s, 1.0) * s
+    return _scaled(bound, scale).reshape(np.shape(omega))
 
 
 def attenuation_rise(law, lo, h):
@@ -367,7 +383,8 @@ def attenuation_rise(law, lo, h):
     smaller; here the rise is formed from h.  With t = log1p(h/lo):
     the power law gives a1*lo**gamma*expm1(gamma*t); the causal law
     writes u(lo + h) - u(lo) = u(lo)*expm1((gamma-1)*t) and differences
-    1/sqrt(1 + u) in conjugate form.  lo = 0 returns Re alpha*(h).
+    1/sqrt(1 + u) in conjugate form, all of it times sigma of `_reduced`
+    at lo, so that no term overflows.  lo = 0 returns Re alpha*(h).
     """
     h = np.asarray(h, dtype=float)
     if lo == 0.0:
@@ -378,13 +395,14 @@ def attenuation_rise(law, lo, h):
             return law.a1 * lo**law.gamma * np.expm1(law.gamma * t)
     if not isinstance(law, CausalLaw):
         raise TypeError(f"not a dispersion law: {law!r}")
-    u_lo = (-1j * law.tau0 * lo) ** (law.gamma - 1.0)
-    du = u_lo * np.expm1((law.gamma - 1.0) * t)
-    s_lo = np.sqrt(1.0 + u_lo)
-    s = np.sqrt(1.0 + u_lo + du)
-    # alpha*(lo + h) - alpha*(lo) = (alpha1/c0)*(-1j)*(h/s + lo*(1/s - 1/s_lo))
-    rise = h / s - lo * (du / (s * s_lo * (s_lo + s)))
-    return (law.alpha1 / law.c0) * np.imag(rise)
+    _, s, sigma, phase, scale = _reduced(law, lo)
+    sigma, u_lo = float(sigma[0]), float(s[0]) * phase  # u(lo)*sigma
+    du = u_lo * np.expm1((law.gamma - 1.0) * t)  # (u(lo + h) - u(lo))*sigma
+    q_lo = np.sqrt(sigma + u_lo)  # sqrt(1 + u(lo))*sqrt(sigma)
+    q = np.sqrt(sigma + u_lo + du)
+    # alpha*(lo + h) - alpha*(lo) = (alpha1/c0)*(-1j)*sqrt(sigma)*(h/q - lo*du/(q*q_lo*(q_lo + q)))
+    rise = np.imag(h / q - lo * (du / (q * q_lo * (q_lo + q))))
+    return _scaled(np.asarray(math.sqrt(sigma) * rise), scale)
 
 
 def wavenumber(law, omega):

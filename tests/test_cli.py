@@ -555,6 +555,24 @@ class TestDistanceContract:
         else:
             assert proc.stderr.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("m", ["1e300", "1e306"])
+    def test_slow_medium_at_extreme_band_edges_exits_cleanly(self, tmp_path, m):
+        # tau0 = 10 puts |u| = 1e301 at M = 1e300, where the rise of the tail beyond M
+        # must not overflow; at M = 1e306 the envelope slope a0 leaves the doubles
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({"name": "slow", "gamma": 2.0, "c0": 0.15,
+                                    "alpha1": 138.08, "tau0": 10.0}))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lossywave",
+                               "bounds", "--preset", str(path), "--r-list", "1", "--m", m,
+                               "--out", str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode in (0, 3), proc.stderr
+        if proc.returncode == 0:
+            fields = list(_log10_fields(json.loads((tmp_path / "bounds.json").read_text())))
+            assert fields
+            assert all(value is not None and math.isfinite(value) for _, value in fields)
+        else:
+            assert proc.stderr.startswith("numerical failure:")
+
     @pytest.mark.parametrize("command", ["table2", "fig3", "bounds"])
     @pytest.mark.parametrize("m", ["nan", "inf", "0", "-5"])
     def test_invalid_band_edge_exits_2(self, tmp_path, capsys, command, m):

@@ -7,10 +7,12 @@ Re(alpha*) is checked relative to itself and Im(alpha*) relative to
 |alpha*|, since Im of the power law passes through zero at its phase-speed
 pole.  Measured worst cases: 7e-16 for the real-arithmetic kernel, 2.7e-14
 for the complex power it replaced (power law, gamma = 1.005).  The causal
-law is also checked up to |w| = 1.7e308, where the kernel's intermediates
-overflow although alpha* need not, and for a medium with c0 = 1e300, whose
-c0*|1 + u| overflows while alpha* is far below 1; a part beyond the doubles
-must be inf with the sign of the exact value.
+law is also checked up to |w| = 1.7e308, where alpha1*|w| overflows although
+alpha* need not; for tau0 = 10, whose tau0*|w| leaves the doubles there
+(worst case 1.6e-15: the reciprocal 1/(tau0*|w|) is subnormal); for
+c0 = 1e300, whose c0*|1 + u| overflows while alpha* is far below 1; and for
+a medium whose scale alpha1/(c0*tau0) = 1e310 is no double.  A part beyond
+the doubles must be inf with the sign of the exact value.
 """
 
 import math
@@ -50,10 +52,18 @@ MEDIA = {str(gamma): dict(gamma=gamma, c0=0.15, alpha1=138.08, tau0=1e-6)
          for gamma in (1.005, 1.3, 1.66, 1.95, 2.0)}
 # c0*|1 + u| overflows from |w| ~ 3e22 on, where alpha* is still a double
 MEDIA["c0=1e300"] = dict(gamma=1.5, c0=1e300, alpha1=1.0, tau0=1e-6)
+# tau0*|w| overflows from |w| ~ 1.8e307 on, where alpha* ~ 2e156 is still a double
+MEDIA["tau0=10"] = dict(gamma=2.0, c0=0.15, alpha1=138.08, tau0=10.0)
+MEDIA["tau0=10,gamma=1.66"] = dict(gamma=1.66, c0=0.15, alpha1=138.08, tau0=10.0)
+# K = alpha1/(c0*tau0) = 1e310 lies beyond the doubles, alpha1/c0 does not.  Causal
+# only: its power law's a2*w = 1e300*w leaves the doubles from w ~ 1.8e8 on.
+MEDIA["alpha1=1e300"] = dict(gamma=1.66, c0=1.0, alpha1=1e300, tau0=1e-10)
+CASES = [pytest.param(medium, kind, id=f"{kind}-{name}")
+         for kind in ("causal", "power-law") for name, medium in MEDIA.items()
+         if kind == "causal" or name != "alpha1=1e300"]
 
 
-@pytest.mark.parametrize("medium", MEDIA.values(), ids=MEDIA.keys())
-@pytest.mark.parametrize("kind", ["causal", "power-law"])
+@pytest.mark.parametrize("medium,kind", CASES)
 def test_matches_mpmath(medium, kind):
     preset = MediumPreset("oracle", CausalLaw(**medium))
     law = preset.causal if kind == "causal" else preset.powerlaw
