@@ -16,6 +16,7 @@ from .laws import (
     alpha1_from_a1,
     eval_alpha,
     alpha_difference_slope_bound,
+    alpha_difference_curvature_bound,
     attenuation_rise,
     wavenumber,
     phase_speed,

@@ -66,18 +66,36 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
   1972, "A sequential method seeking the global maximum of a
   function"), run on [0, m_delta] and on [m_delta, W]:
 
-  - Slope majorant.  `laws.alpha_difference_slope_bound` gives B(w)
+  - Majorants.  `laws.alpha_difference_slope_bound` gives B(w)
     with |b'(v)| <= B(w) on all of [0, w], where b = b1 + i*b2; B rises
     with w and at small frequency is the leading term of |b'|.
+    `laws.alpha_difference_curvature_bound` gives B2 with |b''| <= B2 on
+    a cell [a, b], a > 0, also the leading term at small frequency.
   - Cell bound.  On a cell [a, b] of width h, with x = -r*b1 (so that
     |E| = exp(x) for E = exp(-(b1 + i*b2)*r)) and D = sqrt(C) = |E - 1|
     at both ends, x changes by at most r*B(b)*h across the cell, so
     |E| <= Emax = exp(min(x_a, x_b) + r*B(b)*h) on it, and
     |D'| <= |E'| = |E|*r*|b'| <= r*B(b)*Emax.  Both slopes meet above the
-    cell no higher than the mean of the ends plus half the rise:
+    cell no higher than the mean of the ends plus half the rise (first
+    order):
 
-        C <= U = min((1 + Emax)**2, ((D_a + D_b)/2 + r*B(b)*Emax*h/2)**2).
+        C <= U1 = min((1 + Emax)**2, ((D_a + D_b)/2 + r*B(b)*Emax*h/2)**2).
 
+    With F = E - 1, C = |F|**2 has C'' = 2*|F'|**2 + 2*Re(conj(F)*F''),
+    F' = -r*b'*E and F'' = (r**2*b'**2 - r*b'')*E, so (second order)
+
+        |C''| <= K = 2*Emax*((r**2*B**2 + r*B2)*(1 + Emax) + r**2*B**2*Emax),
+
+    and C lies below the chord of C_a and C_b plus (K/2)*(w - a)*(b - w).
+    With q = K*h**2/2, the largest value of that parabola on the cell is
+
+        U2 = max(C_a, C_b) + max(q - |C_b - C_a|, 0)**2/(4*q).
+
+    U = min(U1, U2); U2 is skipped where it cannot be formed (a = 0, where
+    B2 is inf, or a non-finite K).  Near a smooth maximum a cell is
+    pruned once h is about sqrt(SUPREMUM_RTOL) of the peak's scale,
+    where U1 needs about SUPREMUM_RTOL of it (Breiman and Cutler 1993,
+    "A deterministic algorithm for global optimization").
   - Search.  SUPREMUM_RTOL = 1e-7.  Each round splits every cell with
     U > best*(1 + SUPREMUM_RTOL) into 16, evaluating all new nodes in
     one vector call; the others are pruned and keep their U.  The
@@ -109,8 +127,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laws import (CausalLaw, _alpha_parts, _reduced, _scaled, alpha_difference_slope_bound,
-                   derive_powerlaw_coeffs)
+from .laws import (CausalLaw, _alpha_parts, _reduced, _scaled, alpha_difference_curvature_bound,
+                   alpha_difference_slope_bound, derive_powerlaw_coeffs)
 from .numerics import NumericalError, erfcx
 from .spectrum import _check_band_edge, _check_distance, _deviation, relative_model_error
 
@@ -336,14 +354,21 @@ def _cell_bounds(causal, r, a, b, xa, xb, da, db):
 
     r*B(b)*(b - a), B the slope majorant at the right end, bounds the
     change of x across a cell, so exp(x) stays below Emax =
-    exp(min(xa, xb) + r*B*h) and |D'| below r*B*Emax; see the module
-    docstring.  A bound that cannot be formed (nan) is inf.
+    exp(min(xa, xb) + r*B*h) and |D'| below r*B*Emax.  With B2 the
+    curvature majorant, |C''| <= K and C lies below the chord of its end
+    values plus (K/2)*(w - a)*(b - w); see the module docstring.  U is the
+    smaller of the two bounds, and a bound that cannot be formed (nan) is inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rise = r * alpha_difference_slope_bound(causal, b) * (b - a)
+        slope = r * alpha_difference_slope_bound(causal, b)
+        rise = slope * (b - a)
         e_max = np.exp(np.minimum(xa, xb) + rise)
-        u = np.minimum((1.0 + e_max) ** 2, (0.5 * (da + db + rise * e_max)) ** 2)
-    return np.where(np.isnan(u), np.inf, u)
+        first = np.minimum((1.0 + e_max) ** 2, (0.5 * (da + db + rise * e_max)) ** 2)
+        curve = slope * slope + r * alpha_difference_curvature_bound(causal, a, b)
+        q = e_max * (curve * (1.0 + e_max) + slope * slope * e_max) * (b - a) ** 2  # K*h**2/2
+        ca, cb = da * da, db * db
+        second = np.maximum(ca, cb) + np.maximum(q - np.abs(cb - ca), 0.0) ** 2 / (4.0 * q)
+    return np.fmin(np.where(np.isnan(first), np.inf, first), second)
 
 
 def _certified_max(causal, r, lo, hi):

@@ -56,6 +56,7 @@ __all__ = [
     "alpha1_from_a1",
     "eval_alpha",
     "alpha_difference_slope_bound",
+    "alpha_difference_curvature_bound",
     "attenuation_rise",
     "wavenumber",
     "phase_speed",
@@ -221,8 +222,11 @@ def _reduced(causal, omega):
     edge = min(1.0 / causal.tau0, sys.float_info.max)  # w' = 1
     s = np.minimum(a, edge)
     np.power(np.multiply(s, causal.tau0, out=s), p, out=s)
-    sigma = np.maximum(a, edge)
-    np.power(np.divide(edge, sigma, out=sigma), p, out=sigma)
+    if a.max(initial=0.0) <= edge:  # every w' <= 1: sigma is 1**p = 1 exactly
+        sigma = np.ones_like(a)
+    else:
+        sigma = np.maximum(a, edge)
+        np.power(np.divide(edge, sigma, out=sigma), p, out=sigma)
     (m_alpha, e_alpha), (m_c, e_c) = math.frexp(causal.alpha1), math.frexp(causal.c0)
     return a, s, sigma, (-1j) ** p, (m_alpha / m_c, e_alpha - e_c)
 
@@ -244,7 +248,9 @@ def _alpha_parts(law, omega):
     the scale, applied last: a part is inf only beyond the doubles.
     Power law: a1*a**gamma*(1 + 1j*cot(p*pi/2)) - 1j*a2*a, since
     -tan(gamma*pi/2) = cot(p*pi/2); gamma = 2 is the thermoviscous
-    a1*a**2 - 1j*a2*a, whose cotangent 0 the rounded pi would miss.
+    a1*a**2 - 1j*a2*a, whose cotangent 0 the rounded pi would miss.  Every
+    power-law part grows with a, so one that overflows does so at the
+    largest a too; `_power_law_overflow` then redoes those parts.
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
@@ -269,18 +275,39 @@ def _alpha_parts(law, omega):
             im = np.negative(_scaled(q, scale), out=q)
     elif isinstance(law, PowerLaw):
         a = np.abs(w.reshape(-1))  # 1-d, so that every step below can work in place
-        re = np.power(a, law.gamma)
-        re *= law.a1
-        a *= law.a2
-        if law.gamma == 2.0:
-            im = np.negative(a, out=a)
-        else:
-            im = re / math.tan(0.5 * math.pi * (law.gamma - 1.0))
-            im -= a
+        top = a.argmax() if a.size else None
+        with np.errstate(over="ignore", invalid="ignore"):  # parts beyond the doubles: see below
+            re = np.power(a, law.gamma)
+            re *= law.a1
+            a *= law.a2
+            if law.gamma == 2.0:
+                im = np.negative(a, out=a)
+            else:
+                im = re / math.tan(0.5 * math.pi * (law.gamma - 1.0))
+                im -= a
+        if top is not None and not (math.isfinite(re[top]) and math.isfinite(im[top])):
+            _power_law_overflow(law, np.abs(w.reshape(-1)), re, im)
     else:
         raise TypeError(f"not a dispersion law: {law!r}")
     np.negative(im, out=im, where=np.signbit(w.reshape(-1)))
     return re.reshape(w.shape), im.reshape(w.shape)
+
+
+def _power_law_overflow(law, a, re, im):
+    """Redo in place the power-law parts at |omega| = a that overflowed: +-inf with the exact sign.
+
+    a**gamma, a1*a**gamma or a2*a beyond the doubles gave inf, 0*inf or
+    inf - inf.  With p = gamma - 1, a**p is a double and
+    a1*a**gamma = (a1*a**p)*a, a1*a**gamma*cot(p*pi/2) - a2*a =
+    a*(a1*cot(p*pi/2)*a**p - a2) overflow only to the exact value's sign.
+    """
+    bad = ~(np.isfinite(re) & np.isfinite(im))
+    a = a[bad]
+    power = a ** (law.gamma - 1.0)
+    with np.errstate(over="ignore"):
+        re[bad] = law.a1 * power * a
+        im[bad] = (-law.a2 * a if law.gamma == 2.0 else
+                   a * (law.a1 / math.tan(0.5 * math.pi * (law.gamma - 1.0)) * power - law.a2))
 
 
 def eval_alpha(law, omega):
@@ -373,6 +400,28 @@ def alpha_difference_slope_bound(causal, omega):
     bound = np.minimum(0.375 * s, 0.5 + 2.0 / np.maximum(s, 1.0)) * s
     bound += (causal.gamma - 1.0) * np.minimum(0.75 * s, 1.0) * s
     return _scaled(bound, scale).reshape(np.shape(omega))
+
+
+def alpha_difference_curvature_bound(causal, a, b):
+    """B2 >= |d2/dw2 _alpha_difference(causal, v)| for every v in [a, b], a > 0; inf at a = 0.
+
+    With u' = p*u/w as in `alpha_difference_slope_bound`,
+    b'' = (alpha1/c0)*(-1j)*(p/w)*((1 + p)*u*g'(u) + p*u**2*g''(u)), and
+    g'' = -(3/4)*(1 + u)**(-5/2) with |1 + u| >= 1 gives |u**2*g''| <= 3s**2/4.
+    With |u*g'| <= min(3s**2/4, s),
+
+        B2 = (alpha1/c0)*(p/a)*((1 + p)*min(3s**2/4, s) + (3/4)*p*s**2),
+
+    s taken at b, where it is largest.  At small s it equals the leading
+    term of the series of |b''|.  Vectorized over the cells (a, b).
+    """
+    _, s, sigma, _, scale = _reduced(causal, b)
+    a, p = np.asarray(a, dtype=float).reshape(-1), causal.gamma - 1.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf beyond the doubles
+        s = np.divide(s, sigma, out=s)  # and where a = 0
+        bound = ((1.0 + p) * np.minimum(0.75 * s, 1.0) + 0.75 * p * s) * s
+        bound = _scaled(np.divide(p * bound, a, out=bound), scale)
+    return np.where(a > 0.0, bound, np.inf).reshape(np.shape(b))
 
 
 def attenuation_rise(law, lo, h):

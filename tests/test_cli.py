@@ -724,10 +724,11 @@ class TestScanWork:
 
     Ten certified suprema, inside and beyond m_delta at five distances,
     each a branch-and-bound search that evaluates the new nodes of every
-    round in one call: measured 49 calls and 50,495 samples, of which
-    the outer searches out to the closure near 3.6e6 take most.  The
-    100,001-point seed grids they replace took 82 calls and 1,002,386
-    samples and certified nothing.
+    round in one call: measured 27 calls and 1,190 samples with the
+    second-order cell bound.  The first-order cells alone took 49 calls
+    and 50,495 samples, most of them in the outer searches out to the
+    closure near 3.6e6; the 100,001-point seed grids before them took 82
+    calls and 1,002,386 samples and certified nothing.
     """
 
     def test_within_the_measured_counts(self, tmp_path, monkeypatch):
@@ -741,8 +742,8 @@ class TestScanWork:
 
         monkeypatch.setattr(bounds, "_deviation", counting)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
-        assert 10 <= counts["calls"] <= 1.1 * 49
-        assert 10 * (bounds._SEED_CELLS + 1) <= counts["samples"] <= 1.1 * 50_495
+        assert 10 <= counts["calls"] <= 1.1 * 27
+        assert 10 * (bounds._SEED_CELLS + 1) <= counts["samples"] <= 1.1 * 1_190
 
 
 class TestTimeDomainWork:

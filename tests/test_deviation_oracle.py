@@ -10,13 +10,21 @@ phase of u is -1j exactly, so Re(b), the attenuation difference, keeps
 its digits where it is a higher-order term.
 The direct form 1 - u/2 - (1+u)**-0.5 loses four digits to cancellation
 just above the |u| = 0.01 switch of the series and misses RTOL_DIFF there.
+The curvature majorant is checked against the second derivative of that
+mpmath difference, taken by `mpmath.diff` at a precision that covers the
+cancellation of the two laws (2*log10(1/|u|) digits).
 """
+
+import math
 
 import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
-from lossywave import CausalLaw, deviation_factor  # noqa: E402
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from lossywave import CausalLaw, alpha_difference_curvature_bound, deviation_factor  # noqa: E402
 from lossywave.laws import _alpha_difference  # noqa: E402
 
 mp = mpmath.mp
@@ -27,17 +35,22 @@ OMEGAS = np.geomspace(1e-3, 1e7, 121)
 DISTANCES = (1e-6, 1e-2, 1.0, 10.0)
 
 
+def _difference(causal, w):
+    """alpha_powerlaw(w) - alpha_causal(w) at mpmath's working precision."""
+    g, c0, alpha1, tau0 = (mp.mpf(v) for v in
+                           (causal.gamma, causal.c0, causal.alpha1, causal.tau0))
+    cos = mp.cos(g * mp.pi / 2)
+    a1 = alpha1 * tau0 ** (g - 1) * abs(cos) / (2 * c0)
+    a2 = alpha1 / c0
+    z = mp.mpc(0, -mp.mpf(w))  # -1j*w
+    powerlaw = a1 * z**g / cos + a2 * z
+    causal_value = alpha1 * z / (c0 * mp.sqrt(1 + (tau0 * z) ** (g - 1)))
+    return powerlaw - causal_value
+
+
 def _exact_difference(causal, w):
     with mp.workdps(50):
-        g, c0, alpha1, tau0 = (mp.mpf(v) for v in
-                               (causal.gamma, causal.c0, causal.alpha1, causal.tau0))
-        cos = mp.cos(g * mp.pi / 2)
-        a1 = alpha1 * tau0 ** (g - 1) * abs(cos) / (2 * c0)
-        a2 = alpha1 / c0
-        z = mp.mpc(0, -mp.mpf(w))  # -1j*w
-        powerlaw = a1 * z**g / cos + a2 * z
-        causal_value = alpha1 * z / (c0 * mp.sqrt(1 + (tau0 * z) ** (g - 1)))
-        return powerlaw - causal_value
+        return _difference(causal, w)
 
 
 @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.66, 1.9, 2.0])
@@ -58,3 +71,28 @@ def test_matches_mpmath(gamma):
     # conjugate symmetry holds exactly, not only to the tolerance
     n = OMEGAS.size
     assert np.array_equal(got[n:], np.conj(got[:n]))
+
+
+# Drawn cells [a, b] from 1e-9 of b wide to 98% of it, with |u| at b from
+# (1e-8)**(gamma-1) up to 1e3**(gamma-1).  The example is a narrow cell at
+# |u| = 1e-4, where the majorant is the leading term of |b''| and any
+# smaller multiple of it fails.
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(1.05, 2.0), log10_c0=st.floats(-3.0, 3.0),
+       log10_alpha1=st.floats(-3.0, 6.0), log10_tau0=st.floats(-12.0, 0.0),
+       log10_tau0_b=st.floats(-8.0, 3.0), log10_gap=st.floats(-9.0, -0.01))
+@example(gamma=1.66, log10_c0=math.log10(0.15), log10_alpha1=math.log10(138.08),
+         log10_tau0=-6.0, log10_tau0_b=-4.0 / 0.66, log10_gap=-9.0)
+def test_curvature_bound_dominates_the_exact_second_derivative(
+        gamma, log10_c0, log10_alpha1, log10_tau0, log10_tau0_b, log10_gap):
+    causal = CausalLaw(gamma=gamma, c0=10.0**log10_c0, alpha1=10.0**log10_alpha1,
+                       tau0=10.0**log10_tau0)
+    b = 10.0**log10_tau0_b / causal.tau0
+    a = b * (1.0 - 10.0**log10_gap)
+    bound = float(alpha_difference_curvature_bound(causal, a, b))
+    s = 10.0 ** ((gamma - 1.0) * min(log10_tau0_b, 0.0))
+    with mp.workdps(30 + 2 * math.ceil(-math.log10(s))):
+        for v in (a, 0.5 * (a + b), b):
+            exact = abs(mp.diff(lambda w: _difference(causal, w), mp.mpf(v), 2))
+            # 1e-12: B2 is a rounded double, the exact value is not
+            assert bound >= exact * (1.0 - 1e-12), (v, bound, exact)

@@ -10,6 +10,7 @@ from lossywave import (
     NumericalError,
     PowerLaw,
     alpha1_from_a1,
+    alpha_difference_curvature_bound,
     alpha_difference_slope_bound,
     attenuation_rise,
     builtin_preset,
@@ -183,6 +184,22 @@ class TestAlphaDifferenceSlopeBound:
         b = _alpha_difference(castor.causal, np.array([w - h, w]))
         slope = abs(b[1] - b[0]) / h
         assert slope == pytest.approx(alpha_difference_slope_bound(castor.causal, w), rel=1e-3)
+
+
+class TestAlphaDifferenceCurvatureBound:
+    def test_infinite_where_the_cell_reaches_zero(self, castor):
+        bound = alpha_difference_curvature_bound(castor.causal, np.array([0.0, 1.0]),
+                                                 np.array([1.0, 2.0]))
+        assert bound[0] == math.inf and 0.0 < bound[1] < math.inf
+
+    def test_leading_term_at_small_frequency(self, castor):
+        # at |u| = 1e-4 the bound on the one-point cell [w, w] is the second difference of b to 1e-3
+        w = 1e6 * 1e-4 ** (1.0 / 0.66)
+        h = 1e-3 * w
+        b = _alpha_difference(castor.causal, np.array([w - h, w, w + h]))
+        curvature = abs(b[0] - 2.0 * b[1] + b[2]) / h**2
+        assert curvature == pytest.approx(alpha_difference_curvature_bound(castor.causal, w, w),
+                                          rel=1e-3)
 
 
 class TestAttenuationRise:
