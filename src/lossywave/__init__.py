@@ -6,7 +6,7 @@ bounds the L2 error of band truncation and of the power-law
 approximation, and synthesizes time-domain pulses by inverse FFT.
 """
 
-from .numerics import NumericalError, erfcx
+from .numerics import NumericalError
 from .laws import (
     CausalLaw,
     PowerLaw,

@@ -14,30 +14,30 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
       error(r) <= (2*a1/(pi*a0**2))**(1/4)
                   * exp(-(alpha(M) + a2**2/(4*a1)) * r) / r**(1/4).
 
-  `log10_truncation_error_bound` evaluates the log10 of this form, with
-  the coefficient from the constants or a published figure.  It is not
-  a bound: its derivation lower-bounds the full energy under the upper
-  envelope, integral over w >= 0 of exp(-2*r*(a1*w**2 + a2*w)), by
+  `log10_truncation_error_bound` evaluates the log10 of this form.  It
+  is not a bound: its derivation lower-bounds the full energy under the
+  upper envelope, integral over w >= 0 of exp(-2*r*(a1*w**2 + a2*w)), by
   completing the square as if the shifted Gaussian were integrated over
   the whole line.  The term a2**2/(4*a1) is nearly all of the decay
   rate, and the form undercuts the exact error at every r > ~1e-7 for
   castor oil.
 
-* Corrected truncation bound.  With x = a2*sqrt(r/(2*a1)) the exact
-  value of that integral is sqrt(pi/(8*r*a1)) * erfcx(x), which gives
+* Corrected truncation bound.  |1 + (-i*tau0*w)**(gamma-1)| >= 1 gives
+  alpha_c(w) <= a2*|w| for all w, so the full energy is at least the
+  integral over w >= 0 of exp(-2*r*a2*w), 1/(2*r*a2), which exceeds the
+  Gaussian integral above at every r.  Hence
 
-      error(r) <= (2*a1/(pi*a0**2))**(1/4) * exp(-alpha(M)*r) / r**(1/4)
-                  / sqrt(erfcx(x)) * sqrt(1 + s(r)),   clipped at 1.
+      error(r) <= sqrt((a2/a0)*exp(-2*r*alpha(M)) + 2*r*a2*T_pow(r)),
+                  clipped at 1,
 
-  The upper envelope holds for all w: |1 + (-i*tau0*w)**(gamma-1)| >= 1
-  gives alpha_c(w) <= a2*|w|.  The linear lower envelope does not: the
-  causal attenuation grows like w**((3-gamma)/2), so the line overtakes
-  it far out (near w = 1e14 rad/us for castor oil at M = 100).  The
-  linear envelope is therefore used on [M, W] only, W = max(M, 1/tau0),
-  and checked there by `verify_envelope`.  Beyond W the analytic
-  envelope alpha_c(w) >= kappa*w**p, p = (3 - gamma)/2, of
-  `power_lower_envelope` holds; s(r) is the ratio of its tail energy,
-  an upper incomplete gamma function, to that of the linear envelope.
+  a function of gamma, Lambda = alpha1*r/(c0*tau0) and M*tau0 only.  The
+  linear lower envelope does not hold for all w: the causal attenuation
+  grows like w**((3-gamma)/2), so the line overtakes it far out (near
+  w = 1e14 rad/us for castor oil at M = 100).  It is therefore used on
+  [M, W] only, W = max(M, 1/tau0), and checked there by `verify_envelope`.
+  Beyond W the analytic envelope alpha_c(w) >= kappa*w**p,
+  p = (3 - gamma)/2, of `power_lower_envelope` holds; T_pow is its tail
+  energy, an upper incomplete gamma function.
   `corrected_truncation_error_bound` returns the bound in log10 only,
   so it does not underflow at large r.  Both bounds read the law, a0,
   a1, a2, alpha(M), W, kappa and p from one `EnvelopeBoundConstants`.
@@ -129,7 +129,7 @@ import numpy as np
 
 from .laws import (CausalLaw, _alpha_parts, _reduced, _scaled, alpha_difference_curvature_bound,
                    alpha_difference_slope_bound, derive_powerlaw_coeffs)
-from .numerics import NumericalError, erfcx
+from .numerics import NumericalError
 from .spectrum import _check_band_edge, _check_distance, _deviation, relative_model_error
 
 __all__ = [
@@ -244,20 +244,17 @@ def verify_envelope(constants, omega_max):
     )
 
 
-def log10_truncation_error_bound(constants, r, coefficient=None):
-    """log10 of the published form coefficient * exp(-rate*r) / r**(1/4) at distance r.
+def log10_truncation_error_bound(constants, r):
+    """log10 of the published form bound_coefficient * exp(-rate*r) / r**(1/4) at distance r.
 
     This evaluates the published closed form, which undercuts the exact
     truncation error (see the module docstring); the valid bound is
-    `corrected_truncation_error_bound`.  `coefficient` defaults to the
-    closed form from the constants; pass an external reference value
-    to evaluate a published figure instead.  Strictly decreasing in r,
-    and finite where the form itself underflows.
+    `corrected_truncation_error_bound`.  Strictly decreasing in r, and
+    finite where the form itself underflows.
     """
     _check_distance(r)
-    coef = constants.bound_coefficient if coefficient is None else coefficient
-    return (math.log10(coef) - constants.bound_decay_rate * r / math.log(10.0)
-            - 0.25 * math.log10(r))
+    return (math.log10(constants.bound_coefficient)
+            - constants.bound_decay_rate * r / math.log(10.0) - 0.25 * math.log10(r))
 
 
 def power_lower_envelope(causal, omega):
@@ -303,9 +300,10 @@ class TruncationBound:
     log10_tail_linear is log10 of the tail energy under the linear lower
     envelope, integrated from M to infinity; log10_tail_power that of
     the power envelope beyond `split`; log10_full_lower is log10 of the
-    full energy under the upper envelope.  All three are one-sided
-    integrals of exp(-2*r*envelope) over w.  The linear envelope must
-    hold on [M, split], which `verify_envelope` checks.
+    full energy under the upper envelope a2*w, 1/(2*r*a2).  All three
+    are one-sided integrals of exp(-2*r*envelope) over w, and the bound
+    is sqrt(tail/full).  The linear envelope must hold on [M, split],
+    which `verify_envelope` checks.
     """
 
     r: float
@@ -327,8 +325,7 @@ def corrected_truncation_error_bound(constants, r):
     Computed in log space throughout: the tail energy under the linear
     envelope, exp(-2*r*alpha(M)) / (2*r*a0), plus that under the power
     envelope beyond W = split, (2*r*kappa)**(-1/p)/p
-    * Gamma(1/p, 2*r*kappa*W**p), p = exponent, over
-    sqrt(pi/(8*r*a1)) * erfcx(x).
+    * Gamma(1/p, 2*r*kappa*W**p), p = exponent, over 1/(2*r*a2).
     """
     _check_distance(r)
     c = constants
@@ -338,8 +335,7 @@ def corrected_truncation_error_bound(constants, r):
     p = c.exponent
     log_pow = (-math.log(p) - log_rate / p
                + _log_upper_gamma_bound(1.0 / p, log_rate + p * math.log(c.split)))
-    x = c.a2 * math.sqrt(r / (2.0 * c.a1))
-    log_full = 0.5 * math.log(math.pi / (8.0 * r * c.a1)) + math.log(erfcx(x))
+    log_full = -(math.log(2.0) + math.log(r) + math.log(c.a2))
     log_tail = float(np.logaddexp(log_lin, log_pow))
     return TruncationBound(
         r=float(r), split=c.split,

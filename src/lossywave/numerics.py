@@ -1,4 +1,4 @@
-"""Shared numerical routines: quadrature and erfcx.
+"""Shared numerical routines: quadrature.
 
 Every integrand handled here is smooth and non-negative, and most
 peak at the left end of their interval and decay past it.  One fixed
@@ -12,46 +12,15 @@ Integrands that underflow to zero integrate to zero at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NumericalError", "erfcx"]
+__all__ = ["NumericalError"]
 
 
 class NumericalError(RuntimeError):
     """Quadrature or root bracketing failed to converge."""
-
-
-_ERFCX_SERIES_FROM = 10.0  # the A&S 7.1.23 series reaches full precision beyond here
-
-
-def erfcx(x):
-    """Scaled complementary error function exp(x**2) * erfc(x) for x >= 0.
-
-    Up to x = 10 the product is formed directly (exp(100) ~ 3e43 and
-    erfc(10) ~ 2e-45 are both representable).  Beyond, the asymptotic
-    series of Abramowitz & Stegun 7.1.23,
-
-        erfcx(x) ~ 1/(x*sqrt(pi)) * sum_m (-1)**m (2m-1)!! / (2x**2)**m,
-
-    is summed until a term no longer changes the sum; its smallest
-    term lies below e**(-100), far under double precision.
-    """
-    if not x >= 0.0:
-        raise ValueError(f"erfcx is implemented for x >= 0, got {x!r}")
-    if x <= _ERFCX_SERIES_FROM:
-        return math.erfc(x) * math.exp(x * x)
-    inv = 1.0 / (2.0 * x * x)
-    total, term, m = 1.0, 1.0, 1
-    while True:
-        term *= -(2 * m - 1) * inv
-        if total + term == total:
-            break
-        total += term
-        m += 1
-    return total / (x * math.sqrt(math.pi))
 
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15, Piessens et al. 1983): the

@@ -104,12 +104,12 @@ def _log10_truncation_error_lower_bound(causal, r, m):
 
 def test_criterion_05_truncation_bound_dominates():
     # All comparisons are in log10, so an underflow cannot pass as 0 >= 0.
-    # The corrected bound (derived coefficient, erfcx denominator, power
-    # envelope beyond the split) must dominate the exact error.  The
-    # published 0.0828 / 4.877e6 figure is still evaluated: it must fall
-    # below an independent lower bound on the exact error, which shows it
-    # is not a bound.  Its coefficient differs from the one derived from
-    # the constants by a factor ~4.8; where 0.0828 comes from is unknown.
+    # The corrected bound (full energy at least 1/(2*r*a2), power envelope
+    # beyond the split) must dominate the exact error.  The published
+    # 0.0828 / 4.877e6 figure is still evaluated: it must fall below an
+    # independent lower bound on the exact error, which shows it is not a
+    # bound.  Its coefficient differs from the one derived from the
+    # constants by a factor ~4.8; where 0.0828 comes from is unknown.
     causal = CASTOR.causal
     m = 100.0
     constants = EnvelopeBoundConstants(CASTOR.causal, m)
@@ -120,8 +120,8 @@ def test_criterion_05_truncation_bound_dominates():
         corrected = corrected_truncation_error_bound(constants, r)
         envelope = verify_envelope(constants, corrected.split)
         exact = log10_relative_truncation_error(energy_profile(causal, r), m)
-        published = log10_truncation_error_bound(
-            constants, r, coefficient=REFERENCE_BOUND_COEFFICIENT)
+        published = (log10_truncation_error_bound(constants, r)
+                     + math.log10(REFERENCE_BOUND_COEFFICIENT / formula_coefficient))
         lower = _log10_truncation_error_lower_bound(causal, r, m)
         values = (corrected.log10_bound, exact, published, lower)
         ok = (ok and envelope.holds_lower and envelope.holds_upper

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+mpmath = pytest.importorskip("mpmath")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lossywave import (  # noqa: E402
@@ -51,6 +52,18 @@ def derived_media(draw):
     return MediumPreset("drawn", causal)
 
 
+@settings(max_examples=40, deadline=None)
+@given(medium=derived_media(), log10_r=st.floats(-6.0, 2.0))
+def test_full_energy_lower_bound_is_below_the_line_energy(medium, log10_r):
+    # the corrected bound's denominator 1/(2*r*a2) against the quadrature of the
+    # line energy, the profile's total plus the energy beyond its tail cut
+    r = 10.0**log10_r
+    bound = corrected_truncation_error_bound(EnvelopeBoundConstants(medium.causal, 100.0), r)
+    line = energy_profile(medium.causal, r)
+    log_full = np.logaddexp(math.log(line.total), line.log_beyond)
+    assert bound.log10_full_lower <= log_full / math.log(10.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(medium=derived_media(), log10_m=st.floats(-3.0, 9.0),
        slope_factor=st.floats(1e-3, 10.0))
@@ -81,6 +94,21 @@ def _grid(lo, hi, n=100_001):
     return np.concatenate((np.linspace(lo, hi, n), lo + np.geomspace(1e-12 * span, span, n)))
 
 
+def _closing(causal, r, w):
+    """(1 + exp(-r*phi(w)))**2, phi = a1*w**gamma - a2*w, in 60-digit mpmath from the causal law.
+
+    In doubles the two terms of phi, each above 1e21 after r for some drawn
+    media, cancel to the wrong sign, and a1 rounded to a double alone moves
+    r*phi by more than its value.
+    """
+    with mpmath.workdps(60):
+        g, c0, alpha1, tau0 = (mpmath.mpf(v) for v in
+                               (causal.gamma, causal.c0, causal.alpha1, causal.tau0))
+        a1 = alpha1 * tau0 ** (g - 1) * abs(mpmath.cos(g * mpmath.pi / 2)) / (2 * c0)
+        w = mpmath.mpf(w)
+        return float((1 + mpmath.exp(-mpmath.mpf(r) * (a1 * w**g - alpha1 / c0 * w))) ** 2)
+
+
 # Two media where a weaker certificate shows.  Castor oil at r = 1: C peaks
 # at w = 391, beyond both M and the tail cut, where a search without the
 # closure to infinity stops.  The second: a cell bound from half the slope
@@ -91,10 +119,14 @@ def _grid(lo, hi, n=100_001):
 @example(medium=MediumPreset("drawn", CausalLaw(
     gamma=1.6991225607030942, c0=0.15, alpha1=229.76867756400878, tau0=1.4115541855112513e-08)),
     log10_r=math.log10(2.623694646100546), log10_delta=math.log10(1.2318175251253916e-05))
+# Here phi in doubles cancels to the wrong sign at the closing frequency 3.4e18.
+@example(medium=MediumPreset("drawn", CausalLaw(
+    gamma=1.111328125, c0=0.15, alpha1=17.78279410038923, tau0=1e-9)),
+    log10_r=1.0, log10_delta=-4.0)
 def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
     # C sampled independently of the search, on [0, m_delta] and on [m_delta, 1e12]
     # with a geometric grid out to 1e12 as well, never exceeds the certified bound
-    causal, powerlaw = medium.causal, medium.powerlaw
+    causal = medium.causal
     r, delta = 10.0**log10_r, 10.0**log10_delta
     rep = model_error_report(energy_profile(causal, r), 100.0, delta)
     inner = deviation_factor(causal, r, _grid(0.0, rep.m_delta))
@@ -106,8 +138,7 @@ def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
     # the best points evaluated, and how far above them the certificates lie;
     # the closing term is recomputed here with rounding of its own, hence 1e-12
     w = rep.omega_closed
-    a2 = causal.alpha1 / causal.c0
-    closing = (1.0 + math.exp(-r * (powerlaw.a1 * w**causal.gamma - a2 * w)))**2
+    closing = _closing(causal, r, w)
     assert 0.0 <= rep.omega_at_d1 <= rep.m_delta <= rep.omega_at_d2 <= w
     for omega, lower in ((rep.omega_at_d1, rep.d1_max_c_lower),
                          (rep.omega_at_d2, rep.d2_max_c_lower)):

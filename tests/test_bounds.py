@@ -11,7 +11,6 @@ from lossywave import (
     corrected_truncation_error_bound,
     deviation_factor,
     energy_profile,
-    erfcx,
     eval_alpha,
     log10_truncation_error_bound,
     model_error_report,
@@ -101,9 +100,8 @@ class TestTruncationBound:
 
     def test_coefficient_override(self, castor):
         c = EnvelopeBoundConstants(castor.causal, 100.0)
-        rate = c.bound_decay_rate
-        expected = 0.0828 * math.exp(-rate * 1e-6) / 1e-6**0.25
-        assert log10_truncation_error_bound(c, 1e-6, coefficient=0.0828) == pytest.approx(
+        expected = c.bound_coefficient * math.exp(-c.bound_decay_rate * 1e-6) / 1e-6**0.25
+        assert log10_truncation_error_bound(c, 1e-6) == pytest.approx(
             math.log10(expected), rel=1e-14)
 
     def test_zero_distance_rejected(self, castor):
@@ -112,36 +110,18 @@ class TestTruncationBound:
             log10_truncation_error_bound(c, 0.0)
 
 
-class TestErfcx:
-    def test_matches_direct_product_while_finite(self):
-        # exp(x*x) overflows just above x = 26.6
-        for x in np.linspace(0.0, 26.5, 531):
-            direct = math.erfc(x) * math.exp(x * x)
-            assert erfcx(float(x)) == pytest.approx(direct, rel=1e-13)
-
-    def test_matches_scipy_beyond_overflow(self):
-        special = pytest.importorskip("scipy.special")
-        for x in np.geomspace(10.0, 1e12, 200):
-            assert erfcx(float(x)) == pytest.approx(float(special.erfcx(x)), rel=1e-14)
-
-    def test_rejects_negative_argument(self):
-        with pytest.raises(ValueError):
-            erfcx(-1.0)
-
-
 def _envelope_integrals(constants, r, n=2**20):
     """Trapezoid values of the two envelope integrals of the corrected bound.
 
     Returns log10 of the integral over w >= M of exp(-2r(alpha_M + a0 (w - M)))
-    and of the integral over w >= 0 of exp(-2r(a1 w^2 + a2 w)).  Both
-    integrands are cut where the exponent reaches 80.
+    and of the integral over w >= 0 of exp(-2r a2 w).  Both integrands are
+    cut where the exponent reaches 80.
     """
     c = constants
     u = np.linspace(0.0, 80.0 / (2.0 * r * c.a0), n + 1)
     tail = np.trapezoid(np.exp(-2.0 * r * c.a0 * u), u)
-    a, b = 2.0 * r * c.a1, 2.0 * r * c.a2
-    w = np.linspace(0.0, (-b + math.sqrt(b * b + 320.0 * a)) / (2.0 * a), n + 1)
-    full = np.trapezoid(np.exp(-(a * w * w + b * w)), w)
+    w = np.linspace(0.0, 80.0 / (2.0 * r * c.a2), n + 1)
+    full = np.trapezoid(np.exp(-2.0 * r * c.a2 * w), w)
     return (math.log10(tail) - 2.0 * r * c.alpha_m / math.log(10.0),
             math.log10(full))
 
@@ -155,12 +135,10 @@ class TestCorrectedTruncationBound:
         assert bound.log10_tail_linear == pytest.approx(tail, abs=1e-8)
         assert bound.log10_full_lower == pytest.approx(full, abs=1e-8)
         # the power-envelope tail beyond the split is negligible here, so
-        # the bound reduces to the closed form with the erfcx denominator
+        # the bound reduces to the closed form sqrt(a2/a0) * exp(-r*alpha(M))
         assert bound.log10_tail_power < bound.log10_tail_linear - 100.0
         assert bound.log10_unclipped == pytest.approx(0.5 * (tail - full), abs=1e-8)
-        x = c.a2 * math.sqrt(r / (2.0 * c.a1))
-        closed = (math.log10(c.bound_coefficient) - c.alpha_m * r / math.log(10.0)
-                  - 0.25 * math.log10(r) - 0.5 * math.log10(erfcx(x)))
+        closed = 0.5 * math.log10(c.a2 / c.a0) - c.alpha_m * r / math.log(10.0)
         assert bound.log10_unclipped == pytest.approx(closed, abs=1e-10)
 
     def test_clipped_at_one_for_small_distance(self, castor):

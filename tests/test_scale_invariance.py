@@ -5,15 +5,8 @@ Lambda = alpha1*r/(c0*tau0), and the phase w*r/c0 is common to both Green
 functions.  So a rescaling of tau0, c0 and r that keeps Lambda and M*tau0
 leaves table2's model error, the relative truncation error and the
 model-error report unchanged, and moves the report's frequencies by the
-factor of 1/tau0.
-
-The corrected truncation bound is compared where it is such a function.
-Its full-energy lower bound integrates exp(-2*r*(a1*w**2 + a2*w)), and a1 is
-the coefficient of w**gamma, so for gamma < 2 that energy is not a function
-of (gamma, Lambda, M*tau0): under the rescaling of
-`test_the_rescaling_that_moved_the_closing_term` the bound's log10 moves by
-8.5e-12 relative.  Its two tail energies are, once scaled by tau0, and the
-whole bound is at gamma = 2.
+factor of 1/tau0.  The corrected truncation bound is unchanged too, and
+its three energies, each an integral over w, move with the frequencies.
 """
 
 import dataclasses
@@ -47,9 +40,9 @@ def reported(gamma, c0, alpha1, tau0, r, m):
     out = {"table2": relative_model_error(energy_profile(law, r, m), m),
            "log10_truncation_error": log10_relative_truncation_error(line, m),
            "log10_tail_linear": bound.log10_tail_linear + math.log10(tau0),
-           "log10_tail_power": bound.log10_tail_power + math.log10(tau0)}
-    if gamma == 2.0:
-        out["log10_corrected_bound"] = bound.log10_bound
+           "log10_tail_power": bound.log10_tail_power + math.log10(tau0),
+           "log10_full_lower": bound.log10_full_lower + math.log10(tau0),
+           "log10_unclipped": bound.log10_unclipped}
     for name, value in dataclasses.asdict(model_error_report(line, m, DELTA)).items():
         if name in ("m", "m_delta") or name.startswith("omega"):
             out[name] = value * tau0
