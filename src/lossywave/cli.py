@@ -106,9 +106,9 @@ def cmd_fig3(args):
     preset = load_preset(args.preset)
     r, m = args.r, args.m
     _check_band_edge(m)
-    if not 2.0 * m > 0.5:
-        raise ValueError(f"fig3 plots band edges from 0.5 to 2M, so M must exceed 0.25, "
-                         f"got M={m!r}")
+    if not 0.5 < 2.0 * m < math.inf:
+        raise ValueError(f"fig3 plots band edges from 0.5 to 2M, so M must exceed 0.25 "
+                         f"and 2M must be a finite double, got M={m!r}")
     m0 = np.linspace(0.5, 2.0 * m, 100)
     # one energy profile of [0, 2M] read at every band edge; the
     # absolute norm carries the prefactor 1/(4*pi*r) of G_hat

@@ -424,34 +424,58 @@ def alpha_difference_curvature_bound(causal, a, b):
     return np.where(a > 0.0, bound, np.inf).reshape(np.shape(b))
 
 
-def attenuation_rise(law, lo, h):
-    """Re alpha*(lo + h) - Re alpha*(lo) for lo >= 0 and h >= 0, cancellation-free.
+def _rise(law, lo):
+    """The rise h -> Re alpha*(lo + h) - Re alpha*(lo), for lo >= 0 and h >= 0, built once from lo.
 
-    Vectorized over h.  Subtracting two evaluations of the law leaves
-    rounding of order eps*Re alpha*(lo) in a rise that may be far
-    smaller; here the rise is formed from h.  With t = log1p(h/lo):
-    the power law gives a1*lo**gamma*expm1(gamma*t); the causal law
-    writes u(lo + h) - u(lo) = u(lo)*expm1((gamma-1)*t) and differences
-    1/sqrt(1 + u) in conjugate form, all of it times sigma of `_reduced`
-    at lo, so that no term overflows.  lo = 0 returns Re alpha*(h).
+    The returned function is vectorized over h and cancellation-free.
+    Subtracting two evaluations of the law leaves rounding of order
+    eps*Re alpha*(lo) in a rise that may be far smaller; here the rise is
+    formed from h.  With t = log1p(h/lo): the power law gives
+    a1*lo**gamma*expm1(gamma*t); the causal law writes u(lo + h) - u(lo) =
+    u(lo)*expm1((gamma-1)*t) and differences 1/sqrt(1 + u) in conjugate
+    form, all of it times sigma of `_reduced` at lo, so that no term
+    overflows.  Built once per start, `_reduced` at lo, u(lo)*sigma,
+    sqrt(sigma + u(lo)) and the scale serve every call; lo = 0 gives
+    Re alpha*(h), one call of the law kernel per call.
     """
-    h = np.asarray(h, dtype=float)
     if lo == 0.0:
-        return _alpha_parts(law, h)[0]
-    t = np.log1p(h / lo)
+        return lambda h: _alpha_parts(law, h)[0]
     if isinstance(law, PowerLaw):
         with np.errstate(over="ignore"):  # beyond the double range the rise is +inf
-            return law.a1 * lo**law.gamma * np.expm1(law.gamma * t)
+            start = law.a1 * lo**law.gamma
+
+        def power_rise(h):
+            t = np.log1p(np.asarray(h, dtype=float) / lo)
+            with np.errstate(over="ignore"):
+                return start * np.expm1(law.gamma * t)
+
+        return power_rise
     if not isinstance(law, CausalLaw):
         raise TypeError(f"not a dispersion law: {law!r}")
     _, s, sigma, phase, scale = _reduced(law, lo)
     sigma, u_lo = float(sigma[0]), float(s[0]) * phase  # u(lo)*sigma
-    du = u_lo * np.expm1((law.gamma - 1.0) * t)  # (u(lo + h) - u(lo))*sigma
-    q_lo = np.sqrt(sigma + u_lo)  # sqrt(1 + u(lo))*sqrt(sigma)
-    q = np.sqrt(sigma + u_lo + du)
-    # alpha*(lo + h) - alpha*(lo) = (alpha1/c0)*(-1j)*sqrt(sigma)*(h/q - lo*du/(q*q_lo*(q_lo + q)))
-    rise = np.imag(h / q - lo * (du / (q * q_lo * (q_lo + q))))
-    return _scaled(np.asarray(math.sqrt(sigma) * rise), scale)
+    base = sigma + u_lo
+    q_lo, root = np.sqrt(base), math.sqrt(sigma)  # sqrt(1 + u(lo))*sqrt(sigma), sqrt(sigma)
+
+    def causal_rise(h):
+        h = np.asarray(h, dtype=float)
+        du = u_lo * np.expm1((law.gamma - 1.0) * np.log1p(h / lo))  # (u(lo + h) - u(lo))*sigma
+        q = np.sqrt(base + du)
+        # alpha*(lo + h) - alpha*(lo)
+        #   = (alpha1/c0)*(-1j)*sqrt(sigma)*(h/q - lo*du/(q*q_lo*(q_lo + q)))
+        rise = np.imag(h / q - lo * (du / (q * q_lo * (q_lo + q))))
+        return _scaled(np.asarray(root * rise), scale)
+
+    return causal_rise
+
+
+def attenuation_rise(law, lo, h):
+    """Re alpha*(lo + h) - Re alpha*(lo) for lo >= 0 and h >= 0, cancellation-free.
+
+    Vectorized over h: the rise of `_rise` from lo, called once.
+    lo = 0 returns Re alpha*(h).
+    """
+    return _rise(law, lo)(h)
 
 
 def wavenumber(law, omega):

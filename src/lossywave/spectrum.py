@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .laws import DispersionLaw, _alpha_difference, _alpha_parts, attenuation_rise
+from .laws import DispersionLaw, _alpha_difference, _alpha_parts, _rise, attenuation_rise
 from .numerics import NumericalError, Quadrature, gauss_kronrod, integrate_decaying
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
 _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-12
 _CUT_RTOL = 1e-9  # relative tolerance of the tail width h beyond the start, not of start + h
 BAND_EDGE_RTOL = 1e-10  # `EnergyProfile.band_edge` solves its energy equation to this residual
-_BAND_EDGE_STEPS = 100  # Newton converges in a few; every other step halves the bracket
+_BAND_EDGE_STEPS = 100  # Newton converges in one or two; a step leaving the bracket bisects
 _LN_4PI = math.log(4.0 * math.pi)
 
 
@@ -173,54 +173,96 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
 
 
 def _gain_sq(law, r, lo=0.0):
-    """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from `attenuation_rise`.
+    """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from a rise built once from lo.
 
-    From lo = 0 it is |G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2.
+    Each call is one evaluation of the rise of `laws._rise`.  From lo = 0
+    it is |G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2.
     """
+    rise = _rise(law, lo)
 
     def f(h):
-        return np.exp(-2.0 * r * attenuation_rise(law, lo, h))
+        return np.exp(-2.0 * r * rise(h))
 
     return f
 
 
-# every power of two of the double range, after 0: one vector call brackets any tail width
+# every power of two of the double range after 0, and the indices of every 32nd of them
+# and of the last: `_tail_width` brackets a crossing in two calls of at most 67 points
 _WIDTHS = np.concatenate(([0.0], np.ldexp(1.0, np.arange(-1074, 1024))))
-_CUT_POINTS = 33  # points per vector call of a refinement round of `_tail_width`
+_COARSE = np.append(np.arange(0, _WIDTHS.size, 32), _WIDTHS.size - 1)
+_SECANT_STEPS = 6  # secant steps before bisection; a tail width takes one to three
+_LN_TAIL = math.log(_TAIL_DECADES)
+
+
+def _secant_root(points, reached):
+    """Width where the line through (ln h, ln exponent) at two points meets ln _TAIL_DECADES.
+
+    nan where an exponent is not positive and finite or both are equal.
+    """
+    (a, b), (ea, eb) = points, reached
+    if not (0.0 < ea < math.inf and 0.0 < eb < math.inf):
+        return math.nan
+    ya, yb = math.log(ea) - _LN_TAIL, math.log(eb) - _LN_TAIL
+    if ya == yb:
+        return math.nan
+    return math.exp(min(math.log(a) - ya * math.log(b / a) / (yb - ya), 710.0))
 
 
 def _tail_width(law, r, start):
     """Width h > 0 at which 2*r*attenuation_rise(law, start, h) reaches _TAIL_DECADES.
 
-    One vector call of the rise at every power of two of the double
-    range brackets the first crossing.  Each round splits the bracket
-    by a grid of _CUT_POINTS points, evaluates its interior in one
-    vector call and keeps the sub-interval holding the crossing, until
+    The rise from start is built once.  A vector call at every 32nd power
+    of two of the double range, then one at the powers of two inside the
+    first coarse bracket, find the first crossing between two adjacent
+    powers.  Safeguarded secant steps in (ln h, ln exponent), where the
+    exponent is nearly a power of h, close that bracket: each step takes
+    one vector call at the two points h -+ max(0.45*_CUT_RTOL*h, ulp(h))
+    around its estimate h, the secant root through the bracket's ends at
+    first and through the last two points after, so that they close the
+    bracket once the estimate is within them, in two or three steps.  A
+    step that leaves the bracket, and every step after _SECANT_STEPS,
+    takes the bracket's geometric midpoint instead.  The steps end once
     the bracket is within _CUT_RTOL of h (or holds no double between its
-    ends); its upper end is returned.  Returns inf for a
-    law whose attenuation never grows; raises NumericalError for a
-    growing attenuation that reaches the threshold only beyond the
-    double range.
+    ends); its upper end is returned.  Returns inf for a law whose
+    attenuation never grows; raises NumericalError for a growing
+    attenuation that reaches the threshold only beyond the double range.
     """
     _check_distance(r)
+    rise = _rise(law, start)
 
     def exponent(h):
         with np.errstate(over="ignore", invalid="ignore"):  # the top powers overflow the rise
-            return 2.0 * r * attenuation_rise(law, start, h)
+            return 2.0 * r * rise(h)
 
-    exponents = exponent(_WIDTHS)
-    k = int(np.argmax(exponents >= _TAIL_DECADES))  # 0, the width 0, where none reaches it
-    if not _TAIL_DECADES <= exponents[k] < math.inf:  # an overflowed rise is no crossing
-        if np.any(exponents > 0.0):
+    # the first width whose exponent is not below the threshold: it reaches it, or the rise
+    # overflowed there (inf or nan), which is no crossing; 0, the width 0, where there is none
+    coarse = exponent(_WIDTHS[_COARSE])
+    c = int(np.argmax(~(coarse < _TAIL_DECADES)))
+    if c:
+        widths = _WIDTHS[_COARSE[c - 1]:_COARSE[c] + 1]
+        values = np.concatenate((coarse[c - 1:c], exponent(widths[1:-1]), coarse[c:c + 1]))
+        k = int(np.argmax(~(values < _TAIL_DECADES)))
+    if not (c and values[k] < math.inf):
+        if np.any(coarse > 0.0):
             raise NumericalError(
                 f"the tail cut at r={r!r} lies beyond the frequencies where alpha is finite")
         return math.inf
-    lo, hi = _WIDTHS[k - 1], _WIDTHS[k]
+    points, reached = widths[k - 1:k + 1].tolist(), values[k - 1:k + 1].tolist()
+    (lo, hi), steps = points, 0
     while hi - lo > max(_CUT_RTOL * hi, math.ulp(hi)):
-        grid = np.linspace(lo, hi, _CUT_POINTS)
-        j = 1 + int(np.count_nonzero(exponent(grid[1:-1]) < _TAIL_DECADES))
-        lo, hi = grid[j - 1], grid[j]
-    return float(hi)
+        h = _secant_root(points, reached) if steps < _SECANT_STEPS else math.nan
+        if not lo < h < hi:
+            h = math.sqrt(lo) * math.sqrt(hi)
+        steps += 1
+        step = max(0.45 * _CUT_RTOL * h, math.ulp(h))
+        points = [max(h - step, math.nextafter(lo, hi)), min(h + step, math.nextafter(hi, lo))]
+        reached = exponent(np.array(points)).tolist()
+        for point, value in zip(points, reached):
+            if value >= _TAIL_DECADES:
+                hi = min(hi, point)
+            else:
+                lo = max(lo, point)
+    return hi
 
 
 def _energy_pass(law, r, lo, hi):
@@ -240,6 +282,38 @@ def _energy_pass(law, r, lo, hi):
     if not math.isfinite(extent):
         raise ValueError("norm diverges: the law has no spectral decay")
     return extent, integrate_decaying(_gain_sq(law, r, lo), 0.0, extent)
+
+
+def _log_tail_root(tails, gains, width, target):
+    """Offset s in [0, 1] across a panel where ln tail = ln target, in the panel's cubic model.
+
+    The cubic matches ln tail and its slopes -width*gain/tail at the two
+    ends, from the tails and the integrand there; ln tail linear would be
+    an exponential tail.  Three Newton steps on it from its chord; nan
+    where a tail or a gain underflows.
+    """
+    with np.errstate(all="ignore"):
+        t0, t1 = np.log(tails / target)
+        d0, d1 = -width * gains / tails
+        c2, c3 = 3.0 * (t1 - t0) - 2.0 * d0 - d1, 2.0 * (t0 - t1) + d0 + d1
+        s = t0 / (t0 - t1)
+        for _ in range(3):
+            s -= (t0 + s * (d0 + s * (c2 + s * c3))) / (d0 + s * (2.0 * c2 + 3.0 * s * c3))
+    return float(s)
+
+
+def _integral_and_end(f, a, b):
+    """(integral of f over [a, b] from `integrate_decaying`, f(b)): f's first call also takes b."""
+    end = []
+
+    def f_and_end(x):
+        if end:
+            return f(x)
+        values = f(np.append(x, b))
+        end.append(float(values[-1]))
+        return values[:-1]
+
+    return integrate_decaying(f_and_end, a, b).value, end[0]
 
 
 def _log_energy(law, r, lo):
@@ -302,11 +376,17 @@ class EnergyProfile:
         than the band equation.  The tail energy at every panel edge, the
         energy beyond top plus the panels above, locates the panel holding
         the root; a tail near delta * full is accurate to 1e-12/delta.
-        Newton steps inside it use tail'(M) = -exp(-2*r*Re alpha*(M)) and
-        one 15-node integral from the panel's left edge each, falling back
-        to bisection outside the bracket, until the residual meets
-        BAND_EDGE_RTOL relative to delta * full.  Where even top leaves
-        more than delta * full beyond it, top is returned; delta = 1 gives 0.
+        One 2-point call of the integrand at the panel's ends starts Newton
+        from `_log_tail_root`, about 1e-6 from the root.  Newton steps on
+        ln tail(M) = ln(delta * full), exact for an exponential tail, take
+        one kernel call each: a 15-node integral from the panel's left edge
+        and, in the same call, tail'(M) = -exp(-2*r*Re alpha*(M)).  A step
+        that leaves the bracket bisects it.  Once the residual meets
+        BAND_EDGE_RTOL relative to delta * full, the Newton step from that
+        point, second order in a residual already within it, is returned
+        without another call where it stays in the bracket.  Where even top
+        leaves more than delta * full beyond it, top is returned; delta = 1
+        gives 0.
         """
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
@@ -323,19 +403,25 @@ class EnergyProfile:
         k = int(np.count_nonzero(tails >= target)) - 1
         anchor, excess = band.edges[k], tails[k] - target
         lo, hi = anchor, band.edges[k + 1]
-        m = anchor + (hi - anchor) * (excess / band.panels[k])
+        m = anchor + (hi - lo) * _log_tail_root(tails[k:k + 2], gain_sq(np.array([lo, hi])),
+                                                 hi - lo, target)
         for _ in range(_BAND_EDGE_STEPS):
             if not lo < m < hi:
                 m = 0.5 * (lo + hi)
-            gap = excess - integrate_decaying(gain_sq, anchor, m).value
-            if abs(gap) <= BAND_EDGE_RTOL * target or m in (lo, hi):
+            integral, slope = _integral_and_end(gain_sq, anchor, m)  # slope: -tail'(m)
+            gap = excess - integral
+            # a Newton step on ln tail(m) = ln target, exact for an exponential tail
+            step = (math.log1p(gap / target) * (target + gap) / slope
+                    if gap > -target and slope > 0.0 else math.inf)
+            if abs(gap) <= BAND_EDGE_RTOL * target:
+                return float(m + step if lo < m + step < hi else m)
+            if m in (lo, hi):
                 return float(m)
             if gap > 0.0:
                 lo = m
             else:
                 hi = m
-            slope = float(gain_sq(np.array([m]))[0])  # -tail'(m)
-            m += gap / slope if slope > 0.0 else math.inf
+            m += step
         raise NumericalError(f"the band edge at r={r!r} did not converge in the bracket "
                              f"[{lo!r}, {hi!r}]")
 

@@ -582,10 +582,15 @@ class TestDistanceContract:
         assert not list(tmp_path.iterdir())
 
     def test_fig3_band_edges_must_rise(self, tmp_path, capsys):
-        # fig3 plots band edges from 0.5 to 2M; below M = 0.25 they would fall
-        assert cli.main(["fig3", "--m", "0.2", "--out", str(tmp_path)]) == 2
-        assert "got M=0.2" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        # fig3 plots band edges from 0.5 to 2M; below M = 0.25 they would fall, and
+        # from M = 2**1023 on 2M overflows; either is refused before any sampling
+        for m in ("0.2", "1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["fig3", "--m", m, "--out", str(tmp_path)]) == 2
+            assert ("so M must exceed 0.25 and 2M must be a finite double, "
+                    f"got M={float(m)!r}") in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
 
     # castor-oil bounds exits 0 from r = 1e-120 to 1e300, the narrow tails of
     # 1e5 ... 1e9 included; below, it exits 3 (a cut beyond the double range,
@@ -614,7 +619,10 @@ class TestQuadratureWork:
     of 1e-12 for profiles, tails and the model error's numerator, in
     place of 1e-9 for the last two, bounds takes 6615 in 51 with the
     same 15 solves (5 from 0), table2 2160 in 8 and fig3 1875 in 1; the
-    gates keep their parameters.
+    gates keep their parameters.  With the band edge started from a cubic
+    model of ln tail, 3 kernel calls per edge, bounds takes 6300 in 30
+    with the same 15 solves; table2 and fig3 are unchanged, and so are the
+    gates.
     """
 
     @staticmethod
@@ -677,23 +685,31 @@ class TestTailCutWork:
     """Law evaluations per tail-width solve in a default castor `bounds`.
 
     Each energy pass that reaches no band edge first solves for the
-    width beyond its start, the line profile's cut from 0 among them:
-    one vector call of `attenuation_rise` at every power of two of the
-    double range brackets it, and six rounds of 33 points narrow it to
-    1e-9 relative, 7 calls and no scalar `eval_alpha` call.  Solving
-    the cut in w by bracketing in factors of 4 and bisecting took 37-48
-    scalar calls per cut.
+    width beyond its start, the line profile's cut from 0 among them.
+    The rise from the start is built once; a vector call at every 32nd
+    power of two of the double range (67 points) and one at the powers
+    inside its bracket (up to 31) bracket the width within a factor of
+    two, and two or three secant rounds of two points each close the
+    bracket to 1e-9 relative: measured 4-5 calls per solve, none over
+    67 points, and no scalar `eval_alpha` call.  One call at all 2,099
+    powers of two and six rounds of 33 points took 7; bracketing in
+    factors of 4 and bisecting took 37-48 scalar calls per cut.
     """
 
-    def test_at_most_seven_vector_calls_per_solve(self, tmp_path, monkeypatch):
-        rise, alpha, width = spectrum.attenuation_rise, laws._alpha_parts, spectrum._tail_width
-        per_solve = []  # [rise calls, scalar law-kernel calls] of each solve, the open one last
+    def test_at_most_five_small_vector_calls_per_solve(self, tmp_path, monkeypatch):
+        build, alpha, width = spectrum._rise, laws._alpha_parts, spectrum._tail_width
+        per_solve = []  # [sizes of the rise calls, scalar law-kernel calls], the open one last
         inside = []
 
-        def counting_rise(law, lo, h):
-            if inside:
-                per_solve[-1][0] += 1
-            return rise(law, lo, h)
+        def counting_build(law, lo):
+            rise = build(law, lo)
+
+            def counting_rise(h):
+                if inside:
+                    per_solve[-1][0].append(np.size(h))
+                return rise(h)
+
+            return counting_rise
 
         def counting_alpha(law, omega):
             if inside and np.ndim(omega) == 0:
@@ -701,22 +717,61 @@ class TestTailCutWork:
             return alpha(law, omega)
 
         def counting_width(*args):
-            per_solve.append([0, 0])
+            per_solve.append([[], 0])
             inside.append(True)
             try:
                 return width(*args)
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(spectrum, "attenuation_rise", counting_rise)
+        monkeypatch.setattr(spectrum, "_rise", counting_build)
         monkeypatch.setattr(spectrum, "_alpha_parts", counting_alpha)
         monkeypatch.setattr(laws, "_alpha_parts", counting_alpha)
         monkeypatch.setattr(spectrum, "_tail_width", counting_width)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
-        # per distance the line profile's cut, the energy beyond it and the tail
-        # beyond M; the model error's own cut search at r = 1 and 10 made 17
+        # per distance the line profile's cut, the energy beyond it and the tail beyond M
         assert len(per_solve) == 15
-        assert all(1 <= rises <= 7 and scalars == 0 for rises, scalars in per_solve), per_solve
+        assert all(1 <= len(sizes) <= 5 and max(sizes) <= 100 and scalars == 0
+                   for sizes, scalars in per_solve), per_solve
+
+
+class TestBandEdgeWork:
+    """Law-kernel calls per `EnergyProfile.band_edge` in a default castor `bounds`.
+
+    One call takes the integrand at both ends of the panel holding the
+    root, for a cubic model of ln tail that starts Newton within about
+    1e-6 of the edge; each Newton step is one call, its 15-node integral
+    and the slope -tail'(m) together.  Measured 3 calls per solve at each
+    of the five distances; a linear start and a separate slope call per
+    step took 11-13.  The energy beyond the cut, a cached pass of its
+    own, is read before the count.
+    """
+
+    def test_at_most_four_kernel_calls_per_solve(self, tmp_path, monkeypatch):
+        alpha, band_edge = laws._alpha_parts, spectrum.EnergyProfile.band_edge
+        per_solve = []
+        inside = []
+
+        def counting_alpha(law, omega):
+            if inside:
+                per_solve[-1] += 1
+            return alpha(law, omega)
+
+        def counting_band_edge(profile, delta):
+            assert math.isfinite(profile.log_beyond)  # its own energy pass, outside the count
+            per_solve.append(0)
+            inside.append(True)
+            try:
+                return band_edge(profile, delta)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(spectrum, "_alpha_parts", counting_alpha)
+        monkeypatch.setattr(laws, "_alpha_parts", counting_alpha)
+        monkeypatch.setattr(spectrum.EnergyProfile, "band_edge", counting_band_edge)
+        assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
+        assert len(per_solve) == 5
+        assert all(1 <= calls <= 4 for calls in per_solve), per_solve
 
 
 class TestScanWork:

@@ -1,4 +1,4 @@
-"""Property tests: the tail width and the energy pass across laws, distances and starts."""
+"""Property tests: the tail width, the energy pass and the band edge across laws and distances."""
 
 import math
 
@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lossywave import CausalLaw, MediumPreset, NumericalError, PowerLaw  # noqa: E402
 from lossywave.laws import attenuation_rise  # noqa: E402
-from lossywave.spectrum import _TAIL_DECADES, _log_energy, _tail_width, energy_profile  # noqa: E402
+from lossywave.spectrum import (  # noqa: E402
+    _CUT_RTOL, _TAIL_DECADES, BAND_EDGE_RTOL, _log_energy, _tail_width, energy_profile)
 
 LOSSLESS = PowerLaw(gamma=1.5, a1=0.0, a2=0.0, c0=0.15)
 
@@ -46,8 +47,11 @@ def test_tail_width_meets_the_threshold_or_raises_naming_r(law, log10_r, start):
         assert h == math.inf
         return
     assert 0.0 < h < math.inf
-    reached = 2.0 * r * float(attenuation_rise(law, start, np.array([h]))[0])
+    # h is the upper end of a bracket no wider than _CUT_RTOL*h or one ulp
+    below = h - max(_CUT_RTOL * h, math.ulp(h))
+    reached, short = 2.0 * r * attenuation_rise(law, start, np.array([h, below]))
     assert _TAIL_DECADES <= reached <= _TAIL_DECADES * (1.0 + 1e-8)
+    assert short < _TAIL_DECADES
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,3 +65,32 @@ def test_band_and_tail_passes_add_up_to_the_line(law, log10_r, log10_m):
     full = line.total + math.exp(line.log_beyond)
     if tail >= 1e-3 * full:
         assert line.at(m) + tail == pytest.approx(full, rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(law=laws(lossless=False), log10_r=st.floats(-6.0, 2.0),
+       log10_delta=st.floats(-12.0, math.log10(0.9)))
+def test_band_edge_leaves_delta_of_the_energy_beyond_it(law, log10_r, log10_delta):
+    # the tail beyond M from its own energy pass: the profile's tails are accurate to
+    # 1e-12 of the full energy, 1e-12/delta of delta*full, the pass to 1e-12 of itself
+    r, delta = 10.0**log10_r, 10.0**log10_delta
+    profile = energy_profile(law, r)
+    full = profile.total + math.exp(profile.log_beyond)
+    m = profile.band_edge(delta)
+    assert 0.0 < m <= profile.top
+    if m == profile.top:  # top already leaves more than delta*full beyond it
+        assert math.exp(profile.log_beyond) >= delta * full
+        return
+    tail = math.exp(_log_energy(law, r, m))
+    assert tail == pytest.approx(delta * full, rel=BAND_EDGE_RTOL + 1e-12 / delta + 1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(law=laws(lossless=False), log10_r=st.floats(-6.0, 2.0))
+def test_band_edge_exits_at_zero_and_at_top(law, log10_r):
+    profile = energy_profile(law, 10.0**log10_r)
+    assert profile.band_edge(1.0) == 0.0
+    beyond = math.exp(profile.log_beyond)
+    tiny = 0.5 * beyond / (profile.total + beyond)  # top leaves twice delta*full beyond it
+    if tiny > 0.0:
+        assert profile.band_edge(tiny) == profile.top
