@@ -130,7 +130,8 @@ import numpy as np
 from .laws import (CausalLaw, _alpha_parts, _reduced, _scaled, alpha_difference_curvature_bound,
                    alpha_difference_slope_bound, derive_powerlaw_coeffs)
 from .numerics import NumericalError
-from .spectrum import _check_band_edge, _check_distance, _deviation, relative_model_error
+from .spectrum import (_check_band_edge, _check_distance, _check_line_profile, _deviation,
+                       relative_model_error)
 
 __all__ = [
     "EnvelopeBoundConstants",
@@ -533,9 +534,7 @@ def model_error_report(profile, m, delta):
     and both normalizations are reported; nothing is silently chosen.
     """
     _check_band_edge(m)
-    if profile.hi != math.inf:
-        raise ValueError(f"the model-error report needs the line energy profile, "
-                         f"got one of the band [0, {profile.hi!r}]")
+    _check_line_profile(profile, "the model-error report")
     causal, r = profile.law, profile.r
     m_delta = profile.band_edge(delta)
     w_inner, lo_inner, c_inner = _certified_max(causal, r, 0.0, m_delta)

@@ -18,8 +18,10 @@ energy pass from a start lo: the integral of exp(-2*r*(Re alpha*(lo + h)
 at rtol 1e-12 up to a band edge or to the tail cut, where the integrand
 has decayed by exp(-70) ~ 4e-31.  From lo = 0 it is the `EnergyProfile`
 E(m) that line and band energies, norms and the band edge holding a
-share of the energy read.  From a band edge M it is the tail beyond M,
-scaled to 1 at M and returned as a logarithm: the rise of the
+share of the energy read; the line profile's total, E up to the tail
+cut, is the full energy, since what lies beyond the cut, at most 1e-20
+of it, is below every tolerance.  From a band edge M it is the tail
+beyond M, scaled to 1 at M and returned as a logarithm: the rise of the
 attenuation carries no rounding of the attenuation itself, and a tail
 below the smallest double keeps a finite log10.  r and M must be finite
 and positive.
@@ -29,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 import numpy as np
 
-from .laws import DispersionLaw, _alpha_difference, _alpha_parts, _rise, attenuation_rise
+from .laws import DispersionLaw, _alpha_difference, _alpha_parts, _rise
 from .numerics import NumericalError, Quadrature, gauss_kronrod, integrate_decaying
 
 __all__ = [
@@ -64,6 +65,13 @@ def _check_band_edge(m):
     """Raise ValueError unless the band edge M is finite and positive."""
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"band edge must be finite and positive, got M={m!r}")
+
+
+def _check_line_profile(profile, what):
+    """Raise ValueError naming `what` unless profile is the line EnergyProfile (hi = inf)."""
+    if profile.hi != math.inf:
+        raise ValueError(f"{what} needs the line energy profile, "
+                         f"got one of the band [0, {profile.hi!r}]")
 
 
 @dataclass(frozen=True)
@@ -172,13 +180,12 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
     return ComplexSpectrum(grid=grid, r=float(r), values=values)
 
 
-def _gain_sq(law, r, lo=0.0):
-    """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from a rise built once from lo.
+def _gain_sq(rise, r):
+    """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from `laws._rise` from lo.
 
-    Each call is one evaluation of the rise of `laws._rise`.  From lo = 0
-    it is |G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2.
+    Each call is one evaluation of the rise.  From lo = 0 it is
+    |G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2.
     """
-    rise = _rise(law, lo)
 
     def f(h):
         return np.exp(-2.0 * r * rise(h))
@@ -208,27 +215,26 @@ def _secant_root(points, reached):
     return math.exp(min(math.log(a) - ya * math.log(b / a) / (yb - ya), 710.0))
 
 
-def _tail_width(law, r, start):
-    """Width h > 0 at which 2*r*attenuation_rise(law, start, h) reaches _TAIL_DECADES.
+def _tail_width(rise, r):
+    """Width h > 0 at which 2*r*rise(h) reaches _TAIL_DECADES, for a rise of `laws._rise`.
 
-    The rise from start is built once.  A vector call at every 32nd power
-    of two of the double range, then one at the powers of two inside the
-    first coarse bracket, find the first crossing between two adjacent
-    powers.  Safeguarded secant steps in (ln h, ln exponent), where the
-    exponent is nearly a power of h, close that bracket: each step takes
-    one vector call at the two points h -+ max(0.45*_CUT_RTOL*h, ulp(h))
-    around its estimate h, the secant root through the bracket's ends at
-    first and through the last two points after, so that they close the
-    bracket once the estimate is within them, in two or three steps.  A
-    step that leaves the bracket, and every step after _SECANT_STEPS,
-    takes the bracket's geometric midpoint instead.  The steps end once
+    A vector call at every 32nd power of two of the double range, then one
+    at the powers of two inside the first coarse bracket, find the first
+    crossing between two adjacent powers.  Safeguarded secant steps in
+    (ln h, ln exponent), where the exponent is nearly a power of h, close
+    that bracket: each step takes one vector call at the two points
+    h -+ max(0.45*_CUT_RTOL*h, ulp(h)) around its estimate h, the secant
+    root through the bracket's ends at first and through the last two
+    points after, so that they close the bracket once the estimate is
+    within them, in two or three steps.  A step that leaves the bracket,
+    and every step after _SECANT_STEPS, takes the bracket's geometric
+    midpoint instead.  The steps end once
     the bracket is within _CUT_RTOL of h (or holds no double between its
     ends); its upper end is returned.  Returns inf for a law whose
     attenuation never grows; raises NumericalError for a growing
     attenuation that reaches the threshold only beyond the double range.
     """
     _check_distance(r)
-    rise = _rise(law, start)
 
     def exponent(h):
         with np.errstate(over="ignore", invalid="ignore"):  # the top powers overflow the rise
@@ -269,19 +275,21 @@ def _energy_pass(law, r, lo, hi):
     """(extent, Quadrature) of `_gain_sq` from lo over the offsets [0, extent] at QUADRATURE_RTOL.
 
     extent is hi - lo where the integrand is still above exp(-70) at hi,
-    else the smaller of hi - lo and the `_tail_width` from lo.  Kept in
-    the offset, the integrand carries no rounding of Re alpha*(lo) or of
-    lo itself, so a tail narrower than one ulp of lo keeps its digits.
-    Raises ValueError where the extent is infinite: the law does not decay.
+    else the smaller of hi - lo and the `_tail_width` from lo.  The rise
+    from lo is built once and serves that check, the width solve and the
+    integrand.  Kept in the offset, the integrand carries no rounding of
+    Re alpha*(lo) or of lo itself, so a tail narrower than one ulp of lo
+    keeps its digits.  Raises ValueError where the extent is infinite:
+    the law does not decay.
     """
     _check_distance(r)
+    rise = _rise(law, lo)
     extent = hi - lo  # no width is solved where hi comes first
-    if not (extent < math.inf
-            and 2.0 * r * float(attenuation_rise(law, lo, extent)) < _TAIL_DECADES):
-        extent = min(extent, _tail_width(law, r, lo))
+    if not (extent < math.inf and 2.0 * r * float(rise(extent)) < _TAIL_DECADES):
+        extent = min(extent, _tail_width(rise, r))
     if not math.isfinite(extent):
         raise ValueError("norm diverges: the law has no spectral decay")
-    return extent, integrate_decaying(_gain_sq(law, r, lo), 0.0, extent)
+    return extent, integrate_decaying(_gain_sq(rise, r), 0.0, extent)
 
 
 def _log_tail_root(tails, gains, width, target):
@@ -324,7 +332,11 @@ def _log_energy(law, r, lo):
 
 @dataclass(frozen=True)
 class EnergyProfile:
-    """E(m), the integral over [0, m] of exp(-2*r*Re alpha*(w)); `energy` is its pass to top."""
+    """E(m), the integral over [0, m] of exp(-2*r*Re alpha*(w)); `energy` is its pass to top.
+
+    A line profile (hi = inf) ends at the tail cut, and its total is the
+    full energy; a band profile ends at its band's end hi.
+    """
 
     law: DispersionLaw
     r: float
@@ -336,11 +348,6 @@ class EnergyProfile:
     def total(self):
         """E(top)."""
         return self.energy.value
-
-    @cached_property
-    def log_beyond(self):
-        """ln of the energy beyond top, from an energy pass from top on first use."""
-        return _log_energy(self.law, self.r, self.top)
 
     @property
     def norm(self):
@@ -365,17 +372,19 @@ class EnergyProfile:
         edges = self.energy.edges
         k = np.searchsorted(edges, m, side="right") - 1
         below = np.concatenate(([0.0], np.cumsum(self.energy.panels)))[k]
-        partial, _ = gauss_kronrod(_gain_sq(self.law, self.r), np.ravel(edges[k]), np.ravel(m))
+        partial, _ = gauss_kronrod(_gain_sq(_rise(self.law, 0.0), self.r), np.ravel(edges[k]),
+                                   np.ravel(m))
         out = below + partial.reshape(m.shape)
         return out if out.ndim else float(out)
 
     def band_edge(self, delta):
         """Band edge M capturing the fraction (1 - delta) of the spectral energy.
 
-        Solves tail(M) = delta * full, better conditioned for small delta
-        than the band equation.  The tail energy at every panel edge, the
-        energy beyond top plus the panels above, locates the panel holding
-        the root; a tail near delta * full is accurate to 1e-12/delta.
+        Needs the line profile: full is its total.  Solves tail(M) = delta
+        * full, better conditioned for small delta than the band equation.
+        The tail energy at every panel edge, the sum of the panels above it,
+        locates the panel holding the root; a tail near delta * full is
+        accurate to 1e-12/delta.
         One 2-point call of the integrand at the panel's ends starts Newton
         from `_log_tail_root`, about 1e-6 from the root.  Newton steps on
         ln tail(M) = ln(delta * full), exact for an exponential tail, take
@@ -384,22 +393,19 @@ class EnergyProfile:
         that leaves the bracket bisects it.  Once the residual meets
         BAND_EDGE_RTOL relative to delta * full, the Newton step from that
         point, second order in a residual already within it, is returned
-        without another call where it stays in the bracket.  Where even top
-        leaves more than delta * full beyond it, top is returned; delta = 1
+        without another call where it stays in the bracket.  delta = 1
         gives 0.
         """
+        _check_line_profile(self, "the band edge")
         if not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
         if delta == 1.0:
             return 0.0
-        band, cut, r = self.energy, self.top, self.r
-        gain_sq = _gain_sq(self.law, r)
-        beyond = math.exp(self.log_beyond)
-        target = delta * (band.value + beyond)
-        if beyond >= target:
-            return cut
+        band, r = self.energy, self.r
+        gain_sq = _gain_sq(_rise(self.law, 0.0), r)
+        target = delta * band.value
         # tails[k]: energy beyond edges[k]; the root lies where it falls through target
-        tails = np.append(beyond + np.cumsum(band.panels[::-1])[::-1], beyond)
+        tails = np.append(np.cumsum(band.panels[::-1])[::-1], 0.0)
         k = int(np.count_nonzero(tails >= target)) - 1
         anchor, excess = band.edges[k], tails[k] - target
         lo, hi = anchor, band.edges[k + 1]
@@ -442,13 +448,12 @@ def log10_relative_truncation_error(profile, m):
     error of the truncated signal.  Its log10 is at most 0 and stays
     finite where the error itself underflows.  It is half the difference
     of the log energies of the tail [m, inf) and of the full line, the
-    profile's total and the energy beyond it, in decades; the prefactor
-    of |G_hat|^2 cancels.
+    line profile's total, in decades; the prefactor of |G_hat|^2 cancels.
     """
     _check_band_edge(m)
+    _check_line_profile(profile, "the truncation error")
     tail = _log_energy(profile.law, profile.r, m)
-    full = np.logaddexp(math.log(profile.total), profile.log_beyond)
-    return float(tail - full) / (2.0 * math.log(10.0))
+    return (tail - math.log(profile.total)) / (2.0 * math.log(10.0))
 
 
 def _deviation(causal, r, omega):
@@ -498,7 +503,7 @@ def relative_model_error(profile, m):
         raise ValueError(f"the model error at M={m!r} needs a profile that reaches M, "
                          f"got one of the band [0, {profile.hi!r}]")
     causal, r = profile.law, profile.r
-    gain_sq = _gain_sq(causal, r)
+    gain_sq = _gain_sq(_rise(causal, 0.0), r)
 
     def diff_sq(w):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
         return gain_sq(w) * deviation_factor(causal, r, w)

@@ -622,14 +622,17 @@ class TestQuadratureWork:
     gates keep their parameters.  With the band edge started from a cubic
     model of ln tail, 3 kernel calls per edge, bounds takes 6300 in 30
     with the same 15 solves; table2 and fig3 are unchanged, and so are the
-    gates.
+    gates.  With the line profile's total read as the full energy and no
+    pass beyond its cut, bounds takes 4875 in 25 and 10 solves (5 from 0),
+    and its gate falls to those counts; table2 and fig3 are unchanged.
     """
 
     @staticmethod
     def _count(monkeypatch, argv):
-        integrate, panels, width = (numerics.integrate_decaying, spectrum.gauss_kronrod,
-                                    spectrum._tail_width)
+        integrate, panels, build, width = (numerics.integrate_decaying, spectrum.gauss_kronrod,
+                                           spectrum._rise, spectrum._tail_width)
         counts = {"samples": 0, "quadratures": 0, "width_starts": [], "passes": []}
+        starts = {}  # the start of every rise built
 
         def counted(f):
             def g(x):
@@ -642,20 +645,26 @@ class TestQuadratureWork:
             counts["passes"].append((a, b, rtol))
             return integrate(counted(f), a, b, rtol=rtol)
 
-        def counting_width(law, r, start):
-            counts["width_starts"].append(start)
-            return width(law, r, start)
+        def recording_build(law, lo):
+            rise = build(law, lo)
+            starts[rise] = lo
+            return rise
+
+        def counting_width(rise, r):
+            counts["width_starts"].append(starts[rise])
+            return width(rise, r)
 
         for module in (numerics, spectrum, bounds, cli):
             if getattr(module, "integrate_decaying", None) is integrate:
                 monkeypatch.setattr(module, "integrate_decaying", counting)
+        monkeypatch.setattr(spectrum, "_rise", recording_build)
         monkeypatch.setattr(spectrum, "_tail_width", counting_width)
         monkeypatch.setattr(spectrum, "gauss_kronrod",
                             lambda f, *args: panels(counted(f), *args))
         assert cli.main(argv) == 0
         return counts
 
-    @pytest.mark.parametrize("command,samples,quadratures", [("bounds", 6435, 56),
+    @pytest.mark.parametrize("command,samples,quadratures", [("bounds", 4875, 25),
                                                              ("table2", 2010, 8),
                                                              ("fig3", 1875, 1)])
     def test_within_a_tenth_of_the_measured_counts(self, tmp_path, monkeypatch, capsys,
@@ -665,11 +674,11 @@ class TestQuadratureWork:
         assert 0 < counts["quadratures"] <= 1.1 * quadratures
 
     def test_bounds_integrates_each_line_once(self, tmp_path, monkeypatch):
-        # one line profile per distance: its cut, the energy beyond it and the
-        # tail beyond M; the model error reads the profile and searches no cut
+        # one line profile per distance: its cut and the tail beyond M; the
+        # model error reads the profile and searches no cut
         counts = self._count(monkeypatch, ["bounds", "--out", str(tmp_path)])
         assert counts["width_starts"].count(0.0) == 5
-        assert len(counts["width_starts"]) == 15
+        assert len(counts["width_starts"]) == 10
         assert {rtol for _, _, rtol in counts["passes"]} == {numerics.QUADRATURE_RTOL}
         cuts = [entry["tail_cut"] for entry in
                 json.loads((tmp_path / "bounds.json").read_text())["per_distance"]]
@@ -693,7 +702,9 @@ class TestTailCutWork:
     bracket to 1e-9 relative: measured 4-5 calls per solve, none over
     67 points, and no scalar `eval_alpha` call.  One call at all 2,099
     powers of two and six rounds of 33 points took 7; bracketing in
-    factors of 4 and bisecting took 37-48 scalar calls per cut.
+    factors of 4 and bisecting took 37-48 scalar calls per cut.  Each
+    distance solves two widths, the line profile's cut and the tail beyond
+    M; a third, for the energy beyond the cut, made 15 solves in all.
     """
 
     def test_at_most_five_small_vector_calls_per_solve(self, tmp_path, monkeypatch):
@@ -729,8 +740,8 @@ class TestTailCutWork:
         monkeypatch.setattr(laws, "_alpha_parts", counting_alpha)
         monkeypatch.setattr(spectrum, "_tail_width", counting_width)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
-        # per distance the line profile's cut, the energy beyond it and the tail beyond M
-        assert len(per_solve) == 15
+        # per distance the line profile's cut and the tail beyond M
+        assert len(per_solve) == 10
         assert all(1 <= len(sizes) <= 5 and max(sizes) <= 100 and scalars == 0
                    for sizes, scalars in per_solve), per_solve
 
@@ -743,8 +754,7 @@ class TestBandEdgeWork:
     1e-6 of the edge; each Newton step is one call, its 15-node integral
     and the slope -tail'(m) together.  Measured 3 calls per solve at each
     of the five distances; a linear start and a separate slope call per
-    step took 11-13.  The energy beyond the cut, a cached pass of its
-    own, is read before the count.
+    step took 11-13.
     """
 
     def test_at_most_four_kernel_calls_per_solve(self, tmp_path, monkeypatch):
@@ -758,7 +768,6 @@ class TestBandEdgeWork:
             return alpha(law, omega)
 
         def counting_band_edge(profile, delta):
-            assert math.isfinite(profile.log_beyond)  # its own energy pass, outside the count
             per_solve.append(0)
             inside.append(True)
             try:

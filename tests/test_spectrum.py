@@ -14,11 +14,13 @@ from lossywave import (
     eval_alpha,
     green_hat,
     log10_relative_truncation_error,
+    model_error_report,
     relative_model_error,
     sample_green_spectrum,
     write_table,
 )
 
+from lossywave.laws import _rise
 from lossywave.numerics import integrate_decaying
 from lossywave.spectrum import _energy_pass, _log_energy, _tail_width
 
@@ -180,9 +182,9 @@ class TestLog10TruncationError:
     def test_matches_scaled_trapezoid_oracle(self, castor):
         r, m = 10.0, 100.0
         alpha_m = float(np.real(eval_alpha(castor.causal, m)))
-        tail = trapezoid_norm(castor.causal, r, m, m + _tail_width(castor.causal, r, m),
+        tail = trapezoid_norm(castor.causal, r, m, m + _tail_width(_rise(castor.causal, m), r),
                               alpha_ref=alpha_m)
-        full = trapezoid_norm(castor.causal, r, 0.0, _tail_width(castor.causal, r, 0.0))
+        full = trapezoid_norm(castor.causal, r, 0.0, _tail_width(_rise(castor.causal, 0.0), r))
         oracle = math.log10(tail / full) - r * alpha_m / math.log(10.0)
         profile = energy_profile(castor.causal, r)
         assert log10_relative_truncation_error(profile, m) == pytest.approx(oracle, abs=1e-8)
@@ -208,25 +210,25 @@ class TestExtremeDistances:
     def test_tail_cut_converges_far_below_one(self, castor, r, cut):
         # the cut lies hundreds of decades below 1, inside the bracket of the
         # powers of two that the width solve starts from
-        got = _tail_width(castor.causal, r, 0.0)
+        got = _tail_width(_rise(castor.causal, 0.0), r)
         assert got == pytest.approx(cut, rel=1e-3)
         attenuation = float(np.real(eval_alpha(castor.causal, got)))
         assert 2.0 * r * attenuation == pytest.approx(70.0, rel=1e-6)
         # a tail cut from a start far below 1 brackets above the start
-        assert 0.5 * got + _tail_width(castor.causal, r, 0.5 * got) > 0.5 * got
+        assert 0.5 * got + _tail_width(_rise(castor.causal, 0.5 * got), r) > 0.5 * got
 
     def test_tail_cut_beyond_the_double_range_names_r(self, castor):
         with pytest.raises(NumericalError, match="r=1e-300"):
-            _tail_width(castor.causal, 1e-300, 0.0)
+            _tail_width(_rise(castor.causal, 0.0), 1e-300)
         # a law that does not decay still has no cut at all
-        assert _tail_width(LOSSLESS, 1e-300, 0.0) == math.inf
+        assert _tail_width(_rise(LOSSLESS, 0.0), 1e-300) == math.inf
 
     @pytest.mark.parametrize("r", [1e16, 1e22, 1e26])
     def test_subnormal_width_is_the_first_double_past_the_threshold(self, r):
         # a steep law decays within a subnormal width, where no double lies within
         # 1e-9 of h: the solve stops at adjacent doubles instead of looping
         steep = PowerLaw(gamma=2.0, a1=1e300, a2=0.0, c0=0.15)
-        h = _tail_width(steep, r, 1.0)
+        h = _tail_width(_rise(steep, 1.0), r)
 
         def exponent(width):
             return 2.0 * r * float(attenuation_rise(steep, 1.0, np.array([width]))[0])
@@ -259,7 +261,7 @@ class TestExtremeDistances:
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_distance_rejected_everywhere(self, castor, r):
         for call in (lambda: green_hat(castor.causal, r, 1.0),
-                     lambda: _tail_width(castor.causal, r, 0.0),
+                     lambda: _tail_width(_rise(castor.causal, 0.0), r),
                      lambda: energy_profile(castor.causal, r, 10.0).norm,
                      lambda: relative_model_error(energy_profile(castor.causal, r, 100.0), 100.0),
                      lambda: energy_profile(castor.causal, r)):
@@ -353,7 +355,7 @@ class TestEnergyProfile:
         r = 0.4
         profile = energy_profile(castor.causal, r)
         edges = profile.energy.edges
-        assert profile.top == _tail_width(castor.causal, r, 0.0)
+        assert profile.top == _tail_width(_rise(castor.causal, 0.0), r)
         # inside the first graded panel, on a panel edge, mid-range and at the top
         for m in (0.5 * edges[1], edges[5], 0.5 * profile.top, profile.top):
             assert profile.at(m) == pytest.approx(
@@ -379,12 +381,17 @@ class TestEnergyProfile:
         m = np.array([1e-3, 0.7, 12.5, 24.9, 25.0])
         assert np.allclose(profile.at(m), m, rtol=1e-12, atol=0.0)
 
-    def test_energy_beyond_a_band_completes_the_line(self, castor):
-        line, band = energy_profile(castor.causal, 1.0), energy_profile(castor.causal, 1.0, 30.0)
-        assert band.top == 30.0 < line.top
-        assert band.band_edge(6e-4) == pytest.approx(line.band_edge(6e-4), rel=1e-9)
-        assert log10_relative_truncation_error(band, 20.0) == pytest.approx(
-            log10_relative_truncation_error(line, 20.0), abs=1e-12)
+    @pytest.mark.parametrize("what,call", [
+        ("the band edge", lambda band: band.band_edge(6e-4)),
+        ("the truncation error", lambda band: log10_relative_truncation_error(band, 20.0)),
+        ("the model-error report", lambda band: model_error_report(band, 20.0, 6e-4))],
+        ids=["band_edge", "log10_relative_truncation_error", "model_error_report"])
+    def test_band_profile_rejected_where_the_full_energy_is_read(self, castor, what, call):
+        # a band profile's total is the band energy, not the full energy
+        band = energy_profile(castor.causal, 1.0, 30.0)
+        with pytest.raises(ValueError, match=f"^{what} needs the line energy profile, "
+                                             r"got one of the band \[0, 30.0\]$"):
+            call(band)
 
     @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_band_edge_rejected_everywhere(self, castor, m):
