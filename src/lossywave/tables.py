@@ -17,11 +17,32 @@ value is not within 1e-6 of a decimal tie (those must round half to
 even); the rest (zeros, subnormals, inf, nan, ties and magnitudes
 beyond that range) are formatted by `%` one value at a time.
 
-Timed per block with the kernel's tables built, `%` and the kernel break
-even at 190 to 256 rows of 2 columns and near 128 rows of 3; at 601 rows
-of 3 the kernel takes 0.9 ms against 1.3 ms.  _KERNEL_ROWS is 256, where
-the kernel was not the slower in any run.  Its tables are built once per
-process, on first use, in 1 to 2 ms.
+The kernel gives each value 48 byte slots, six uint64 words (see _SLOTS
+below): a lead word "-0.000d." for the sign, the prefix of small values
+and d0, four words "a.b.c.d." for the 4-digit groups of d1 ... d16, each
+digit followed by a slot for the point, and a word for "e+XX" and the
+separator.  Each word is ANDed with a 0xFF/0x00 mask, one per sign,
+exponent class and count of significant digits, derived from the keep
+table.  Every slot a value's text does not use is then NUL, and no kept
+slot holds a NUL byte, so deleting every NUL byte of the block
+(`bytearray.translate`) leaves its CSV text without building an index
+of kept bytes.  A value left to `%` is written left-aligned into its
+slots, the rest of them up to the separator zeroed.  The kernel's
+buffers are allocated once per table, sized to its first block, and
+every block reuses them through `out=`.
+
+Timed per block with the kernel's tables built (and the buffers of a
+one-block table allocated), alternated in fresh processes, the kernel
+is as fast as `%` at 96 to 128 rows of 2 columns and at 64 to 96 of 3.
+At 192 rows it takes 0.64 to 0.80 times the time of `%` (0.55 to 0.63
+with 3 columns), at 601 rows 0.36 to 0.41 (0.31 to 0.33).  _KERNEL_ROWS
+is 192: over ten such runs of 2 columns the kernel was the slower once
+at 160 rows and in none from 176 rows on.  On a 2**18 x 2 table
+`write_table` costs 3.3 to 4.1 times less per value than `%`, and 0.43
+to 0.47 times as much (medians of two sets of five fresh processes) as
+the design that gathered a 48-byte keep mask per value and compressed
+the slots through an int64 index.  The tables are built once per
+process, on first use, in 1.3 to 2.0 ms.
 """
 
 from __future__ import annotations
@@ -39,7 +60,7 @@ import numpy as np
 __all__ = ["write_json", "write_table"]
 
 _BLOCK_ROWS = 8192
-_KERNEL_ROWS = 256  # the measured crossover, see above: smaller blocks take one `%`
+_KERNEL_ROWS = 192  # the measured crossover, see above: smaller blocks take one `%`
 
 _MAGNITUDES = (1e-270, 1e270)  # |x| the kernel takes; their decimal exponents e lie within +-272
 _POWERS = range(16 - 280, 16 + 281)  # the k = 16 - e of the 10**k the kernel scales by
@@ -122,9 +143,11 @@ def _keep_table():
 
 @functools.cache
 def _tables():
-    """Lookup tables of the kernel, built on first use (1 to 2 ms) to keep import fast.
+    """Lookup tables of the kernel, built on first use to keep import fast.
 
-    pow10[k - _POWERS.start] = (hi, hi's Dekker halves, lo), see _pow10.
+    pow10[k - _POWERS.start] = (hi, hi's Dekker halves, lo), see _pow10;
+    the kernel reads its columns, each stored contiguous.  `mask` is
+    `keep` as six words per row, 0xFF in each kept slot and 0 elsewhere.
     """
     hi, lo = _pow10()
     # "a.b.c.d." and the place of the last nonzero digit (0 for 0000) of each 4-digit group abcd
@@ -140,82 +163,169 @@ def _tables():
     sig4[:, :, 1:] = 3
     sig4[:, :, :, 1:] = 4
     exponent = np.arange(_EXPONENTS.start, _EXPONENTS.stop)
+    pow10 = np.column_stack([hi, *_split(hi), lo])
+    keep = _keep_table()
     return SimpleNamespace(
-        pow10=np.column_stack([hi, *_split(hi), lo]),
+        pow10=pow10,
+        columns=[c.copy() for c in pow10.T],
         lead=_words([b"-0.000%d." % d for d in range(10)]),
         quad=quad.reshape(-1, 8).view(np.uint64).ravel(),
         sig4=sig4.ravel(),
         expo=_words([b"e%+03d" % e for e in _EXPONENTS]),
-        keep=_keep_table(),
+        keep=keep,
+        mask=(keep * np.uint8(0xFF)).view(np.uint64),
         # the row of `keep` for a positive value with 0 digits, per exponent in _EXPONENTS
         row0=18 * np.where((-4 <= exponent) & (exponent <= 16), exponent - _CLASSES[0],
                            _CLASSES.index(17) + (np.abs(exponent) >= 100)),
     )
 
 
-def _scaled(ax, e, pow10):
+def _buffers(n):
+    """The buffers of _kernel for blocks of up to n values.
+
+    `slots` holds a block's slots, six words per value, in the bytearray
+    `data`.  The float and int rows share one allocation: apart they left
+    the worker of the time-domain benchmark 1 MB more resident at its peak.
+    """
+    data = bytearray(n * _SLOTS)
+    rows = np.empty((12, n))
+    return SimpleNamespace(floats=rows[:7], ints=rows[7:].view(np.int64),
+                           flags=np.empty((3, n), bool), data=data,
+                           slots=np.frombuffer(data, np.uint64).reshape(n, _SLOTS // 8))
+
+
+def _scaled(ax, e, pow10, f, k, whole):
     """Integer part and fraction of ax * 10**(16 - e), good to about 1e-14 absolute.
 
     ax * hi is split exactly into a double p and its rounding error
-    (Dekker's product); ax * lo adds the rest of 10**k.
+    (Dekker's product); ax * lo adds the rest of 10**k.  pow10 holds the
+    columns hi, hh, hl, lo.  The integer part goes to `whole`; the
+    fraction is returned in f[1].  f (six float rows) and k (ints) are
+    work space.
     """
-    h, hh, hl, lo = np.take(pow10, 16 - e - _POWERS.start, axis=0).T
-    p = ax * h
-    xh, xl = _split(ax)
-    t = (((xh * hh - p) + xh * hl + xl * hh) + xl * hl) + ax * lo
-    whole = np.floor(p)
-    s = (p - whole) + t
-    carry = np.floor(s)
-    return whole.astype(np.int64) + carry.astype(np.int64), s - carry
+    hi, hh, hl, lo = pow10
+    h, p, xh, xl, t, w = f
+    np.subtract(16 - _POWERS.start, e, out=k)
+    np.take(hi, k, out=h, mode="clip")
+    np.multiply(ax, h, out=p)
+    np.multiply(ax, _SPLIT, out=xh)  # Dekker's split: xh = c - (c - ax), xl = ax - xh
+    np.subtract(xh, ax, out=xl)
+    xh -= xl
+    np.subtract(ax, xh, out=xl)
+    # t = (((xh*hh - p) + xh*hl + xl*hh) + xl*hl) + ax*lo, added in that order
+    np.take(hh, k, out=h, mode="clip")
+    np.take(hl, k, out=w, mode="clip")
+    np.multiply(xh, h, out=t)
+    t -= p
+    xh *= w
+    t += xh
+    h *= xl
+    t += h
+    w *= xl
+    t += w
+    np.take(lo, k, out=w, mode="clip")
+    w *= ax
+    t += w
+    np.floor(p, out=h)
+    p -= h
+    p += t
+    np.floor(p, out=w)  # the carry of (p - whole) + t
+    p -= w
+    np.copyto(whole, h, casting="unsafe")
+    np.copyto(k, w, casting="unsafe")
+    whole += k
+    return whole, p
 
 
-def _kernel(values, ncols):
-    """CSV bytes of `values` (a block, row-major, ncols per row): f"{x:.17g}" each."""
+def _kernel(values, ncols, s):
+    """CSV bytes of `values` (a block, row-major, ncols per row): f"{x:.17g}" each.
+
+    s: what _buffers(n) made, for some n >= len(values).  Every
+    np.take has mode="clip" (no index is out of range): with the default
+    "raise" it writes to `out` through a buffer.
+    """
     tb = _tables()
-    ax = np.abs(values)
-    fast = (ax >= _MAGNITUDES[0]) & (ax <= _MAGNITUDES[1])
-    ax[~fast] = 1.0
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    whole, frac = _scaled(ax, e, tb.pow10)
+    n = len(values)
+    f, (e, top, d, index, digits) = s.floats[:, :n], s.ints[:, :n]
+    fast, slow, flag = s.flags[:, :n]
+    ax = np.abs(values, out=f[6])
+    np.greater_equal(ax, _MAGNITUDES[0], out=fast)
+    np.less_equal(ax, _MAGNITUDES[1], out=flag)
+    fast &= flag
+    np.logical_not(fast, out=slow)
+    ax[slow] = 1.0
+    np.log10(ax, out=f[0])
+    np.floor(f[0], out=f[0])
+    np.copyto(e, f[0], casting="unsafe")
+    whole, frac = _scaled(ax, e, tb.columns, f[:6], top, d)
     # log10 can miss the decimal exponent by one next to a power of ten
-    low, high = whole < 10**16, whole >= 10**17
-    moved = np.flatnonzero(low | high)
-    e[moved] += high[moved].astype(np.int64) - low[moved]
-    whole[moved], frac[moved] = _scaled(ax[moved], e[moved], tb.pow10)
-    d = whole + (frac > 0.5)
-    fast &= (d >= 10**16) & (d <= 10**17) & (np.abs(frac - 0.5) >= _TIE)
-    d[~fast] = 10**16  # any valid significand: `%` overwrites these values
-    carry = d == 10**17  # 99999999999999999.5 rounds up to 1e17
-    d[carry] = 10**16
-    e += carry
+    np.subtract(whole, 10**16, out=top)
+    np.greater_equal(top.view(np.uint64), 9 * 10**16, out=flag)
+    moved = np.flatnonzero(flag)
+    if len(moved):
+        e[moved] += (whole[moved] >= 10**17).astype(np.int64) - (whole[moved] < 10**16)
+        m = len(moved)
+        whole[moved], frac[moved] = _scaled(ax[moved], e[moved], tb.columns, np.empty((6, m)),
+                                            np.empty(m, np.int64), np.empty(m, np.int64))
+    np.greater(frac, 0.5, out=flag)
+    d += flag  # d = whole + (frac > 0.5), in the buffer of whole
+    frac -= 0.5
+    np.abs(frac, out=frac)
+    np.greater_equal(frac, _TIE, out=flag)
+    fast &= flag
+    np.subtract(d, 10**16, out=top)
+    np.less_equal(top.view(np.uint64), 9 * 10**16, out=flag)
+    fast &= flag
+    np.logical_not(fast, out=slow)
+    d[slow] = 10**16  # any valid significand: `%` overwrites these values
+    np.equal(d, 10**17, out=flag)  # 99999999999999999.5 rounds up to 1e17
+    d[flag] = 10**16
+    e += flag
 
-    top = d // 10**8
-    bottom = (d - top * 10**8).astype(np.int32)
-    top = top.astype(np.int32)
-    groups = [(top // 10**4) % 10**4, top % 10**4, bottom // 10**4, bottom % 10**4]
-    words = np.empty((len(values), _SLOTS // 8), np.uint64)
-    words[:, 0] = tb.lead[top // 10**8]
-    for i, g in enumerate(groups):
-        words[:, 1 + i] = tb.quad[g]
-    words[:, 5] = tb.expo[e - _EXPONENTS.start]
-    chars = words.view(np.uint8)
-    separators = np.frombuffer(b"," * (ncols - 1) + b"\n", np.uint8)
-    chars[:, _SEP] = np.tile(separators, len(values) // ncols)
+    # the 4-digit groups, peeled off d from the last one; each word a row of the float buffers
+    words = f[:6].view(np.uint64)
+    rest, group = top, index
+    for i in range(4, 0, -1):
+        np.floor_divide(d, 10**4, out=rest)
+        np.multiply(rest, 10**4, out=group)
+        np.subtract(d, group, out=group)
+        if i == 4:  # significant digits, up to the last nonzero one (d0 never is zero)
+            np.take(tb.sig4, group, out=digits, mode="clip")
+            digits += 13
+            np.equal(digits, 13, out=flag)
+            short = np.flatnonzero(flag)  # the last group is 0000
+            if len(short):
+                r = rest[short]
+                count = np.ones(len(short), np.int64)
+                for j, g in enumerate([(r // 10**8) % 10**4, (r // 10**4) % 10**4, r % 10**4]):
+                    count = np.where(g != 0, 1 + 4 * j + tb.sig4[g], count)
+                digits[short] = count
+        np.take(tb.quad, group, out=words[i], mode="clip")
+        d, rest = rest, d
+    np.take(tb.lead, d, out=words[0], mode="clip")  # d is d0 now
+    e -= _EXPONENTS.start
+    np.take(tb.expo, e, out=words[5], mode="clip")
+    separators = words[5].reshape(-1, ncols)
+    separators[:, :-1] |= np.uint64(ord(",") << 8 * (_SEP - 40))
+    separators[:, -1] |= np.uint64(ord("\n") << 8 * (_SEP - 40))
+    row = np.take(tb.row0, e, out=index, mode="clip")
+    row += digits
+    np.less(values, 0, out=flag)
+    np.multiply(flag, len(tb.keep) // 2, out=top)
+    row += top
 
-    # significant digits, up to the last nonzero one: d0 never is zero
-    digits = 1
-    for i, g in enumerate(groups):
-        digits = np.where(g != 0, 1 + 4 * i + tb.sig4[g], digits)
-    row = tb.row0[e - _EXPONENTS.start] + digits
-    keep = np.take(tb.keep, np.where(values < 0, row + len(tb.keep) // 2, row), axis=0)
-
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        texts = _printf(b"%.17g\n" * len(slow), values[slow].tolist()).split(b"\n")
-        for i, text in zip(slow, texts):
-            chars[i, :len(text)] = np.frombuffer(text, np.uint8)
-            keep[i, :_SEP] = np.arange(_SEP) < len(text)
-    return np.compress(keep.ravel(), chars.ravel()).tobytes()
+    # each value's six words ANDed with its mask, into its 48 bytes of s.data
+    out = s.slots[:n]
+    np.take(tb.mask, row, axis=0, out=out, mode="clip")
+    np.bitwise_and(out, words.T, out=out)
+    slow = np.flatnonzero(slow)
+    if len(slow):  # left-aligned, the rest of the slots up to the separator zeroed
+        texts = _printf(b"%.17g\n" * len(slow), values[slow].tolist()).split(b"\n")[:-1]
+        chars = np.array(texts, f"S{_SEP}").view(np.uint8).reshape(-1, _SEP)
+        out.view(np.uint8)[slow, :_SEP] = chars
+    # no kept slot holds a NUL byte: deleting every NUL leaves the text
+    data = s.data if n == len(s.slots) else s.data[:n * _SLOTS]  # a short block: its own rows
+    return data.translate(None, b"\0")
 
 
 def _json_safe(doc):
@@ -253,10 +363,12 @@ def write_table(path, colnames, columns, comment=None, fmt="csv"):
         if comment:
             fh.write(f"# {comment}\n".encode("utf-8"))
         fh.write((",".join(colnames) + "\n").encode("utf-8"))
+        buffers = None
         for start in range(0, len(cols[0]), _BLOCK_ROWS):
             block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
             if len(block) < _KERNEL_ROWS:
                 fh.write(_printf(row_fmt * len(block), block.ravel().tolist()))
             else:
-                fh.write(_kernel(block.ravel(), len(cols)))
+                buffers = buffers or _buffers(block.size)  # the first block is the largest
+                fh.write(_kernel(block.ravel(), len(cols), buffers))
     return path

@@ -115,9 +115,12 @@ def _inverse_transform(values, grid):
     g_j = (dw/sqrt(2pi)) * sum over the Hermitian extension of
     values_m * exp(-1j*w_m*t_j); with w_m = m*dw and dt = pi/W this is
     (dw/sqrt(2pi)) * n * irfft(conj(values)), which uses the real parts
-    of the w = 0 and Nyquist values.
+    of the w = 0 and Nyquist values.  The scale is applied in place, so no
+    second n-sample array is made.
     """
-    return (grid.delta_omega / _SQRT_2PI * grid.n) * np.fft.irfft(np.conj(values), grid.n)
+    samples = np.fft.irfft(np.conj(values), grid.n)
+    samples *= grid.delta_omega / _SQRT_2PI * grid.n
+    return samples
 
 
 def synthesize_time_signal(spec):
