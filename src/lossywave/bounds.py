@@ -14,6 +14,10 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
       error(r) <= (2*a1/(pi*a0**2))**(1/4)
                   * exp(-(alpha(M) + a2**2/(4*a1)) * r) / r**(1/4).
 
+  The envelope's right side always holds, as alpha_c <= a2*|w| below
+  shows.  Its left side fails beyond a finite w for every medium, since
+  Re alpha_c grows like w**((3-gamma)/2).
+
   `log10_truncation_error_bound` evaluates the log10 of this form.  It
   is not a bound: its derivation lower-bounds the full energy under the
   upper envelope, integral over w >= 0 of exp(-2*r*(a1*w**2 + a2*w)), by
@@ -194,35 +198,47 @@ class EnvelopeBoundConstants:
         alpha_m = float(_alpha_parts(causal, m)[0])
         split = max(m, 1.0 / causal.tau0)
         kappa, exponent = power_lower_envelope(causal, split)
+        if kappa == math.inf:
+            raise NumericalError(f"the power envelope's kappa at w={split!r} exceeds the "
+                                 "largest double")
+        try:
+            rate = a2**2 / (4.0 * a1)
+        except OverflowError:  # a2**2 leaves the doubles, the ratio need not
+            rate = a2 * (a2 / (4.0 * a1))
         derived = dict(m=m, a0=a0, a1=a1, a2=a2, alpha_m=alpha_m,
                        bound_coefficient=(2.0 * a1 / math.pi) ** 0.25 / math.sqrt(a0),
-                       bound_decay_rate=alpha_m + a2**2 / (4.0 * a1),
-                       split=split, kappa=kappa, exponent=exponent)
+                       bound_decay_rate=alpha_m + rate, split=split, kappa=kappa,
+                       exponent=exponent)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class EnvelopeCheck:
-    """Result of checking the two-sided attenuation envelope on a grid.
+    """Result of checking the attenuation envelope on a grid.
 
-    Violations are worst-case positive excesses (required - actual for
-    the lower bound, actual - allowed for the upper); zero when the
-    inequality holds everywhere on the checked grid.
+    Only the lower side, alpha(M) + a0*(w - M) <= Re alpha_c(w), is
+    evaluated; its violation is the worst excess of the line over
+    Re alpha_c, zero when it holds on the whole grid, and null (nan)
+    where both sides overflow.  The upper side is a theorem, so
+    holds_upper is True and worst_upper_violation 0.0 by construction:
+    with u = (-i*tau0*w)**(gamma-1), Re u >= 0 gives |1 + u| >= 1, so
+
+        Re alpha_c <= |alpha_c| = a2*w/sqrt(|1 + u|) <= a2*w <= a1*w**2 + a2*w.
     """
 
     holds_lower: bool
-    holds_upper: bool
+    holds_upper: bool = field(default=True, init=False)
     worst_lower_violation: float
-    worst_upper_violation: float
+    worst_upper_violation: float = field(default=0.0, init=False)
     omega_checked_max: float
 
 
 def verify_envelope(constants, omega_max):
-    """Check the envelope hypothesis on a log grid of (m, omega_max], ENVELOPE_GRID_POINTS long.
+    """Check the lower envelope on a log grid of (m, omega_max], ENVELOPE_GRID_POINTS long.
 
-    A failed inequality is data (reported via the flags and worst
-    violations), not an exception: the truncation bound is meaningful
+    A failed inequality is data (reported via the flag and worst
+    violation), not an exception: the truncation bound is meaningful
     exactly where this check passes.
     """
     m = constants.m
@@ -230,19 +246,11 @@ def verify_envelope(constants, omega_max):
         raise ValueError("omega_max must exceed the band edge m")
     w = np.geomspace(m * (1.0 + 1e-9), omega_max, ENVELOPE_GRID_POINTS)
     alpha = _alpha_parts(constants.causal, w)[0]
-    # an infinite upper envelope holds trivially, an infinite lower one fails by inf
-    with np.errstate(over="ignore"):
-        lower = constants.alpha_m + constants.a0 * (w - m)
-        upper = constants.a1 * w**2 + constants.a2 * w
-    worst_lower = float(np.max(lower - alpha))
-    worst_upper = float(np.max(alpha - upper))
-    return EnvelopeCheck(
-        holds_lower=worst_lower <= 0.0,
-        holds_upper=worst_upper <= 0.0,
-        worst_lower_violation=max(worst_lower, 0.0),
-        worst_upper_violation=max(worst_upper, 0.0),
-        omega_checked_max=float(omega_max),
-    )
+    # an infinite line fails by inf, or by nan where Re alpha_c overflows too
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = float(np.max(constants.alpha_m + constants.a0 * (w - m) - alpha))
+    return EnvelopeCheck(holds_lower=worst <= 0.0, worst_lower_violation=max(worst, 0.0),
+                         omega_checked_max=float(omega_max))
 
 
 def log10_truncation_error_bound(constants, r):
@@ -269,13 +277,15 @@ def power_lower_envelope(causal, omega):
         kappa = (alpha1/c0) * omega**((gamma-1)/2) * sin(phi_omega) / sqrt(1 + t_omega),
 
     with t_omega kept as the ratio s/sigma, which never leaves the doubles.
+    kappa is inf where it exceeds the largest double.
     """
     if not omega > 0.0:
         raise ValueError("the power envelope needs omega > 0")
     _, (s,), (sigma,), phase, scale = _reduced(causal, omega)
     phi = 0.5 * math.atan2(-s * phase.imag, sigma + s * phase.real)
     kappa = omega ** (0.5 * (causal.gamma - 1.0)) * math.sin(phi) * math.sqrt(sigma / (sigma + s))
-    return float(_scaled(np.asarray(kappa), scale)), 0.5 * (3.0 - causal.gamma)
+    with np.errstate(over="ignore"):  # inf where kappa exceeds the doubles
+        return float(_scaled(np.asarray(kappa), scale)), 0.5 * (3.0 - causal.gamma)
 
 
 def _log_upper_gamma_bound(s, log_x):
@@ -392,9 +402,11 @@ def _certified_max(causal, r, lo, hi):
     if not hi > lo:
         c, _ = evaluate(np.array([float(lo)]))
         return float(lo), float(c[0]), float(c[0])
-    # geometric as lo times a grid of ratios, so that scaling lo and hi scales every node
-    nodes = (lo * np.geomspace(1.0, hi / lo, _SEED_CELLS + 1) if 4.0 * lo < hi and lo > 0.0
-             else np.linspace(lo, hi, _SEED_CELLS + 1))
+    # geometric as lo times a grid of ratios, so that scaling lo and hi scales every node,
+    # or from lo to hi where their ratio leaves the doubles
+    nodes = (np.linspace(lo, hi, _SEED_CELLS + 1) if not (4.0 * lo < hi and lo > 0.0)
+             else lo * np.geomspace(1.0, hi / lo, _SEED_CELLS + 1) if hi / lo < math.inf
+             else np.geomspace(lo, hi, _SEED_CELLS + 1))
     nodes[0], nodes[-1] = lo, hi
     c, x = evaluate(nodes)
     i = int(np.argmax(c))
@@ -436,7 +448,7 @@ def _closure(causal, r, lo):
     """(W, closing): C <= closing <= (1 + SUPREMUM_RTOL/2)**2 for every w >= W.
 
     Re b >= phi(w) = a1*w**gamma - a2*w.  In y = ln(tau0*w), read from
-    `_reduced` at ref = lo (1 where lo = 0), c = |cos(gamma*pi/2)|/2,
+    `_reduced` at ref = lo (1 where lo = 0 or tau0*lo underflows), c = |cos(gamma*pi/2)|/2,
 
         ln(r*phi) = ln(Lambda) + ln(c) + gamma*y + ln(-expm1(-ln(c) - (gamma-1)*y)),
 
@@ -448,6 +460,9 @@ def _closure(causal, r, lo):
     """
     gamma, p, ref = causal.gamma, causal.gamma - 1.0, (lo if lo > 0.0 else 1.0)
     _, (s,), (sigma,), _, (m_scale, e_scale) = _reduced(causal, ref)
+    if s == 0.0:  # then tau0 <= 1, so lo and 1 lie below 1/tau0 <= w* and bind nothing
+        ref = 1.0
+        _, (s,), (sigma,), _, (m_scale, e_scale) = _reduced(causal, ref)
     y_ref = (math.log(s) - math.log(sigma)) / p  # ln(tau0*ref)
     (m_r, e_r), (m_ref, e_ref) = math.frexp(r), math.frexp(ref)
     log_c = math.log(0.5 * abs(math.cos(0.5 * gamma * math.pi)))
@@ -478,7 +493,9 @@ def _closure(causal, r, lo):
     if log_w > _LOG_DOUBLE_MAX:
         raise NumericalError(f"the deviation factor at r={r!r} does not settle below the "
                              f"largest double: the closure needs w = e**{log_w!r}")
-    return ref * math.exp(y_hi - y_ref), (1.0 + math.exp(-math.exp(log_r_phi(y_hi)))) ** 2
+    # exp(y_hi - y_ref) alone may leave the doubles where ref < 1; r*phi(W) > e**700 closes at 1
+    w_closed = ref * math.exp(y_hi - y_ref) if y_hi - y_ref < 700.0 else math.exp(log_w)
+    return w_closed, (1.0 + math.exp(-math.exp(min(log_r_phi(y_hi), 700.0)))) ** 2
 
 
 @dataclass(frozen=True)

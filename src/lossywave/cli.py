@@ -128,13 +128,11 @@ def cmd_bounds(args):
     per_r = []
     for r in r_list:
         profile = energy_profile(preset.causal, r)
-        env = verify_envelope(constants, max(profile.top, 1.0001 * args.m))
         report = model_error_report(profile, args.m, args.delta)
         corrected = corrected_truncation_error_bound(constants, r)
         per_r.append({
             "r": r,
             "tail_cut": profile.top,
-            "envelope": asdict(env),
             **_log10_pair("truncation_bound", log10_truncation_error_bound(constants, r)),
             "corrected_truncation_bound": {**asdict(corrected),
                                            **_log10_pair("bound", corrected.log10_bound)},

@@ -495,7 +495,8 @@ def powerlaw_phase_singularity(medium):
     k(w) = w*(1/c0 + a2) - a1*|tan(gamma*pi/2)|*w**gamma has the closed
     form ((1/c0 + a2)/(a1*|tan(gamma*pi/2)|))**(1/(gamma-1)).  Raises
     ValueError when no singularity exists (gamma = 2, or a vanishing
-    tangent/attenuation coefficient).
+    tangent/attenuation coefficient), NumericalError where it exceeds the
+    largest double.
     """
     law = medium.powerlaw if isinstance(medium, MediumPreset) else medium
     _require(isinstance(law, PowerLaw), "a power law is required")
@@ -505,7 +506,10 @@ def powerlaw_phase_singularity(medium):
     a_tan = law.a1 * abs(math.tan(g * math.pi / 2.0))
     if a_tan == 0.0:
         raise ValueError("no phase-speed singularity: a1*|tan(gamma*pi/2)| vanishes")
-    return ((1.0 / law.c0 + law.a2) / a_tan) ** (1.0 / (g - 1.0))
+    try:
+        return ((1.0 / law.c0 + law.a2) / a_tan) ** (1.0 / (g - 1.0))
+    except OverflowError:
+        raise NumericalError("the phase-speed singularity exceeds the largest double") from None
 
 
 def small_frequency_bound(gamma, tau0, threshold=0.1):

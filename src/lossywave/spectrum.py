@@ -394,7 +394,7 @@ class EnergyProfile:
         BAND_EDGE_RTOL relative to delta * full, the Newton step from that
         point, second order in a residual already within it, is returned
         without another call where it stays in the bracket.  delta = 1
-        gives 0.
+        gives 0; a delta * full that underflows to 0 raises NumericalError.
         """
         _check_line_profile(self, "the band edge")
         if not 0.0 < delta <= 1.0:
@@ -404,6 +404,9 @@ class EnergyProfile:
         band, r = self.energy, self.r
         gain_sq = _gain_sq(_rise(self.law, 0.0), r)
         target = delta * band.value
+        if target == 0.0:
+            raise NumericalError(f"the band edge at r={r!r} is lost: delta times the line "
+                                 f"energy {band.value!r} underflows to 0")
         # tails[k]: energy beyond edges[k]; the root lies where it falls through target
         tails = np.append(np.cumsum(band.panels[::-1])[::-1], 0.0)
         k = int(np.count_nonzero(tails >= target)) - 1

@@ -26,6 +26,7 @@ from lossywave import (  # noqa: E402
     verify_envelope,
 )
 from lossywave.bounds import SUPREMUM_RTOL  # noqa: E402
+from lossywave.laws import _alpha_parts  # noqa: E402
 
 CASTOR = builtin_preset("castor-oil")
 
@@ -50,6 +51,31 @@ def derived_media(draw):
                        alpha1=10.0 ** draw(st.floats(0.0, 3.0)),
                        tau0=10.0 ** draw(st.floats(-9.0, -3.0)))
     return MediumPreset("drawn", causal)
+
+
+def _extreme(gamma, c0, alpha1, tau0):
+    return MediumPreset("extreme", CausalLaw(gamma=gamma, c0=c0, alpha1=alpha1, tau0=tau0))
+
+
+# The upper envelope is a theorem, which `verify_envelope` no longer evaluates:
+# Re u >= 0 gives |1 + u| >= 1, so Re alpha_c <= |alpha_c| = a2*w/sqrt(|1 + u|) <= a2*w.
+# The exact value is at most sin((gamma-1)*pi/4)*a2*w <= 0.71*a2*w, so the kernel's
+# rounding needs no allowance.  The media at the ends of the double range are those
+# of test_cli's extreme-medium exits, each read at w = 1/tau0 or, where a2/tau0
+# overflows, at the largest decade where a2*w is a double.
+@settings(max_examples=200, deadline=None)
+@given(medium=derived_media(), log10_w=st.floats(-300.0, 300.0))
+@example(medium=CASTOR, log10_w=6.0)
+@example(medium=CASTOR, log10_w=300.0)
+@example(medium=_extreme(1.05, 0.15, 1e300, 1e-300), log10_w=7.0)
+@example(medium=_extreme(1.3, 0.15, 1e100, 1e-300), log10_w=207.0)
+@example(medium=_extreme(1.05, 1e-10, 1e100, 1e300), log10_w=-300.0)
+@example(medium=_extreme(1.05, 1e-10, 1e-10, 1e-300), log10_w=300.0)
+def test_causal_attenuation_is_below_a2_w(medium, log10_w):
+    w = 10.0**log10_w
+    _, a2 = derive_powerlaw_coeffs(medium.causal)
+    with np.errstate(over="ignore"):  # a2*w = inf holds trivially
+        assert _alpha_parts(medium.causal, w)[0] <= a2 * w
 
 
 @settings(max_examples=40, deadline=None)

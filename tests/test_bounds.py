@@ -1,5 +1,7 @@
 import math
+import warnings
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from lossywave import (
     CausalLaw,
     EnvelopeBoundConstants,
+    EnvelopeCheck,
     PowerLaw,
     corrected_truncation_error_bound,
     deviation_factor,
@@ -52,6 +55,12 @@ class TestEnvelopeConstants:
         expected = 10.0 ** (0.25 * math.log10(2.0 * c.a1 / math.pi) - 0.5 * math.log10(c.a0))
         assert c.bound_coefficient == pytest.approx(expected, rel=1e-13)
 
+    def test_decay_rate_where_a2_squared_leaves_the_double_range(self):
+        # a2 = 1e290, so a2**2 overflows; a2**2/(4*a1), about 7e292, does not
+        c = EnvelopeBoundConstants(CausalLaw(gamma=1.5, c0=1e10, alpha1=1e300, tau0=1e-6), 1e-3)
+        expected = Fraction(c.alpha_m) + Fraction(c.a2) ** 2 / (4 * Fraction(c.a1))
+        assert c.bound_decay_rate == pytest.approx(float(expected), rel=1e-15)
+
     def test_derived_fields_cannot_be_passed(self, castor):
         c = EnvelopeBoundConstants(castor.causal, 100.0)
         with pytest.raises(TypeError):
@@ -84,6 +93,19 @@ class TestVerifyEnvelope:
         assert not check.holds_lower
         assert check.worst_lower_violation > 0.0
         assert check.holds_upper
+
+    def test_fails_without_a_warning_where_both_sides_overflow(self):
+        # at M = 1e300 the line and Re alpha_c both overflow: the violation inf - inf
+        # is unknown, and the upper side, a theorem, cannot fail
+        c = EnvelopeBoundConstants(CausalLaw(gamma=1.3, c0=0.15, alpha1=1e100, tau0=1e-6), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check = verify_envelope(c, 1.0001e300)
+        assert not check.holds_lower and math.isnan(check.worst_lower_violation)
+        assert check.holds_upper and check.worst_upper_violation == 0.0
+        with pytest.raises(TypeError):
+            EnvelopeCheck(holds_lower=True, holds_upper=False, worst_lower_violation=0.0,
+                          omega_checked_max=1.0)
 
     def test_requires_omega_beyond_m(self, castor):
         c = EnvelopeBoundConstants(castor.causal, 100.0)

@@ -191,7 +191,7 @@ class TestArtifacts:
         assert cli.main(["bounds", "--m", "1e300", "--r-list", "1", "--out", str(tmp_path)]) == 0
         text = (tmp_path / "bounds.json").read_text()
         assert "Infinity" not in text and "NaN" not in text
-        envelope = json.loads(text)["per_distance"][0]["envelope"]
+        envelope = json.loads(text)["corrected_bound_envelope"]["linear_envelope"]
         assert envelope["worst_lower_violation"] is None
         assert not envelope["holds_lower"]
 
@@ -321,8 +321,10 @@ class TestBoundsCommand:
         assert "energy_pass_rtol" not in doc["settings"]
         assert "deviation_scan_points" not in doc["settings"]
         by_r = {entry["r"]: entry for entry in doc["per_distance"]}
-        assert by_r[1.0]["envelope"]["holds_lower"]
-        assert by_r[1.0]["envelope"]["holds_upper"]
+        # the envelope is checked once, on the range the corrected bound uses
+        assert not any("envelope" in entry for entry in doc["per_distance"])
+        assert doc["corrected_bound_envelope"]["linear_envelope"]["holds_lower"]
+        assert doc["corrected_bound_envelope"]["linear_envelope"]["holds_upper"]
         report = by_r[1.0]["model_error_report"]
         assert 0.0125 <= report["bound"] <= 0.05
         assert by_r[1e-6]["truncation_error"] <= 1.0
@@ -603,6 +605,41 @@ class TestDistanceContract:
         assert cli.main(["bounds", "--r-list", r, "--out", str(tmp_path)]) == code, \
             capsys.readouterr().err
 
+    # (gamma, c0, alpha1, tau0), the command's flags and the failure it reports.  The
+    # first five ended in a traceback: a2**2 overflowed in the first two (in the second
+    # after an overflow warning for kappa), W = ref*exp(...) in the closure of the third,
+    # the fourth indexed past the panels where delta times a subnormal line energy is 0,
+    # and the phase-speed pole's power overflowed in the fifth
+    @pytest.mark.parametrize("medium,argv,message", [
+        ((1.05, 0.15, 1e300, 1e-300), ["bounds", "--m", "1e-3", "--r-list", "1"],
+         "does not settle below the largest double"),
+        ((1.3, 0.15, 1e300, 1e-300), ["bounds", "--m", "1e-3", "--r-list", "1"],
+         "the power envelope's kappa at w=9.999999999999999e+299 exceeds the largest double"),
+        ((1.3, 0.15, 1e100, 1e-300), ["bounds", "--m", "1e-3", "--r-list", "1"],
+         "the deviation factor at r=1.0 overflows"),
+        ((1.05, 1e-10, 1e100, 1e300), ["bounds", "--m", "1e-3", "--r-list", "1e300"],
+         "the band edge at r=1e+300 is lost: delta times the line energy"),
+        ((1.05, 1e-10, 1e-10, 1e-300), ["fig2"],
+         "the phase-speed singularity exceeds the largest double"),
+        # castor oil's c0, alpha1 and tau0 at gamma = 1.005, and the slow medium at M = 1e306
+        ((1.005, 0.15, 138.08, 1e-6), ["bounds", "--r-list", "1"],
+         "the deviation factor at r=1.0 does not settle below the largest double"),
+        ((2.0, 0.15, 138.08, 10.0), ["bounds", "--r-list", "1", "--m", "1e306"],
+         "the envelope slope a0 at M=1e+306 exceeds the largest double"),
+    ], ids=["a2-squared", "kappa", "closure-exp", "band-edge-underflow", "fig2-pole", "gamma-1.005",
+            "slow-a0"])
+    def test_extreme_medium_exits_3(self, tmp_path, capsys, medium, argv, message):
+        path = tmp_path / "medium.json"
+        path.write_text(json.dumps(dict(zip(("gamma", "c0", "alpha1", "tau0"), medium),
+                                        name="extreme")))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([*argv, "--preset", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and message in err, err
+        assert not out.exists()
+
 
 class TestQuadratureWork:
     """Integrand samples, quadratures and tail-width solves per command at its defaults.
@@ -781,6 +818,44 @@ class TestBandEdgeWork:
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
         assert len(per_solve) == 5
         assert all(1 <= calls <= 4 for calls in per_solve), per_solve
+
+
+class TestEnvelopeWork:
+    """Envelope checks and law-kernel calls in a default castor `bounds`.
+
+    The corrected bound uses the linear lower envelope on [M, split] alone,
+    a range no distance moves, so `bounds` checks it once: one
+    `verify_envelope` call over ENVELOPE_GRID_POINTS law nodes.  A check per
+    distance up to its tail cut, the published form's hypothesis, which no
+    bound reads, made 6 calls over 60,000 nodes.  Measured 94 law-kernel
+    calls in all, counted at every module that binds the kernel; 99 with
+    the per-distance checks.
+    """
+
+    def test_one_check_over_one_grid(self, tmp_path, monkeypatch):
+        kernel, check = laws._alpha_parts, cli.verify_envelope
+        calls, checks, inside = [], [], []
+
+        def counting_kernel(law, omega):
+            calls.append(np.size(omega))
+            if inside:
+                checks[-1] += np.size(omega)
+            return kernel(law, omega)
+
+        def counting_check(constants, omega_max):
+            checks.append(0)
+            inside.append(True)
+            try:
+                return check(constants, omega_max)
+            finally:
+                inside.pop()
+
+        for module in (laws, spectrum, bounds, cli):  # every module that binds the kernel
+            monkeypatch.setattr(module, "_alpha_parts", counting_kernel)
+        monkeypatch.setattr(cli, "verify_envelope", counting_check)
+        assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
+        assert checks == [bounds.ENVELOPE_GRID_POINTS]
+        assert len(calls) <= 1.1 * 94
 
 
 class TestScanWork:

@@ -22,7 +22,8 @@ from lossywave import (
 
 from lossywave.laws import _rise
 from lossywave.numerics import integrate_decaying
-from lossywave.spectrum import _energy_pass, _log_energy, _tail_width
+from lossywave.spectrum import (_CUT_RTOL, _TAIL_DECADES, _energy_pass, _log_energy,
+                                _secant_root, _tail_width)
 
 from conftest import trapezoid_norm
 
@@ -296,6 +297,35 @@ class TestNarrowTail:
             expected, abs=4.0 * math.ulp(scale))
 
 
+class TestTailWidthSafeguards:
+    """`_tail_width` on rises that defeat its secant steps: the bracket still closes.
+
+    A step has no line through (ln h, ln exponent): an exponent of 0 below the
+    step, or two equal ones on one side of it, makes `_secant_root` nan, and
+    the geometric midpoint of the bracket is taken instead.
+    """
+
+    def test_secant_root_is_nan_without_a_line(self):
+        assert math.isnan(_secant_root([1.0, 2.0], [0.0, 100.0]))
+        assert math.isnan(_secant_root([1.0, 2.0], [10.0, math.inf]))
+        assert math.isnan(_secant_root([1.0, 2.0], [50.0, 50.0]))
+        assert _secant_root([1.0, 4.0], [35.0, 140.0]) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("below", [0.0, 1e-3, 30.0])
+    @pytest.mark.parametrize("r", [1.0, 1e-200, 1e200])
+    def test_step_rise_meets_the_contract(self, below, r):
+        edge = 3.7e-9 / r**0.5
+
+        def rise(h):  # the exponent 2*r*rise jumps from 2*r*below/r to 2e3 at the edge
+            return np.where(np.asarray(h) < edge, below / r, 1e3 / r)
+
+        h = _tail_width(rise, r)
+        short = h - max(_CUT_RTOL * h, math.ulp(h))
+        reached, missed = 2.0 * r * rise(np.array([h, short]))
+        assert reached >= _TAIL_DECADES and missed < _TAIL_DECADES
+        assert edge <= h <= edge * (1.0 + _CUT_RTOL)
+
+
 class TestModelError:
     def test_triangle_sanity(self, castor):
         r, m = 0.1, 100.0
@@ -343,6 +373,12 @@ class TestModelError:
                                              r"band \[0, 50.0\]"):
             relative_model_error(short, 100.0)
         assert relative_model_error(short, 50.0) > 0.0
+
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_deviation_factor_rejects_a_non_finite_omega(self, castor, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            deviation_factor(castor.causal, 1.0, np.array([0.0, omega]))
 
 
 class TestEnergyProfile:

@@ -3,7 +3,7 @@
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import math  # noqa: E402
 
@@ -15,6 +15,8 @@ from lossywave import (  # noqa: E402
     ForcingSignal,
     FrequencyGrid,
     MediumPreset,
+    RealSignal,
+    causality_energy_fraction,
     forward_point_source,
     green_hat,
     sample_green_spectrum,
@@ -94,3 +96,25 @@ def test_forward_point_source_is_the_product_of_the_spectra(
     energy = (values[0].real ** 2 + 2.0 * float(np.sum(np.abs(values[1:-1]) ** 2))
               + values[-1].real ** 2) * grid.delta_omega
     assert float(np.sum(sig.samples**2)) * sig.dt == pytest.approx(energy, rel=1e-12)
+
+
+# Edges on a sample time t0 + dt*j and one ulp to either side, where (edge - t0)/dt
+# rounds to the wrong side of the count; the example is one where it rounds down.
+@settings(max_examples=300, deadline=None)
+@given(t0=st.floats(-1e3, 1e3), log2_dt=st.floats(-30.0, 5.0), n=st.integers(1, 300),
+       j=st.integers(0, 300), ulps=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**16))
+@example(t0=0.0, log2_dt=math.log2(0.1), n=300, j=9, ulps=1, seed=0)
+def test_pre_arrival_fraction_counts_the_samples_before_the_edge(t0, log2_dt, n, j, ulps,
+                                                                  seed):
+    dt = 2.0**log2_dt
+    edge = t0 + dt * min(j, n)
+    if ulps:
+        edge = math.nextafter(edge, ulps * math.inf)
+    hypothesis.assume(edge > t0)
+    samples = np.random.default_rng(seed).standard_normal(n)
+    count = int(np.count_nonzero(t0 + dt * np.arange(n) < edge))  # brute force
+    expected = float(np.sum(samples[:count] ** 2)) / float(np.sum(samples**2))
+    sig = RealSignal(t0=t0, dt=dt, samples=samples, r=1.0)
+    assert causality_energy_fraction(sig, edge, guard=0.0) == expected
+    with pytest.raises(ValueError, match="guard must be non-negative"):
+        causality_energy_fraction(sig, edge, guard=-dt)
