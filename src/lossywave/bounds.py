@@ -100,16 +100,23 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
     pruned once h is about sqrt(SUPREMUM_RTOL) of the peak's scale,
     where U1 needs about SUPREMUM_RTOL of it (Breiman and Cutler 1993,
     "A deterministic algorithm for global optimization").
-  - Search.  SUPREMUM_RTOL = 1e-7.  Each round splits every cell with
-    U > best*(1 + SUPREMUM_RTOL) into 16, evaluating all new nodes in
-    one vector call; the others are pruned and keep their U.  The
-    certified upper bound is max(best, largest pruned U), so it lies
-    within SUPREMUM_RTOL of the best value evaluated.  Cells a few ulps
-    wide are pruned too, and where C underflows to 0 at every seed node
-    the largest seed-cell U is the certificate.  Where x = -inf
-    because r*b1 overflows, r > 1 puts the true x below -DBL_MAX, which
-    serves as the end value; for r <= 1, b1 itself overflowed and the
-    search raises NumericalError, as it does for a non-finite C.
+  - Search.  SUPREMUM_RTOL = 1e-7.  One branch and bound certifies
+    every supremum of a `bounds` command, inside and beyond m_delta at
+    every distance: each cell carries the index of its search, and the
+    kernels read r per node.  Each round splits every cell with
+    U > best*(1 + SUPREMUM_RTOL), best that of the cell's own search,
+    into 16, evaluating the new nodes of all searches in one vector
+    call; the others are pruned and keep their U.  A search's cells stay
+    contiguous and in the order it alone would give them, so each
+    search's result is the same, bit for bit, as when it runs alone.
+    Each certified upper bound is max(best, largest pruned U) of its own
+    search, so it lies within SUPREMUM_RTOL of the best value evaluated.
+    Cells a few ulps wide are pruned too, and where C underflows to 0 at
+    every seed node of a search, its largest seed-cell U is the
+    certificate.  Where x = -inf because r*b1 overflows, r > 1 puts the
+    true x below -DBL_MAX, which serves as the end value; for r <= 1, b1
+    itself overflowed and the search raises NumericalError, naming the
+    failing search's r and interval, as it does for a non-finite C.
   - Closure to infinity.  Re alpha_powerlaw = a1*w**gamma exactly, and
     Re alpha_causal <= a2*w since |1 + (-i*tau0*w)**(gamma-1)| >= 1, so
     b1 >= phi(w) = a1*w**gamma - a2*w, and with E as above
@@ -195,6 +202,8 @@ class EnvelopeBoundConstants:
         a0 = slope_factor * a1 * causal.gamma * m ** (causal.gamma - 1.0)
         if a0 == math.inf:
             raise NumericalError(f"the envelope slope a0 at M={m!r} exceeds the largest double")
+        if a0 == 0.0:  # the published form divides by sqrt(a0)
+            raise NumericalError(f"the envelope slope a0 at M={m!r} underflows to 0")
         alpha_m = float(_alpha_parts(causal, m)[0])
         split = max(m, 1.0 / causal.tau0)
         kappa, exponent = power_lower_envelope(causal, split)
@@ -330,6 +339,21 @@ class TruncationBound:
         return min(self.log10_unclipped, 0.0)
 
 
+def _log_twice(r, factor, name):
+    """ln(2*r*factor): the log of the product where it is a normal double, else the sum of logs.
+
+    The product's log keeps more digits; the sum keeps a value where the
+    product underflows or overflows.  A factor of 0 raises NumericalError.
+    """
+    product = 2.0 * r * factor
+    if sys.float_info.min <= product < math.inf:
+        return math.log(product)
+    if factor == 0.0:
+        raise NumericalError(f"the corrected truncation bound at r={r!r} is lost: "
+                             f"{name} underflows to 0")
+    return math.log(2.0) + math.log(r) + math.log(factor)
+
+
 def corrected_truncation_error_bound(constants, r):
     """Corrected truncation bound at distance r (see the module docstring).
 
@@ -341,8 +365,8 @@ def corrected_truncation_error_bound(constants, r):
     _check_distance(r)
     c = constants
     ln10 = math.log(10.0)
-    log_lin = -2.0 * r * c.alpha_m - math.log(2.0 * r * c.a0)
-    log_rate = math.log(2.0 * r * c.kappa)
+    log_lin = -2.0 * r * c.alpha_m - _log_twice(r, c.a0, "a0")
+    log_rate = _log_twice(r, c.kappa, "kappa")
     p = c.exponent
     log_pow = (-math.log(p) - log_rate / p
                + _log_upper_gamma_bound(1.0 / p, log_rate + p * math.log(c.split)))
@@ -378,69 +402,96 @@ def _cell_bounds(causal, r, a, b, xa, xb, da, db):
     return np.fmin(np.where(np.isnan(first), np.inf, first), second)
 
 
-def _certified_max(causal, r, lo, hi):
-    """(omega, lower, upper): the best C evaluated on [lo, hi], where, and a certified upper bound.
+def _first_max(values, sid):
+    """(search, index) per search in the sorted sid: where its first largest value lies."""
+    starts = np.flatnonzero(np.diff(sid, prepend=-1))
+    top = np.repeat(np.maximum.reduceat(values, starts), np.diff(starts, append=len(values)))
+    hits = np.flatnonzero(values == top)
+    return sid[starts], hits[np.searchsorted(hits, starts)]
 
-    Piyavskii-Shubert branch and bound (module docstring): _SEED_CELLS
-    cells, geometric where lo > 0 and hi > 4*lo, each bounded by
-    `_cell_bounds`; every round splits each cell whose bound exceeds
-    best*(1 + SUPREMUM_RTOL) into _SPLIT, its new nodes evaluated in
-    one kernel call for all cells.  Pruned cells keep their bound, so
-    lower <= upper <= lower*(1 + SUPREMUM_RTOL).  Raises NumericalError
-    on a non-finite C or when the cells exceed _MAX_CELLS.
+
+def _certified_maxima(causal, searches):
+    """[(omega, lower, upper)] per search (r, lo, hi): the best C on [lo, hi], where, and a bound.
+
+    Piyavskii-Shubert branch and bound (module docstring), one for every
+    search of one causal law: _SEED_CELLS cells per search, geometric
+    where lo > 0 and hi > 4*lo, each bounded by `_cell_bounds`; every
+    round splits each cell whose bound exceeds its search's
+    best*(1 + SUPREMUM_RTOL) into _SPLIT, the new nodes of all searches
+    evaluated in one kernel call.  Each search's cells stay contiguous
+    and in order, so its result is that of the search run alone.  Pruned
+    cells keep their bound, so lower <= upper <= lower*(1 + SUPREMUM_RTOL).
+    Raises NumericalError, naming the search, on a non-finite C or when
+    its cells exceed _MAX_CELLS.
     """
+    r_of = np.array([r for r, _, _ in searches])
 
-    def evaluate(w):
-        c, x = _deviation(causal, r, w)
+    def evaluate(sid, w):
+        rs = r_of[sid]
+        c, x = _deviation(causal, rs, w)
         # x = -inf where r*Re(b) overflows.  For r > 1 the true x lies below
         # -DBL_MAX, which anchors the cell bounds; for r <= 1 Re(b) itself
         # overflowed and leaves no anchor.
-        if not np.all(np.isfinite(c)) or (r <= 1.0 and np.isneginf(x).any()):
+        bad = ~np.isfinite(c) | ((rs <= 1.0) & np.isneginf(x))
+        if bad.any():
+            r, lo, hi = searches[sid[np.argmax(bad)]]
             raise NumericalError(f"the deviation factor at r={r!r} overflows on [{lo!r}, {hi!r}]")
         return c, np.maximum(x, -_DOUBLE_MAX)
 
-    if not hi > lo:
-        c, _ = evaluate(np.array([float(lo)]))
-        return float(lo), float(c[0]), float(c[0])
-    # geometric as lo times a grid of ratios, so that scaling lo and hi scales every node,
-    # or from lo to hi where their ratio leaves the doubles
-    nodes = (np.linspace(lo, hi, _SEED_CELLS + 1) if not (4.0 * lo < hi and lo > 0.0)
-             else lo * np.geomspace(1.0, hi / lo, _SEED_CELLS + 1) if hi / lo < math.inf
-             else np.geomspace(lo, hi, _SEED_CELLS + 1))
-    nodes[0], nodes[-1] = lo, hi
-    c, x = evaluate(nodes)
-    i = int(np.argmax(c))
-    omega, best = float(nodes[i]), float(c[i])
-    d = np.sqrt(c)
-    a, b, xa, xb, da, db = nodes[:-1], nodes[1:], x[:-1], x[1:], d[:-1], d[1:]
-    u = _cell_bounds(causal, r, a, b, xa, xb, da, db)
-    if best == 0.0:  # C underflows on every node: the seed cells' bounds certify it
-        return omega, 0.0, float(np.max(u))
-    pruned, cells, rounds = 0.0, _SEED_CELLS, 0
+    seeds = []
+    for r, lo, hi in searches:
+        if not hi > lo:
+            seeds.append(np.array([float(lo)]))
+            continue
+        # geometric as lo times a grid of ratios, so that scaling lo and hi scales every node,
+        # or from lo to hi where their ratio leaves the doubles
+        nodes = (np.linspace(lo, hi, _SEED_CELLS + 1) if not (4.0 * lo < hi and lo > 0.0)
+                 else lo * np.geomspace(1.0, hi / lo, _SEED_CELLS + 1) if hi / lo < math.inf
+                 else np.geomspace(lo, hi, _SEED_CELLS + 1))
+        nodes[0], nodes[-1] = lo, hi
+        seeds.append(nodes)
+    sid = np.repeat(np.arange(len(searches)), [len(nodes) for nodes in seeds])
+    nodes = np.concatenate(seeds)
+    c, x = evaluate(sid, nodes)
+    _, i = _first_max(c, sid)
+    omega, best, pruned = nodes[i], c[i], np.zeros(len(searches))
+    d, cell = np.sqrt(c), sid[1:] == sid[:-1]  # a single node (lo = hi) has no cell
+    sid, a, b, xa, xb, da, db = (v[cell] for v in (sid[:-1], nodes[:-1], nodes[1:], x[:-1],
+                                                    x[1:], d[:-1], d[1:]))
+    u = _cell_bounds(causal, r_of[sid], a, b, xa, xb, da, db)
+    cells, rounds = np.full(len(searches), _SEED_CELLS), 0
     fractions = np.arange(1, _SPLIT) / _SPLIT
     while True:
-        split = (u > best * (1.0 + SUPREMUM_RTOL)) & (b - a > _NARROW_ULPS * np.spacing(b))
-        if not split.all():
-            pruned = max(pruned, float(np.max(u[~split])))
-        if not split.any():
-            return omega, best, max(best, pruned)
-        cells += _SPLIT * int(np.count_nonzero(split))
-        if cells > _MAX_CELLS:
+        # where C underflows on every seed node, best stays 0 and the seed cells' bounds certify it
+        limit = np.where(best > 0.0, best * (1.0 + SUPREMUM_RTOL), np.inf)
+        split = (u > limit[sid]) & (b - a > _NARROW_ULPS * np.spacing(b))
+        np.maximum.at(pruned, sid[~split], u[~split])
+        kept = np.bincount(sid[split], minlength=len(searches))
+        cells += _SPLIT * kept
+        over = np.flatnonzero((kept > 0) & (cells > _MAX_CELLS))
+        if over.size:
+            r, lo, hi = searches[over[0]]
             raise NumericalError(
                 f"the deviation-factor supremum on [{lo!r}, {hi!r}] at r={r!r} did not "
-                f"converge within {_MAX_CELLS} cells: best {best!r} after {rounds} rounds")
-        a, b, xa, xb, da, db = (v[split] for v in (a, b, xa, xb, da, db))
+                f"converge within {_MAX_CELLS} cells: best {float(best[over[0]])!r} after "
+                f"{rounds} rounds")
+        if not kept.any():
+            return [(float(w), float(lower), float(max(lower, upper)))
+                    for w, lower, upper in zip(omega, best, pruned)]
+        sid, a, b, xa, xb, da, db = (v[split] for v in (sid, a, b, xa, xb, da, db))
         w = a[:, None] + (b - a)[:, None] * fractions
-        c, x = evaluate(w.ravel())
-        j = int(np.argmax(c))
-        if c[j] > best:
-            omega, best = float(w.flat[j]), float(c[j])
+        new = np.repeat(sid, _SPLIT - 1)
+        c, x = evaluate(new, w.ravel())
+        k, j = _first_max(c, new)
+        better = c[j] > best[k]
+        omega[k[better]], best[k[better]] = w.flat[j[better]], c[j[better]]
         w = np.column_stack((a, w, b))
         x = np.column_stack((xa, x.reshape(len(a), -1), xb))
         d = np.column_stack((da, np.sqrt(c).reshape(len(a), -1), db))
         a, b, xa, xb, da, db = (v.ravel() for v in (w[:, :-1], w[:, 1:], x[:, :-1], x[:, 1:],
                                                      d[:, :-1], d[:, 1:]))
-        u = _cell_bounds(causal, r, a, b, xa, xb, da, db)
+        sid = np.repeat(sid, _SPLIT)
+        u = _cell_bounds(causal, r_of[sid], a, b, xa, xb, da, db)
         rounds += 1
 
 
@@ -546,34 +597,49 @@ def model_error_report(profile, m, delta):
     m_delta and the full/band norm ratio come from `profile`, the
     line `EnergyProfile` of the causal law, which the power law
     derived from it approximates.  The suprema of the deviation factor
-    are certified by `_certified_max` on [0, m_delta] and on
+    are certified by `_certified_maxima` on [0, m_delta] and on
     [m_delta, W], and `_closure` bounds C beyond W.  Both C-conventions
     and both normalizations are reported; nothing is silently chosen.
     """
+    return _model_error_reports([profile], m, delta)[0]
+
+
+def _model_error_reports(profiles, m, delta):
+    """`model_error_report` of each line profile of one causal law, all suprema in one search.
+
+    Every band edge and closure is formed before the search, and every
+    exact error after it.
+    """
     _check_band_edge(m)
-    _check_line_profile(profile, "the model-error report")
-    causal, r = profile.law, profile.r
-    m_delta = profile.band_edge(delta)
-    w_inner, lo_inner, c_inner = _certified_max(causal, r, 0.0, m_delta)
-    w_closed, closing = _closure(causal, r, m_delta)
-    w_outer, lo_outer, c_outer = _certified_max(causal, r, m_delta, w_closed)
-    c_outer = max(c_outer, closing)
+    for profile in profiles:
+        _check_line_profile(profile, "the model-error report")
+    causal = profiles[0].law
+    edges = [profile.band_edge(delta) for profile in profiles]
+    closures = [_closure(causal, profile.r, m_delta) for profile, m_delta in zip(profiles, edges)]
+    maxima = iter(_certified_maxima(causal, [
+        search for profile, m_delta, (w_closed, _) in zip(profiles, edges, closures)
+        for search in ((profile.r, 0.0, m_delta), (profile.r, m_delta, w_closed))]))
+    reports = []
+    for profile, m_delta, (w_closed, closing) in zip(profiles, edges, closures):
+        (w_inner, lo_inner, c_inner), (w_outer, lo_outer, c_outer) = next(maxima), next(maxima)
+        c_outer = max(c_outer, closing)
 
-    d1, d2 = c_inner**2, c_outer**2
-    bound = math.sqrt((1.0 - delta) * d1 + delta * d2)
-    bound_lin = math.sqrt((1.0 - delta) * c_inner + delta * c_outer)
+        d1, d2 = c_inner**2, c_outer**2
+        bound = math.sqrt((1.0 - delta) * d1 + delta * d2)
+        bound_lin = math.sqrt((1.0 - delta) * c_inner + delta * c_outer)
 
-    ratio = math.sqrt(profile.total / profile.at(m))  # full-line norm / band norm
-    err_band_norm = relative_model_error(profile, m)
-    err_full_norm = err_band_norm / ratio
+        ratio = math.sqrt(profile.total / profile.at(m))  # full-line norm / band norm
+        err_band_norm = relative_model_error(profile, m)
+        err_full_norm = err_band_norm / ratio
 
-    return ModelErrorReport(
-        r=float(r), m=float(m), delta=float(delta), m_delta=float(m_delta),
-        d1=d1, d2=d2, bound=bound, bound_band_norm=bound * ratio,
-        d1_max_c=c_inner, d2_max_c=c_outer, d1_max_c_lower=lo_inner, d2_max_c_lower=lo_outer,
-        bound_max_c=bound_lin, bound_max_c_band_norm=bound_lin * ratio,
-        omega_at_d1=float(w_inner), omega_at_d2=float(w_outer), omega_closed=float(w_closed),
-        exact_error=err_full_norm, exact_error_band_norm=err_band_norm,
-        dominates_sq=bound * ratio >= err_band_norm,
-        dominates_max_c=bound_lin * ratio >= err_band_norm,
-    )
+        reports.append(ModelErrorReport(
+            r=float(profile.r), m=float(m), delta=float(delta), m_delta=float(m_delta),
+            d1=d1, d2=d2, bound=bound, bound_band_norm=bound * ratio,
+            d1_max_c=c_inner, d2_max_c=c_outer, d1_max_c_lower=lo_inner, d2_max_c_lower=lo_outer,
+            bound_max_c=bound_lin, bound_max_c_band_norm=bound_lin * ratio,
+            omega_at_d1=float(w_inner), omega_at_d2=float(w_outer), omega_closed=float(w_closed),
+            exact_error=err_full_norm, exact_error_band_norm=err_band_norm,
+            dominates_sq=bound * ratio >= err_band_norm,
+            dominates_max_c=bound_lin * ratio >= err_band_norm,
+        ))
+    return reports

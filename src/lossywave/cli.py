@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, EnvelopeBoundConstants,
-                     corrected_truncation_error_bound, log10_truncation_error_bound,
-                     model_error_report, verify_envelope)
+                     _model_error_reports, corrected_truncation_error_bound,
+                     log10_truncation_error_bound, verify_envelope)
 from .laws import (_alpha_parts, load_preset, powerlaw_phase_singularity, small_frequency_bound,
                    wavenumber)
 from .numerics import QUADRATURE_RTOL, NumericalError
@@ -113,9 +113,14 @@ def cmd_fig3(args):
     # one energy profile of [0, 2M] read at every band edge; the
     # absolute norm carries the prefactor 1/(4*pi*r) of G_hat
     energy = energy_profile(preset.causal, r, 2.0 * m).at(m0)
-    g_curve = np.sqrt(2.0 * energy) / (4.0 * math.pi * r)
     w = np.linspace(0.0, m, 501)
-    dev = deviation_factor(preset.causal, r, w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        g_curve = np.sqrt(2.0 * energy) / (4.0 * math.pi * r)
+        dev = deviation_factor(preset.causal, r, w)
+    if not np.all(np.isfinite(g_curve)):
+        raise NumericalError(f"the band norm at r={r!r} exceeds the largest double")
+    if not np.all(np.isfinite(dev)):
+        raise NumericalError(f"the deviation factor at r={r!r} overflows on [0.0, {m!r}]")
     comment = f"preset={preset.name} r={_fmt(r)}"
     return [("fig3_bandnorm", {"m0": m0, "band_norm": g_curve}, comment),
             ("fig3_deviation", {"omega": w, "deviation_factor": dev}, comment)]
@@ -125,10 +130,10 @@ def cmd_bounds(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
     constants = EnvelopeBoundConstants(preset.causal, args.m, args.slope_factor)
+    profiles = [energy_profile(preset.causal, r) for r in r_list]
     per_r = []
-    for r in r_list:
-        profile = energy_profile(preset.causal, r)
-        report = model_error_report(profile, args.m, args.delta)
+    for r, profile, report in zip(r_list, profiles,
+                                  _model_error_reports(profiles, args.m, args.delta)):
         corrected = corrected_truncation_error_bound(constants, r)
         per_r.append({
             "r": r,

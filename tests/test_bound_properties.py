@@ -25,7 +25,7 @@ from lossywave import (  # noqa: E402
     power_lower_envelope,
     verify_envelope,
 )
-from lossywave.bounds import SUPREMUM_RTOL  # noqa: E402
+from lossywave.bounds import SUPREMUM_RTOL, _certified_maxima, _model_error_reports  # noqa: E402
 from lossywave.laws import _alpha_parts  # noqa: E402
 
 CASTOR = builtin_preset("castor-oil")
@@ -172,3 +172,26 @@ def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
     assert rep.d1_max_c_lower <= rep.d1_max_c <= rep.d1_max_c_lower * (1.0 + SUPREMUM_RTOL)
     assert rep.d2_max_c_lower <= rep.d2_max_c <= max(rep.d2_max_c_lower * (1.0 + SUPREMUM_RTOL),
                                                      closing) * (1.0 + 1e-12)
+
+
+# `bounds` certifies every supremum of every distance in one branch and bound.  Each
+# search keeps its cells contiguous and in order, so its (omega, lower, upper) is that of
+# the search run alone, bit for bit, and so is each report; delta = 1 leaves the inner
+# search a single node.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(medium=derived_media(), log10_rs=st.lists(st.floats(-6.0, 2.0), min_size=1, max_size=6),
+       log10_delta=st.floats(-6.0, 0.0), m=st.floats(20.0, 200.0))
+@example(medium=CASTOR, log10_rs=[-6.0, -4.0, -2.0, 0.0, 1.0], log10_delta=math.log10(6e-4),
+         m=100.0)
+@example(medium=CASTOR, log10_rs=[-6.0, -4.0, -2.0, 0.0, 1.0], log10_delta=math.log10(6e-4),
+         m=77.123)
+@example(medium=CASTOR, log10_rs=[-2.0, 0.0], log10_delta=0.0, m=100.0)
+def test_one_search_equals_each_search_alone(medium, log10_rs, log10_delta, m):
+    causal, delta = medium.causal, 10.0**log10_delta
+    profiles = [energy_profile(causal, 10.0**e) for e in log10_rs]
+    reports = _model_error_reports(profiles, m, delta)
+    assert reports == [model_error_report(profile, m, delta) for profile in profiles]
+    searches = [search for rep in reports for search in
+                ((rep.r, 0.0, rep.m_delta), (rep.r, rep.m_delta, rep.omega_closed))]
+    assert _certified_maxima(causal, searches) == [_certified_maxima(causal, [search])[0]
+                                                   for search in searches]

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -188,6 +189,21 @@ class TestCorrectedTruncationBound:
         far = corrected_truncation_error_bound(c, 1e300).log10_bound
         assert math.isfinite(far) and far < -1e300
 
+    # 2*r*a0 underflows to 0 in the first medium and overflows in the second, so the
+    # log of the product would raise or read inf; the reference takes it from the factors'
+    # binary exponents, log(2*r*a0) = log(product of mantissas) + (sum of exponents)*log(2)
+    @pytest.mark.parametrize("medium,r", [((1.5, 1e-10, 1e-10, 1e-300), 1e-300),
+                                          ((1.05, 1e-10, 1e-10, 1e300), 1e300)])
+    def test_logs_where_the_products_leave_the_doubles(self, medium, r):
+        c = EnvelopeBoundConstants(CausalLaw(*medium), 1e-3)
+        assert not sys.float_info.min <= 2.0 * r * c.a0 < math.inf
+        mantissas, exponents = zip(*map(math.frexp, (2.0, r, c.a0)))
+        log_product = math.log(math.prod(mantissas)) + sum(exponents) * math.log(2.0)
+        bound = corrected_truncation_error_bound(c, r)
+        assert bound.log10_tail_linear * math.log(10.0) == pytest.approx(
+            -2.0 * r * c.alpha_m - log_product, rel=1e-14)
+        assert all(math.isfinite(v) for v in (bound.log10_tail_power, bound.log10_unclipped))
+
     def test_zero_distance_rejected(self, castor):
         c = EnvelopeBoundConstants(castor.causal, 100.0)
         with pytest.raises(ValueError):
@@ -305,3 +321,50 @@ class TestModelErrorReport:
         monkeypatch.setattr(bounds, "_deviation", with_nan)
         with pytest.raises(NumericalError, match="deviation factor"):
             model_error_report(energy_profile(castor.causal, 1.0), 100.0, 6e-4)
+
+    @pytest.mark.parametrize("r", [1e-2, 1.0, 10.0])
+    @pytest.mark.parametrize("side", ["inner", "outer"])
+    def test_non_finite_deviation_names_its_search(self, castor, monkeypatch, r, side):
+        # one nan at one node of one search, among the six searches of three distances
+        from lossywave import NumericalError, bounds
+
+        rep = model_error_report(energy_profile(castor.causal, r), 100.0, 6e-4)
+        lo, hi = (0.0, rep.m_delta) if side == "inner" else (rep.m_delta, rep.omega_closed)
+        kernel = bounds._deviation
+
+        def with_nan(causal, rs, omega):
+            values, x = kernel(causal, rs, omega)
+            values[np.flatnonzero((rs == r) & (lo < omega) & (omega < hi))[:1]] = math.nan
+            return values, x
+
+        monkeypatch.setattr(bounds, "_deviation", with_nan)
+        profiles = [energy_profile(castor.causal, d) for d in (1e-2, 1.0, 10.0)]
+        with pytest.raises(NumericalError) as failure:
+            bounds._model_error_reports(profiles, 100.0, 6e-4)
+        assert str(failure.value) == (f"the deviation factor at r={r!r} overflows on "
+                                      f"[{lo!r}, {hi!r}]")
+
+    @pytest.mark.parametrize("distances", [(1e-2, 1.0, 10.0), (10.0, 1.0, 1e-2)])
+    @pytest.mark.parametrize("cap", [80, 128])
+    def test_cell_limit_names_its_search(self, castor, monkeypatch, distances, cap):
+        # under a lowered cell limit the one search fails in the earliest round in which
+        # any search run alone fails, naming the first such search as that search alone does
+        from lossywave import NumericalError, bounds
+
+        profiles = [energy_profile(castor.causal, d) for d in distances]
+        searches = []
+        for profile in profiles:
+            rep = model_error_report(profile, 100.0, 6e-4)
+            searches += [(rep.r, 0.0, rep.m_delta), (rep.r, rep.m_delta, rep.omega_closed)]
+        monkeypatch.setattr(bounds, "_MAX_CELLS", cap)
+        failures = []
+        for k, search in enumerate(searches):
+            try:
+                bounds._certified_maxima(castor.causal, [search])
+            except NumericalError as exc:
+                rounds = int(str(exc).rsplit(" after ", 1)[1].split()[0])
+                failures.append((rounds, k, str(exc)))
+        assert 0 < len(failures) < len(searches)
+        with pytest.raises(NumericalError) as failure:
+            bounds._model_error_reports(profiles, 100.0, 6e-4)
+        assert str(failure.value) == min(failures)[2]

@@ -626,8 +626,21 @@ class TestDistanceContract:
          "the deviation factor at r=1.0 does not settle below the largest double"),
         ((2.0, 0.15, 138.08, 10.0), ["bounds", "--r-list", "1", "--m", "1e306"],
          "the envelope slope a0 at M=1e+306 exceeds the largest double"),
+        # kappa underflows to 0, so ln(2*r*kappa) has no value (once a usage error, "math
+        # domain error"); fig3 where sigma of `_reduced` underflows in the law difference
+        # (once 500 nan rows) and where sqrt(2E)/(4*pi*r) overflows at r = 1e-300 (99 inf rows)
+        ((1.05, 1e-10, 1e-10, 1e300), ["bounds", "--m", "1e100", "--r-list", "1e6"],
+         "the corrected truncation bound at r=1000000.0 is lost: kappa underflows to 0"),
+        ((2.0, 1e-10, 1e-10, 1e300), ["fig3", "--m", "1e100", "--r", "1e-6"],
+         "the deviation factor at r=1e-06 overflows on [0.0, 1e+100]"),
+        ((2.0, 1e-10, 1e100, 1e-300), ["fig3", "--m", "1e100", "--r", "1e-300"],
+         "the band norm at r=1e-300 exceeds the largest double"),
+        # castor oil with an envelope slope a0 below the smallest double, once a
+        # ZeroDivisionError in the published form's coefficient
+        ((1.66, 0.15, 138.08, 1e-6), ["bounds", "--m", "1e-300", "--slope-factor", "1e-300"],
+         "the envelope slope a0 at M=1e-300 underflows to 0"),
     ], ids=["a2-squared", "kappa", "closure-exp", "band-edge-underflow", "fig2-pole", "gamma-1.005",
-            "slow-a0"])
+            "slow-a0", "kappa-underflow", "fig3-deviation", "fig3-band-norm", "a0-underflow"])
     def test_extreme_medium_exits_3(self, tmp_path, capsys, medium, argv, message):
         path = tmp_path / "medium.json"
         path.write_text(json.dumps(dict(zip(("gamma", "c0", "alpha1", "tau0"), medium),
@@ -862,10 +875,12 @@ class TestScanWork:
     """Deviation-kernel calls and samples in a default castor `bounds`.
 
     Ten certified suprema, inside and beyond m_delta at five distances,
-    each a branch-and-bound search that evaluates the new nodes of every
-    round in one call: measured 27 calls and 1,190 samples with the
-    second-order cell bound.  The first-order cells alone took 49 calls
-    and 50,495 samples, most of them in the outer searches out to the
+    run as one branch and bound that evaluates the new nodes of every
+    search in one call per round: measured 4 calls (the seed nodes and
+    the deepest search's 3 rounds) and 1,190 samples with the
+    second-order cell bound.  Run one search after another, the same
+    nodes took 27 calls.  The first-order cells alone took 49 calls and
+    50,495 samples, most of them in the outer searches out to the
     closure near 3.6e6; the 100,001-point seed grids before them took 82
     calls and 1,002,386 samples and certified nothing.
     """
@@ -881,7 +896,7 @@ class TestScanWork:
 
         monkeypatch.setattr(bounds, "_deviation", counting)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
-        assert 10 <= counts["calls"] <= 1.1 * 27
+        assert 1 <= counts["calls"] <= 5
         assert 10 * (bounds._SEED_CELLS + 1) <= counts["samples"] <= 1.1 * 1_190
 
 
