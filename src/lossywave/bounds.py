@@ -141,8 +141,8 @@ import numpy as np
 from .laws import (CausalLaw, _alpha_parts, _reduced, _scaled, alpha_difference_curvature_bound,
                    alpha_difference_slope_bound, derive_powerlaw_coeffs)
 from .numerics import NumericalError
-from .spectrum import (_check_band_edge, _check_distance, _check_line_profile, _deviation,
-                       relative_model_error)
+from .spectrum import (_band_edges, _check_band_edge, _check_distance, _check_line_profile,
+                       _deviation, _energies_at, _relative_model_errors)
 
 __all__ = [
     "EnvelopeBoundConstants",
@@ -605,22 +605,25 @@ def model_error_report(profile, m, delta):
 
 
 def _model_error_reports(profiles, m, delta):
-    """`model_error_report` of each line profile of one causal law, all suprema in one search.
+    """`model_error_report` of each line profile of one causal law, every stage once for all.
 
-    Every band edge and closure is formed before the search, and every
-    exact error after it.
+    The band edges, the suprema of one search, the band energies and the
+    exact errors' numerators are each formed for every distance at once.
     """
     _check_band_edge(m)
     for profile in profiles:
         _check_line_profile(profile, "the model-error report")
     causal = profiles[0].law
-    edges = [profile.band_edge(delta) for profile in profiles]
+    edges = _band_edges(profiles, delta)
     closures = [_closure(causal, profile.r, m_delta) for profile, m_delta in zip(profiles, edges)]
     maxima = iter(_certified_maxima(causal, [
         search for profile, m_delta, (w_closed, _) in zip(profiles, edges, closures)
         for search in ((profile.r, 0.0, m_delta), (profile.r, m_delta, w_closed))]))
+    band = _energies_at(profiles, m)
+    errors = _relative_model_errors(profiles, m, band)
     reports = []
-    for profile, m_delta, (w_closed, closing) in zip(profiles, edges, closures):
+    for profile, m_delta, (w_closed, closing), energy, err_band_norm in zip(
+            profiles, edges, closures, band, errors):
         (w_inner, lo_inner, c_inner), (w_outer, lo_outer, c_outer) = next(maxima), next(maxima)
         c_outer = max(c_outer, closing)
 
@@ -628,8 +631,7 @@ def _model_error_reports(profiles, m, delta):
         bound = math.sqrt((1.0 - delta) * d1 + delta * d2)
         bound_lin = math.sqrt((1.0 - delta) * c_inner + delta * c_outer)
 
-        ratio = math.sqrt(profile.total / profile.at(m))  # full-line norm / band norm
-        err_band_norm = relative_model_error(profile, m)
+        ratio = math.sqrt(profile.total / energy)  # full-line norm / band norm
         err_full_norm = err_band_norm / ratio
 
         reports.append(ModelErrorReport(

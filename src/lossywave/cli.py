@@ -30,9 +30,9 @@ from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, EnvelopeBoundConstants
 from .laws import (_alpha_parts, load_preset, powerlaw_phase_singularity, small_frequency_bound,
                    wavenumber)
 from .numerics import QUADRATURE_RTOL, NumericalError
-from .spectrum import (BAND_EDGE_RTOL, FrequencyGrid, _check_band_edge, deviation_factor,
-                       energy_profile, log10_relative_truncation_error, relative_model_error,
-                       sample_green_spectrum)
+from .spectrum import (BAND_EDGE_RTOL, FrequencyGrid, _check_band_edge, _energy_profiles,
+                       _log10_truncation_errors, _relative_model_errors, deviation_factor,
+                       energy_profile, sample_green_spectrum)
 from .tables import write_json, write_table
 from .timedomain import (ForcingSignal, causality_energy_fraction, forward_point_source,
                          synthesize_time_signal)
@@ -70,22 +70,34 @@ def cmd_table2(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
     m = args.m
-    _check_band_edge(m)  # energy_profile takes M = inf for the whole line
-    errors = [relative_model_error(energy_profile(preset.causal, r, m), m) for r in r_list]
+    _check_band_edge(m)  # an energy profile takes M = inf for the whole line
+    errors = _relative_model_errors(_energy_profiles(preset.causal, r_list, m), m)
     return [("table2", {"r": r_list, "model_error": errors},
              f"preset={preset.name} M={_fmt(args.m)}")]
 
 
 def _curves(preset, fig, w_att, w_spd, att_note="", spd_note=""):
-    """Attenuation and phase-speed tables of both laws, `fig`_attenuation and `fig`_phasespeed."""
+    """Attenuation and phase-speed tables of both laws, `fig`_attenuation and `fig`_phasespeed.
+
+    Raises NumericalError where a curve is not finite: a law whose values
+    leave the doubles on the grid.
+    """
     both = (preset.causal, preset.powerlaw)
     att_c, att_pl = (_alpha_parts(law, w_att)[0] for law in both)
     spd_c, spd_pl = (w_spd / wavenumber(law, w_spd) for law in both)
-    return [(f"{fig}_attenuation",
-             {"omega": w_att, "attenuation_causal": att_c, "attenuation_powerlaw": att_pl},
-             f"preset={preset.name}{att_note}"),
-            (f"{fig}_phasespeed", {"omega": w_spd, "speed_causal": spd_c, "speed_powerlaw": spd_pl},
-             f"preset={preset.name}{spd_note}")]
+    tables = [(f"{fig}_attenuation",
+               {"omega": w_att, "attenuation_causal": att_c, "attenuation_powerlaw": att_pl},
+               f"preset={preset.name}{att_note}"),
+              (f"{fig}_phasespeed",
+               {"omega": w_spd, "speed_causal": spd_c, "speed_powerlaw": spd_pl},
+               f"preset={preset.name}{spd_note}")]
+    for _, columns, _ in tables:
+        for name, values in columns.items():
+            if not np.isfinite(values).all():
+                omega = columns["omega"][~np.isfinite(values)][0]
+                raise NumericalError(f"the {fig} curve {name} is not finite at "
+                                     f"omega={float(omega)!r}")
+    return tables
 
 
 def cmd_fig1(args):
@@ -130,18 +142,20 @@ def cmd_bounds(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
     constants = EnvelopeBoundConstants(preset.causal, args.m, args.slope_factor)
-    profiles = [energy_profile(preset.causal, r) for r in r_list]
+    profiles = _energy_profiles(preset.causal, r_list)
+    reports = _model_error_reports(profiles, args.m, args.delta)
+    corrected = [corrected_truncation_error_bound(constants, r) for r in r_list]
+    truncation = _log10_truncation_errors(profiles, args.m)
     per_r = []
-    for r, profile, report in zip(r_list, profiles,
-                                  _model_error_reports(profiles, args.m, args.delta)):
-        corrected = corrected_truncation_error_bound(constants, r)
+    for r, profile, report, bound, log10_error in zip(r_list, profiles, reports, corrected,
+                                                      truncation):
         per_r.append({
             "r": r,
             "tail_cut": profile.top,
             **_log10_pair("truncation_bound", log10_truncation_error_bound(constants, r)),
-            "corrected_truncation_bound": {**asdict(corrected),
-                                           **_log10_pair("bound", corrected.log10_bound)},
-            **_log10_pair("truncation_error", log10_relative_truncation_error(profile, args.m)),
+            "corrected_truncation_bound": {**asdict(bound),
+                                           **_log10_pair("bound", bound.log10_bound)},
+            **_log10_pair("truncation_error", log10_error),
             "model_error_report": asdict(report),
         })
     c = constants

@@ -36,7 +36,6 @@ argument always has real part >= 1, so no branch cut is ever crossed.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -76,6 +75,12 @@ def _finite(*values):
     return all(math.isfinite(v) for v in values)
 
 
+# Taylor coefficients of g(u) = 1 - u/2 - (1+u)**-0.5 from u**2 up:
+# g(u) = -(3/8)u^2 + (5/16)u^3 - (35/128)u^4 + ...
+_DIFF_SERIES = (-3.0 / 8.0, 5.0 / 16.0, -35.0 / 128.0, 63.0 / 256.0,
+                -231.0 / 1024.0, 429.0 / 2048.0, -6435.0 / 32768.0)
+
+
 @dataclass(frozen=True)
 class CausalLaw:
     """Causal relaxation law alpha*(w) = alpha1*(-i w) / (c0*sqrt(1 + (-i tau0 w)**(gamma-1))).
@@ -95,6 +100,13 @@ class CausalLaw:
         _require(self.c0 > 0.0, "c0 must be positive")
         _require(self.alpha1 > 0.0, "alpha1 must be positive")
         _require(self.tau0 > 0.0, "tau0 must be positive")
+        # the constants of `_reduced` and `_alpha_difference`, formed once: plain attributes,
+        # not fields, so that equality, repr and asdict do not see them
+        p, (m_alpha, e_alpha), (m_c, e_c) = (self.gamma - 1.0, math.frexp(self.alpha1),
+                                             math.frexp(self.c0))
+        vars(self).update(_edge=min(1.0 / self.tau0, sys.float_info.max), _phase=(-1j) ** p,
+                          _scale=(m_alpha / m_c, e_alpha - e_c), _series=_DIFF_SERIES
+                          * np.complex128(-1j) ** (p * np.arange(2, 2 + len(_DIFF_SERIES))))
 
     @property
     def tag(self):
@@ -194,6 +206,8 @@ def load_preset(source):
     """
     if isinstance(source, str) and source in _BUILTIN_PRESETS:
         return builtin_preset(source)
+    import json  # here, not at import: a built-in preset needs no json
+
     path = Path(source)
     if not path.exists():
         raise ValueError(f"preset {source!r} is neither a built-in name nor an existing file")
@@ -216,10 +230,11 @@ def _reduced(causal, omega):
     reciprocal powers of two.  ln(w') = (ln(s) - ln(sigma))/p.  The scale
     K*w' = (alpha1/c0)*|omega| is the (mantissa, exponent) of alpha1/c0, which
     `_scaled` applies exactly: K is no double for alpha1 = 1e300, c0 = 1,
-    tau0 = 1e-10.
+    tau0 = 1e-10.  The edge 1/tau0, the phase and the scale are the law's,
+    formed once when it is built.
     """
     p, a = causal.gamma - 1.0, np.abs(np.asarray(omega, dtype=float).reshape(-1))
-    edge = min(1.0 / causal.tau0, sys.float_info.max)  # w' = 1
+    edge = causal._edge
     s = np.minimum(a, edge)
     np.power(np.multiply(s, causal.tau0, out=s), p, out=s)
     if a.max(initial=0.0) <= edge:  # every w' <= 1: sigma is 1**p = 1 exactly
@@ -227,14 +242,40 @@ def _reduced(causal, omega):
     else:
         sigma = np.maximum(a, edge)
         np.power(np.divide(edge, sigma, out=sigma), p, out=sigma)
-    (m_alpha, e_alpha), (m_c, e_c) = math.frexp(causal.alpha1), math.frexp(causal.c0)
-    return a, s, sigma, (-1j) ** p, (m_alpha / m_c, e_alpha - e_c)
+    return a, s, sigma, causal._phase, causal._scale
 
 
 def _scaled(x, scale):
     """The float array x times mantissa * 2**exponent of a (mantissa, exponent) scale, in place."""
     np.multiply(x, scale[0], out=x)
     return np.ldexp(x, scale[1], out=x)
+
+
+def _finite_omega(omega):
+    """omega as a float array; raises ValueError unless every value is finite."""
+    w = np.asarray(omega, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("omega must be finite")
+    return w
+
+
+def _causal_parts(a, s, sigma, phase, scale):
+    """(Re alpha*, Im alpha*) of the causal law at |omega| from `_reduced`, in its arrays."""
+    x = s * phase.real
+    x += sigma
+    y = np.multiply(s, -phase.imag, out=s)
+    f = np.multiply(a, np.sqrt(sigma, out=sigma), out=a)  # a*sqrt(sigma)
+    m = np.hypot(x, y, out=sigma)
+    x += m
+    x *= 0.5
+    q = np.sqrt(x, out=x)
+    f /= m
+    y *= f
+    y /= q
+    y *= 0.5
+    q *= f
+    with np.errstate(over="ignore"):  # inf where the part lies beyond the doubles
+        return _scaled(y, scale), np.negative(_scaled(q, scale), out=q)
 
 
 def _alpha_parts(law, omega):
@@ -253,27 +294,9 @@ def _alpha_parts(law, omega):
     is a double for every finite a (p <= 1), so a part beyond the doubles
     overflows to inf with the exact value's sign, never to nan.
     """
-    w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("omega must be finite")
+    w = _finite_omega(omega)
     if isinstance(law, CausalLaw):
-        a, s, sigma, phase, scale = _reduced(law, w)
-        x = s * phase.real
-        x += sigma
-        y = np.multiply(s, -phase.imag, out=s)
-        f = np.multiply(a, np.sqrt(sigma, out=sigma), out=a)  # a*sqrt(sigma)
-        m = np.hypot(x, y, out=sigma)
-        x += m
-        x *= 0.5
-        q = np.sqrt(x, out=x)
-        f /= m
-        y *= f
-        y /= q
-        y *= 0.5
-        q *= f
-        with np.errstate(over="ignore"):  # inf where the part lies beyond the doubles
-            re = _scaled(y, scale)
-            im = np.negative(_scaled(q, scale), out=q)
+        re, im = _causal_parts(*_reduced(law, w))
     elif isinstance(law, PowerLaw):
         a = np.abs(w.reshape(-1))  # 1-d, so that every step below can work in place
         p = law.gamma - 1.0
@@ -307,10 +330,39 @@ def eval_alpha(law, omega):
     return out if out.ndim else complex(out)
 
 
-# Taylor coefficients of g(u) = 1 - u/2 - (1+u)**-0.5 from u**2 up:
-# g(u) = -(3/8)u^2 + (5/16)u^3 - (35/128)u^4 + ...
-_DIFF_SERIES = (-3.0 / 8.0, 5.0 / 16.0, -35.0 / 128.0, 63.0 / 256.0,
-                -231.0 / 1024.0, 429.0 / 2048.0, -6435.0 / 32768.0)
+def _difference(causal, w, a, s, sigma, phase, scale):
+    """`_alpha_difference` at the finite omega w from `_reduced`; s is overwritten."""
+    s = np.divide(s, sigma, out=s)  # |u|; inf or nan where sigma underflows to 0
+    g = np.empty(s.shape, dtype=complex)
+    small = s <= 0.01
+    if small.all():
+        small = ...  # the common case: every node, without masked copies
+    else:
+        # numpy rounds the complex products of a one-element array apart from those
+        # of longer ones; a lone node is taken twice, so it rounds as in any batch
+        large = np.flatnonzero(~small)
+        large = np.repeat(large, 2) if large.size == 1 else large
+        u = s[large] * phase
+        q = np.sqrt(1.0 + u)
+        t = u / (1.0 + q)  # q - 1 without cancellation: g = -t**2*(1 + 2/q)/2 = t/q - u/2
+        u *= -0.5
+        u += t / q
+        t *= t
+        t *= -0.5 - 1.0 / q
+        g[large] = np.where(s[large] <= 4.0, t, u)
+    x = s[small]
+    folded = causal._series
+    re, im = np.full_like(x, folded[-1].real), np.full_like(x, folded[-1].imag)
+    for coeff in folded[-2::-1]:
+        re *= x
+        re += coeff.real
+        im *= x
+        im += coeff.imag
+    x *= x
+    g.real[small], g.imag[small] = re * x, im * x
+    # beyond the double range the difference is inf; times -1j*|w|, then conjugated where w < 0
+    g.real, g.imag = _scaled(a * g.imag, scale), _scaled(-w.reshape(-1) * g.real, scale)
+    return g.reshape(w.shape)
 
 
 def _alpha_difference(causal, omega):
@@ -328,40 +380,28 @@ def _alpha_difference(causal, omega):
     in |g| there, but at gamma = 1.5 Re(u**2) vanishes and Re g is a
     third-order term that it gets only to 1.2e-11 (at w = 2.6e-3 for
     castor oil), where the series keeps each part to 1e-11 of itself.
+    Every node is formed alone, so the values do not depend on the other
+    nodes of a call.  Where sigma of `_reduced` underflows to 0 (tau0*|w|
+    beyond the doubles) the value is not finite, without a warning: the
+    callers check it.
     """
-    w = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("omega must be finite")
-    a, s, sigma, phase, scale = _reduced(causal, w)
-    p, s = causal.gamma - 1.0, np.divide(s, sigma, out=s)  # s = |u|
-    g = np.empty(s.shape, dtype=complex)
-    small = s <= 0.01
-    if small.all():
-        small = ...  # the common case: every node, without masked copies
-    else:
-        u = s[~small] * phase
-        q = np.sqrt(1.0 + u)
-        t = u / (1.0 + q)  # q - 1 without cancellation: g = -t**2*(1 + 2/q)/2 = t/q - u/2
-        u *= -0.5
-        u += t / q
-        t *= t
-        t *= -0.5 - 1.0 / q
-        g[~small] = np.where(s[~small] <= 4.0, t, u)
-    x = s[small]
-    folded = _DIFF_SERIES * np.complex128(-1j) ** (p * np.arange(2, 2 + len(_DIFF_SERIES)))
-    re, im = np.full_like(x, folded[-1].real), np.full_like(x, folded[-1].imag)
-    for coeff in folded[-2::-1]:
-        re *= x
-        re += coeff.real
-        im *= x
-        im += coeff.imag
-    x *= x
-    g.real[small], g.imag[small] = re * x, im * x
-    with np.errstate(over="ignore"):  # beyond the double range the difference is inf
-        # times -1j*|w|, then conjugated where w < 0
-        g.real, g.imag = _scaled(a * g.imag, scale), _scaled(-w.reshape(-1) * g.real, scale)
-    g = g.reshape(w.shape)
+    w = _finite_omega(omega)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = _difference(causal, w, *_reduced(causal, w))
     return g if g.ndim else complex(g)
+
+
+def _attenuation_and_difference(causal, omega):
+    """(Re alpha*_c, `_alpha_difference`) at the frequencies omega >= 0, from one `_reduced`.
+
+    The two values of the model-error integrand at one node set, the
+    bits of `_alpha_parts(causal, omega)[0]` and `_alpha_difference`.
+    """
+    w = _finite_omega(omega)
+    a, s, sigma, phase, scale = _reduced(causal, w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        b = _difference(causal, w, a, s.copy(), sigma, phase, scale)
+    return _causal_parts(a, s, sigma, phase, scale)[0].reshape(w.shape), b
 
 
 def alpha_difference_slope_bound(causal, omega):

@@ -25,6 +25,11 @@ beyond M, scaled to 1 at M and returned as a logarithm: the rise of the
 attenuation carries no rounding of the attenuation itself, and a tail
 below the smallest double keeps a finite log10.  r and M must be finite
 and positive.
+
+Every stage runs for all distances of one law at once, each distance bit
+for bit as alone: one rise serves every distance's width solve and
+integrand, one quadrature takes every interval, and the public
+one-distance functions are the one-element case of the batched ones.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .laws import DispersionLaw, _alpha_difference, _alpha_parts, _rise
-from .numerics import NumericalError, Quadrature, gauss_kronrod, integrate_decaying
+from .laws import (DispersionLaw, _alpha_difference, _alpha_parts, _attenuation_and_difference,
+                   _rise)
+from .numerics import (NumericalError, Quadrature, _integrate_intervals, _kronrod_groups,
+                       _run_together)
 
 __all__ = [
     "FrequencyGrid",
@@ -183,14 +190,23 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
 def _gain_sq(rise, r):
     """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from `laws._rise` from lo.
 
-    Each call is one evaluation of the rise.  From lo = 0 it is
-    |G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2.
+    f(h, k) takes the distance r[k] of each node; each call is one
+    evaluation of the rise for all of them.  From lo = 0 it is
+    |G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2.  Where the
+    exponent overflows, the gain underflows to 0: callers turn numpy's
+    overflow warning off around a whole quadrature.
     """
+    r = np.asarray(r, dtype=float)
 
-    def f(h):
-        return np.exp(-2.0 * r * rise(h))
+    def f(h, k):
+        return np.exp(-2.0 * r[k] * rise(h))
 
     return f
+
+
+def _at_r(rs):
+    """where(k) of `numerics._integrate_intervals`: the distance rs[k] in its messages."""
+    return lambda k: f" at r={rs[k]!r}"
 
 
 # every power of two of the double range after 0, and the indices of every 32nd of them
@@ -215,38 +231,15 @@ def _secant_root(points, reached):
     return math.exp(min(math.log(a) - ya * math.log(b / a) / (yb - ya), 710.0))
 
 
-def _tail_width(rise, r):
-    """Width h > 0 at which 2*r*rise(h) reaches _TAIL_DECADES, for a rise of `laws._rise`.
-
-    A vector call at every 32nd power of two of the double range, then one
-    at the powers of two inside the first coarse bracket, find the first
-    crossing between two adjacent powers.  Safeguarded secant steps in
-    (ln h, ln exponent), where the exponent is nearly a power of h, close
-    that bracket: each step takes one vector call at the two points
-    h -+ max(0.45*_CUT_RTOL*h, ulp(h)) around its estimate h, the secant
-    root through the bracket's ends at first and through the last two
-    points after, so that they close the bracket once the estimate is
-    within them, in two or three steps.  A step that leaves the bracket,
-    and every step after _SECANT_STEPS, takes the bracket's geometric
-    midpoint instead.  The steps end once
-    the bracket is within _CUT_RTOL of h (or holds no double between its
-    ends); its upper end is returned.  Returns inf for a law whose
-    attenuation never grows; raises NumericalError for a growing
-    attenuation that reaches the threshold only beyond the double range.
-    """
-    _check_distance(r)
-
-    def exponent(h):
-        with np.errstate(over="ignore", invalid="ignore"):  # the top powers overflow the rise
-            return 2.0 * r * rise(h)
-
+def _width_steps(r, coarse):
+    """`_tail_widths` at r from its exponents at the coarse widths: a generator that
+    yields the widths where it needs the exponent next and returns the width."""
     # the first width whose exponent is not below the threshold: it reaches it, or the rise
     # overflowed there (inf or nan), which is no crossing; 0, the width 0, where there is none
-    coarse = exponent(_WIDTHS[_COARSE])
     c = int(np.argmax(~(coarse < _TAIL_DECADES)))
     if c:
         widths = _WIDTHS[_COARSE[c - 1]:_COARSE[c] + 1]
-        values = np.concatenate((coarse[c - 1:c], exponent(widths[1:-1]), coarse[c:c + 1]))
+        values = np.concatenate((coarse[c - 1:c], (yield widths[1:-1]), coarse[c:c + 1]))
         k = int(np.argmax(~(values < _TAIL_DECADES)))
     if not (c and values[k] < math.inf):
         if np.any(coarse > 0.0):
@@ -262,7 +255,7 @@ def _tail_width(rise, r):
         steps += 1
         step = max(0.45 * _CUT_RTOL * h, math.ulp(h))
         points = [max(h - step, math.nextafter(lo, hi)), min(h + step, math.nextafter(hi, lo))]
-        reached = exponent(np.array(points)).tolist()
+        reached = (yield np.array(points)).tolist()
         for point, value in zip(points, reached):
             if value >= _TAIL_DECADES:
                 hi = min(hi, point)
@@ -271,25 +264,81 @@ def _tail_width(rise, r):
     return hi
 
 
-def _energy_pass(law, r, lo, hi):
-    """(extent, Quadrature) of `_gain_sq` from lo over the offsets [0, extent] at QUADRATURE_RTOL.
+def _tail_widths(rise, rs):
+    """Widths h > 0 at which 2*r*rise(h) reaches _TAIL_DECADES, for a rise of `laws._rise`.
+
+    A vector call at every 32nd power of two of the double range, then one
+    at the powers of two inside the first coarse bracket, find the first
+    crossing between two adjacent powers.  Safeguarded secant steps in
+    (ln h, ln exponent), where the exponent is nearly a power of h, close
+    that bracket: each step takes one vector call at the two points
+    h -+ max(0.45*_CUT_RTOL*h, ulp(h)) around its estimate h, the secant
+    root through the bracket's ends at first and through the last two
+    points after, so that they close the bracket once the estimate is
+    within them, in two or three steps.  A step that leaves the bracket,
+    and every step after _SECANT_STEPS, takes the bracket's geometric
+    midpoint instead.  The steps end once the bracket is within _CUT_RTOL
+    of h (or holds no double between its ends); its upper end is returned.
+    The rise does not depend on r: the solves of every distance of rs
+    share each call, the coarse one among them.  A width is inf for a law
+    whose attenuation never grows; NumericalError is raised for a growing
+    attenuation that reaches the threshold only beyond the double range.
+    """
+    for r in rs:
+        _check_distance(r)
+    if not rs:
+        return []
+
+    def exponents(requests, indices):
+        with np.errstate(over="ignore", invalid="ignore"):  # the top powers overflow the rise
+            values, stop, out = rise(np.concatenate(requests)), 0, []
+            for i, widths in zip(indices, requests):
+                out.append(2.0 * rs[i] * values[stop:stop + widths.size])
+                stop += widths.size
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = rise(_WIDTHS[_COARSE])
+        runs = [_width_steps(r, 2.0 * r * coarse) for r in rs]
+    return _run_together(runs, exponents)
+
+
+def _tail_width(rise, r):
+    """`_tail_widths` at one distance."""
+    return _tail_widths(rise, [r])[0]
+
+
+def _energy_passes(law, rs, lo, hi):
+    """[(extent, Quadrature)] of `_gain_sq` from lo over [0, extent] at every r, QUADRATURE_RTOL.
 
     extent is hi - lo where the integrand is still above exp(-70) at hi,
-    else the smaller of hi - lo and the `_tail_width` from lo.  The rise
-    from lo is built once and serves that check, the width solve and the
-    integrand.  Kept in the offset, the integrand carries no rounding of
-    Re alpha*(lo) or of lo itself, so a tail narrower than one ulp of lo
-    keeps its digits.  Raises ValueError where the extent is infinite:
-    the law does not decay.
+    else the smaller of hi - lo and the `_tail_widths` from lo.  The rise
+    from lo, which does not depend on r, is built once and serves that
+    check, the width solves and the integrand of every distance, and one
+    quadrature integrates the intervals of all of them.  Kept in the
+    offset, the integrand carries no rounding of Re alpha*(lo) or of lo
+    itself, so a tail narrower than one ulp of lo keeps its digits.
+    Raises ValueError where an extent is infinite: the law does not decay.
     """
-    _check_distance(r)
+    for r in rs:
+        _check_distance(r)
     rise = _rise(law, lo)
     extent = hi - lo  # no width is solved where hi comes first
-    if not (extent < math.inf and 2.0 * r * float(rise(extent)) < _TAIL_DECADES):
-        extent = min(extent, _tail_width(rise, r))
-    if not math.isfinite(extent):
+    at_hi = float(rise(extent)) if extent < math.inf else math.inf
+    cut = [not 2.0 * r * at_hi < _TAIL_DECADES for r in rs]
+    widths = iter(_tail_widths(rise, [r for r, solve in zip(rs, cut) if solve]))
+    extents = [min(extent, next(widths)) if solve else extent for solve in cut]
+    if not all(map(math.isfinite, extents)):
         raise ValueError("norm diverges: the law has no spectral decay")
-    return extent, integrate_decaying(_gain_sq(rise, r), 0.0, extent)
+    with np.errstate(over="ignore"):
+        quads = _integrate_intervals(_gain_sq(rise, rs), [0.0] * len(rs), extents,
+                                     where=_at_r(rs))
+    return list(zip(extents, quads))
+
+
+def _energy_pass(law, r, lo, hi):
+    """`_energy_passes` at one distance."""
+    return _energy_passes(law, [r], lo, hi)[0]
 
 
 def _log_tail_root(tails, gains, width, target):
@@ -310,24 +359,107 @@ def _log_tail_root(tails, gains, width, target):
     return float(s)
 
 
-def _integral_and_end(f, a, b):
-    """(integral of f over [a, b] from `integrate_decaying`, f(b)): f's first call also takes b."""
-    end = []
-
-    def f_and_end(x):
-        if end:
-            return f(x)
-        values = f(np.append(x, b))
-        end.append(float(values[-1]))
-        return values[:-1]
-
-    return integrate_decaying(f_and_end, a, b).value, end[0]
+def _log_energies(law, rs, lo):
+    """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, inf) at every r, finite where
+    it underflows: one tail pass from lo for all distances."""
+    passes = _energy_passes(law, rs, lo, math.inf)
+    start = float(_alpha_parts(law, lo)[0])
+    return [math.log(tail.value) - 2.0 * r * start for r, (_, tail) in zip(rs, passes)]
 
 
 def _log_energy(law, r, lo):
-    """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, inf), finite where it underflows."""
-    _, tail = _energy_pass(law, r, lo, math.inf)
-    return math.log(tail.value) - 2.0 * r * float(_alpha_parts(law, lo)[0])
+    """`_log_energies` at one distance."""
+    return _log_energies(law, [r], lo)[0]
+
+
+def _energies_at(profiles, m):
+    """`EnergyProfile.at` of every profile of one law at m, one kernel call for all."""
+    reads = []
+    for profile in profiles:
+        top = np.clip(np.asarray(m, dtype=float), 0.0, profile.top)
+        edges = profile.energy.edges
+        k = np.searchsorted(edges, top, side="right") - 1
+        below = np.concatenate(([0.0], np.cumsum(profile.energy.panels)))[k]
+        reads.append((top, below, (np.ravel(edges[k]), np.ravel(top))))
+    rs = [profile.r for profile in profiles]
+    with np.errstate(over="ignore"):
+        sums = _kronrod_groups(_gain_sq(_rise(profiles[0].law, 0.0), rs),
+                               [panel for *_, panel in reads], range(len(rs)), _at_r(rs))
+    out = [below + part.reshape(top.shape) for (top, below, _), (part, _) in zip(reads, sums)]
+    return [e if e.ndim else float(e) for e in out]
+
+
+def _edge_steps(r, target, excess, lo, hi, m):
+    """The Newton steps of `EnergyProfile.band_edge` from m as a generator: it yields each m,
+    is sent the integral from the bracket's start to m and the integrand at m, and returns
+    the edge."""
+    for _ in range(_BAND_EDGE_STEPS):
+        if not lo < m < hi:
+            m = 0.5 * (lo + hi)
+        integral, slope = yield m  # slope: -tail'(m)
+        gap = excess - integral
+        # a Newton step on ln tail(m) = ln target, exact for an exponential tail
+        step = (math.log1p(gap / target) * (target + gap) / slope
+                if gap > -target and slope > 0.0 else math.inf)
+        if abs(gap) <= BAND_EDGE_RTOL * target:
+            return float(m + step if lo < m + step < hi else m)
+        if m in (lo, hi):
+            return float(m)
+        if gap > 0.0:
+            lo = m
+        else:
+            hi = m
+        m += step
+    raise NumericalError(f"the band edge at r={r!r} did not converge in the bracket "
+                         f"[{lo!r}, {hi!r}]")
+
+
+def _band_edges(profiles, delta):
+    """`EnergyProfile.band_edge` of every line profile of one law, each round one call for all."""
+    for profile in profiles:
+        _check_line_profile(profile, "the band edge")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+    if delta == 1.0:
+        return [0.0] * len(profiles)
+    brackets = []
+    for profile in profiles:
+        band, r = profile.energy, profile.r
+        target = delta * band.value
+        if target == 0.0:
+            raise NumericalError(f"the band edge at r={r!r} is lost: delta times the line "
+                                 f"energy {band.value!r} underflows to 0")
+        # tails[k]: energy beyond edges[k]; the root lies where it falls through target
+        tails = np.append(np.cumsum(band.panels[::-1])[::-1], 0.0)
+        k = int(np.count_nonzero(tails >= target)) - 1
+        brackets.append((r, target, tails[k:k + 2], band.edges[k], band.edges[k + 1]))
+    rs = [profile.r for profile in profiles]
+    rise = _rise(profiles[0].law, 0.0)
+    with np.errstate(over="ignore"):
+        ends = _gain_sq(rise, rs)(np.array([(lo, hi) for *_, lo, hi in brackets]).ravel(),
+                                  np.repeat(np.arange(len(rs)), 2)).reshape(-1, 2)
+    runs = [_edge_steps(r, target, tails[0] - target, lo, hi,
+                        lo + (hi - lo) * _log_tail_root(tails, gains, hi - lo, target))
+            for (r, target, tails, lo, hi), gains in zip(brackets, ends)]
+
+    def steps(ms, indices):
+        # every step's integral from its anchor and, in the same first call, the integrand at m
+        at, slopes = [rs[i] for i in indices], []
+        gain_sq = _gain_sq(rise, at)
+
+        def f(x, k):
+            if slopes:
+                return gain_sq(x, k)
+            values = gain_sq(np.append(x, ms), np.append(np.broadcast_to(k, x.shape),
+                                                        np.arange(len(ms))))
+            slopes.extend(values[x.size:].tolist())
+            return values[:x.size]
+
+        quads = _integrate_intervals(f, [brackets[i][3] for i in indices], ms, where=_at_r(at))
+        return [(quad.value, slope) for quad, slope in zip(quads, slopes)]
+
+    with np.errstate(over="ignore"):
+        return _run_together(runs, steps)
 
 
 @dataclass(frozen=True)
@@ -368,14 +500,7 @@ class EnergyProfile:
 
         The panels below m plus one 15-node Gauss-Kronrod panel from the last edge to m.
         """
-        m = np.clip(np.asarray(m, dtype=float), 0.0, self.top)
-        edges = self.energy.edges
-        k = np.searchsorted(edges, m, side="right") - 1
-        below = np.concatenate(([0.0], np.cumsum(self.energy.panels)))[k]
-        partial, _ = gauss_kronrod(_gain_sq(_rise(self.law, 0.0), self.r), np.ravel(edges[k]),
-                                   np.ravel(m))
-        out = below + partial.reshape(m.shape)
-        return out if out.ndim else float(out)
+        return _energies_at([self], m)[0]
 
     def band_edge(self, delta):
         """Band edge M capturing the fraction (1 - delta) of the spectral energy.
@@ -396,51 +521,30 @@ class EnergyProfile:
         without another call where it stays in the bracket.  delta = 1
         gives 0; a delta * full that underflows to 0 raises NumericalError.
         """
-        _check_line_profile(self, "the band edge")
-        if not 0.0 < delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-        if delta == 1.0:
-            return 0.0
-        band, r = self.energy, self.r
-        gain_sq = _gain_sq(_rise(self.law, 0.0), r)
-        target = delta * band.value
-        if target == 0.0:
-            raise NumericalError(f"the band edge at r={r!r} is lost: delta times the line "
-                                 f"energy {band.value!r} underflows to 0")
-        # tails[k]: energy beyond edges[k]; the root lies where it falls through target
-        tails = np.append(np.cumsum(band.panels[::-1])[::-1], 0.0)
-        k = int(np.count_nonzero(tails >= target)) - 1
-        anchor, excess = band.edges[k], tails[k] - target
-        lo, hi = anchor, band.edges[k + 1]
-        m = anchor + (hi - lo) * _log_tail_root(tails[k:k + 2], gain_sq(np.array([lo, hi])),
-                                                 hi - lo, target)
-        for _ in range(_BAND_EDGE_STEPS):
-            if not lo < m < hi:
-                m = 0.5 * (lo + hi)
-            integral, slope = _integral_and_end(gain_sq, anchor, m)  # slope: -tail'(m)
-            gap = excess - integral
-            # a Newton step on ln tail(m) = ln target, exact for an exponential tail
-            step = (math.log1p(gap / target) * (target + gap) / slope
-                    if gap > -target and slope > 0.0 else math.inf)
-            if abs(gap) <= BAND_EDGE_RTOL * target:
-                return float(m + step if lo < m + step < hi else m)
-            if m in (lo, hi):
-                return float(m)
-            if gap > 0.0:
-                lo = m
-            else:
-                hi = m
-            m += step
-        raise NumericalError(f"the band edge at r={r!r} did not converge in the bracket "
-                             f"[{lo!r}, {hi!r}]")
+        return _band_edges([self], delta)[0]
+
+
+def _energy_profiles(law, rs, hi=math.inf):
+    """`energy_profile` at every distance of rs: one energy pass from 0 for all of them."""
+    if hi != math.inf:
+        _check_band_edge(hi)
+    return [EnergyProfile(law, float(r), float(top), energy, float(hi))
+            for r, (top, energy) in zip(rs, _energy_passes(law, rs, 0.0, hi))]
 
 
 def energy_profile(law, r, hi=math.inf):
     """EnergyProfile of `law` at r: the energy pass from 0 over [0, min(hi, tail cut)]."""
-    if hi != math.inf:
-        _check_band_edge(hi)
-    top, energy = _energy_pass(law, r, 0.0, hi)
-    return EnergyProfile(law, float(r), float(top), energy, float(hi))
+    return _energy_profiles(law, [r], hi)[0]
+
+
+def _log10_truncation_errors(profiles, m):
+    """`log10_relative_truncation_error` of each line profile of one law: one tail pass for all."""
+    _check_band_edge(m)
+    for profile in profiles:
+        _check_line_profile(profile, "the truncation error")
+    tails = _log_energies(profiles[0].law, [profile.r for profile in profiles], m)
+    return [(tail - math.log(profile.total)) / (2.0 * math.log(10.0))
+            for tail, profile in zip(tails, profiles)]
 
 
 def log10_relative_truncation_error(profile, m):
@@ -453,27 +557,28 @@ def log10_relative_truncation_error(profile, m):
     of the log energies of the tail [m, inf) and of the full line, the
     line profile's total, in decades; the prefactor of |G_hat|^2 cancels.
     """
-    _check_band_edge(m)
-    _check_line_profile(profile, "the truncation error")
-    tail = _log_energy(profile.law, profile.r, m)
-    return (tail - math.log(profile.total)) / (2.0 * math.log(10.0))
+    return _log10_truncation_errors([profile], m)[0]
 
 
-def _deviation(causal, r, omega):
-    """(C, x) of `deviation_factor` at the nodes omega, from one `_alpha_difference` call.
+def _deviation_of(b, r):
+    """(C, x) of `deviation_factor` from the law difference b = alpha_pl - alpha_c at r.
 
-    x = -r*Re(alpha_pl - alpha_c), so |exp(-b*r)| = exp(x); it is -inf where
-    r*Re b overflows.  Where exp(x) underflows to 0, C is expm1(x)**2 = 1
-    exactly: the sine term is dropped there, which would be 0*sin(inf) = nan
-    once b*r overflows.
+    x = -r*Re(b), so |exp(-b*r)| = exp(x); it is -inf where r*Re b
+    overflows.  Where exp(x) underflows to 0, C is expm1(x)**2 = 1
+    exactly: the sine term is dropped there, which would be 0*sin(inf) =
+    nan once b*r overflows.
     """
-    b = _alpha_difference(causal, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         x = -r * np.real(b)
         decay = np.exp(x)
         half_sin = np.sin(0.5 * r * np.imag(b))
         c = np.expm1(x) ** 2 + np.where(decay > 0.0, 4.0 * decay * half_sin * half_sin, 0.0)
     return c, x
+
+
+def _deviation(causal, r, omega):
+    """(C, x) of `deviation_factor` at the nodes omega, from one `_alpha_difference` call."""
+    return _deviation_of(_alpha_difference(causal, omega), r)
 
 
 def deviation_factor(causal, r, omega):
@@ -490,6 +595,31 @@ def deviation_factor(causal, r, omega):
     return c if np.ndim(c) else float(c)
 
 
+def _relative_model_errors(profiles, m, band=None):
+    """`relative_model_error` of each profile of one law at m: one quadrature for all.
+
+    band, the profiles' E(m) where the caller has it, spares reading it again.
+    """
+    _check_band_edge(m)
+    for profile in profiles:
+        if profile.hi < m:
+            raise ValueError(f"the model error at M={m!r} needs a profile that reaches M, "
+                             f"got one of the band [0, {profile.hi!r}]")
+    causal, rs = profiles[0].law, [profile.r for profile in profiles]
+    r_of = np.array(rs)
+
+    def diff_sq(w, k):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
+        re, b = _attenuation_and_difference(causal, w)
+        r = r_of[k]
+        return np.exp(-2.0 * r * re) * _deviation_of(b, r)[0]
+
+    with np.errstate(over="ignore"):
+        nums = _integrate_intervals(diff_sq, [0.0] * len(rs),
+                                    [min(m, profile.top) for profile in profiles], where=_at_r(rs))
+    band = _energies_at(profiles, m) if band is None else band
+    return [math.sqrt(num.value / energy) for num, energy in zip(nums, band)]
+
+
 def relative_model_error(profile, m):
     """Relative L2 distance of the band-limited causal and power-law Green functions.
 
@@ -498,18 +628,9 @@ def relative_model_error(profile, m):
     EnergyProfile that reaches m, and the power law derived from that law.
     The denominator is profile.at(m); the numerator is one integral at
     QUADRATURE_RTOL of |G_hat_causal|**2 times `deviation_factor` over
-    [0, min(m, profile.top)].  The common phase factor and the prefactor
-    1/(4*pi*r) cancel, so only the attenuation-dispersion difference contributes.
+    [0, min(m, profile.top)], whose integrand forms the gain and the law
+    difference from one reduced evaluation of the law.  The common phase
+    factor and the prefactor 1/(4*pi*r) cancel, so only the
+    attenuation-dispersion difference contributes.
     """
-    _check_band_edge(m)
-    if profile.hi < m:
-        raise ValueError(f"the model error at M={m!r} needs a profile that reaches M, "
-                         f"got one of the band [0, {profile.hi!r}]")
-    causal, r = profile.law, profile.r
-    gain_sq = _gain_sq(_rise(causal, 0.0), r)
-
-    def diff_sq(w):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2
-        return gain_sq(w) * deviation_factor(causal, r, w)
-
-    num_sq = integrate_decaying(diff_sq, 0.0, min(m, profile.top)).value
-    return math.sqrt(num_sq / profile.at(m))
+    return _relative_model_errors([profile], m)[0]

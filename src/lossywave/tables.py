@@ -48,7 +48,6 @@ process, on first use, in 1.3 to 2.0 ms.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from itertools import accumulate, repeat
 from operator import mul, sub, truediv
@@ -339,6 +338,8 @@ def _json_safe(doc):
 
 def write_json(path, doc):
     """Write a document of dicts, lists and scalars as JSON; returns the path."""
+    import json  # here, not at import: `import lossywave` needs no json
+
     path = Path(path)
     path.write_text(json.dumps(_json_safe(doc), indent=2, allow_nan=False) + "\n",
                     encoding="utf-8")

@@ -639,8 +639,19 @@ class TestDistanceContract:
         # ZeroDivisionError in the published form's coefficient
         ((1.66, 0.15, 138.08, 1e-6), ["bounds", "--m", "1e-300", "--slope-factor", "1e-300"],
          "the envelope slope a0 at M=1e-300 underflows to 0"),
+        # fig2 where a1*w**2 leaves the doubles (once 447 inf rows and exit 0); table2 where
+        # sigma of `_reduced` underflows in the law difference (once divide and invalid
+        # warnings, and a numpy repr in the message); fig3 at r = 1e300, where 2*r*Re alpha*
+        # overflows in the band energy's integrand (once an overflow warning)
+        ((2.0, 1e-10, 1e-10, 1e300), ["fig2"],
+         "the fig2 curve attenuation_powerlaw is not finite at omega=19201.41938638801"),
+        ((1.05, 1e-10, 1e-10, 1e300), ["table2", "--m", "1e100", "--r-list", "1e-6"],
+         "the integrand at r=1e-06 is not finite at 4.2723144395937196e+97"),
+        ((1.5, 1e-10, 1e100, 1e300), ["fig3", "--m", "1e100", "--r", "1e300"],
+         "the deviation factor at r=1e+300 overflows on [0.0, 1e+100]"),
     ], ids=["a2-squared", "kappa", "closure-exp", "band-edge-underflow", "fig2-pole", "gamma-1.005",
-            "slow-a0", "kappa-underflow", "fig3-deviation", "fig3-band-norm", "a0-underflow"])
+            "slow-a0", "kappa-underflow", "fig3-deviation", "fig3-band-norm", "a0-underflow",
+            "fig2-inf", "table2-sigma-underflow", "fig3-far"])
     def test_extreme_medium_exits_3(self, tmp_path, capsys, medium, argv, message):
         path = tmp_path / "medium.json"
         path.write_text(json.dumps(dict(zip(("gamma", "c0", "alpha1", "tau0"), medium),
@@ -675,91 +686,111 @@ class TestQuadratureWork:
     gates.  With the line profile's total read as the full energy and no
     pass beyond its cut, bounds takes 4875 in 25 and 10 solves (5 from 0),
     and its gate falls to those counts; table2 and fig3 are unchanged.
+
+    Every stage now integrates the intervals of all distances in one
+    batched pass, one integrand call per round for all of them, counted
+    at `numerics._kronrod_groups`, which every integrand sample passes.
+    bounds takes 4800 samples (the band energy at M is read once per
+    distance, not twice) in 25 quadratures, 5 passes and 17 integrand
+    calls, with its 10 tail widths solved in 2 batches; table2 2160 in 8
+    quadratures, 2 passes and 10 calls; fig3 1875 in 1 and 6 calls.  One
+    quadrature per distance took 76 integrand calls in bounds and 28 in
+    table2.  The sample gates keep their parameters.
     """
 
     @staticmethod
     def _count(monkeypatch, argv):
-        integrate, panels, build, width = (numerics.integrate_decaying, spectrum.gauss_kronrod,
-                                           spectrum._rise, spectrum._tail_width)
-        counts = {"samples": 0, "quadratures": 0, "width_starts": [], "passes": []}
+        groups, intervals, build, widths = (numerics._kronrod_groups,
+                                            numerics._integrate_intervals, spectrum._rise,
+                                            spectrum._tail_widths)
+        counts = {"samples": 0, "calls": 0, "passes": [], "width_batches": []}
         starts = {}  # the start of every rise built
 
-        def counted(f):
-            def g(x):
+        def counting_groups(f, panels, ids, where=None):
+            def g(x, k):
                 counts["samples"] += np.size(x)
-                return f(x)
-            return g
+                counts["calls"] += 1
+                return f(x, k)
+            return groups(g, panels, ids, where)
 
-        def counting(f, a, b, rtol=numerics.QUADRATURE_RTOL):
-            counts["quadratures"] += 1
-            counts["passes"].append((a, b, rtol))
-            return integrate(counted(f), a, b, rtol=rtol)
+        def counting_intervals(f, a, b, rtol=numerics.QUADRATURE_RTOL, where=None):
+            counts["passes"].append([(lo, hi, rtol) for lo, hi in zip(a, b)])
+            return intervals(f, a, b, rtol, where)
 
         def recording_build(law, lo):
             rise = build(law, lo)
             starts[rise] = lo
             return rise
 
-        def counting_width(rise, r):
-            counts["width_starts"].append(starts[rise])
-            return width(rise, r)
+        def counting_widths(rise, rs):
+            counts["width_batches"].append((starts[rise], len(rs)))
+            return widths(rise, rs)
 
-        for module in (numerics, spectrum, bounds, cli):
-            if getattr(module, "integrate_decaying", None) is integrate:
-                monkeypatch.setattr(module, "integrate_decaying", counting)
+        for module in (numerics, spectrum):  # every module that binds them
+            monkeypatch.setattr(module, "_kronrod_groups", counting_groups)
+            monkeypatch.setattr(module, "_integrate_intervals", counting_intervals)
         monkeypatch.setattr(spectrum, "_rise", recording_build)
-        monkeypatch.setattr(spectrum, "_tail_width", counting_width)
-        monkeypatch.setattr(spectrum, "gauss_kronrod",
-                            lambda f, *args: panels(counted(f), *args))
+        monkeypatch.setattr(spectrum, "_tail_widths", counting_widths)
         assert cli.main(argv) == 0
         return counts
+
+    # batched passes and integrand calls per command
+    BATCHED = {"bounds": (5, 17), "table2": (2, 10), "fig3": (1, 6)}
 
     @pytest.mark.parametrize("command,samples,quadratures", [("bounds", 4875, 25),
                                                              ("table2", 2010, 8),
                                                              ("fig3", 1875, 1)])
     def test_within_a_tenth_of_the_measured_counts(self, tmp_path, monkeypatch, capsys,
                                                    command, samples, quadratures):
+        passes, calls = self.BATCHED[command]
         counts = self._count(monkeypatch, [command, "--out", str(tmp_path)])
         assert 0 < counts["samples"] <= 1.1 * samples, capsys.readouterr().err
-        assert 0 < counts["quadratures"] <= 1.1 * quadratures
+        assert 0 < sum(map(len, counts["passes"])) <= 1.1 * quadratures
+        assert 0 < len(counts["passes"]) <= passes
+        assert 0 < counts["calls"] <= 1.1 * calls
 
     def test_bounds_integrates_each_line_once(self, tmp_path, monkeypatch):
-        # one line profile per distance: its cut and the tail beyond M; the
-        # model error reads the profile and searches no cut
+        # one line profile per distance: its cut and the tail beyond M, each stage one
+        # batch for all five distances; the model error reads the profile and searches no cut
         counts = self._count(monkeypatch, ["bounds", "--out", str(tmp_path)])
-        assert counts["width_starts"].count(0.0) == 5
-        assert len(counts["width_starts"]) == 10
-        assert {rtol for _, _, rtol in counts["passes"]} == {numerics.QUADRATURE_RTOL}
+        assert counts["width_batches"] == [(0.0, 5), (100.0, 5)]
+        intervals = [interval for batch in counts["passes"] for interval in batch]
+        assert {rtol for _, _, rtol in intervals} == {numerics.QUADRATURE_RTOL}
         cuts = [entry["tail_cut"] for entry in
                 json.loads((tmp_path / "bounds.json").read_text())["per_distance"]]
         assert len(cuts) == 5
         for cut in cuts:
             # the profile pass, and where the cut lies inside the band [0, 100]
             # the model error's numerator; its denominator is the profile's
-            passes = [b for a, b, _ in counts["passes"] if a == 0.0 and b == cut]
+            passes = [b for a, b, _ in intervals if a == 0.0 and b == cut]
             assert len(passes) == 1 + (cut < 100.0)
 
 
 class TestTailCutWork:
-    """Law evaluations per tail-width solve in a default castor `bounds`.
+    """Law evaluations per batch of tail-width solves in a default castor `bounds`.
 
     Each energy pass that reaches no band edge first solves for the
     width beyond its start, the line profile's cut from 0 among them.
-    The rise from the start is built once; a vector call at every 32nd
-    power of two of the double range (67 points) and one at the powers
-    inside its bracket (up to 31) bracket the width within a factor of
-    two, and two or three secant rounds of two points each close the
-    bracket to 1e-9 relative: measured 4-5 calls per solve, none over
-    67 points, and no scalar `eval_alpha` call.  One call at all 2,099
-    powers of two and six rounds of 33 points took 7; bracketing in
-    factors of 4 and bisecting took 37-48 scalar calls per cut.  Each
-    distance solves two widths, the line profile's cut and the tail beyond
-    M; a third, for the energy beyond the cut, made 15 solves in all.
+    The rise from the start is built once and does not depend on r, so
+    the solves of all distances share its calls: a vector call at every
+    32nd power of two of the double range (67 points) serves every
+    distance, one call at the powers inside each distance's coarse
+    bracket (up to 31 each) brackets every width within a factor of two,
+    and two or three secant rounds of two points per distance close the
+    brackets to 1e-9 relative: measured 5 calls per batch of five solves
+    (67, 155, 10, 10 and 4 or 8 points), and no scalar `eval_alpha`
+    call.  Solved one distance at a time, each solve took 4-5 calls of at
+    most 67 points, 22 and 24 for the five cuts and the five tails; one
+    call at all 2,099 powers of two and six rounds of 33 points took 7;
+    bracketing in factors of 4 and bisecting took 37-48 scalar calls per
+    cut.  Each distance solves two
+    widths, the line profile's cut and the tail beyond M; a third, for
+    the energy beyond the cut, made 15 solves in all.
     """
 
     def test_at_most_five_small_vector_calls_per_solve(self, tmp_path, monkeypatch):
-        build, alpha, width = spectrum._rise, laws._alpha_parts, spectrum._tail_width
-        per_solve = []  # [sizes of the rise calls, scalar law-kernel calls], the open one last
+        build, alpha, widths = spectrum._rise, laws._alpha_parts, spectrum._tail_widths
+        per_batch = []  # [distances, sizes of the rise calls, scalar law-kernel calls]
         inside = []
 
         def counting_build(law, lo):
@@ -767,70 +798,71 @@ class TestTailCutWork:
 
             def counting_rise(h):
                 if inside:
-                    per_solve[-1][0].append(np.size(h))
+                    per_batch[-1][1].append(np.size(h))
                 return rise(h)
 
             return counting_rise
 
         def counting_alpha(law, omega):
             if inside and np.ndim(omega) == 0:
-                per_solve[-1][1] += 1
+                per_batch[-1][2] += 1
             return alpha(law, omega)
 
-        def counting_width(*args):
-            per_solve.append([[], 0])
+        def counting_widths(rise, rs):
+            per_batch.append([len(rs), [], 0])
             inside.append(True)
             try:
-                return width(*args)
+                return widths(rise, rs)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(spectrum, "_rise", counting_build)
         monkeypatch.setattr(spectrum, "_alpha_parts", counting_alpha)
         monkeypatch.setattr(laws, "_alpha_parts", counting_alpha)
-        monkeypatch.setattr(spectrum, "_tail_width", counting_width)
+        monkeypatch.setattr(spectrum, "_tail_widths", counting_widths)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
-        # per distance the line profile's cut and the tail beyond M
-        assert len(per_solve) == 10
-        assert all(1 <= len(sizes) <= 5 and max(sizes) <= 100 and scalars == 0
-                   for sizes, scalars in per_solve), per_solve
+        # the line profiles' cuts and the tails beyond M, five distances each
+        assert [n for n, _, _ in per_batch] == [5, 5]
+        assert all(1 <= len(sizes) <= 5 and max(sizes) <= max(67, 31 * n) and scalars == 0
+                   for n, sizes, scalars in per_batch), per_batch
 
 
 class TestBandEdgeWork:
-    """Law-kernel calls per `EnergyProfile.band_edge` in a default castor `bounds`.
+    """Law-kernel calls per batch of `EnergyProfile.band_edge` solves in a default castor `bounds`.
 
-    One call takes the integrand at both ends of the panel holding the
+    One call takes the integrand at both ends of the panel holding each
     root, for a cubic model of ln tail that starts Newton within about
-    1e-6 of the edge; each Newton step is one call, its 15-node integral
-    and the slope -tail'(m) together.  Measured 3 calls per solve at each
-    of the five distances; a linear start and a separate slope call per
-    step took 11-13.
+    1e-6 of the edge; each Newton round is one call for every distance,
+    their 15-node integrals and slopes -tail'(m) together.  Measured 3
+    calls for the five edges; one edge at a time took 3 calls each, 15
+    in all, and a linear start and a separate slope call per step took
+    11-13 per edge.
     """
 
     def test_at_most_four_kernel_calls_per_solve(self, tmp_path, monkeypatch):
-        alpha, band_edge = laws._alpha_parts, spectrum.EnergyProfile.band_edge
-        per_solve = []
+        alpha, band_edges = laws._alpha_parts, spectrum._band_edges
+        per_batch = []
         inside = []
 
         def counting_alpha(law, omega):
             if inside:
-                per_solve[-1] += 1
+                per_batch[-1] += 1
             return alpha(law, omega)
 
-        def counting_band_edge(profile, delta):
-            per_solve.append(0)
+        def counting_band_edges(profiles, delta):
+            per_batch.append(0)
             inside.append(True)
             try:
-                return band_edge(profile, delta)
+                return band_edges(profiles, delta)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(spectrum, "_alpha_parts", counting_alpha)
         monkeypatch.setattr(laws, "_alpha_parts", counting_alpha)
-        monkeypatch.setattr(spectrum.EnergyProfile, "band_edge", counting_band_edge)
+        monkeypatch.setattr(bounds, "_band_edges", counting_band_edges)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
-        assert len(per_solve) == 5
-        assert all(1 <= calls <= 4 for calls in per_solve), per_solve
+        assert len(per_batch) == 1
+        assert all(1 <= calls <= 4 for calls in per_batch), per_batch
 
 
 class TestEnvelopeWork:
@@ -840,20 +872,28 @@ class TestEnvelopeWork:
     a range no distance moves, so `bounds` checks it once: one
     `verify_envelope` call over ENVELOPE_GRID_POINTS law nodes.  A check per
     distance up to its tail cut, the published form's hypothesis, which no
-    bound reads, made 6 calls over 60,000 nodes.  Measured 94 law-kernel
-    calls in all, counted at every module that binds the kernel; 99 with
-    the per-distance checks.
+    bound reads, made 6 calls over 60,000 nodes.
+
+    The law kernels are `_alpha_parts`, `_alpha_difference` and
+    `_attenuation_and_difference`, the model-error integrand's gain and
+    law difference from one reduced evaluation, counted at every module
+    that binds them.  With every stage batched across the five distances,
+    measured 26 calls: 18, 4 and 4.  One pass per distance took 112: 94
+    `_alpha_parts` (99 with the per-distance checks) and 18
+    `_alpha_difference`.
     """
 
     def test_one_check_over_one_grid(self, tmp_path, monkeypatch):
-        kernel, check = laws._alpha_parts, cli.verify_envelope
+        check = cli.verify_envelope
         calls, checks, inside = [], [], []
 
-        def counting_kernel(law, omega):
-            calls.append(np.size(omega))
-            if inside:
-                checks[-1] += np.size(omega)
-            return kernel(law, omega)
+        def counting(kernel):
+            def counted(law, omega):
+                calls.append(np.size(omega))
+                if inside:
+                    checks[-1] += np.size(omega)
+                return kernel(law, omega)
+            return counted
 
         def counting_check(constants, omega_max):
             checks.append(0)
@@ -863,12 +903,15 @@ class TestEnvelopeWork:
             finally:
                 inside.pop()
 
-        for module in (laws, spectrum, bounds, cli):  # every module that binds the kernel
-            monkeypatch.setattr(module, "_alpha_parts", counting_kernel)
+        for name in ("_alpha_parts", "_alpha_difference", "_attenuation_and_difference"):
+            counted = counting(getattr(laws, name))
+            for module in (laws, spectrum, bounds, cli):  # every module that binds the kernel
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(cli, "verify_envelope", counting_check)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
         assert checks == [bounds.ENVELOPE_GRID_POINTS]
-        assert len(calls) <= 1.1 * 94
+        assert len(calls) <= 1.1 * 26
 
 
 class TestScanWork:

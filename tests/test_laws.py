@@ -22,7 +22,7 @@ from lossywave import (
     small_frequency_bound,
     wavenumber,
 )
-from lossywave.laws import _alpha_difference
+from lossywave.laws import _alpha_difference, _alpha_parts, _attenuation_and_difference
 
 
 class TestValidation:
@@ -143,6 +143,19 @@ class TestEvalAlpha:
 
 
 class TestAlphaDifference:
+    def test_each_node_is_formed_alone(self, castor):
+        # numpy rounds the complex products of a one-element array apart from those of
+        # longer ones; batched passes need every node's value to be that of the node alone
+        w = np.geomspace(1e-3, 1e10, 400)  # both branches, |u| from 1e-9 to 2e2
+        alone = np.array([_alpha_difference(castor.causal, w[i:i + 1])[0] for i in range(w.size)])
+        assert np.array_equal(_alpha_difference(castor.causal, w), alone)
+
+    def test_attenuation_and_difference_share_one_reduced_evaluation(self, castor):
+        w = np.geomspace(1e-3, 1e10, 400)
+        re, b = _attenuation_and_difference(castor.causal, w)
+        assert np.array_equal(re, _alpha_parts(castor.causal, w)[0])
+        assert np.array_equal(b, _alpha_difference(castor.causal, w))
+
     def test_matches_plain_difference_at_moderate_frequencies(self, castor):
         # the plain difference keeps ~3 digits of headroom here, enough to
         # validate the series path against it

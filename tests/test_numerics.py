@@ -5,6 +5,7 @@ import pytest
 
 from lossywave.numerics import (
     NumericalError,
+    _integrate_intervals,
     gauss_kronrod,
     integrate_decaying,
 )
@@ -84,3 +85,41 @@ def test_integrate_decaying_stretched_exponential():
     val = integrate_decaying(lambda x: np.exp(-(x**1.66)), 0.0, 70.0 ** (1 / 1.66)).value
     assert val == pytest.approx(math.gamma(1.0 + 1.0 / 1.66), rel=1e-7)
 
+
+
+def test_intervals_integrate_as_each_alone():
+    # one integrand call per round for all intervals; each interval refines and sums
+    # as it would alone, so every Quadrature is the same bit for bit
+    rates = np.array([0.5, 3.0, 40.0, 1e3])
+
+    def f(x, k):
+        return np.exp(-rates[k] * x**1.66)
+
+    batch = _integrate_intervals(f, [0.0, 0.0, 1.0, 2.0], [80.0, 10.0, 2.0, 2.0])
+    for k, (a, b) in enumerate(zip([0.0, 0.0, 1.0, 2.0], [80.0, 10.0, 2.0, 2.0])):
+        alone = integrate_decaying(lambda x: np.exp(-rates[k] * x**1.66), a, b)
+        got = batch[k]
+        assert (got.value, got.error, got.samples) == (alone.value, alone.error, alone.samples)
+        assert np.array_equal(got.edges, alone.edges)
+        assert np.array_equal(got.panels, alone.panels)
+    assert batch[3].samples == 0 and batch[3].value == 0.0
+
+
+def test_a_non_finite_interval_raises_as_run_alone():
+    # a nan in the third of four intervals, reached only after its panels are refined:
+    # the batch raises that interval's error, naming its r, as the interval run alone
+    rs = [1e-6, 1e-3, 0.1, 10.0]
+
+    def where(k):
+        return f" at r={rs[k]!r}"
+
+    def f(x, k):
+        return np.where((k == 2) & (np.abs(x - 0.3) < 1e-3), np.nan, np.exp(-30.0 * x))
+
+    with pytest.raises(NumericalError) as batched:
+        _integrate_intervals(f, [0.0] * 4, [1.0] * 4, where=where)
+    with pytest.raises(NumericalError) as alone:
+        _integrate_intervals(lambda x, k: f(x, k + 2), [0.0], [1.0],
+                             where=lambda k: where(k + 2))
+    assert str(batched.value) == str(alone.value)
+    assert str(batched.value).startswith("the integrand at r=0.1 is not finite at ")

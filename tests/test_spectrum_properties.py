@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from lossywave import CausalLaw, MediumPreset, NumericalError, PowerLaw  # noqa: E402
 from lossywave.laws import _rise, attenuation_rise  # noqa: E402
 from lossywave.spectrum import (  # noqa: E402
-    _CUT_RTOL, _TAIL_DECADES, BAND_EDGE_RTOL, _log_energy, _tail_width, energy_profile)
+    _CUT_RTOL, _TAIL_DECADES, BAND_EDGE_RTOL, _band_edges, _energies_at, _energy_profiles,
+    _log10_truncation_errors, _log_energies, _log_energy, _relative_model_errors, _tail_width,
+    energy_profile, log10_relative_truncation_error, relative_model_error)
 
 LOSSLESS = PowerLaw(gamma=1.5, a1=0.0, a2=0.0, c0=0.15)
 
@@ -95,3 +97,41 @@ def test_energy_beyond_the_tail_cut_is_invisible(law, log10_r):
     r = 10.0**log10_r
     profile = energy_profile(law, r)
     assert _log_energy(law, r, profile.top) <= math.log(1e-20 * profile.total)
+
+
+CASTOR = CausalLaw(gamma=1.66, c0=0.15, alpha1=138.08, tau0=1e-6)
+
+
+def _same_profiles(batch, alone):
+    return all(a.top == b.top and a.hi == b.hi and a.energy.value == b.energy.value
+               and a.energy.error == b.energy.error and a.energy.samples == b.energy.samples
+               and np.array_equal(a.energy.edges, b.energy.edges)
+               and np.array_equal(a.energy.panels, b.energy.panels)
+               for a, b in zip(batch, alone, strict=True))
+
+
+# `bounds` and `table2` run every stage once for all their distances: one rise shared by
+# the tail-width solves, one quadrature whose intervals refine as they would alone, each
+# summed in a matrix product of its own.  So each distance's profile, tail, band energy,
+# band edge and model error is that of the distance run alone, bit for bit.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(law=laws(lossless=False), log10_rs=st.lists(st.floats(-6.0, 2.0), min_size=1, max_size=8),
+       m=st.floats(20.0, 200.0), log10_delta=st.floats(-6.0, -0.5))
+@example(law=CASTOR, log10_rs=[-6.0, -4.0, -2.0, 0.0, 1.0], m=100.0,
+         log10_delta=math.log10(6e-4))
+@example(law=CASTOR, log10_rs=[-6.0, -4.0, -2.0, 0.0, 1.0], m=77.123,
+         log10_delta=math.log10(6e-4))
+def test_every_batched_pass_equals_each_distance_alone(law, log10_rs, m, log10_delta):
+    rs, delta = [10.0**e for e in log10_rs], 10.0**log10_delta
+    lines, bands = _energy_profiles(law, rs), _energy_profiles(law, rs, m)
+    assert _same_profiles(lines, [energy_profile(law, r) for r in rs])
+    assert _same_profiles(bands, [energy_profile(law, r, m) for r in rs])
+    assert _log_energies(law, rs, m) == [_log_energy(law, r, m) for r in rs]
+    assert _log10_truncation_errors(lines, m) == [log10_relative_truncation_error(p, m)
+                                                  for p in lines]
+    assert _energies_at(lines, m) == [p.at(m) for p in lines]
+    assert _band_edges(lines, delta) == [p.band_edge(delta) for p in lines]
+    if isinstance(law, CausalLaw):
+        for profiles in (lines, bands):
+            assert _relative_model_errors(profiles, m) == [relative_model_error(p, m)
+                                                           for p in profiles]
