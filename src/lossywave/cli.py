@@ -9,7 +9,8 @@ invocations produce byte-identical output.  Each subcommand accepts
 only the flags it reads.  The parser is built once per process, on the
 first call of `main`, and reused: parsing does not change it.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error (also a grid or table that does not
+fit in memory), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from .laws import (_alpha_parts, load_preset, powerlaw_phase_singularity, small_
 from .numerics import QUADRATURE_RTOL, NumericalError
 from .spectrum import (BAND_EDGE_RTOL, FrequencyGrid, _check_band_edge, _energy_profiles,
                        _log10_truncation_errors, _relative_model_errors, deviation_factor,
-                       energy_profile, sample_green_spectrum)
+                       energy_profile)
 from .tables import write_json, write_table
-from .timedomain import (ForcingSignal, causality_energy_fraction, forward_point_source,
-                         synthesize_time_signal)
+from .timedomain import ForcingSignal, _pre_arrival_fractions, forward_point_source
 
 
 def _fmt(x):
@@ -214,12 +214,8 @@ def cmd_causality(args):
     }
     for key, law, band_edge in (("causal", preset.causal, None),
                                 ("truncated_powerlaw", preset.powerlaw, args.m)):
-        signal = synthesize_time_signal(sample_green_spectrum(law, args.r, grid, band_edge))
-        doc[key] = {
-            "raw_fraction": causality_energy_fraction(signal, arrival, guard=0.0),
-            "guarded_fraction": causality_energy_fraction(signal, arrival),
-            "guard": 2.0 * signal.dt,
-        }
+        raw, guarded, guard = _pre_arrival_fractions(law, args.r, grid, band_edge, arrival)
+        doc[key] = {"raw_fraction": raw, "guarded_fraction": guarded, "guard": guard}
     return [("causality.json", doc)]
 
 
@@ -309,6 +305,17 @@ def _write(out, artifact, fmt):
     return write_table(out / name, list(columns), list(columns.values()), comment, fmt)
 
 
+def _memory_needed(args):
+    """The memory a command's grid needs, if it has one: 16 bytes a sample.
+
+    That is its half spectrum of n/2 + 1 complex values and its signal of n reals.
+    """
+    n = getattr(args, "samples", None)
+    if n is None:
+        return ""
+    return f": --samples {n} needs about {16 * n} bytes, a half spectrum and a signal"
+
+
 def main(argv=None):
     """Run one command and write its artifacts; the exit code (argparse exits 2 itself)."""
     args = build_parser().parse_args(argv)
@@ -320,6 +327,9 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"error: out of memory{_memory_needed(args)}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for artifact in artifacts:

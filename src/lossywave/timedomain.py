@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import eval_alpha
-from .spectrum import ComplexSpectrum, _from_polar, _green_polar
+from .spectrum import _from_polar, _green_polar, _node_chunks, sample_green_spectrum
 
 __all__ = [
     "RealSignal",
@@ -110,26 +110,61 @@ class ForcingSignal:
 
 
 def _inverse_transform(values, grid):
-    """Real samples on t_j = j*dt from half-grid spectrum values.
+    """Real samples on t_j = j*dt from half-grid spectrum values, which it overwrites.
 
     g_j = (dw/sqrt(2pi)) * sum over the Hermitian extension of
     values_m * exp(-1j*w_m*t_j); with w_m = m*dw and dt = pi/W this is
     (dw/sqrt(2pi)) * n * irfft(conj(values)), which uses the real parts
-    of the w = 0 and Nyquist values.  The scale is applied in place, so no
-    second n-sample array is made.
+    of the w = 0 and Nyquist values.  values is conjugated in place and
+    the scale applied to the samples in place, so the n samples that
+    irfft returns are the one array made.
     """
-    samples = np.fft.irfft(np.conj(values), grid.n)
+    samples = np.fft.irfft(np.conjugate(values, out=values), grid.n)
     samples *= grid.delta_omega / _SQRT_2PI * grid.n
     return samples
+
+
+def _signal(values, grid, r):
+    """RealSignal of `_inverse_transform`, which overwrites values."""
+    return RealSignal(t0=0.0, dt=math.pi / grid.omega_max,
+                      samples=_inverse_transform(values, grid), r=float(r))
 
 
 def synthesize_time_signal(spec):
     """Real time signal from a sampled half spectrum.
 
     The output window is t in [0, n*dt) with dt = pi/omega_max.
+    spec.values is left as it is: a copy of it is transformed.
     """
-    return RealSignal(t0=0.0, dt=math.pi / spec.grid.omega_max,
-                      samples=_inverse_transform(spec.values, spec.grid), r=spec.r)
+    return _signal(np.array(spec.values, dtype=complex), spec.grid, spec.r)
+
+
+def _guarded_edge(t0, arrival, guard):
+    """arrival - guard, checked to be after the first sample time t0."""
+    if guard < 0.0:
+        raise ValueError("guard must be non-negative")
+    edge = arrival - guard
+    if edge <= t0:
+        raise ValueError("window too short: guarded arrival precedes the first sample")
+    return edge
+
+
+def _energy_fractions(energy, t0, dt, edges):
+    """Share of sum(energy) in the samples t0 + dt*j < edge, for each edge > t0."""
+    total = float(np.sum(energy))
+    if total == 0.0:
+        return [0.0] * len(edges)
+    fractions, n = [], len(energy)
+    for edge in edges:
+        # the samples with t0 + dt*j < edge, j < k, counted without building times();
+        # the estimate is corrected against that exact arithmetic
+        k = math.ceil(min((edge - t0) / dt, n))  # edge > t0, so k >= 1
+        while k > 0 and t0 + dt * (k - 1) >= edge:
+            k -= 1
+        while k < n and t0 + dt * k < edge:
+            k += 1
+        fractions.append(float(np.sum(energy[:k])) / total)
+    return fractions
 
 
 def causality_energy_fraction(signal, arrival, guard=None):
@@ -141,24 +176,25 @@ def causality_energy_fraction(signal, arrival, guard=None):
     """
     if guard is None:
         guard = 2.0 * signal.dt
-    if guard < 0.0:
-        raise ValueError("guard must be non-negative")
-    edge = arrival - guard
-    if edge <= signal.t0:
-        raise ValueError("window too short: guarded arrival precedes the first sample")
-    energy = signal.samples**2
-    total = float(np.sum(energy))
-    if total == 0.0:
-        return 0.0
-    # the samples with t0 + dt*j < edge, j < k, counted without building times();
-    # the estimate is corrected against that exact arithmetic
-    t0, dt, n = signal.t0, signal.dt, len(energy)
-    k = math.ceil(min((edge - t0) / dt, n))  # edge > t0, so k >= 1
-    while k > 0 and t0 + dt * (k - 1) >= edge:
-        k -= 1
-    while k < n and t0 + dt * k < edge:
-        k += 1
-    return float(np.sum(energy[:k])) / total
+    edge = _guarded_edge(signal.t0, arrival, guard)
+    return _energy_fractions(signal.samples**2, signal.t0, signal.dt, [edge])[0]
+
+
+def _pre_arrival_fractions(law, r, grid, band_edge, arrival):
+    """(raw, guarded, guard): `causality_energy_fraction` of the synthesized Green function.
+
+    The Green function of `law` at r is sampled on grid up to the band
+    edge (None: the whole grid) and synthesized; its fractions are those
+    at guard 0 and at the default guard 2*dt.  The spectrum is transformed
+    in place and dropped, and the signal is squared in place: both
+    fractions read that one energy array, and it is dropped on return, so
+    a caller's next law is synthesized with no signal of this one alive.
+    """
+    dt = math.pi / grid.omega_max
+    samples = _inverse_transform(sample_green_spectrum(law, r, grid, band_edge).values, grid)
+    guard = 2.0 * dt
+    edges = [_guarded_edge(0.0, arrival, 0.0), _guarded_edge(0.0, arrival, guard)]
+    return (*_energy_fractions(np.square(samples, out=samples), 0.0, dt, edges), guard)
 
 
 def forward_point_source(law, r, forcing, grid):
@@ -172,25 +208,30 @@ def forward_point_source(law, r, forcing, grid):
     therefore reproduces synthesize_time_signal of the Green spectrum to
     rounding, within 1e-12 of its peak.  Non-delta forcing spectra must be
     negligible at the grid edge, |ghat(omega_max)| < 1e-12 * max|ghat|,
-    and nonzero at some node.  A delta is exempt (it is never
-    band-limited; the product decays through G_hat alone).
+    and nonzero at some node, which is checked once every chunk is formed.
+    A delta is exempt (it is never band-limited; the product decays
+    through G_hat alone).  The nodes are formed and evaluated a chunk at a
+    time, as in `sample_green_spectrum`, straight into the one
+    half-spectrum array that the inverse transform then overwrites.
     """
-    w = grid.omegas()
-    envelope = forcing._envelope(w)
+    values = np.empty(grid.n // 2 + 1, dtype=complex)
+    peak = 0.0
+    for nodes, w in _node_chunks(grid, len(values)):
+        envelope = forcing._envelope(w)
+        if forcing.kind != "delta":
+            peak = max(peak, float(np.max(np.abs(envelope))))
+        magnitude, phase = _green_polar(law, r, w)
+        magnitude *= envelope
+        magnitude *= _SQRT_2PI
+        phase += w * forcing.center
+        _from_polar(magnitude, phase, lag=forcing._lags, out=values[nodes])
     if forcing.kind != "delta":
-        peak = float(np.max(np.abs(envelope)))
         if peak == 0.0:
             raise ValueError(f"the forcing spectrum is 0 at every node: the spacing "
                              f"2*omega_max/n = {grid.delta_omega!r} is too coarse, raise n")
         if abs(envelope[-1]) >= 1e-12 * peak:
             raise ValueError("forcing bandwidth exceeds the grid: raise omega_max")
-    magnitude, phase = _green_polar(law, r, w)
-    magnitude *= envelope
-    magnitude *= _SQRT_2PI
-    phase += w * forcing.center
-    product = ComplexSpectrum(grid=grid, r=float(r),
-                              values=_from_polar(magnitude, phase, lag=forcing._lags))
-    return synthesize_time_signal(product)
+    return _signal(values, grid, r)
 
 
 def helmholtz_radial_residual(law, r, omega, h):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -947,8 +948,8 @@ class TestTimeDomainWork:
     """Law evaluations of `pulse` and `causality`, counted at the one law kernel.
 
     `pulse` forms the Green spectrum times the forcing as one magnitude and
-    one phase per node: one kernel call over the n/2 + 1 grid nodes and no
-    complex forcing spectrum.  `causality` samples the causal law on the
+    one phase per node: one kernel call per chunk of the n/2 + 1 grid nodes
+    (one in all below 2**15 samples) and no complex forcing spectrum.  `causality` samples the causal law on the
     whole grid and the truncated power law only on its band.
     """
 
@@ -984,8 +985,75 @@ class TestTimeDomainWork:
         assert calls == [(tag, self.N // 2 + 1)]
         assert spectra == []
 
+    def test_a_grid_of_many_chunks_evaluates_each_node_once(self, tmp_path, monkeypatch):
+        # one kernel call per chunk of at most _CHUNK_NODES nodes, the chunks in order
+        calls = self._count_kernel(monkeypatch)
+        n, chunk = 2**16, spectrum._CHUNK_NODES
+        assert cli.main(["pulse", "--out", str(tmp_path), "--samples", str(n)]) == 0
+        sizes = [size for _, size in calls]
+        assert sum(sizes) == n // 2 + 1
+        assert sizes == [chunk] * (len(sizes) - 1) + [n // 2 + 1 - chunk * (len(sizes) - 1)]
+
     def test_causality_samples_the_power_law_only_in_its_band(self, tmp_path, monkeypatch):
         calls = self._count_kernel(monkeypatch)
         assert cli.main(["causality", "--out", str(tmp_path), "--samples", str(self.N)]) == 0
         band = int(np.count_nonzero(FrequencyGrid(400.0, self.N).omegas() <= 100.0))
         assert calls == [("causal", self.N // 2 + 1), ("power-law", band)]
+
+
+class TestTimeDomainMemory:
+    """Traced peaks of `causality` and `pulse` at n = 2**18 samples, in process.
+
+    Synthesis holds one half spectrum of n/2 + 1 complex values, which the
+    inverse transform overwrites, and one signal of n reals: `causality`
+    peaks at 4.20 MB against the bound of 5.24 MB, where it peaked at
+    8.39 MB with whole-grid nodes, magnitudes and phases, a conjugated
+    copy of the spectrum, an energy array per fraction and the causal
+    signal alive while the power law was synthesized.  `pulse` peaks at
+    7.53 MB, while its times, its samples and the CSV writer's buffers are
+    alive, against the same bound plus the writer's 3.6 MB bound of
+    tests/test_tables.py::test_writer_peak_memory; it peaked at 10.49 MB.
+    """
+
+    N = 2**18
+    BOUND = (N // 2 + 1) * 16 + N * 8 + 2**20
+    WRITER = 3.6e6
+
+    def _peak(self, tmp_path, command):
+        # a first small run builds the parser and the writer's tables and imports json
+        assert cli.main([command, "--samples", "1024", "--out", str(tmp_path)]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main([command, "--samples", str(self.N), "--out", str(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_causality(self, tmp_path):
+        peak = self._peak(tmp_path, "causality")
+        assert peak <= self.BOUND, peak
+
+    def test_pulse(self, tmp_path):
+        peak = self._peak(tmp_path, "pulse")
+        assert peak <= self.BOUND + self.WRITER, peak
+
+
+class TestOutOfMemory:
+    """A grid that does not fit in memory exits 2 naming --samples and the bytes it needs."""
+
+    @pytest.mark.parametrize("command", ["pulse", "causality"])
+    def test_grid_beyond_memory_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        n = 2**40
+        empty = np.empty
+
+        def refusing(shape, *args, **kwargs):  # no allocation of n/2 + 1 values is tried
+            if np.prod(shape) > 2**30:
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing)
+        assert cli.main([command, "--samples", str(n), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert f"--samples {n} needs about {16 * n} bytes" in err
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())

@@ -60,6 +60,41 @@ def test_json_rows(tmp_path):
         "rows": [{"gamma": 1.5, "bound": 1e4}, {"gamma": 2.0, "bound": 3.0}]}
 
 
+def _one_dump(colnames, columns, comment):
+    """The JSON table as one document dumped whole, the form the block writer reproduces."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    doc = {"comment": comment, "rows": [dict(zip(colnames, row)) for row in rows]}
+    return (json.dumps(tables._json_safe(doc), indent=2, allow_nan=False) + "\n").encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3])
+@pytest.mark.parametrize("comment", [None, 'say "hi", 100% \\ caf\u00e9 \u2192 \u03c9'])
+def test_json_table_streams_the_bytes_of_one_dump(tmp_path, rows, comment):
+    values = [math.nan, *AWKWARD]  # nan, +-inf, -0.0, 5e-324 and 1e300 among them
+    a = [values[i % len(values)] for i in range(rows)]
+    b = [values[(5 * i + 2) % len(values)] for i in range(rows)]
+    names = ["a", 'b "%s" \u03c9']
+    path = write_table(tmp_path / "t", names, [a, b], comment, fmt="json")
+    assert path.read_bytes() == _one_dump(names, [a, b], comment)
+
+
+def test_json_table_peak_memory(tmp_path):
+    """A 2**16 x 2 JSON table peaks at 3.15 MB traced, one block at a time; dumped whole, 67 MB.
+
+    The peak is that of one block of _BLOCK_ROWS rows, whatever the length of the columns.
+    """
+    rng = np.random.default_rng(7)
+    columns = [rng.standard_normal(2**16), rng.standard_normal(2**16)]
+    write_table(tmp_path / "warm", ["a", "b"], [c[:10] for c in columns], fmt="json")
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "memory", ["a", "b"], columns, fmt="json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, peak
+
+
 # the writer's numpy kernel against per-value `%`
 
 def _data_lines(path):

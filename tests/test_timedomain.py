@@ -1,5 +1,7 @@
+import copy
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from lossywave import (
     synthesize_time_signal,
     write_table,
 )
+from lossywave import spectrum
 from lossywave.timedomain import _inverse_transform
 
 from conftest import full_grid_synthesis
@@ -175,6 +178,49 @@ class TestForwardPointSource:
         out = forward_point_source(castor.causal, 1.0, forcing, FrequencyGrid(200.0, 2**16))
         arrival = 10.0 + 1.0 / castor.causal.c0
         assert causality_energy_fraction(out, arrival) <= 1e-6
+
+
+class TestInputsUnchanged:
+    """Synthesis overwrites only the arrays it makes: a caller's spectrum and inputs stay."""
+
+    def test_synthesize_leaves_the_spectrum(self, castor):
+        spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(400.0, 2**12))
+        before = spec.values.copy()
+        first = synthesize_time_signal(spec)
+        assert spec.values.tobytes() == before.tobytes()
+        assert synthesize_time_signal(spec).samples.tobytes() == first.samples.tobytes()
+
+    @pytest.mark.parametrize("kind", ["delta", "gaussian-pulse", "gaussian-modulated-sine"])
+    def test_forward_point_source_leaves_its_inputs(self, castor, kind):
+        law, grid = castor.causal, FrequencyGrid(400.0, 2**12)
+        forcing = ForcingSignal(kind, center=2.0, width=0.5, carrier=10.0)
+        before = copy.deepcopy((law, forcing, grid))
+        first = forward_point_source(law, 1.0, forcing, grid)
+        assert (law, forcing, grid) == before
+        assert forward_point_source(law, 1.0, forcing, grid).samples.tobytes() == \
+            first.samples.tobytes()
+
+
+class TestForcingErrors:
+    """The two forcing checks keep their messages, also where the grid spans many chunks."""
+
+    @pytest.mark.parametrize("chunk", [spectrum._CHUNK_NODES, 5])
+    def test_bandwidth_beyond_the_grid(self, chunk):
+        with mock.patch.object(spectrum, "_CHUNK_NODES", chunk), \
+                pytest.raises(ValueError) as err:
+            forward_point_source(LOSSLESS, 1.0, ForcingSignal("gaussian-pulse", width=0.5),
+                                 FrequencyGrid(2.0, 64))
+        assert str(err.value) == "forcing bandwidth exceeds the grid: raise omega_max"
+
+    @pytest.mark.parametrize("chunk", [spectrum._CHUNK_NODES, 2])
+    def test_forcing_zero_at_every_node(self, chunk):
+        # a carrier halfway between the nodes 1000 and 1250: exp(-125**2/2) = 0 at every node
+        forcing = ForcingSignal("gaussian-modulated-sine", width=1.0, carrier=1125.0)
+        with mock.patch.object(spectrum, "_CHUNK_NODES", chunk), \
+                pytest.raises(ValueError) as err:
+            forward_point_source(LOSSLESS, 1.0, forcing, FrequencyGrid(2000.0, 16))
+        assert str(err.value) == ("the forcing spectrum is 0 at every node: the spacing "
+                                  "2*omega_max/n = 250.0 is too coarse, raise n")
 
 
 class TestHelmholtzResidual:

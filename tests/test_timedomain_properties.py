@@ -6,6 +6,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import math  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -22,6 +23,9 @@ from lossywave import (  # noqa: E402
     sample_green_spectrum,
     synthesize_time_signal,
 )
+
+from lossywave import spectrum  # noqa: E402
+from lossywave.spectrum import _band_nodes  # noqa: E402
 
 from conftest import full_grid_synthesis  # noqa: E402
 
@@ -118,3 +122,81 @@ def test_pre_arrival_fraction_counts_the_samples_before_the_edge(t0, log2_dt, n,
     assert causality_energy_fraction(sig, edge, guard=0.0) == expected
     with pytest.raises(ValueError, match="guard must be non-negative"):
         causality_energy_fraction(sig, edge, guard=-dt)
+
+
+def _band_edge(grid, where, share, u):
+    """None, or a band edge on a node, one ulp under it, between two nodes, below the spacing
+    or above omega_max.
+
+    The node is k = share*n/2, at least 1; u in (0, 1) places the edge within a spacing.
+    """
+    dw, k = grid.delta_omega, max(1, round(share * (grid.n // 2)))
+    return {"none": None, "node": dw * k, "under": math.nextafter(dw * k, 0.0),
+            "between": dw * (k - u), "below": dw * u,
+            "above": grid.omega_max * (1.0 + u)}[where]
+
+
+def _chunked(chunk, n):
+    """The drawn chunk length, or the module's; at most 200 chunks, so no draw is slow."""
+    return max(chunk or spectrum._CHUNK_NODES, (n // 2 + 1) // 200 + 1)
+
+
+# n up to 2**18, so chunk boundaries fall anywhere against the band's end; omega_max
+# above 1/tau0 for many draws, so that some chunks take the sigma != 1 branch of
+# `laws._reduced` and others its sigma = 1 shortcut, and the whole grid the former.
+# The examples put the band's end on a node that ends a chunk and one that starts the
+# next, in a grid whose chunks past 1/tau0 = 1e6 take the sigma != 1 branch, and one ulp
+# under a node where band_edge/delta_omega rounds up to that node's index.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(gamma=st.floats(min_value=1.05, max_value=2.0),
+       log10_tau0=st.floats(min_value=-8.0, max_value=-4.0),
+       powerlaw=st.booleans(),
+       log10_r=st.floats(min_value=-3.0, max_value=1.0),
+       log10_omega_max=st.floats(min_value=0.0, max_value=7.0),
+       log2_n=st.integers(min_value=4, max_value=18),
+       chunk=st.sampled_from([None, 1, 7, 1000, 4097]),
+       where=st.sampled_from(["none", "node", "under", "between", "below", "above"]),
+       share=st.floats(min_value=0.0, max_value=1.0),
+       u=st.floats(min_value=1e-9, max_value=1.0, exclude_max=True))
+@example(gamma=1.66, log10_tau0=-6.0, powerlaw=False, log10_r=0.0, log10_omega_max=6.5,
+         log2_n=18, chunk=None, where="node", share=2**14 / 2**17, u=0.5)
+@example(gamma=1.66, log10_tau0=-6.0, powerlaw=False, log10_r=0.0, log10_omega_max=6.5,
+         log2_n=18, chunk=None, where="node", share=(2**14 - 1) / 2**17, u=0.5)
+@example(gamma=1.66, log10_tau0=-6.0, powerlaw=False, log10_r=0.0, log10_omega_max=2.5,
+         log2_n=10, chunk=7, where="under", share=0.4, u=0.5)
+@example(gamma=1.66, log10_tau0=-6.0, powerlaw=True, log10_r=-2.0, log10_omega_max=6.5,
+         log2_n=18, chunk=1000, where="between", share=0.9, u=0.25)
+def test_chunked_sampling_is_green_hat_on_the_grid_bit_for_bit(
+        gamma, log10_tau0, powerlaw, log10_r, log10_omega_max, log2_n, chunk, where, share, u):
+    causal = CausalLaw(gamma=gamma, c0=0.15, alpha1=138.08, tau0=10.0**log10_tau0)
+    law = MediumPreset("random", causal).powerlaw if powerlaw else causal
+    r, grid = 10.0**log10_r, FrequencyGrid(10.0**log10_omega_max, 2**log2_n)
+    m = _band_edge(grid, where, share, u)
+    w = grid.omegas()
+    band = len(w) if m is None else int(np.searchsorted(w, m, side="right"))
+    if m is not None:
+        assert _band_nodes(grid, m) == band
+    expected = np.zeros(len(w), dtype=complex)
+    expected[:band] = green_hat(law, r, w)[:band]
+    with mock.patch.object(spectrum, "_CHUNK_NODES", _chunked(chunk, grid.n)):
+        values = sample_green_spectrum(law, r, grid, m).values
+    assert values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(),
+       powerlaw=st.booleans(),
+       log10_r=st.floats(min_value=-3.0, max_value=0.0),
+       omega_max=st.floats(min_value=1.0, max_value=5000.0),
+       log2_n=st.integers(min_value=4, max_value=16),
+       chunk=st.sampled_from([1, 7, 1000, 4097]))
+def test_forward_point_source_does_not_depend_on_the_chunks(data, powerlaw, log10_r, omega_max,
+                                                            log2_n, chunk):
+    causal = CausalLaw(gamma=1.66, c0=0.15, alpha1=138.08, tau0=1e-6)
+    law = MediumPreset("random", causal).powerlaw if powerlaw else causal
+    grid = FrequencyGrid(omega_max, 2**log2_n)
+    forcing = data.draw(forcings(omega_max, grid.n * math.pi / omega_max))
+    whole = forward_point_source(law, 10.0**log10_r, forcing, grid)
+    with mock.patch.object(spectrum, "_CHUNK_NODES", _chunked(chunk, grid.n)):
+        chunked = forward_point_source(law, 10.0**log10_r, forcing, grid)
+    assert chunked.samples.tobytes() == whole.samples.tobytes()
