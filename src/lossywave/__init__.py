@@ -6,14 +6,14 @@ bounds the L2 error of band truncation and of the power-law
 approximation, and synthesizes time-domain pulses by inverse FFT.
 """
 
-from .numerics import NumericalError
+from .numerics import NumericalError, integrate_intervals
 from .laws import (
     CausalLaw,
     PowerLaw,
     DispersionLaw,
     MediumPreset,
     derive_powerlaw_coeffs,
-    alpha1_from_a1,
+    alpha_parts,
     eval_alpha,
     alpha_difference_slope_bound,
     alpha_difference_curvature_bound,
@@ -29,20 +29,22 @@ from .spectrum import (
     FrequencyGrid,
     ComplexSpectrum,
     EnergyProfile,
-    energy_profile,
+    energy_profiles,
+    energies_at,
+    band_edges,
     green_hat,
     sample_green_spectrum,
-    log10_relative_truncation_error,
+    log10_truncation_errors,
     deviation_factor,
-    relative_model_error,
+    relative_model_errors,
 )
 from .timedomain import (
     RealSignal,
     ForcingSignal,
     synthesize_time_signal,
     causality_energy_fraction,
+    pre_arrival_fractions,
     forward_point_source,
-    helmholtz_radial_residual,
 )
 from .tables import write_json, write_table
 from .bounds import (
@@ -54,7 +56,7 @@ from .bounds import (
     TruncationBound,
     power_lower_envelope,
     corrected_truncation_error_bound,
-    model_error_report,
+    model_error_reports,
 )
 
 __version__ = "0.1.0"

@@ -53,16 +53,22 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
       (identically |exp(-(b1 + i*b2)*r) - 1|^2),
 
   and a band edge m_delta capturing the fraction (1 - delta) of the
-  spectral energy, the band-limited relative model error obeys
+  spectral energy, the stated form of the band-limited relative model
+  error's bound reads
 
       error <= sqrt((1 - delta)*d1 + delta*d2),
 
   where d1/d2 are suprema of C^2 inside/outside [-m_delta, m_delta].
   Because C itself is already a squared modulus, both the stated
   convention (max of C^2) and the milder one (max of C) are computed
-  and reported.  C is `spectrum.deviation_factor`, which also weights
-  the exact model error.  m_delta, the full/band norm ratio and the
-  exact error's denominator come from one `EnergyProfile` per distance.
+  and reported.  Only the max-of-C form is a bound: the squared error is
+  the integral of |G_hat_c|^2 * C over the band divided by the line
+  energy, at most (1 - delta)*sup_in C + delta*sup_out C, and C^2 < C
+  wherever C < 1, so the stated convention can undercut the error (see
+  `ModelErrorReport`).  C is `spectrum.deviation_factor`, which also
+  weights the exact model error.  m_delta, the full/band norm ratio and
+  the exact error's denominator come from one `EnergyProfile` per
+  distance.
 
   Every supremum is a pair: the best C evaluated (a lower bound) and a
   certified upper bound, which every bound uses.  Both come from a
@@ -138,11 +144,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laws import (CausalLaw, _alpha_parts, _reduced, _scaled, alpha_difference_curvature_bound,
-                   alpha_difference_slope_bound, derive_powerlaw_coeffs)
+from .laws import (CausalLaw, _reduced, _scaled, alpha_difference_curvature_bound,
+                   alpha_difference_slope_bound, alpha_parts, derive_powerlaw_coeffs)
 from .numerics import NumericalError
-from .spectrum import (_band_edges, _check_band_edge, _check_distance, _check_line_profile,
-                       _deviation, _energies_at, _relative_model_errors)
+from .spectrum import (_check_distance, _check_line_profile, _deviation, band_edges,
+                       check_band_edge, energies_at, relative_model_errors)
 
 __all__ = [
     "EnvelopeBoundConstants",
@@ -153,7 +159,7 @@ __all__ = [
     "TruncationBound",
     "power_lower_envelope",
     "corrected_truncation_error_bound",
-    "model_error_report",
+    "model_error_reports",
 ]
 
 ENVELOPE_GRID_POINTS = 10_000  # log grid on which `verify_envelope` checks the envelope
@@ -194,7 +200,7 @@ class EnvelopeBoundConstants:
 
     def __post_init__(self):
         m, causal, slope_factor = self.m, self.causal, self.slope_factor
-        _check_band_edge(m)
+        check_band_edge(m)
         if not (slope_factor > 0.0 and math.isfinite(slope_factor)):
             raise ValueError(f"slope_factor must be finite and positive, got {slope_factor!r}")
         m = float(m)
@@ -204,7 +210,7 @@ class EnvelopeBoundConstants:
             raise NumericalError(f"the envelope slope a0 at M={m!r} exceeds the largest double")
         if a0 == 0.0:  # the published form divides by sqrt(a0)
             raise NumericalError(f"the envelope slope a0 at M={m!r} underflows to 0")
-        alpha_m = float(_alpha_parts(causal, m)[0])
+        alpha_m = float(alpha_parts(causal, m)[0])
         split = max(m, 1.0 / causal.tau0)
         kappa, exponent = power_lower_envelope(causal, split)
         if kappa == math.inf:
@@ -254,7 +260,7 @@ def verify_envelope(constants, omega_max):
     if not omega_max > m:
         raise ValueError("omega_max must exceed the band edge m")
     w = np.geomspace(m * (1.0 + 1e-9), omega_max, ENVELOPE_GRID_POINTS)
-    alpha = _alpha_parts(constants.causal, w)[0]
+    alpha = alpha_parts(constants.causal, w)[0]
     # an infinite line fails by inf, or by nan where Re alpha_c overflows too
     with np.errstate(over="ignore", invalid="ignore"):
         worst = float(np.max(constants.alpha_m + constants.a0 * (w - m) - alpha))
@@ -554,7 +560,13 @@ class ModelErrorReport:
     """Model-error bound and exact error at one (r, m, delta).
 
     d1/d2 and bound follow the stated convention (suprema of C^2);
-    the *_max_c fields use the milder max-of-C convention.  d1_max_c
+    the *_max_c fields use the milder max-of-C convention.  bound is not
+    a bound, and bound_max_c is: with the squared error at most
+    (1 - delta)*d1_max_c + delta*d2_max_c, the suprema of C**2 lie below
+    those of C wherever C < 1.  For castor oil at M = 100, r = 1 and
+    delta = 1e-8, bound is 1.108e-4 against an exact_error of 1.787e-4,
+    so dominates_sq is false while dominates_max_c is true.  bound is
+    still evaluated, as the published truncation form is.  d1_max_c
     and d2_max_c are certified upper bounds of the suprema of C on
     [0, m_delta] and on [m_delta, inf); every bound uses them.
     d1_max_c_lower and d2_max_c_lower are the best values evaluated,
@@ -591,36 +603,30 @@ class ModelErrorReport:
     dominates_max_c: bool
 
 
-def model_error_report(profile, m, delta):
-    """Evaluate the band-limited model-error bound and the exact error.
+def model_error_reports(profiles, m, delta):
+    """The band-limited model-error bound and the exact error, per line profile.
 
-    m_delta and the full/band norm ratio come from `profile`, the
-    line `EnergyProfile` of the causal law, which the power law
-    derived from it approximates.  The suprema of the deviation factor
-    are certified by `_certified_maxima` on [0, m_delta] and on
-    [m_delta, W], and `_closure` bounds C beyond W.  Both C-conventions
-    and both normalizations are reported; nothing is silently chosen.
+    m_delta and the full/band norm ratio come from each profile, a line
+    `EnergyProfile` of one causal law, which the power law derived from
+    it approximates.  The suprema of the deviation factor are certified by
+    `_certified_maxima` on [0, m_delta] and on [m_delta, W], and `_closure`
+    bounds C beyond W.  Both C-conventions and both normalizations are
+    reported; nothing is silently chosen, but only `bound_max_c` bounds the
+    error (see `ModelErrorReport`).  The band edges, the suprema of one
+    search, the band energies and the exact errors' numerators are each
+    formed for every distance at once.
     """
-    return _model_error_reports([profile], m, delta)[0]
-
-
-def _model_error_reports(profiles, m, delta):
-    """`model_error_report` of each line profile of one causal law, every stage once for all.
-
-    The band edges, the suprema of one search, the band energies and the
-    exact errors' numerators are each formed for every distance at once.
-    """
-    _check_band_edge(m)
+    check_band_edge(m)
     for profile in profiles:
         _check_line_profile(profile, "the model-error report")
     causal = profiles[0].law
-    edges = _band_edges(profiles, delta)
+    edges = band_edges(profiles, delta)
     closures = [_closure(causal, profile.r, m_delta) for profile, m_delta in zip(profiles, edges)]
     maxima = iter(_certified_maxima(causal, [
         search for profile, m_delta, (w_closed, _) in zip(profiles, edges, closures)
         for search in ((profile.r, 0.0, m_delta), (profile.r, m_delta, w_closed))]))
-    band = _energies_at(profiles, m)
-    errors = _relative_model_errors(profiles, m, band)
+    band = energies_at(profiles, m)
+    errors = relative_model_errors(profiles, m, band)
     reports = []
     for profile, m_delta, (w_closed, closing), energy, err_band_norm in zip(
             profiles, edges, closures, band, errors):

@@ -26,16 +26,16 @@ import numpy as np
 
 from . import __version__
 from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, EnvelopeBoundConstants,
-                     _model_error_reports, corrected_truncation_error_bound,
-                     log10_truncation_error_bound, verify_envelope)
-from .laws import (_alpha_parts, load_preset, powerlaw_phase_singularity, small_frequency_bound,
+                     corrected_truncation_error_bound, log10_truncation_error_bound,
+                     model_error_reports, verify_envelope)
+from .laws import (alpha_parts, load_preset, powerlaw_phase_singularity, small_frequency_bound,
                    wavenumber)
 from .numerics import QUADRATURE_RTOL, NumericalError
-from .spectrum import (BAND_EDGE_RTOL, FrequencyGrid, _check_band_edge, _energy_profiles,
-                       _log10_truncation_errors, _relative_model_errors, deviation_factor,
-                       energy_profile)
+from .spectrum import (BAND_EDGE_RTOL, FrequencyGrid, check_band_edge, deviation_factor,
+                       energies_at, energy_profiles, log10_truncation_errors,
+                       relative_model_errors)
 from .tables import write_json, write_table
-from .timedomain import ForcingSignal, _pre_arrival_fractions, forward_point_source
+from .timedomain import ForcingSignal, forward_point_source, pre_arrival_fractions
 
 
 def _fmt(x):
@@ -70,10 +70,9 @@ def cmd_table2(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
     m = args.m
-    _check_band_edge(m)  # an energy profile takes M = inf for the whole line
-    errors = _relative_model_errors(_energy_profiles(preset.causal, r_list, m), m)
+    errors = relative_model_errors(energy_profiles(preset.causal, r_list, m), m)
     return [("table2", {"r": r_list, "model_error": errors},
-             f"preset={preset.name} M={_fmt(args.m)}")]
+             f"preset={preset.name} M={_fmt(m)}")]
 
 
 def _curves(preset, fig, w_att, w_spd, att_note="", spd_note=""):
@@ -83,7 +82,7 @@ def _curves(preset, fig, w_att, w_spd, att_note="", spd_note=""):
     leave the doubles on the grid.
     """
     both = (preset.causal, preset.powerlaw)
-    att_c, att_pl = (_alpha_parts(law, w_att)[0] for law in both)
+    att_c, att_pl = (alpha_parts(law, w_att)[0] for law in both)
     spd_c, spd_pl = (w_spd / wavenumber(law, w_spd) for law in both)
     tables = [(f"{fig}_attenuation",
                {"omega": w_att, "attenuation_causal": att_c, "attenuation_powerlaw": att_pl},
@@ -117,14 +116,14 @@ def cmd_fig2(args):
 def cmd_fig3(args):
     preset = load_preset(args.preset)
     r, m = args.r, args.m
-    _check_band_edge(m)
+    check_band_edge(m)
     if not 0.5 < 2.0 * m < math.inf:
         raise ValueError(f"fig3 plots band edges from 0.5 to 2M, so M must exceed 0.25 "
                          f"and 2M must be a finite double, got M={m!r}")
     m0 = np.linspace(0.5, 2.0 * m, 100)
     # one energy profile of [0, 2M] read at every band edge; the
     # absolute norm carries the prefactor 1/(4*pi*r) of G_hat
-    energy = energy_profile(preset.causal, r, 2.0 * m).at(m0)
+    energy, = energies_at(energy_profiles(preset.causal, [r], 2.0 * m), m0)
     w = np.linspace(0.0, m, 501)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         g_curve = np.sqrt(2.0 * energy) / (4.0 * math.pi * r)
@@ -142,10 +141,10 @@ def cmd_bounds(args):
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
     constants = EnvelopeBoundConstants(preset.causal, args.m, args.slope_factor)
-    profiles = _energy_profiles(preset.causal, r_list)
-    reports = _model_error_reports(profiles, args.m, args.delta)
+    profiles = energy_profiles(preset.causal, r_list)
+    reports = model_error_reports(profiles, args.m, args.delta)
     corrected = [corrected_truncation_error_bound(constants, r) for r in r_list]
-    truncation = _log10_truncation_errors(profiles, args.m)
+    truncation = log10_truncation_errors(profiles, args.m)
     per_r = []
     for r, profile, report, bound, log10_error in zip(r_list, profiles, reports, corrected,
                                                       truncation):
@@ -214,7 +213,7 @@ def cmd_causality(args):
     }
     for key, law, band_edge in (("causal", preset.causal, None),
                                 ("truncated_powerlaw", preset.powerlaw, args.m)):
-        raw, guarded, guard = _pre_arrival_fractions(law, args.r, grid, band_edge, arrival)
+        raw, guarded, guard = pre_arrival_fractions(law, args.r, grid, band_edge, arrival)
         doc[key] = {"raw_fraction": raw, "guarded_fraction": guarded, "guard": guard}
     return [("causality.json", doc)]
 

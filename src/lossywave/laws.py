@@ -52,7 +52,7 @@ __all__ = [
     "DispersionLaw",
     "MediumPreset",
     "derive_powerlaw_coeffs",
-    "alpha1_from_a1",
+    "alpha_parts",
     "eval_alpha",
     "alpha_difference_slope_bound",
     "alpha_difference_curvature_bound",
@@ -164,16 +164,13 @@ def derive_powerlaw_coeffs(causal):
     return a1, a2
 
 
-def alpha1_from_a1(a1, gamma, c0, tau0):
-    """Invert the a1 relation of `derive_powerlaw_coeffs` back to alpha1."""
-    _require(a1 > 0.0 and c0 > 0.0 and tau0 > 0.0, "a1, c0 and tau0 must be positive")
-    _require(1.0 < gamma <= 2.0, f"gamma must lie in (1, 2], got {gamma}")
-    return 2.0 * c0 * a1 / (tau0 ** (gamma - 1.0) * abs(math.cos(gamma * math.pi / 2.0)))
-
-
 @dataclass(frozen=True)
 class MediumPreset:
-    """Named causal law and the power law derived from it on construction, never passed in."""
+    """Named causal law and the power law derived from it on construction, never passed in.
+
+    Raises ValueError where a derived coefficient leaves the doubles: the
+    medium is legal, but it has no power law to compare with.
+    """
 
     name: str
     causal: CausalLaw
@@ -181,6 +178,10 @@ class MediumPreset:
 
     def __post_init__(self):
         a1, a2 = derive_powerlaw_coeffs(self.causal)
+        for formula, value in (("a2 = alpha1/c0", a2),
+                               ("a1 = alpha1*tau0**(gamma-1)*|cos(gamma*pi/2)|/(2*c0)", a1)):
+            _require(math.isfinite(value), f"the derived power law leaves the doubles: "
+                                           f"{formula} overflows for {self.causal}")
         object.__setattr__(self, "powerlaw", PowerLaw(self.causal.gamma, a1, a2, self.causal.c0))
 
 
@@ -278,7 +279,7 @@ def _causal_parts(a, s, sigma, phase, scale):
         return _scaled(y, scale), np.negative(_scaled(q, scale), out=q)
 
 
-def _alpha_parts(law, omega):
+def alpha_parts(law, omega):
     """(Re alpha*(omega), Im alpha*(omega)) as two real arrays, the one law kernel.
 
     Both parts are formed at a = |omega| and Im alpha* takes the sign of
@@ -324,7 +325,7 @@ def eval_alpha(law, omega):
     non-degenerate laws); Im(alpha*) is odd, and
     eval_alpha(law, -w) == conj(eval_alpha(law, w)) holds bit for bit.
     """
-    re, im = _alpha_parts(law, omega)
+    re, im = alpha_parts(law, omega)
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out if out.ndim else complex(out)
@@ -395,7 +396,7 @@ def _attenuation_and_difference(causal, omega):
     """(Re alpha*_c, `_alpha_difference`) at the frequencies omega >= 0, from one `_reduced`.
 
     The two values of the model-error integrand at one node set, the
-    bits of `_alpha_parts(causal, omega)[0]` and `_alpha_difference`.
+    bits of `alpha_parts(causal, omega)[0]` and `_alpha_difference`.
     """
     w = _finite_omega(omega)
     a, s, sigma, phase, scale = _reduced(causal, w)
@@ -465,7 +466,7 @@ def _rise(law, lo):
     Re alpha*(h), one call of the law kernel per call.
     """
     if lo == 0.0:
-        return lambda h: _alpha_parts(law, h)[0]
+        return lambda h: alpha_parts(law, h)[0]
     if isinstance(law, PowerLaw):
         with np.errstate(over="ignore"):  # beyond the double range the rise is +inf
             start = law.a1 * lo**law.gamma
@@ -507,7 +508,7 @@ def attenuation_rise(law, lo, h):
 def wavenumber(law, omega):
     """Effective wavenumber k(omega) = omega/c0 - Im(alpha*(omega)) in rad/cm."""
     w = np.asarray(omega, dtype=float)
-    out = w / law.c0 - _alpha_parts(law, w)[1]
+    out = w / law.c0 - alpha_parts(law, w)[1]
     return out if out.ndim else float(out)
 
 
@@ -520,7 +521,7 @@ def phase_speed(law, omega):
     """
     w = float(omega)
     _require(w != 0.0 and math.isfinite(w), "omega must be finite and non-zero")
-    im = float(_alpha_parts(law, w)[1])
+    im = float(alpha_parts(law, w)[1])
     k = w / law.c0 - im
     scale = abs(w) / law.c0 + abs(im)
     if abs(k) <= 1e-9 * scale:

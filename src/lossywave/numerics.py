@@ -9,7 +9,7 @@ their share of the tolerance halved.  The rule returns its value
 together with the error estimate, the sample count and the panels.
 Integrands that underflow to zero integrate to zero at once.  Many
 intervals integrate together, one integrand call per round for all,
-each bit for bit as alone (`_integrate_intervals`).
+each bit for bit as alone (`integrate_intervals`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NumericalError"]
+__all__ = ["NumericalError", "integrate_intervals"]
 
 
 class NumericalError(RuntimeError):
@@ -51,7 +51,7 @@ _MAX_PANELS = 4096
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Result of `integrate_decaying`.
+    """Result of `integrate_intervals` on one interval.
 
     value is the Kronrod sum over all panels and error the sum of the
     panel estimates |K15 - G7|; samples counts integrand evaluations.
@@ -123,13 +123,8 @@ def _kronrod_groups(f, groups, ids, where=None):
     return sums
 
 
-def gauss_kronrod(f, left, right):
-    """K15 integrals and |K15 - G7| estimates of the panels [left, right], one call of f."""
-    return _kronrod_groups(lambda x, k: f(x.ravel()), [(left, right)], [0])[0]
-
-
 def _refine(a, b, rtol, k, where):
-    """`integrate_decaying` on [a, b] as a generator: it yields the panels (left, right)
+    """`integrate_intervals` on [a, b] as a generator: it yields the panels (left, right)
     it needs, is sent their (value, error) and returns the Quadrature."""
     if not b > a:
         return Quadrature(0.0, 0.0, 0, np.empty(0), np.empty(0))
@@ -165,33 +160,28 @@ def _refine(a, b, rtol, k, where):
                       edges=np.append(left[order], float(b)), panels=value[order])
 
 
-def _integrate_intervals(f, a, b, rtol=QUADRATURE_RTOL, where=None):
-    """[`integrate_decaying` of f over each interval [a[k], b[k]]], one call of f per round.
+def integrate_intervals(f, a, b, rtol=QUADRATURE_RTOL, where=None):
+    """Integrate a smooth, non-negative integrand over each interval [a[k], b[k]].
 
-    f(x, k) takes a row of 15 nodes per panel and the column k of each
-    row's interval.  Each interval refines as it would alone, its panels
-    one block in its own order, so its Quadrature is the same bit for bit.
-    Errors name where(k), a text such as " at r=1.0", of their interval.
+    Returns one Quadrature per interval.  f(x, k) takes a row of 15 nodes
+    per panel and the column k of each row's interval (the scalar k in a
+    round where one interval alone refines) and returns the values at x.
+    On each interval one Gauss-Kronrod 7/15 panel over [a, b] is tried
+    first: a smooth interval such as one step of a root solve needs no
+    more.  Otherwise the interval is split into panels graded
+    geometrically toward a, where decaying integrands peak and vary
+    fastest.  Every panel whose estimate |K15 - G7| exceeds its equal
+    share of rtol times the total is halved, until none does; the
+    estimates then sum to at most rtol times the value.  An integrand
+    that underflows to zero gives zero at once, and an empty or reversed
+    interval gives zero without a call.  Every round takes one call of f
+    for the panels of all intervals.  Each interval refines as it would
+    alone, its panels one block in its own order, so its Quadrature is the
+    same bit for bit as in a one-element call.
+
+    Raises NumericalError for a non-finite integrand value, or when the
+    panels needed exceed a fixed cap (integrand noise above rtol).  Errors
+    name where(k), a text such as " at r=1.0", of their interval.
     """
     runs = [_refine(float(lo), float(hi), rtol, k, where) for k, (lo, hi) in enumerate(zip(a, b))]
     return _run_together(runs, lambda panels, indices: _kronrod_groups(f, panels, indices, where))
-
-
-def integrate_decaying(f, a, b, rtol=QUADRATURE_RTOL):
-    """Integrate a smooth, non-negative integrand on [a, b]; returns a Quadrature.
-
-    f maps a 1-d numpy array of abscissae to an array of values.  One
-    Gauss-Kronrod 7/15 panel over [a, b] is tried first: a smooth
-    interval such as one step of a root solve needs no more.  Otherwise
-    the interval is split into panels graded geometrically toward a,
-    where decaying integrands peak and vary fastest.  Every panel whose
-    estimate |K15 - G7| exceeds its equal share of rtol times the total
-    is halved, all of them in one call of f, until none does; the
-    estimates then sum to at most rtol times the value.  An integrand
-    that underflows to zero gives zero at once; `_integrate_intervals`
-    at one interval.
-
-    Raises NumericalError for a non-finite integrand value, or when
-    the panels needed exceed a fixed cap (integrand noise above rtol).
-    """
-    return _integrate_intervals(lambda x, k: f(x.ravel()), [a], [b], rtol)[0]

@@ -26,10 +26,10 @@ attenuation carries no rounding of the attenuation itself, and a tail
 below the smallest double keeps a finite log10.  r and M must be finite
 and positive.
 
-Every stage runs for all distances of one law at once, each distance bit
-for bit as alone: one rise serves every distance's width solve and
-integrand, one quadrature takes every interval, and the public
-one-distance functions are the one-element case of the batched ones.
+Every stage takes a sequence of distances of one law, or their profiles,
+and returns one result per distance, each bit for bit as in a one-element
+call: one rise serves every distance's width solve and integrand, and one
+quadrature takes every interval.
 """
 
 from __future__ import annotations
@@ -38,26 +38,28 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .laws import (DispersionLaw, _alpha_difference, _alpha_parts, _attenuation_and_difference,
-                   _rise)
-from .numerics import (NumericalError, Quadrature, _integrate_intervals, _kronrod_groups,
-                       _run_together)
+from .laws import (DispersionLaw, _alpha_difference, _attenuation_and_difference, _rise,
+                   alpha_parts)
+from .numerics import (NumericalError, Quadrature, _kronrod_groups, _run_together,
+                       integrate_intervals)
 
 __all__ = [
     "FrequencyGrid",
     "ComplexSpectrum",
     "EnergyProfile",
-    "energy_profile",
+    "energy_profiles",
+    "energies_at",
+    "band_edges",
     "green_hat",
     "sample_green_spectrum",
-    "log10_relative_truncation_error",
+    "log10_truncation_errors",
     "deviation_factor",
-    "relative_model_error",
+    "relative_model_errors",
 ]
 
 _TAIL_DECADES = 70.0  # exp(-70) ~ 4e-31: neglected tail mass is invisible at rtol 1e-12
 _CUT_RTOL = 1e-9  # relative tolerance of the tail width h beyond the start, not of start + h
-BAND_EDGE_RTOL = 1e-10  # `EnergyProfile.band_edge` solves its energy equation to this residual
+BAND_EDGE_RTOL = 1e-10  # `band_edges` solves its energy equation to this residual
 _BAND_EDGE_STEPS = 100  # Newton converges in one or two; a step leaving the bracket bisects
 _LN_4PI = math.log(4.0 * math.pi)
 # Nodes per chunk of a sampled spectrum.  Timed from 2**12 to 2**20 on a 2-core Xeon with a
@@ -73,7 +75,7 @@ def _check_distance(r):
         raise ValueError(f"distance must be finite and positive, got r={r!r}")
 
 
-def _check_band_edge(m):
+def check_band_edge(m):
     """Raise ValueError unless the band edge M is finite and positive."""
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError(f"band edge must be finite and positive, got M={m!r}")
@@ -91,10 +93,11 @@ class FrequencyGrid:
     """Half-line frequency grid of an n-sample time window.
 
     Nodes w_m = m*delta, m = 0..n/2, with delta = 2*omega_max/n; n is
-    the number of time samples and must be a power of two >= 16.  The
-    nodes are exact multiples of delta (the last one is omega_max), so
-    the mirrored nodes -w_m that a real signal implies are exactly
-    symmetric for any omega_max.
+    the number of time samples and must be a power of two >= 16, and
+    delta must be a finite and positive double.  The nodes are exact
+    multiples of delta (the last one is omega_max), so the mirrored nodes
+    -w_m that a real signal implies are exactly symmetric for any
+    omega_max.
     """
 
     omega_max: float
@@ -105,6 +108,10 @@ class FrequencyGrid:
             raise ValueError("omega_max must be positive and finite")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
+        if not 0.0 < self.delta_omega < math.inf:
+            raise ValueError(f"omega_max={self.omega_max!r} makes the node spacing 2*omega_max/n "
+                             f"= {self.delta_omega!r} at n={self.n}: it must be finite and "
+                             "positive")
 
     @property
     def delta_omega(self):
@@ -154,7 +161,7 @@ def _from_polar(magnitude, phase, lag=False, out=None):
 def _green_polar(law, r, w):
     """(magnitude, phase) of G_hat(r, w): exp(-r*Re alpha*)/(4*pi*r) and w*r/c0 - r*Im alpha*."""
     _check_distance(r)
-    magnitude, phase = _alpha_parts(law, w)
+    magnitude, phase = alpha_parts(law, w)
     magnitude *= -r
     np.exp(magnitude, out=magnitude)
     magnitude /= 4.0 * math.pi * r
@@ -216,7 +223,7 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
     untruncated sampling.
     """
     if band_edge is not None:
-        _check_band_edge(band_edge)
+        check_band_edge(band_edge)
     _check_distance(r)
     values = np.empty(grid.n // 2 + 1, dtype=complex)
     stop = len(values) if band_edge is None else _band_nodes(grid, band_edge)
@@ -244,12 +251,12 @@ def _gain_sq(rise, r):
 
 
 def _at_r(rs):
-    """where(k) of `numerics._integrate_intervals`: the distance rs[k] in its messages."""
+    """where(k) of `numerics.integrate_intervals`: the distance rs[k] in its messages."""
     return lambda k: f" at r={rs[k]!r}"
 
 
 # every power of two of the double range after 0, and the indices of every 32nd of them
-# and of the last: `_tail_width` brackets a crossing in two calls of at most 67 points
+# and of the last: `_tail_widths` brackets a crossing in two calls of at most 67 points
 _WIDTHS = np.concatenate(([0.0], np.ldexp(1.0, np.arange(-1074, 1024))))
 _COARSE = np.append(np.arange(0, _WIDTHS.size, 32), _WIDTHS.size - 1)
 _SECANT_STEPS = 6  # secant steps before bisection; a tail width takes one to three
@@ -270,9 +277,13 @@ def _secant_root(points, reached):
     return math.exp(min(math.log(a) - ya * math.log(b / a) / (yb - ya), 710.0))
 
 
-def _width_steps(r, coarse):
+def _width_steps(r, coarse, grows):
     """`_tail_widths` at r from its exponents at the coarse widths: a generator that
-    yields the widths where it needs the exponent next and returns the width."""
+    yields the widths where it needs the exponent next and returns the width.
+
+    grows tells whether the rise itself, not 2*r times it, is positive at a
+    coarse width: where it is not, the law does not decay at all.
+    """
     # the first width whose exponent is not below the threshold: it reaches it, or the rise
     # overflowed there (inf or nan), which is no crossing; 0, the width 0, where there is none
     c = int(np.argmax(~(coarse < _TAIL_DECADES)))
@@ -281,7 +292,7 @@ def _width_steps(r, coarse):
         values = np.concatenate((coarse[c - 1:c], (yield widths[1:-1]), coarse[c:c + 1]))
         k = int(np.argmax(~(values < _TAIL_DECADES)))
     if not (c and values[k] < math.inf):
-        if np.any(coarse > 0.0):
+        if grows:
             raise NumericalError(
                 f"the tail cut at r={r!r} lies beyond the frequencies where alpha is finite")
         return math.inf
@@ -320,8 +331,9 @@ def _tail_widths(rise, rs):
     of h (or holds no double between its ends); its upper end is returned.
     The rise does not depend on r: the solves of every distance of rs
     share each call, the coarse one among them.  A width is inf for a law
-    whose attenuation never grows; NumericalError is raised for a growing
-    attenuation that reaches the threshold only beyond the double range.
+    whose attenuation never grows; NumericalError naming r is raised for a
+    growing attenuation that reaches the threshold only beyond the double
+    range, also where 2*r times the rise underflows to 0 at every width.
     """
     for r in rs:
         _check_distance(r)
@@ -338,13 +350,9 @@ def _tail_widths(rise, rs):
 
     with np.errstate(over="ignore", invalid="ignore"):
         coarse = rise(_WIDTHS[_COARSE])
-        runs = [_width_steps(r, 2.0 * r * coarse) for r in rs]
+        grows = bool(np.any(coarse > 0.0))
+        runs = [_width_steps(r, 2.0 * r * coarse, grows) for r in rs]
     return _run_together(runs, exponents)
-
-
-def _tail_width(rise, r):
-    """`_tail_widths` at one distance."""
-    return _tail_widths(rise, [r])[0]
 
 
 def _energy_passes(law, rs, lo, hi):
@@ -370,14 +378,9 @@ def _energy_passes(law, rs, lo, hi):
     if not all(map(math.isfinite, extents)):
         raise ValueError("norm diverges: the law has no spectral decay")
     with np.errstate(over="ignore"):
-        quads = _integrate_intervals(_gain_sq(rise, rs), [0.0] * len(rs), extents,
-                                     where=_at_r(rs))
+        quads = integrate_intervals(_gain_sq(rise, rs), [0.0] * len(rs), extents,
+                                    where=_at_r(rs))
     return list(zip(extents, quads))
-
-
-def _energy_pass(law, r, lo, hi):
-    """`_energy_passes` at one distance."""
-    return _energy_passes(law, [r], lo, hi)[0]
 
 
 def _log_tail_root(tails, gains, width, target):
@@ -402,17 +405,17 @@ def _log_energies(law, rs, lo):
     """ln of the integral of exp(-2*r*Re alpha*(w)) over [lo, inf) at every r, finite where
     it underflows: one tail pass from lo for all distances."""
     passes = _energy_passes(law, rs, lo, math.inf)
-    start = float(_alpha_parts(law, lo)[0])
+    start = float(alpha_parts(law, lo)[0])
     return [math.log(tail.value) - 2.0 * r * start for r, (_, tail) in zip(rs, passes)]
 
 
-def _log_energy(law, r, lo):
-    """`_log_energies` at one distance."""
-    return _log_energies(law, [r], lo)[0]
+def energies_at(profiles, m):
+    """E(m) of every EnergyProfile of one law, vectorized over m; one kernel call for all.
 
-
-def _energies_at(profiles, m):
-    """`EnergyProfile.at` of every profile of one law at m, one kernel call for all."""
+    An m outside [0, top] counts as the nearer end.  Each E(m) is the
+    profile's panels below m plus one 15-node Gauss-Kronrod panel from the
+    last edge to m.
+    """
     reads = []
     for profile in profiles:
         top = np.clip(np.asarray(m, dtype=float), 0.0, profile.top)
@@ -429,7 +432,7 @@ def _energies_at(profiles, m):
 
 
 def _edge_steps(r, target, excess, lo, hi, m):
-    """The Newton steps of `EnergyProfile.band_edge` from m as a generator: it yields each m,
+    """The Newton steps of `band_edges` from m as a generator: it yields each m,
     is sent the integral from the bracket's start to m and the integrand at m, and returns
     the edge."""
     for _ in range(_BAND_EDGE_STEPS):
@@ -453,8 +456,26 @@ def _edge_steps(r, target, excess, lo, hi, m):
                          f"[{lo!r}, {hi!r}]")
 
 
-def _band_edges(profiles, delta):
-    """`EnergyProfile.band_edge` of every line profile of one law, each round one call for all."""
+def band_edges(profiles, delta):
+    """Band edge M capturing the fraction (1 - delta) of the spectral energy, per line profile.
+
+    Needs line profiles of one law: full is each one's total.  Solves
+    tail(M) = delta * full, better conditioned for small delta than the
+    band equation.  The tail energy at every panel edge, the sum of the
+    panels above it, locates the panel holding the root; a tail near
+    delta * full is accurate to 1e-12/delta.  One 2-point call of the
+    integrand at the panel's ends starts Newton from `_log_tail_root`,
+    about 1e-6 from the root.  Newton steps on ln tail(M) = ln(delta * full),
+    exact for an exponential tail, take one kernel call each: a 15-node
+    integral from the panel's left edge and, in the same call,
+    tail'(M) = -exp(-2*r*Re alpha*(M)).  A step that leaves the bracket
+    bisects it.  Once the residual meets BAND_EDGE_RTOL relative to
+    delta * full, the Newton step from that point, second order in a
+    residual already within it, is returned without another call where it
+    stays in the bracket.  The solves of all profiles take their rounds
+    together, one kernel call per round.  delta = 1 gives 0; a
+    delta * full that underflows to 0 raises NumericalError.
+    """
     for profile in profiles:
         _check_line_profile(profile, "the band edge")
     if not 0.0 < delta <= 1.0:
@@ -494,7 +515,7 @@ def _band_edges(profiles, delta):
             slopes.extend(values[x.size:].tolist())
             return values[:x.size]
 
-        quads = _integrate_intervals(f, [brackets[i][3] for i in indices], ms, where=_at_r(at))
+        quads = integrate_intervals(f, [brackets[i][3] for i in indices], ms, where=_at_r(at))
         return [(quad.value, slope) for quad, slope in zip(quads, slopes)]
 
     with np.errstate(over="ignore"):
@@ -534,60 +555,24 @@ class EnergyProfile:
         except OverflowError:
             raise NumericalError(f"the norm at r={self.r!r} exceeds the largest double") from None
 
-    def at(self, m):
-        """E(m), vectorized over m; an m outside [0, top] counts as the nearer end.
 
-        The panels below m plus one 15-node Gauss-Kronrod panel from the last edge to m.
-        """
-        return _energies_at([self], m)[0]
+def energy_profiles(law, rs, hi=None):
+    """EnergyProfile of `law` at every distance of rs: the pass from 0 over [0, min(hi, cut)].
 
-    def band_edge(self, delta):
-        """Band edge M capturing the fraction (1 - delta) of the spectral energy.
-
-        Needs the line profile: full is its total.  Solves tail(M) = delta
-        * full, better conditioned for small delta than the band equation.
-        The tail energy at every panel edge, the sum of the panels above it,
-        locates the panel holding the root; a tail near delta * full is
-        accurate to 1e-12/delta.
-        One 2-point call of the integrand at the panel's ends starts Newton
-        from `_log_tail_root`, about 1e-6 from the root.  Newton steps on
-        ln tail(M) = ln(delta * full), exact for an exponential tail, take
-        one kernel call each: a 15-node integral from the panel's left edge
-        and, in the same call, tail'(M) = -exp(-2*r*Re alpha*(M)).  A step
-        that leaves the bracket bisects it.  Once the residual meets
-        BAND_EDGE_RTOL relative to delta * full, the Newton step from that
-        point, second order in a residual already within it, is returned
-        without another call where it stays in the bracket.  delta = 1
-        gives 0; a delta * full that underflows to 0 raises NumericalError.
-        """
-        return _band_edges([self], delta)[0]
-
-
-def _energy_profiles(law, rs, hi=math.inf):
-    """`energy_profile` at every distance of rs: one energy pass from 0 for all of them."""
-    if hi != math.inf:
-        _check_band_edge(hi)
+    hi = None builds the line profiles, which end at their tail cuts and
+    hold hi = inf; a band edge hi, finite and positive, the band profiles
+    of [0, hi].  One energy pass from 0 serves all distances.
+    """
+    if hi is None:
+        hi = math.inf
+    else:
+        check_band_edge(hi)
     return [EnergyProfile(law, float(r), float(top), energy, float(hi))
             for r, (top, energy) in zip(rs, _energy_passes(law, rs, 0.0, hi))]
 
 
-def energy_profile(law, r, hi=math.inf):
-    """EnergyProfile of `law` at r: the energy pass from 0 over [0, min(hi, tail cut)]."""
-    return _energy_profiles(law, [r], hi)[0]
-
-
-def _log10_truncation_errors(profiles, m):
-    """`log10_relative_truncation_error` of each line profile of one law: one tail pass for all."""
-    _check_band_edge(m)
-    for profile in profiles:
-        _check_line_profile(profile, "the truncation error")
-    tails = _log_energies(profiles[0].law, [profile.r for profile in profiles], m)
-    return [(tail - math.log(profile.total)) / (2.0 * math.log(10.0))
-            for tail, profile in zip(tails, profiles)]
-
-
-def log10_relative_truncation_error(profile, m):
-    """log10 of the relative L2 error of the band truncation at m, from an EnergyProfile.
+def log10_truncation_errors(profiles, m):
+    """log10 of the relative L2 error of the band truncation at m, per line profile of one law.
 
     The error is the norm over |w| > m divided by the full-line norm; by
     the Plancherel-Parseval equality it equals the time-domain relative
@@ -595,8 +580,14 @@ def log10_relative_truncation_error(profile, m):
     finite where the error itself underflows.  It is half the difference
     of the log energies of the tail [m, inf) and of the full line, the
     line profile's total, in decades; the prefactor of |G_hat|^2 cancels.
+    One tail pass from m serves all profiles.
     """
-    return _log10_truncation_errors([profile], m)[0]
+    check_band_edge(m)
+    for profile in profiles:
+        _check_line_profile(profile, "the truncation error")
+    tails = _log_energies(profiles[0].law, [profile.r for profile in profiles], m)
+    return [(tail - math.log(profile.total)) / (2.0 * math.log(10.0))
+            for tail, profile in zip(tails, profiles)]
 
 
 def _deviation_of(b, r):
@@ -634,12 +625,21 @@ def deviation_factor(causal, r, omega):
     return c if np.ndim(c) else float(c)
 
 
-def _relative_model_errors(profiles, m, band=None):
-    """`relative_model_error` of each profile of one law at m: one quadrature for all.
+def relative_model_errors(profiles, m, band=None):
+    """Relative L2 distance of the band-limited causal and power-law Green functions.
 
-    band, the profiles' E(m) where the caller has it, spares reading it again.
+    ||G_hat_causal - G_hat_powerlaw|| / ||G_hat_causal||, both restricted
+    to the band [-m, m], for each EnergyProfile of one causal law that
+    reaches m, with its r, and the power law derived from that law.  The
+    denominator is `energies_at(profiles, m)`, or band where the caller
+    has it already; the numerator is one integral at QUADRATURE_RTOL of
+    |G_hat_causal|**2 times `deviation_factor` over [0, min(m, top)],
+    whose integrand forms the gain and the law difference from one reduced
+    evaluation of the law.  One quadrature takes the numerators of all
+    profiles.  The common phase factor and the prefactor 1/(4*pi*r)
+    cancel, so only the attenuation-dispersion difference contributes.
     """
-    _check_band_edge(m)
+    check_band_edge(m)
     for profile in profiles:
         if profile.hi < m:
             raise ValueError(f"the model error at M={m!r} needs a profile that reaches M, "
@@ -653,23 +653,7 @@ def _relative_model_errors(profiles, m, band=None):
         return np.exp(-2.0 * r * re) * _deviation_of(b, r)[0]
 
     with np.errstate(over="ignore"):
-        nums = _integrate_intervals(diff_sq, [0.0] * len(rs),
-                                    [min(m, profile.top) for profile in profiles], where=_at_r(rs))
-    band = _energies_at(profiles, m) if band is None else band
+        nums = integrate_intervals(diff_sq, [0.0] * len(rs),
+                                   [min(m, profile.top) for profile in profiles], where=_at_r(rs))
+    band = energies_at(profiles, m) if band is None else band
     return [math.sqrt(num.value / energy) for num, energy in zip(nums, band)]
-
-
-def relative_model_error(profile, m):
-    """Relative L2 distance of the band-limited causal and power-law Green functions.
-
-    ||G_hat_causal - G_hat_powerlaw|| / ||G_hat_causal||, both restricted
-    to the band [-m, m], with the causal law and r of `profile`, an
-    EnergyProfile that reaches m, and the power law derived from that law.
-    The denominator is profile.at(m); the numerator is one integral at
-    QUADRATURE_RTOL of |G_hat_causal|**2 times `deviation_factor` over
-    [0, min(m, profile.top)], whose integrand forms the gain and the law
-    difference from one reduced evaluation of the law.  The common phase
-    factor and the prefactor 1/(4*pi*r) cancel, so only the
-    attenuation-dispersion difference contributes.
-    """
-    return _relative_model_errors([profile], m)[0]

@@ -1,4 +1,4 @@
-"""Time-domain synthesis, causality metrics, and wave-equation residuals.
+"""Time-domain synthesis and causality metrics.
 
 Fourier convention, fixed package-wide:
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laws import eval_alpha
 from .spectrum import _from_polar, _green_polar, _node_chunks, sample_green_spectrum
 
 __all__ = [
@@ -34,8 +33,8 @@ __all__ = [
     "ForcingSignal",
     "synthesize_time_signal",
     "causality_energy_fraction",
+    "pre_arrival_fractions",
     "forward_point_source",
-    "helmholtz_radial_residual",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -52,10 +51,6 @@ class RealSignal:
 
     def times(self):
         return self.t0 + self.dt * np.arange(len(self.samples))
-
-    def l2_norm(self):
-        """Time-domain L2 norm sqrt(sum samples^2 * dt)."""
-        return math.sqrt(float(np.sum(self.samples**2)) * self.dt)
 
 
 _FORCING_KINDS = ("delta", "gaussian-pulse", "gaussian-modulated-sine")
@@ -180,7 +175,7 @@ def causality_energy_fraction(signal, arrival, guard=None):
     return _energy_fractions(signal.samples**2, signal.t0, signal.dt, [edge])[0]
 
 
-def _pre_arrival_fractions(law, r, grid, band_edge, arrival):
+def pre_arrival_fractions(law, r, grid, band_edge, arrival):
     """(raw, guarded, guard): `causality_energy_fraction` of the synthesized Green function.
 
     The Green function of `law` at r is sampled on grid up to the band
@@ -232,24 +227,3 @@ def forward_point_source(law, r, forcing, grid):
         if abs(envelope[-1]) >= 1e-12 * peak:
             raise ValueError("forcing bandwidth exceeds the grid: raise omega_max")
     return _signal(values, grid, r)
-
-
-def helmholtz_radial_residual(law, r, omega, h):
-    """Relative residual of the radial Helmholtz identity at (r, omega).
-
-    u(rho) = rho * G_hat(rho, w) satisfies u'' = k*^2 u away from the
-    origin, with k* = alpha*(w) - 1j*w/c0.  Returns
-    |second-difference(u, h) - k*^2 u| / |k*^2 u|, which converges to
-    zero at O(h^2) once h resolves the local wavelength 2*pi/|k*|.
-    """
-    if not (h > 0.0 and r > 2.0 * h):
-        raise ValueError("step too large: r > 2h > 0 is required")
-    a = complex(eval_alpha(law, omega))
-
-    def u(rho):
-        return np.exp((-a + 1j * omega / law.c0) * rho) / (4.0 * math.pi)
-
-    k = a - 1j * omega / law.c0
-    center = u(r)
-    second = (u(r + h) - 2.0 * center + u(r - h)) / h**2
-    return abs(second - k**2 * center) / abs(k**2 * center)

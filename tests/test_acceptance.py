@@ -16,24 +16,22 @@ import pytest
 from lossywave import (
     EnvelopeBoundConstants,
     FrequencyGrid,
-    alpha1_from_a1,
     builtin_preset,
     causality_energy_fraction,
     corrected_truncation_error_bound,
     derive_powerlaw_coeffs,
-    energy_profile,
-    helmholtz_radial_residual,
-    log10_relative_truncation_error,
+    energy_profiles,
     log10_truncation_error_bound,
-    model_error_report,
+    log10_truncation_errors,
+    model_error_reports,
     powerlaw_phase_singularity,
-    relative_model_error,
+    relative_model_errors,
     sample_green_spectrum,
     synthesize_time_signal,
     verify_envelope,
 )
 
-from conftest import trapezoid_norm
+from conftest import alpha1_from_a1, helmholtz_radial_residual, l2_norm, trapezoid_norm
 
 CASTOR = builtin_preset("castor-oil")
 
@@ -119,7 +117,7 @@ def test_criterion_05_truncation_bound_dominates():
     for r in (1e-6, 1e-4, 1e-2, 1.0, 10.0):
         corrected = corrected_truncation_error_bound(constants, r)
         envelope = verify_envelope(constants, corrected.split)
-        exact = log10_relative_truncation_error(energy_profile(causal, r), m)
+        exact = log10_truncation_errors(energy_profiles(causal, [r]), m)[0]
         published = (log10_truncation_error_bound(constants, r)
                      + math.log10(REFERENCE_BOUND_COEFFICIENT / formula_coefficient))
         lower = _log10_truncation_error_lower_bound(causal, r, m)
@@ -139,7 +137,7 @@ def test_criterion_05_truncation_bound_dominates():
 
 
 def test_criterion_06_model_error_table():
-    values = {r: relative_model_error(energy_profile(CASTOR.causal, r, 100.0), 100.0)
+    values = {r: relative_model_errors(energy_profiles(CASTOR.causal, [r], 100.0), 100.0)[0]
               for r in TABLE2_REFERENCE}
     within_factor_two = all(ref / 2.0 <= values[r] <= ref * 2.0
                             for r, ref in TABLE2_REFERENCE.items())
@@ -150,7 +148,7 @@ def test_criterion_06_model_error_table():
 
 
 def test_criterion_07_model_error_bound_report():
-    rep = model_error_report(energy_profile(CASTOR.causal, 1.0), 100.0, 6e-4)
+    rep = model_error_reports(energy_profiles(CASTOR.causal, [1.0]), 100.0, 6e-4)[0]
     ok = (5.0 <= rep.m_delta <= 20.0
           and 0.5 <= rep.d2 <= 2.1
           and 0.0125 <= rep.bound <= 0.05
@@ -168,7 +166,7 @@ def _time_domain_truncation_error(law, r, m, omega_max, n):
     # representable where direct sample subtraction would round to zero.
     # The spectrum holds w >= 0 only; the tail is w > m.
     tail_spec = replace(spec, values=np.where(grid.omegas() > m, spec.values, 0.0))
-    return synthesize_time_signal(tail_spec).l2_norm() / synthesize_time_signal(spec).l2_norm()
+    return l2_norm(synthesize_time_signal(tail_spec)) / l2_norm(synthesize_time_signal(spec))
 
 
 def test_criterion_08_plancherel_consistency():
@@ -177,7 +175,7 @@ def test_criterion_08_plancherel_consistency():
     details = []
     for r, (omega_max, n) in cases.items():
         err_t = _time_domain_truncation_error(CASTOR.causal, r, 100.0, omega_max, n)
-        err_w = 10.0 ** log10_relative_truncation_error(energy_profile(CASTOR.causal, r), 100.0)
+        err_w = 10.0 ** log10_truncation_errors(energy_profiles(CASTOR.causal, [r]), 100.0)[0]
         rel = abs(err_t - err_w) / err_w
         worst = max(worst, rel)
         details.append(f"r={r:g}: {rel:.2e}")
@@ -219,9 +217,9 @@ def test_criterion_11_quadrature_matches_brute_force():
         law = CASTOR.causal if i % 2 == 0 else CASTOR.powerlaw
         r = 10.0 ** rng.uniform(-1.3, 0.7)
         m = rng.uniform(20.0, 200.0)
-        line = energy_profile(law, r)
+        line = energy_profiles(law, [r])[0]
         cut = line.top
-        band = energy_profile(law, r, m).norm
+        band = energy_profiles(law, [r], m)[0].norm
         full = line.norm
         worst = max(worst,
                     abs(band / trapezoid_norm(law, r, 0.0, min(m, cut)) - 1.0),

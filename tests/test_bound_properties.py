@@ -17,16 +17,16 @@ from lossywave import (  # noqa: E402
     builtin_preset,
     corrected_truncation_error_bound,
     derive_powerlaw_coeffs,
+    alpha_parts,
     deviation_factor,
-    energy_profile,
+    energy_profiles,
     eval_alpha,
-    log10_relative_truncation_error,
-    model_error_report,
+    log10_truncation_errors,
+    model_error_reports,
     power_lower_envelope,
     verify_envelope,
 )
-from lossywave.bounds import SUPREMUM_RTOL, _certified_maxima, _model_error_reports  # noqa: E402
-from lossywave.laws import _alpha_parts  # noqa: E402
+from lossywave.bounds import SUPREMUM_RTOL, _certified_maxima  # noqa: E402
 
 CASTOR = builtin_preset("castor-oil")
 
@@ -40,8 +40,8 @@ def test_corrected_bound_dominates_exact_error(log10_r, m):
     bound = corrected_truncation_error_bound(constants, r)
     envelope = verify_envelope(constants, bound.split)
     assert envelope.holds_lower and envelope.holds_upper
-    profile = energy_profile(CASTOR.causal, r)
-    assert bound.log10_bound >= log10_relative_truncation_error(profile, m)
+    profile = energy_profiles(CASTOR.causal, [r])[0]
+    assert bound.log10_bound >= log10_truncation_errors([profile], m)[0]
 
 
 @st.composite
@@ -75,7 +75,7 @@ def test_causal_attenuation_is_below_a2_w(medium, log10_w):
     w = 10.0**log10_w
     _, a2 = derive_powerlaw_coeffs(medium.causal)
     with np.errstate(over="ignore"):  # a2*w = inf holds trivially
-        assert _alpha_parts(medium.causal, w)[0] <= a2 * w
+        assert alpha_parts(medium.causal, w)[0] <= a2 * w
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,7 +85,7 @@ def test_full_energy_lower_bound_is_below_the_line_energy(medium, log10_r):
     # line energy, the line profile's total
     r = 10.0**log10_r
     bound = corrected_truncation_error_bound(EnvelopeBoundConstants(medium.causal, 100.0), r)
-    line = energy_profile(medium.causal, r)
+    line = energy_profiles(medium.causal, [r])[0]
     assert bound.log10_full_lower <= math.log10(line.total)
 
 
@@ -153,7 +153,7 @@ def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
     # with a geometric grid out to 1e12 as well, never exceeds the certified bound
     causal = medium.causal
     r, delta = 10.0**log10_r, 10.0**log10_delta
-    rep = model_error_report(energy_profile(causal, r), 100.0, delta)
+    rep = model_error_reports(energy_profiles(causal, [r]), 100.0, delta)[0]
     inner = deviation_factor(causal, r, _grid(0.0, rep.m_delta))
     outer = deviation_factor(causal, r, np.concatenate(
         (_grid(rep.m_delta, 1e12), np.geomspace(rep.m_delta, 1e12, 100_001))))
@@ -188,9 +188,9 @@ def test_certified_suprema_cover_a_dense_grid(medium, log10_r, log10_delta):
 @example(medium=CASTOR, log10_rs=[-2.0, 0.0], log10_delta=0.0, m=100.0)
 def test_one_search_equals_each_search_alone(medium, log10_rs, log10_delta, m):
     causal, delta = medium.causal, 10.0**log10_delta
-    profiles = [energy_profile(causal, 10.0**e) for e in log10_rs]
-    reports = _model_error_reports(profiles, m, delta)
-    assert reports == [model_error_report(profile, m, delta) for profile in profiles]
+    profiles = [energy_profiles(causal, [10.0**e])[0] for e in log10_rs]
+    reports = model_error_reports(profiles, m, delta)
+    assert reports == [model_error_reports([profile], m, delta)[0] for profile in profiles]
     searches = [search for rep in reports for search in
                 ((rep.r, 0.0, rep.m_delta), (rep.r, rep.m_delta, rep.omega_closed))]
     assert _certified_maxima(causal, searches) == [_certified_maxima(causal, [search])[0]

@@ -14,10 +14,10 @@ from lossywave import (
     PowerLaw,
     corrected_truncation_error_bound,
     deviation_factor,
-    energy_profile,
+    energy_profiles,
     eval_alpha,
     log10_truncation_error_bound,
-    model_error_report,
+    model_error_reports,
     power_lower_envelope,
     verify_envelope,
 )
@@ -74,7 +74,7 @@ class TestEnvelopeConstants:
 class TestVerifyEnvelope:
     def test_holds_on_effective_support(self, castor):
         c = EnvelopeBoundConstants(castor.causal, 100.0)
-        cut = energy_profile(castor.causal, 1e-6).top
+        cut = energy_profiles(castor.causal, [1e-6])[0].top
         check = verify_envelope(c, cut)
         assert check.holds_lower and check.holds_upper
         assert check.worst_lower_violation == 0.0
@@ -265,21 +265,35 @@ class TestDeviationFactor:
 
 class TestModelErrorReport:
     def test_castor_reference(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 1.0), 100.0, 6e-4)
+        rep = model_error_reports(energy_profiles(castor.causal, [1.0]), 100.0, 6e-4)[0]
         assert 5.0 <= rep.m_delta <= 20.0
         assert 0.5 <= rep.d2 <= 2.1
         assert 0.0125 <= rep.bound <= 0.05
         assert rep.exact_error_band_norm == pytest.approx(1.79e-4, rel=0.05)
         assert rep.dominates_sq or rep.dominates_max_c
 
+    @pytest.mark.parametrize("delta", [1e-8, 1e-10])
+    def test_max_c_form_dominates_at_small_delta(self, castor, delta):
+        # the max-of-C form bounds the error at every delta; the C**2 form, the stated
+        # convention, undercuts it at these deltas and is reported as no bound
+        reports = model_error_reports(energy_profiles(castor.causal, [1.0, 10.0]), 100.0, delta)
+        for rep in reports:
+            assert rep.dominates_max_c
+            assert rep.bound_max_c_band_norm >= rep.exact_error_band_norm
+        # the C**2 form undercuts the error at r = 1 for both deltas, at r = 10 for 1e-10
+        assert [rep.dominates_sq for rep in reports] == [False, delta == 1e-8]
+        if delta == 1e-8:
+            assert reports[0].bound == pytest.approx(1.108e-4, rel=1e-3)
+            assert reports[0].exact_error == pytest.approx(1.787e-4, rel=1e-3)
+
     def test_delta_one_edge(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 1.0), 100.0, 1.0)
+        rep = model_error_reports(energy_profiles(castor.causal, [1.0]), 100.0, 1.0)[0]
         assert rep.m_delta == 0.0
         assert rep.d1 == 0.0
         assert rep.bound == pytest.approx(math.sqrt(rep.d2), rel=1e-12)
 
     def test_serializes_every_constant(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 1.0), 100.0, 6e-4)
+        rep = model_error_reports(energy_profiles(castor.causal, [1.0]), 100.0, 6e-4)[0]
         doc = asdict(rep)
         for key in ("r", "m", "delta", "m_delta", "d1", "d2", "bound", "bound_band_norm",
                     "d1_max_c", "d2_max_c", "d1_max_c_lower", "d2_max_c_lower",
@@ -295,12 +309,12 @@ class TestModelErrorReport:
     def test_rejects_a_band_profile(self, castor):
         # a band profile's total is the band energy and its band edge stops
         # at the band's end: m_delta read 50 where the line gives 210.84
-        band = energy_profile(castor.causal, 1e-2, 50.0)
+        band = energy_profiles(castor.causal, [1e-2], 50.0)[0]
         with pytest.raises(ValueError, match="line energy profile"):
-            model_error_report(band, 100.0, 6e-4)
+            model_error_reports([band], 100.0, 6e-4)[0]
 
     def test_bound_formula_consistency(self, castor):
-        rep = model_error_report(energy_profile(castor.causal, 0.5), 100.0, 1e-3)
+        rep = model_error_reports(energy_profiles(castor.causal, [0.5]), 100.0, 1e-3)[0]
         assert rep.bound == pytest.approx(
             math.sqrt((1.0 - rep.delta) * rep.d1 + rep.delta * rep.d2), rel=1e-12)
         assert rep.d1 == pytest.approx(rep.d1_max_c**2, rel=1e-12)
@@ -320,7 +334,7 @@ class TestModelErrorReport:
 
         monkeypatch.setattr(bounds, "_deviation", with_nan)
         with pytest.raises(NumericalError, match="deviation factor"):
-            model_error_report(energy_profile(castor.causal, 1.0), 100.0, 6e-4)
+            model_error_reports(energy_profiles(castor.causal, [1.0]), 100.0, 6e-4)[0]
 
     @pytest.mark.parametrize("r", [1e-2, 1.0, 10.0])
     @pytest.mark.parametrize("side", ["inner", "outer"])
@@ -328,7 +342,7 @@ class TestModelErrorReport:
         # one nan at one node of one search, among the six searches of three distances
         from lossywave import NumericalError, bounds
 
-        rep = model_error_report(energy_profile(castor.causal, r), 100.0, 6e-4)
+        rep = model_error_reports(energy_profiles(castor.causal, [r]), 100.0, 6e-4)[0]
         lo, hi = (0.0, rep.m_delta) if side == "inner" else (rep.m_delta, rep.omega_closed)
         kernel = bounds._deviation
 
@@ -338,9 +352,9 @@ class TestModelErrorReport:
             return values, x
 
         monkeypatch.setattr(bounds, "_deviation", with_nan)
-        profiles = [energy_profile(castor.causal, d) for d in (1e-2, 1.0, 10.0)]
+        profiles = [energy_profiles(castor.causal, [d])[0] for d in (1e-2, 1.0, 10.0)]
         with pytest.raises(NumericalError) as failure:
-            bounds._model_error_reports(profiles, 100.0, 6e-4)
+            bounds.model_error_reports(profiles, 100.0, 6e-4)
         assert str(failure.value) == (f"the deviation factor at r={r!r} overflows on "
                                       f"[{lo!r}, {hi!r}]")
 
@@ -351,10 +365,10 @@ class TestModelErrorReport:
         # any search run alone fails, naming the first such search as that search alone does
         from lossywave import NumericalError, bounds
 
-        profiles = [energy_profile(castor.causal, d) for d in distances]
+        profiles = [energy_profiles(castor.causal, [d])[0] for d in distances]
         searches = []
         for profile in profiles:
-            rep = model_error_report(profile, 100.0, 6e-4)
+            rep = model_error_reports([profile], 100.0, 6e-4)[0]
             searches += [(rep.r, 0.0, rep.m_delta), (rep.r, rep.m_delta, rep.omega_closed)]
         monkeypatch.setattr(bounds, "_MAX_CELLS", cap)
         failures = []
@@ -366,5 +380,5 @@ class TestModelErrorReport:
                 failures.append((rounds, k, str(exc)))
         assert 0 < len(failures) < len(searches)
         with pytest.raises(NumericalError) as failure:
-            bounds._model_error_reports(profiles, 100.0, 6e-4)
+            bounds.model_error_reports(profiles, 100.0, 6e-4)
         assert str(failure.value) == min(failures)[2]

@@ -294,10 +294,10 @@ class TestFigures:
         assert np.all(np.diff(g) >= 0.0)
         law = builtin_preset("castor-oil").causal
         for i in (0, 37, 99):
-            want = spectrum.energy_profile(law, r, m0[i]).norm
+            want = spectrum.energy_profiles(law, [r], m0[i])[0].norm
             assert g[i] == pytest.approx(want, rel=1e-9, abs=0.0)
         # at r = 1e300 the norm, about 2.4e-391, lies below the smallest double
-        if spectrum.energy_profile(law, r, 0.5).norm > 0.0:
+        if spectrum.energy_profiles(law, [r], 0.5)[0].norm > 0.0:
             assert np.all(g > 0.0)
 
     def test_fig3_band_norm_monotone(self, tmp_path):
@@ -498,6 +498,22 @@ class TestPulseAndCausality:
                        "--width", "0.5", "--out", str(tmp_path))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command", ["pulse", "causality"])
+    @pytest.mark.parametrize("omega_max,spacing", [("1e308", "inf"), ("5e-324", "0.0")])
+    def test_grid_spacing_beyond_the_doubles_exits_2(self, tmp_path, capsys, command, omega_max,
+                                                     spacing):
+        # 2*omega_max/n overflows or underflows: the grid names omega_max, without numpy's
+        # "invalid value encountered in multiply" (once "omega must be finite")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--omega-max", omega_max, "--samples", "16",
+                             "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: omega_max={float(omega_max)!r} makes the node spacing 2*omega_max/n = "
+            f"{spacing} at n=16: it must be finite and positive\n")
+        assert not out.exists()
+
     def test_causality_report(self, tmp_path):
         proc = run_cli("causality", "--samples", "131072", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
@@ -650,9 +666,16 @@ class TestDistanceContract:
          "the integrand at r=1e-06 is not finite at 4.2723144395937196e+97"),
         ((1.5, 1e-10, 1e100, 1e300), ["fig3", "--m", "1e100", "--r", "1e300"],
          "the deviation factor at r=1e+300 overflows on [0.0, 1e+100]"),
+        # a law that decays, but where 2*r*Re alpha* stays below 70 up to the largest double
+        # (once exit 2, "norm diverges: the law has no spectral decay")
+        ((1.5, 1e-10, 1e-10, 1e300), ["bounds", "--m", "1e-3", "--r-list", "1e-300"],
+         "the tail cut at r=1e-300 lies beyond the frequencies where alpha is finite"),
+        ((2.0, 1e-10, 1e-10, 1e300), ["bounds", "--m", "1e-3", "--r-list", "1e-300"],
+         "the tail cut at r=1e-300 lies beyond the frequencies where alpha is finite"),
     ], ids=["a2-squared", "kappa", "closure-exp", "band-edge-underflow", "fig2-pole", "gamma-1.005",
             "slow-a0", "kappa-underflow", "fig3-deviation", "fig3-band-norm", "a0-underflow",
-            "fig2-inf", "table2-sigma-underflow", "fig3-far"])
+            "fig2-inf", "table2-sigma-underflow", "fig3-far", "cut-beyond-doubles-gamma-1.5",
+            "cut-beyond-doubles-gamma-2"])
     def test_extreme_medium_exits_3(self, tmp_path, capsys, medium, argv, message):
         path = tmp_path / "medium.json"
         path.write_text(json.dumps(dict(zip(("gamma", "c0", "alpha1", "tau0"), medium),
@@ -663,6 +686,23 @@ class TestDistanceContract:
             assert cli.main([*argv, "--preset", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and message in err, err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["table2", "fig1", "fig2", "fig3", "bounds"])
+    def test_derived_power_law_beyond_the_doubles_exits_2(self, tmp_path, capsys, command):
+        # a legal causal medium whose a2 = alpha1/c0 = 1e310 is no double: a usage error
+        # that names the overflow (once "power law parameters must be finite")
+        path = tmp_path / "medium.json"
+        path.write_text(json.dumps({"name": "extreme", "gamma": 1.05, "c0": 1e-10,
+                                    "alpha1": 1e300, "tau0": 1e-6}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([command, "--preset", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the derived power law leaves the doubles: a2 = alpha1/c0 overflows for "
+            "CausalLaw(gamma=1.05, c0=1e-10, alpha1=1e+300, tau0=1e-06)\n")
         assert not out.exists()
 
 
@@ -702,7 +742,7 @@ class TestQuadratureWork:
     @staticmethod
     def _count(monkeypatch, argv):
         groups, intervals, build, widths = (numerics._kronrod_groups,
-                                            numerics._integrate_intervals, spectrum._rise,
+                                            numerics.integrate_intervals, spectrum._rise,
                                             spectrum._tail_widths)
         counts = {"samples": 0, "calls": 0, "passes": [], "width_batches": []}
         starts = {}  # the start of every rise built
@@ -729,7 +769,7 @@ class TestQuadratureWork:
 
         for module in (numerics, spectrum):  # every module that binds them
             monkeypatch.setattr(module, "_kronrod_groups", counting_groups)
-            monkeypatch.setattr(module, "_integrate_intervals", counting_intervals)
+            monkeypatch.setattr(module, "integrate_intervals", counting_intervals)
         monkeypatch.setattr(spectrum, "_rise", recording_build)
         monkeypatch.setattr(spectrum, "_tail_widths", counting_widths)
         assert cli.main(argv) == 0
@@ -790,7 +830,7 @@ class TestTailCutWork:
     """
 
     def test_at_most_five_small_vector_calls_per_solve(self, tmp_path, monkeypatch):
-        build, alpha, widths = spectrum._rise, laws._alpha_parts, spectrum._tail_widths
+        build, alpha, widths = spectrum._rise, laws.alpha_parts, spectrum._tail_widths
         per_batch = []  # [distances, sizes of the rise calls, scalar law-kernel calls]
         inside = []
 
@@ -818,8 +858,8 @@ class TestTailCutWork:
                 inside.pop()
 
         monkeypatch.setattr(spectrum, "_rise", counting_build)
-        monkeypatch.setattr(spectrum, "_alpha_parts", counting_alpha)
-        monkeypatch.setattr(laws, "_alpha_parts", counting_alpha)
+        monkeypatch.setattr(spectrum, "alpha_parts", counting_alpha)
+        monkeypatch.setattr(laws, "alpha_parts", counting_alpha)
         monkeypatch.setattr(spectrum, "_tail_widths", counting_widths)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
         # the line profiles' cuts and the tails beyond M, five distances each
@@ -829,7 +869,7 @@ class TestTailCutWork:
 
 
 class TestBandEdgeWork:
-    """Law-kernel calls per batch of `EnergyProfile.band_edge` solves in a default castor `bounds`.
+    """Law-kernel calls per batch of `band_edges` solves in a default castor `bounds`.
 
     One call takes the integrand at both ends of the panel holding each
     root, for a cubic model of ln tail that starts Newton within about
@@ -841,7 +881,7 @@ class TestBandEdgeWork:
     """
 
     def test_at_most_four_kernel_calls_per_solve(self, tmp_path, monkeypatch):
-        alpha, band_edges = laws._alpha_parts, spectrum._band_edges
+        alpha, band_edges = laws.alpha_parts, spectrum.band_edges
         per_batch = []
         inside = []
 
@@ -858,9 +898,9 @@ class TestBandEdgeWork:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(spectrum, "_alpha_parts", counting_alpha)
-        monkeypatch.setattr(laws, "_alpha_parts", counting_alpha)
-        monkeypatch.setattr(bounds, "_band_edges", counting_band_edges)
+        monkeypatch.setattr(spectrum, "alpha_parts", counting_alpha)
+        monkeypatch.setattr(laws, "alpha_parts", counting_alpha)
+        monkeypatch.setattr(bounds, "band_edges", counting_band_edges)
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
         assert len(per_batch) == 1
         assert all(1 <= calls <= 4 for calls in per_batch), per_batch
@@ -875,12 +915,12 @@ class TestEnvelopeWork:
     distance up to its tail cut, the published form's hypothesis, which no
     bound reads, made 6 calls over 60,000 nodes.
 
-    The law kernels are `_alpha_parts`, `_alpha_difference` and
+    The law kernels are `alpha_parts`, `_alpha_difference` and
     `_attenuation_and_difference`, the model-error integrand's gain and
     law difference from one reduced evaluation, counted at every module
     that binds them.  With every stage batched across the five distances,
     measured 26 calls: 18, 4 and 4.  One pass per distance took 112: 94
-    `_alpha_parts` (99 with the per-distance checks) and 18
+    `alpha_parts` (99 with the per-distance checks) and 18
     `_alpha_difference`.
     """
 
@@ -904,7 +944,7 @@ class TestEnvelopeWork:
             finally:
                 inside.pop()
 
-        for name in ("_alpha_parts", "_alpha_difference", "_attenuation_and_difference"):
+        for name in ("alpha_parts", "_alpha_difference", "_attenuation_and_difference"):
             counted = counting(getattr(laws, name))
             for module in (laws, spectrum, bounds, cli):  # every module that binds the kernel
                 if hasattr(module, name):
@@ -957,14 +997,14 @@ class TestTimeDomainWork:
 
     def _count_kernel(self, monkeypatch):
         calls = []
-        kernel = laws._alpha_parts
+        kernel = laws.alpha_parts
 
         def counting(law, omega):
             calls.append((law.tag, np.size(omega)))
             return kernel(law, omega)
 
         for module in (laws, spectrum):  # every module that binds the kernel
-            monkeypatch.setattr(module, "_alpha_parts", counting)
+            monkeypatch.setattr(module, "alpha_parts", counting)
         return calls
 
     @pytest.mark.parametrize("law", ["causal", "powerlaw"])

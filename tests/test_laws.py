@@ -9,7 +9,6 @@ from lossywave import (
     MediumPreset,
     NumericalError,
     PowerLaw,
-    alpha1_from_a1,
     alpha_difference_curvature_bound,
     alpha_difference_slope_bound,
     attenuation_rise,
@@ -22,7 +21,9 @@ from lossywave import (
     small_frequency_bound,
     wavenumber,
 )
-from lossywave.laws import _alpha_difference, _alpha_parts, _attenuation_and_difference
+from lossywave.laws import _alpha_difference, _attenuation_and_difference, alpha_parts
+
+from conftest import alpha1_from_a1
 
 
 class TestValidation:
@@ -57,9 +58,16 @@ class TestValidation:
                 MediumPreset(name="broken", causal=castor.causal, powerlaw=powerlaw)
 
     def test_preset_rejects_a_causal_law_without_a_finite_derived_power_law(self):
-        # a2 = alpha1/c0 = 1e310 leaves the double range
-        with pytest.raises(ValueError, match="power law parameters must be finite"):
-            MediumPreset("x", CausalLaw(gamma=1.5, c0=1e-10, alpha1=1e300, tau0=1e-6))
+        # a2 = alpha1/c0 = 1e310 leaves the double range; so does a1 = a2*tau0/2 = 5e309 at
+        # gamma = 2, tau0 = 1e300, where a2 = 1e10 is a double
+        for causal, formula in (
+                (CausalLaw(gamma=1.5, c0=1e-10, alpha1=1e300, tau0=1e-6), "a2 = alpha1/c0"),
+                (CausalLaw(gamma=2.0, c0=1.0, alpha1=1e10, tau0=1e300),
+                 "a1 = alpha1*tau0**(gamma-1)*|cos(gamma*pi/2)|/(2*c0)")):
+            with pytest.raises(ValueError) as err:
+                MediumPreset("x", causal)
+            assert str(err.value) == (f"the derived power law leaves the doubles: {formula} "
+                                      f"overflows for {causal}")
 
 
 class TestDeriveCoefficients:
@@ -153,7 +161,7 @@ class TestAlphaDifference:
     def test_attenuation_and_difference_share_one_reduced_evaluation(self, castor):
         w = np.geomspace(1e-3, 1e10, 400)
         re, b = _attenuation_and_difference(castor.causal, w)
-        assert np.array_equal(re, _alpha_parts(castor.causal, w)[0])
+        assert np.array_equal(re, alpha_parts(castor.causal, w)[0])
         assert np.array_equal(b, _alpha_difference(castor.causal, w))
 
     def test_matches_plain_difference_at_moderate_frequencies(self, castor):

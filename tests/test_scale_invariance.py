@@ -22,10 +22,10 @@ from lossywave import (  # noqa: E402
     EnvelopeBoundConstants,
     builtin_preset,
     corrected_truncation_error_bound,
-    energy_profile,
-    log10_relative_truncation_error,
-    model_error_report,
-    relative_model_error,
+    energy_profiles,
+    log10_truncation_errors,
+    model_error_reports,
+    relative_model_errors,
 )
 
 RTOL = 1e-13
@@ -35,15 +35,15 @@ DELTA = 6e-4  # the CLI's default
 def reported(gamma, c0, alpha1, tau0, r, m):
     """Every compared quantity, each with the power of tau0 that makes it invariant."""
     law = CausalLaw(gamma, c0, alpha1, tau0)
-    line = energy_profile(law, r)
+    line = energy_profiles(law, [r])[0]
     bound = corrected_truncation_error_bound(EnvelopeBoundConstants(law, m), r)
-    out = {"table2": relative_model_error(energy_profile(law, r, m), m),
-           "log10_truncation_error": log10_relative_truncation_error(line, m),
+    out = {"table2": relative_model_errors(energy_profiles(law, [r], m), m)[0],
+           "log10_truncation_error": log10_truncation_errors([line], m)[0],
            "log10_tail_linear": bound.log10_tail_linear + math.log10(tau0),
            "log10_tail_power": bound.log10_tail_power + math.log10(tau0),
            "log10_full_lower": bound.log10_full_lower + math.log10(tau0),
            "log10_unclipped": bound.log10_unclipped}
-    for name, value in dataclasses.asdict(model_error_report(line, m, DELTA)).items():
+    for name, value in dataclasses.asdict(model_error_reports([line], m, DELTA)[0]).items():
         if name in ("m", "m_delta") or name.startswith("omega"):
             out[name] = value * tau0
         elif name not in ("r", "delta") and isinstance(value, float):

@@ -11,9 +11,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from lossywave import CausalLaw, MediumPreset, NumericalError, PowerLaw  # noqa: E402
 from lossywave.laws import _rise, attenuation_rise  # noqa: E402
 from lossywave.spectrum import (  # noqa: E402
-    _CUT_RTOL, _TAIL_DECADES, BAND_EDGE_RTOL, _band_edges, _energies_at, _energy_profiles,
-    _log10_truncation_errors, _log_energies, _log_energy, _relative_model_errors, _tail_width,
-    energy_profile, log10_relative_truncation_error, relative_model_error)
+    _CUT_RTOL, _TAIL_DECADES, BAND_EDGE_RTOL, _log_energies, _tail_widths, band_edges,
+    energies_at, energy_profiles, log10_truncation_errors, relative_model_errors)
 
 LOSSLESS = PowerLaw(gamma=1.5, a1=0.0, a2=0.0, c0=0.15)
 
@@ -40,7 +39,7 @@ def test_tail_width_meets_the_threshold_or_raises_naming_r(law, log10_r, start):
     # media (tau0 up to 10) put |u| beyond 1e205 from start = 1e300 on
     r = 10.0**log10_r
     try:
-        h = _tail_width(_rise(law, start), r)
+        h = _tail_widths(_rise(law, start), [r])[0]
     except NumericalError as err:
         assert law is not LOSSLESS
         assert f"r={r!r}" in str(err)
@@ -62,10 +61,10 @@ def test_band_and_tail_passes_add_up_to_the_line(law, log10_r, log10_m):
     # E(M) from the line profile plus the tail pass from M is the line
     # energy, the profile's total
     r, m = 10.0**log10_r, 10.0**log10_m
-    line = energy_profile(law, r)
-    tail = math.exp(_log_energy(law, r, m))
+    line = energy_profiles(law, [r])[0]
+    tail = math.exp(_log_energies(law, [r], m)[0])
     if tail >= 1e-3 * line.total:
-        assert line.at(m) + tail == pytest.approx(line.total, rel=1e-10, abs=0.0)
+        assert energies_at([line], m)[0] + tail == pytest.approx(line.total, rel=1e-10, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,10 +74,10 @@ def test_band_edge_leaves_delta_of_the_energy_beyond_it(law, log10_r, log10_delt
     # the tail beyond M from its own energy pass: the profile's tails are accurate to
     # 1e-12 of the full energy, 1e-12/delta of delta*full, the pass to 1e-12 of itself
     r, delta = 10.0**log10_r, 10.0**log10_delta
-    profile = energy_profile(law, r)
-    m = profile.band_edge(delta)
+    profile = energy_profiles(law, [r])[0]
+    m = band_edges([profile], delta)[0]
     assert 0.0 < m < profile.top
-    tail = math.exp(_log_energy(law, r, m))
+    tail = math.exp(_log_energies(law, [r], m)[0])
     assert tail == pytest.approx(delta * profile.total,
                                  rel=BAND_EDGE_RTOL + 1e-12 / delta + 1e-12)
 
@@ -86,7 +85,7 @@ def test_band_edge_leaves_delta_of_the_energy_beyond_it(law, log10_r, log10_delt
 @settings(max_examples=50, deadline=None)
 @given(law=laws(lossless=False), log10_r=st.floats(-6.0, 2.0))
 def test_band_edge_exits_at_zero(law, log10_r):
-    assert energy_profile(law, 10.0**log10_r).band_edge(1.0) == 0.0
+    assert band_edges(energy_profiles(law, [10.0**log10_r]), 1.0)[0] == 0.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -95,8 +94,8 @@ def test_energy_beyond_the_tail_cut_is_invisible(law, log10_r):
     # the line profile's total stands for the full energy: an independent pass
     # from its cut finds at most 1e-20 of it beyond (measured at most 2.3e-30)
     r = 10.0**log10_r
-    profile = energy_profile(law, r)
-    assert _log_energy(law, r, profile.top) <= math.log(1e-20 * profile.total)
+    profile = energy_profiles(law, [r])[0]
+    assert _log_energies(law, [r], profile.top)[0] <= math.log(1e-20 * profile.total)
 
 
 CASTOR = CausalLaw(gamma=1.66, c0=0.15, alpha1=138.08, tau0=1e-6)
@@ -123,15 +122,15 @@ def _same_profiles(batch, alone):
          log10_delta=math.log10(6e-4))
 def test_every_batched_pass_equals_each_distance_alone(law, log10_rs, m, log10_delta):
     rs, delta = [10.0**e for e in log10_rs], 10.0**log10_delta
-    lines, bands = _energy_profiles(law, rs), _energy_profiles(law, rs, m)
-    assert _same_profiles(lines, [energy_profile(law, r) for r in rs])
-    assert _same_profiles(bands, [energy_profile(law, r, m) for r in rs])
-    assert _log_energies(law, rs, m) == [_log_energy(law, r, m) for r in rs]
-    assert _log10_truncation_errors(lines, m) == [log10_relative_truncation_error(p, m)
+    lines, bands = energy_profiles(law, rs), energy_profiles(law, rs, m)
+    assert _same_profiles(lines, [energy_profiles(law, [r])[0] for r in rs])
+    assert _same_profiles(bands, [energy_profiles(law, [r], m)[0] for r in rs])
+    assert _log_energies(law, rs, m) == [_log_energies(law, [r], m)[0] for r in rs]
+    assert log10_truncation_errors(lines, m) == [log10_truncation_errors([p], m)[0]
                                                   for p in lines]
-    assert _energies_at(lines, m) == [p.at(m) for p in lines]
-    assert _band_edges(lines, delta) == [p.band_edge(delta) for p in lines]
+    assert energies_at(lines, m) == [energies_at([p], m)[0] for p in lines]
+    assert band_edges(lines, delta) == [band_edges([p], delta)[0] for p in lines]
     if isinstance(law, CausalLaw):
         for profiles in (lines, bands):
-            assert _relative_model_errors(profiles, m) == [relative_model_error(p, m)
+            assert relative_model_errors(profiles, m) == [relative_model_errors([p], m)[0]
                                                            for p in profiles]
