@@ -7,7 +7,7 @@ inputs give byte-identical files.  CSV and JSON tables alike are
 formatted one block of _BLOCK_ROWS rows at a time and written as they
 go: besides the columns it is given, the writer holds one block's text
 and buffers, however long the columns are (a 2**18 x 2 table peaks at
-3.3 MB traced as CSV and 3.2 MB as JSON).
+2.7 MB traced as CSV and 3.2 MB as JSON).
 
 A block of fewer than _KERNEL_ROWS rows is formatted by one `%`
 operation.  A larger block goes through a numpy kernel that produces
@@ -23,28 +23,44 @@ The kernel gives each value 48 byte slots, six uint64 words (see _SLOTS
 below): a lead word "-0.000d." for the sign, the prefix of small values
 and d0, four words "a.b.c.d." for the 4-digit groups of d1 ... d16, each
 digit followed by a slot for the point, and a word for "e+XX" and the
-separator.  Each word is ANDed with a 0xFF/0x00 mask, one per sign,
-exponent class and count of significant digits, derived from the keep
-table.  Every slot a value's text does not use is then NUL, and no kept
-slot holds a NUL byte, so deleting every NUL byte of the block
-(`bytearray.translate`) leaves its CSV text without building an index
-of kept bytes.  A value left to `%` is written left-aligned into its
-slots, the rest of them up to the separator zeroed.  The kernel's
-buffers are allocated once per table, sized to its first block, and
-every block reuses them through `out=`.
+separator (a comma from the exponent table, turned into a newline for
+the last value of each row).  Each word is ANDed with a 0xFF/0x00 mask,
+one per sign, exponent class and count of significant digits, derived
+from the keep table.  Every slot a value's text does not use is then
+NUL, and no kept slot holds a NUL byte, so deleting every NUL byte
+leaves the block's CSV text without building an index of kept bytes.
+A value left to `%` is written left-aligned into its slots, the rest of
+them up to the separator zeroed.  The kernel's buffers are allocated
+once per table, sized to its first block, and every block reuses them
+through `out=`.
+
+The deletion works byte by byte, so it runs over pieces of _PIECE bytes
+of the slot memory, wherever they split a value: each piece is copied
+to `bytes`, translated and written as it is made.
+Alternated in fresh processes, it compacts a block of 16,384 pulse
+values in 0.63 to 1.05 ms (median 0.66) where `bytearray.translate` of
+the whole block took 1.00 to 1.39 ms (median 1.01), and a 961 x 3 block
+in 97 to 159 us (median 107) instead of 133 to 210 us (median 160).
+The transient result is one piece instead of a block (786 KB).
 
 Timed per block with the kernel's tables built (and the buffers of a
 one-block table allocated), alternated in fresh processes, the kernel
-is as fast as `%` at 96 to 128 rows of 2 columns and at 64 to 96 of 3.
-At 192 rows it takes 0.64 to 0.80 times the time of `%` (0.55 to 0.63
-with 3 columns), at 601 rows 0.36 to 0.41 (0.31 to 0.33).  _KERNEL_ROWS
-is 192: over ten such runs of 2 columns the kernel was the slower once
-at 160 rows and in none from 176 rows on.  On a 2**18 x 2 table
-`write_table` costs 3.3 to 4.1 times less per value than `%`, and 0.43
-to 0.47 times as much (medians of two sets of five fresh processes) as
-the design that gathered a 48-byte keep mask per value and compressed
-the slots through an int64 index.  The tables are built once per
-process, on first use, in 1.3 to 2.0 ms.
+is as fast as `%` at 128 to 144 rows of 2 columns and at 64 to 96 of 3.
+At 160 rows it takes 0.76 to 0.92 times the time of `%` (0.59 to 0.63
+with 3 columns), at 501 rows 0.47 to 0.53 (0.34 to 0.35).  _KERNEL_ROWS
+is 160: over two sets of ten such runs of 2 columns the kernel was the
+slower in 2 of 20 at 144 rows and in none from 160 rows on.  On a 2**18 x 2
+table `write_table` costs 3.7 to 4.0 times less per value than `%`
+(six fresh processes).  The tables are built once per process, on first
+use, in 1.0 to 1.7 ms (eight fresh processes).
+
+The writer is single-threaded.  Each block runs about 100 short ufuncs
+and the GIL changes hands around each one, so on a 2-core machine a
+helper thread that compacted while the next block was formatted made a
+2**18 x 2 table slower (63-66 ms to 73-74 ms), two worker threads
+slower still (66-76 ms to 78-93 ms), and an earlier two-thread writer
+raised the peak RSS of the time-domain benchmark by 9% through glibc's
+per-thread malloc arenas.
 """
 
 from __future__ import annotations
@@ -61,7 +77,8 @@ import numpy as np
 __all__ = ["write_json", "write_table"]
 
 _BLOCK_ROWS = 8192
-_KERNEL_ROWS = 192  # the measured crossover, see above: smaller blocks take one `%`
+_KERNEL_ROWS = 160  # the measured crossover, see above: smaller blocks take one `%`
+_PIECE = 2**16  # bytes of slot memory compacted at a time
 
 _MAGNITUDES = (1e-270, 1e270)  # |x| the kernel takes; their decimal exponents e lie within +-272
 _POWERS = range(16 - 280, 16 + 281)  # the k = 16 - e of the 10**k the kernel scales by
@@ -163,6 +180,11 @@ def _tables():
     sig4[:, 1:] = 2
     sig4[:, :, 1:] = 3
     sig4[:, :, :, 1:] = 4
+    sig4 = sig4.ravel()
+    # sig12[offset[j] + g]: the significant digits of d0 d1 ... d12 where g, the
+    # group j of d1-d4, d5-d8 and d9-d12, is their last nonzero one (1 for 0000)
+    sig12 = sig4.astype(np.int8) + np.arange(1, 12, 4, dtype=np.int8)[:, None]
+    sig12[:, 0] = 1
     exponent = np.arange(_EXPONENTS.start, _EXPONENTS.stop)
     pow10 = np.column_stack([hi, *_split(hi), lo])
     keep = _keep_table()
@@ -171,8 +193,12 @@ def _tables():
         columns=[c.copy() for c in pow10.T],
         lead=_words([b"-0.000%d." % d for d in range(10)]),
         quad=quad.reshape(-1, 8).view(np.uint64).ravel(),
-        sig4=sig4.ravel(),
-        expo=_words([b"e%+03d" % e for e in _EXPONENTS]),
+        sig4=sig4,
+        sig12=sig12.ravel(),
+        scale=np.array([10**8, 10**4, 1])[:, None],
+        offset=10**4 * np.arange(3)[:, None],
+        # "e+XX" and the separator of a value that is not the last of its row
+        expo=_words([b"e%+03d" % e for e in _EXPONENTS]) | np.uint64(ord(",") << 8 * (_SEP - 40)),
         keep=keep,
         mask=(keep * np.uint8(0xFF)).view(np.uint64),
         # the row of `keep` for a positive value with 0 digits, per exponent in _EXPONENTS
@@ -238,8 +264,8 @@ def _scaled(ax, e, pow10, f, k, whole):
     return whole, p
 
 
-def _kernel(values, ncols, s):
-    """CSV bytes of `values` (a block, row-major, ncols per row): f"{x:.17g}" each.
+def _kernel(values, ncols, s, write):
+    """Write the CSV bytes of `values` (a block, row-major, ncols per row): f"{x:.17g}" each.
 
     s: what _buffers(n) made, for some n >= len(values).  Every
     np.take has mode="clip" (no index is out of range): with the default
@@ -295,20 +321,18 @@ def _kernel(values, ncols, s):
             digits += 13
             np.equal(digits, 13, out=flag)
             short = np.flatnonzero(flag)  # the last group is 0000
-            if len(short):
-                r = rest[short]
-                count = np.ones(len(short), np.int64)
-                for j, g in enumerate([(r // 10**8) % 10**4, (r // 10**4) % 10**4, r % 10**4]):
-                    count = np.where(g != 0, 1 + 4 * j + tb.sig4[g], count)
-                digits[short] = count
+            if len(short):  # its other groups d1-d4, d5-d8 and d9-d12 as rows, looked up at once
+                g = rest[short] // tb.scale
+                g %= 10**4
+                g += tb.offset
+                digits[short] = np.take(tb.sig12, g).max(axis=0)
         np.take(tb.quad, group, out=words[i], mode="clip")
         d, rest = rest, d
     np.take(tb.lead, d, out=words[0], mode="clip")  # d is d0 now
     e -= _EXPONENTS.start
     np.take(tb.expo, e, out=words[5], mode="clip")
-    separators = words[5].reshape(-1, ncols)
-    separators[:, :-1] |= np.uint64(ord(",") << 8 * (_SEP - 40))
-    separators[:, -1] |= np.uint64(ord("\n") << 8 * (_SEP - 40))
+    last = words[5][ncols - 1::ncols]  # a row's last value ends in a newline, not a comma
+    np.bitwise_xor(last, np.uint64((ord(",") ^ ord("\n")) << 8 * (_SEP - 40)), out=last)
     row = np.take(tb.row0, e, out=index, mode="clip")
     row += digits
     np.less(values, 0, out=flag)
@@ -324,9 +348,11 @@ def _kernel(values, ncols, s):
         texts = _printf(b"%.17g\n" * len(slow), values[slow].tolist()).split(b"\n")[:-1]
         chars = np.array(texts, f"S{_SEP}").view(np.uint8).reshape(-1, _SEP)
         out.view(np.uint8)[slow, :_SEP] = chars
-    # no kept slot holds a NUL byte: deleting every NUL leaves the text
-    data = s.data if n == len(s.slots) else s.data[:n * _SLOTS]  # a short block: its own rows
-    return data.translate(None, b"\0")
+    # no kept slot holds a NUL byte: deleting every NUL leaves the text, a byte at a
+    # time, so the pieces may split a value anywhere
+    view = memoryview(s.data)[:n * _SLOTS]
+    for lo in range(0, len(view), _PIECE):
+        write(bytes(view[lo:lo + _PIECE]).translate(None, b"\0"))
 
 
 def _json_safe(doc):
@@ -399,5 +425,5 @@ def write_table(path, colnames, columns, comment=None, fmt="csv"):
                 fh.write(_printf(row_fmt * len(block), block.ravel().tolist()))
             else:
                 buffers = buffers or _buffers(block.size)  # the first block is the largest
-                fh.write(_kernel(block.ravel(), len(cols), buffers))
+                _kernel(block.ravel(), len(cols), buffers, fh.write)
     return path

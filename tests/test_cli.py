@@ -1050,14 +1050,15 @@ class TestTimeDomainMemory:
     8.39 MB with whole-grid nodes, magnitudes and phases, a conjugated
     copy of the spectrum, an energy array per fraction and the causal
     signal alive while the power law was synthesized.  `pulse` peaks at
-    7.53 MB, while its times, its samples and the CSV writer's buffers are
-    alive, against the same bound plus the writer's 3.6 MB bound of
-    tests/test_tables.py::test_writer_peak_memory; it peaked at 10.49 MB.
+    6.88 MB, while its times, its samples and the CSV writer's buffers are
+    alive, against the same bound plus the writer's 2.8 MB bound of
+    tests/test_tables.py::test_writer_peak_memory; it peaked at 10.49 MB
+    with whole-grid synthesis and at 7.53 MB with whole-block compaction.
     """
 
     N = 2**18
     BOUND = (N // 2 + 1) * 16 + N * 8 + 2**20
-    WRITER = 3.6e6
+    WRITER = 2.8e6
 
     def _peak(self, tmp_path, command):
         # a first small run builds the parser and the writer's tables and imports json

@@ -197,14 +197,35 @@ def test_block_seams_leave_no_stale_or_dropped_bytes(tmp_path, printed, tail):
     assert all(_refused(x) for call in printed for x in call)
 
 
-def test_writer_peak_memory(tmp_path):
-    """Peak traced memory of a 2**18 x 2 table: 3.34 MB, against 6.07 MB with a gathered index.
+@pytest.mark.parametrize("piece", [1, 47, 48, 49, 4095])
+def test_compaction_pieces_may_split_values_anywhere(tmp_path, monkeypatch, piece):
+    """NUL bytes are deleted a byte at a time: pieces of any size give the same text.
 
-    With the tables built, the earlier kernel (a 48-byte keep mask per
+    Refused values, short texts and decimal ties sit among 17-digit ones in
+    every block, the last of them a short kernel block.
+    """
+    monkeypatch.setattr(tables, "_PIECE", piece)
+    n = 2 * _BLOCK_ROWS + 200
+    assert n % _BLOCK_ROWS >= _KERNEL_ROWS
+    i = np.arange(n)
+    columns = [-math.pi * 10.0 ** (i % 40 - 20), math.e * 10.0 ** (i % 37 - 18),
+               10.0 ** (i % 29 - 14) / 7]
+    for k, column in enumerate(columns):
+        column[k::61] = np.resize(REFUSED + SHORT + TIES, len(column[k::61]))
+    path = write_table(tmp_path / "pieces", ["a", "b", "c"], columns)
+    assert _data_lines(path) == _expected_rows(columns)
+
+
+def test_writer_peak_memory(tmp_path):
+    """Peak traced memory of a 2**18 x 2 table: 2.69 MB, against 3.34 MB compacting whole blocks.
+
+    With the tables built, the first kernel (a 48-byte keep mask per
     value and `np.compress`, which builds an int64 index of every kept
-    byte, and fresh temporaries per block) peaked at 6.07 MB and this
-    one at 3.34 MB.  One more block-sized slot buffer (0.79 MB) or index
-    would cross the bound.
+    byte, and fresh temporaries per block) peaked at 6.07 MB, the one that
+    deleted the NUL bytes of a whole block at once at 3.34 MB, and this
+    one, compacting _PIECE bytes at a time, at 2.69 MB.  The bound is that
+    peak plus 4%: a block-sized compaction result or slot buffer (0.79 MB)
+    would cross it.
     """
     rng = np.random.default_rng(7)
     columns = [rng.standard_normal(2**18), rng.standard_normal(2**18)]
@@ -215,7 +236,7 @@ def test_writer_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.6e6, peak
+    assert peak <= 2.8e6, peak
 
 
 def test_pulse_table_takes_the_kernel(tmp_path, printed):
