@@ -15,8 +15,7 @@ from .laws import (
     derive_powerlaw_coeffs,
     alpha_parts,
     eval_alpha,
-    alpha_difference_slope_bound,
-    alpha_difference_curvature_bound,
+    alpha_difference_majorants,
     attenuation_rise,
     wavenumber,
     phase_speed,

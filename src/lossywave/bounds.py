@@ -76,11 +76,11 @@ compared against the exact quadrature errors from `lossywave.spectrum`:
   1972, "A sequential method seeking the global maximum of a
   function"), run on [0, m_delta] and on [m_delta, W]:
 
-  - Majorants.  `laws.alpha_difference_slope_bound` gives B(w)
-    with |b'(v)| <= B(w) on all of [0, w], where b = b1 + i*b2; B rises
-    with w and at small frequency is the leading term of |b'|.
-    `laws.alpha_difference_curvature_bound` gives B2 with |b''| <= B2 on
-    a cell [a, b], a > 0, also the leading term at small frequency.
+  - Majorants.  `laws.alpha_difference_majorants` gives, from one read
+    of the law at the cell's right end b, B(b) with |b'(v)| <= B(b) on all
+    of [0, b], where b = b1 + i*b2, and B2 with |b''| <= B2 on the cell
+    [a, b], a > 0; B rises with b, and both are the leading terms of |b'|
+    and |b''| at small frequency.
   - Cell bound.  On a cell [a, b] of width h, with x = -r*b1 (so that
     |E| = exp(x) for E = exp(-(b1 + i*b2)*r)) and D = sqrt(C) = |E - 1|
     at both ends, x changes by at most r*B(b)*h across the cell, so
@@ -144,11 +144,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .laws import (CausalLaw, _reduced, _scaled, alpha_difference_curvature_bound,
-                   alpha_difference_slope_bound, alpha_parts, derive_powerlaw_coeffs)
+from .laws import (CausalLaw, _reduced, _scaled, alpha_difference_majorants, alpha_parts,
+                   derive_powerlaw_coeffs)
 from .numerics import NumericalError
 from .spectrum import (_check_distance, _check_line_profile, _deviation, band_edges,
-                       check_band_edge, energies_at, relative_model_errors)
+                       check_band_edge, check_causal, energies_at, relative_model_errors)
 
 __all__ = [
     "EnvelopeBoundConstants",
@@ -397,11 +397,12 @@ def _cell_bounds(causal, r, a, b, xa, xb, da, db):
     smaller of the two bounds, and a bound that cannot be formed (nan) is inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = r * alpha_difference_slope_bound(causal, b)
+        majorant, curvature = alpha_difference_majorants(causal, a, b)
+        slope = r * majorant
         rise = slope * (b - a)
         e_max = np.exp(np.minimum(xa, xb) + rise)
         first = np.minimum((1.0 + e_max) ** 2, (0.5 * (da + db + rise * e_max)) ** 2)
-        curve = slope * slope + r * alpha_difference_curvature_bound(causal, a, b)
+        curve = slope * slope + r * curvature
         q = e_max * (curve * (1.0 + e_max) + slope * slope * e_max) * (b - a) ** 2  # K*h**2/2
         ca, cb = da * da, db * db
         second = np.maximum(ca, cb) + np.maximum(q - np.abs(cb - ca), 0.0) ** 2 / (4.0 * q)
@@ -619,6 +620,7 @@ def model_error_reports(profiles, m, delta):
     check_band_edge(m)
     for profile in profiles:
         _check_line_profile(profile, "the model-error report")
+        check_causal(profile.law, "the model-error report")
     causal = profiles[0].law
     edges = band_edges(profiles, delta)
     closures = [_closure(causal, profile.r, m_delta) for profile, m_delta in zip(profiles, edges)]

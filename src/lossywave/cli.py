@@ -28,8 +28,8 @@ from . import __version__
 from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, EnvelopeBoundConstants,
                      corrected_truncation_error_bound, log10_truncation_error_bound,
                      model_error_reports, verify_envelope)
-from .laws import (alpha_parts, load_preset, powerlaw_phase_singularity, small_frequency_bound,
-                   wavenumber)
+from .laws import (alpha_parts, load_preset, phase_speed, powerlaw_phase_singularity,
+                   small_frequency_bound)
 from .numerics import QUADRATURE_RTOL, NumericalError
 from .spectrum import (BAND_EDGE_RTOL, FrequencyGrid, check_band_edge, deviation_factor,
                        energies_at, energy_profiles, log10_truncation_errors,
@@ -83,7 +83,7 @@ def _curves(preset, fig, w_att, w_spd, att_note="", spd_note=""):
     """
     both = (preset.causal, preset.powerlaw)
     att_c, att_pl = (alpha_parts(law, w_att)[0] for law in both)
-    spd_c, spd_pl = (w_spd / wavenumber(law, w_spd) for law in both)
+    spd_c, spd_pl = (phase_speed(law, w_spd) for law in both)
     tables = [(f"{fig}_attenuation",
                {"omega": w_att, "attenuation_causal": att_c, "attenuation_powerlaw": att_pl},
                f"preset={preset.name}{att_note}"),
@@ -109,7 +109,7 @@ def cmd_fig2(args):
     w = np.geomspace(1.0, 1e8, 961)
     # a gamma = 2 power law has no phase-speed pole: the marker is left out
     marker = ("" if preset.powerlaw.gamma == 2.0 else
-              f" phase_speed_pole_omega={_fmt(powerlaw_phase_singularity(preset))}")
+              f" phase_speed_pole_omega={_fmt(powerlaw_phase_singularity(preset.powerlaw))}")
     return _curves(preset, "fig2", w, w, " log grid", marker)
 
 

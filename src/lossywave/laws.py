@@ -54,8 +54,7 @@ __all__ = [
     "derive_powerlaw_coeffs",
     "alpha_parts",
     "eval_alpha",
-    "alpha_difference_slope_bound",
-    "alpha_difference_curvature_bound",
+    "alpha_difference_majorants",
     "attenuation_rise",
     "wavenumber",
     "phase_speed",
@@ -405,9 +404,12 @@ def _attenuation_and_difference(causal, omega):
     return _causal_parts(a, s, sigma, phase, scale)[0].reshape(w.shape), b
 
 
-def alpha_difference_slope_bound(causal, omega):
-    """B(w) >= |d/dw _alpha_difference(causal, v)| for every v in [0, w].
+def alpha_difference_majorants(causal, a, b):
+    """(B(b), B2): majorants of the slope and curvature of `_alpha_difference(causal, .)`.
 
+    B(b) >= |b'(v)| for every v in [0, b], and B2 >= |b''(v)| for every v
+    in the cell [a, b], a > 0; B2 is inf at a = 0.  Both are read from one
+    `_reduced` at b and are vectorized over the cells (a, b), omega >= 0.
     For the derived pair b = (alpha1/c0)*(-1j*w)*g(u) and u' = p*u/w,
     p = gamma - 1, so b' = (alpha1/c0)*(-1j)*(g + p*u*g'(u)).  With
     s = |u| = (tau0*w)**p, q = sqrt(1+u) (Re q >= 1, hence |q| >= 1 and
@@ -420,38 +422,29 @@ def alpha_difference_slope_bound(causal, omega):
 
     formed without squaring s.  B rises with w, so it bounds |b'| on all
     of [0, w]; it has no cancellation and at small s equals the leading
-    term of the series of |b'|.  Vectorized over omega >= 0.
-    """
-    _, s, sigma, _, scale = _reduced(causal, omega)
-    s = np.divide(s, sigma, out=s)
-    bound = np.minimum(0.375 * s, 0.5 + 2.0 / np.maximum(s, 1.0)) * s
-    bound += (causal.gamma - 1.0) * np.minimum(0.75 * s, 1.0) * s
-    return _scaled(bound, scale).reshape(np.shape(omega))
-
-
-def alpha_difference_curvature_bound(causal, a, b):
-    """B2 >= |d2/dw2 _alpha_difference(causal, v)| for every v in [a, b], a > 0; inf at a = 0.
-
-    With u' = p*u/w as in `alpha_difference_slope_bound`,
-    b'' = (alpha1/c0)*(-1j)*(p/w)*((1 + p)*u*g'(u) + p*u**2*g''(u)), and
-    g'' = -(3/4)*(1 + u)**(-5/2) with |1 + u| >= 1 gives |u**2*g''| <= 3s**2/4.
-    With |u*g'| <= min(3s**2/4, s),
+    term of the series of |b'|.  Next, b'' = (alpha1/c0)*(-1j)*(p/w)*
+    ((1 + p)*u*g'(u) + p*u**2*g''(u)), and g'' = -(3/4)*(1 + u)**(-5/2)
+    with |1 + u| >= 1 gives |u**2*g''| <= 3s**2/4.  With |u*g'| as above,
 
         B2 = (alpha1/c0)*(p/a)*((1 + p)*min(3s**2/4, s) + (3/4)*p*s**2),
 
     s taken at b, where it is largest.  At small s it equals the leading
-    term of the series of |b''|.  Vectorized over the cells (a, b).
+    term of the series of |b''|.
     """
     _, s, sigma, _, scale = _reduced(causal, b)
     a, p = np.asarray(a, dtype=float).reshape(-1), causal.gamma - 1.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf beyond the doubles
         s = np.divide(s, sigma, out=s)  # and where a = 0
-        bound = ((1.0 + p) * np.minimum(0.75 * s, 1.0) + 0.75 * p * s) * s
-        bound = _scaled(np.divide(p * bound, a, out=bound), scale)
-    return np.where(a > 0.0, bound, np.inf).reshape(np.shape(b))
+        slope = np.minimum(0.375 * s, 0.5 + 2.0 / np.maximum(s, 1.0)) * s
+        slope += p * np.minimum(0.75 * s, 1.0) * s
+        curve = ((1.0 + p) * np.minimum(0.75 * s, 1.0) + 0.75 * p * s) * s
+        curve = _scaled(np.divide(p * curve, a, out=curve), scale)
+        slope = _scaled(slope, scale)
+    return (slope.reshape(np.shape(b)),
+            np.where(a > 0.0, curve, np.inf).reshape(np.shape(b)))
 
 
-def _rise(law, lo):
+def attenuation_rise(law, lo):
     """The rise h -> Re alpha*(lo + h) - Re alpha*(lo), for lo >= 0 and h >= 0, built once from lo.
 
     The returned function is vectorized over h and cancellation-free.
@@ -496,15 +489,6 @@ def _rise(law, lo):
     return causal_rise
 
 
-def attenuation_rise(law, lo, h):
-    """Re alpha*(lo + h) - Re alpha*(lo) for lo >= 0 and h >= 0, cancellation-free.
-
-    Vectorized over h: the rise of `_rise` from lo, called once.
-    lo = 0 returns Re alpha*(h).
-    """
-    return _rise(law, lo)(h)
-
-
 def wavenumber(law, omega):
     """Effective wavenumber k(omega) = omega/c0 - Im(alpha*(omega)) in rad/cm."""
     w = np.asarray(omega, dtype=float)
@@ -513,33 +497,34 @@ def wavenumber(law, omega):
 
 
 def phase_speed(law, omega):
-    """Phase speed c(omega) = omega / k(omega) in cm/us, for omega != 0.
+    """Phase speed c(omega) = omega / k(omega) in cm/us, vectorized over omega != 0.
 
-    Raises ValueError when k(omega) vanishes to machine precision: the
-    power law's phase speed has a pole there (see
-    `powerlaw_phase_singularity`); the causal law's does not.
+    Raises ValueError naming the first omega where k(omega) vanishes to
+    machine precision, 1e-9 of |omega|/c0 + |Im alpha*|: the power law's
+    phase speed has a pole there (see `powerlaw_phase_singularity`); the
+    causal law's does not.  A k beyond the doubles does not vanish.
     """
-    w = float(omega)
-    _require(w != 0.0 and math.isfinite(w), "omega must be finite and non-zero")
-    im = float(alpha_parts(law, w)[1])
-    k = w / law.c0 - im
-    scale = abs(w) / law.c0 + abs(im)
-    if abs(k) <= 1e-9 * scale:
-        raise ValueError(f"phase speed singular near omega={w!r}")
-    return w / k
+    w = np.asarray(omega, dtype=float)
+    _require(np.all(w != 0.0) and np.all(np.isfinite(w)), "omega must be finite and non-zero")
+    k = wavenumber(law, w)
+    with np.errstate(over="ignore", invalid="ignore"):  # |Im alpha*| = |drift - k|
+        drift = w / law.c0
+        vanishes = (np.abs(k) <= 1e-9 * (np.abs(drift) + np.abs(drift - k))) & np.isfinite(k)
+    if np.any(vanishes):
+        raise ValueError(f"phase speed singular near omega={float(w[vanishes].flat[0])!r}")
+    c = w / k
+    return c if c.ndim else float(c)
 
 
-def powerlaw_phase_singularity(medium):
-    """Positive frequency where the power-law phase speed diverges.
+def powerlaw_phase_singularity(law):
+    """Positive frequency where the phase speed of the PowerLaw law diverges.
 
-    Accepts a MediumPreset or a bare PowerLaw.  The root of
-    k(w) = w*(1/c0 + a2) - a1*|tan(gamma*pi/2)|*w**gamma has the closed
-    form ((1/c0 + a2)/(a1*|tan(gamma*pi/2)|))**(1/(gamma-1)).  Raises
-    ValueError when no singularity exists (gamma = 2, or a vanishing
-    tangent/attenuation coefficient), NumericalError where it exceeds the
-    largest double.
+    The root of k(w) = w*(1/c0 + a2) - a1*|tan(gamma*pi/2)|*w**gamma has
+    the closed form ((1/c0 + a2)/(a1*|tan(gamma*pi/2)|))**(1/(gamma-1)).
+    Raises ValueError when no singularity exists (gamma = 2, or a
+    vanishing tangent/attenuation coefficient), NumericalError where it
+    exceeds the largest double.
     """
-    law = medium.powerlaw if isinstance(medium, MediumPreset) else medium
     _require(isinstance(law, PowerLaw), "a power law is required")
     g = law.gamma
     if g == 2.0:

@@ -38,8 +38,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .laws import (DispersionLaw, _alpha_difference, _attenuation_and_difference, _rise,
-                   alpha_parts)
+from .laws import (CausalLaw, DispersionLaw, _alpha_difference, _attenuation_and_difference,
+                   alpha_parts, attenuation_rise)
 from .numerics import (NumericalError, Quadrature, _kronrod_groups, _run_together,
                        integrate_intervals)
 
@@ -86,6 +86,12 @@ def _check_line_profile(profile, what):
     if profile.hi != math.inf:
         raise ValueError(f"{what} needs the line energy profile, "
                          f"got one of the band [0, {profile.hi!r}]")
+
+
+def check_causal(law, what):
+    """Raise ValueError naming `what` and the law unless it is a CausalLaw."""
+    if not isinstance(law, CausalLaw):
+        raise ValueError(f"{what} needs a causal law to derive its power law from, got {law!r}")
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,7 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
 
 
 def _gain_sq(rise, r):
-    """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from `laws._rise` from lo.
+    """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from `attenuation_rise` from lo.
 
     f(h, k) takes the distance r[k] of each node; each call is one
     evaluation of the rise for all of them.  From lo = 0 it is
@@ -315,7 +321,7 @@ def _width_steps(r, coarse, grows):
 
 
 def _tail_widths(rise, rs):
-    """Widths h > 0 at which 2*r*rise(h) reaches _TAIL_DECADES, for a rise of `laws._rise`.
+    """Widths h > 0 at which 2*r*rise(h) reaches _TAIL_DECADES, for a rise of `attenuation_rise`.
 
     A vector call at every 32nd power of two of the double range, then one
     at the powers of two inside the first coarse bracket, find the first
@@ -369,7 +375,7 @@ def _energy_passes(law, rs, lo, hi):
     """
     for r in rs:
         _check_distance(r)
-    rise = _rise(law, lo)
+    rise = attenuation_rise(law, lo)
     extent = hi - lo  # no width is solved where hi comes first
     at_hi = float(rise(extent)) if extent < math.inf else math.inf
     cut = [not 2.0 * r * at_hi < _TAIL_DECADES for r in rs]
@@ -425,7 +431,7 @@ def energies_at(profiles, m):
         reads.append((top, below, (np.ravel(edges[k]), np.ravel(top))))
     rs = [profile.r for profile in profiles]
     with np.errstate(over="ignore"):
-        sums = _kronrod_groups(_gain_sq(_rise(profiles[0].law, 0.0), rs),
+        sums = _kronrod_groups(_gain_sq(attenuation_rise(profiles[0].law, 0.0), rs),
                                [panel for *_, panel in reads], range(len(rs)), _at_r(rs))
     out = [below + part.reshape(top.shape) for (top, below, _), (part, _) in zip(reads, sums)]
     return [e if e.ndim else float(e) for e in out]
@@ -494,7 +500,7 @@ def band_edges(profiles, delta):
         k = int(np.count_nonzero(tails >= target)) - 1
         brackets.append((r, target, tails[k:k + 2], band.edges[k], band.edges[k + 1]))
     rs = [profile.r for profile in profiles]
-    rise = _rise(profiles[0].law, 0.0)
+    rise = attenuation_rise(profiles[0].law, 0.0)
     with np.errstate(over="ignore"):
         ends = _gain_sq(rise, rs)(np.array([(lo, hi) for *_, lo, hi in brackets]).ravel(),
                                   np.repeat(np.arange(len(rs)), 2)).reshape(-1, 2)
@@ -621,6 +627,7 @@ def deviation_factor(causal, r, omega):
     Vectorized over omega; non-finite where b1*r overflows negative or
     b2*r overflows while exp(-b1*r) does not underflow.
     """
+    check_causal(causal, "the deviation factor")
     c = _deviation(causal, r, omega)[0]
     return c if np.ndim(c) else float(c)
 
@@ -644,6 +651,7 @@ def relative_model_errors(profiles, m, band=None):
         if profile.hi < m:
             raise ValueError(f"the model error at M={m!r} needs a profile that reaches M, "
                              f"got one of the band [0, {profile.hi!r}]")
+        check_causal(profile.law, "the model error")
     causal, rs = profiles[0].law, [profile.r for profile in profiles]
     r_of = np.array(rs)
 

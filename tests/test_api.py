@@ -2,17 +2,22 @@
 
 Those names are what the commands run: each quantity has one batched stage,
 which takes a sequence of distances and returns one result per distance,
-and no function of the package is its one-element call.
+and no function of the package is its one-element call.  Every public law
+function is run by some command, and the underscore names one module
+imports from another may shrink, never grow.
 """
 
 import ast
 import importlib
+import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import lossywave
+from lossywave import cli, laws
 
 INIT = Path(lossywave.__file__)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -128,3 +133,80 @@ def test_the_wrappers_and_test_only_code_are_gone():
     assert not hasattr(lossywave.EnergyProfile, "at")
     assert not hasattr(lossywave.EnergyProfile, "band_edge")
     assert not hasattr(lossywave.RealSignal, "l2_norm")
+
+
+# the one public law function that no command runs: the benchmark's setup calls it
+LAW_FUNCTIONS_NOT_RUN = {"eval_alpha"}
+COMMANDS = [["table1"], ["table2"], ["fig1"], ["fig2"], ["fig3"], ["bounds"],
+            ["pulse", "--samples", "1024"], ["causality", "--samples", "1024"]]
+
+
+def test_every_public_law_function_is_run_by_a_command(tmp_path, monkeypatch):
+    functions = [name for name in laws.__all__ if inspect.isfunction(getattr(laws, name))]
+    modules = [module for key, module in sys.modules.items()
+               if module is not None and (key == "lossywave" or key.startswith("lossywave."))]
+    called = set()
+    for name in functions:
+        original = getattr(laws, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        for module in modules:  # every module that binds it
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    for argv in COMMANDS:
+        assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    assert set(functions) - called == LAW_FUNCTIONS_NOT_RUN
+
+
+def test_readme_names_the_law_functions_no_command_runs():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = re.search(r"[^.]*stays? public although no command calls[^.]*\.", text)
+    assert sentence is not None, "README names no law function that no command runs"
+    assert set(re.findall(r"`(\w+)`", sentence.group(0))) == LAW_FUNCTIONS_NOT_RUN
+
+
+# the underscore names one module imports from another, by importing module; a name
+# leaves this list once its importer no longer needs it, and none joins it
+PRIVATE_IMPORTS = {
+    "spectrum": {"laws._alpha_difference", "laws._attenuation_and_difference",
+                 "numerics._kronrod_groups", "numerics._run_together"},
+    "bounds": {"laws._reduced", "laws._scaled", "spectrum._check_distance",
+               "spectrum._check_line_profile", "spectrum._deviation"},
+    "timedomain": {"spectrum._from_polar", "spectrum._green_polar", "spectrum._node_chunks"},
+}
+
+
+def private_imports(source):
+    """{"module._name"} for every underscore name `source` imports from a package module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("lossywave."):
+            module = node.module[len("lossywave."):]
+        else:
+            continue
+        found.update(f"{module}.{alias.name}" for alias in node.names
+                     if alias.name.startswith("_") and not alias.name.startswith("__"))
+    return found
+
+
+def test_finds_a_private_import():
+    source = ("from . import __version__\n"
+              "from .laws import _reduced, alpha_parts\n"
+              "from numpy import _core\n"
+              "def f():\n"
+              "    from lossywave.spectrum import _deviation\n")
+    assert private_imports(source) == {"laws._reduced", "spectrum._deviation"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_imports_stay_within_the_allowlist(path):
+    found = private_imports(path.read_text(encoding="utf-8"))
+    assert sorted(found - PRIVATE_IMPORTS.get(path.stem, set())) == []

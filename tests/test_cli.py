@@ -711,7 +711,7 @@ class TestQuadratureWork:
 
     The counts are deterministic, so they gate the cost of the
     quadrature where wall time on a shared machine cannot.  Samples
-    include the single panels `EnergyProfile.at` evaluates.  Measured
+    include the single panels `energies_at` evaluates.  Measured
     with one energy profile per distance: bounds 6435 samples in 56
     quadratures and 17 tail cuts, fig3 1875 in 1; table2 1530 in 8.
     Before the profile, bounds took 9405 samples in 71 quadratures and
@@ -742,8 +742,8 @@ class TestQuadratureWork:
     @staticmethod
     def _count(monkeypatch, argv):
         groups, intervals, build, widths = (numerics._kronrod_groups,
-                                            numerics.integrate_intervals, spectrum._rise,
-                                            spectrum._tail_widths)
+                                            numerics.integrate_intervals,
+                                            spectrum.attenuation_rise, spectrum._tail_widths)
         counts = {"samples": 0, "calls": 0, "passes": [], "width_batches": []}
         starts = {}  # the start of every rise built
 
@@ -770,7 +770,7 @@ class TestQuadratureWork:
         for module in (numerics, spectrum):  # every module that binds them
             monkeypatch.setattr(module, "_kronrod_groups", counting_groups)
             monkeypatch.setattr(module, "integrate_intervals", counting_intervals)
-        monkeypatch.setattr(spectrum, "_rise", recording_build)
+        monkeypatch.setattr(spectrum, "attenuation_rise", recording_build)
         monkeypatch.setattr(spectrum, "_tail_widths", counting_widths)
         assert cli.main(argv) == 0
         return counts
@@ -830,7 +830,7 @@ class TestTailCutWork:
     """
 
     def test_at_most_five_small_vector_calls_per_solve(self, tmp_path, monkeypatch):
-        build, alpha, widths = spectrum._rise, laws.alpha_parts, spectrum._tail_widths
+        build, alpha, widths = spectrum.attenuation_rise, laws.alpha_parts, spectrum._tail_widths
         per_batch = []  # [distances, sizes of the rise calls, scalar law-kernel calls]
         inside = []
 
@@ -857,7 +857,7 @@ class TestTailCutWork:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(spectrum, "_rise", counting_build)
+        monkeypatch.setattr(spectrum, "attenuation_rise", counting_build)
         monkeypatch.setattr(spectrum, "alpha_parts", counting_alpha)
         monkeypatch.setattr(laws, "alpha_parts", counting_alpha)
         monkeypatch.setattr(spectrum, "_tail_widths", counting_widths)
@@ -967,6 +967,10 @@ class TestScanWork:
     50,495 samples, most of them in the outer searches out to the
     closure near 3.6e6; the 100,001-point seed grids before them took 82
     calls and 1,002,386 samples and certified nothing.
+
+    The cell bounds of each call read the law once, both majorants from
+    one `laws._reduced` at the cells' right ends; one read per majorant
+    took 8 for the 4 calls.
     """
 
     def test_within_the_measured_counts(self, tmp_path, monkeypatch):
@@ -982,6 +986,32 @@ class TestScanWork:
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
         assert 1 <= counts["calls"] <= 5
         assert 10 * (bounds._SEED_CELLS + 1) <= counts["samples"] <= 1.1 * 1_190
+
+    def test_one_law_read_per_cell_bound_call(self, tmp_path, monkeypatch):
+        # the slope and curvature majorants of every cell come from one `_reduced` at the
+        # cells' right ends: 4 reads for the seed cells and 3 rounds, where a read per
+        # majorant made 8
+        cell_bounds, reduced = bounds._cell_bounds, laws._reduced
+        counts = {"cell_bounds": 0, "reads": 0}
+        inside = []
+
+        def counting_cell_bounds(*args):
+            counts["cell_bounds"] += 1
+            inside.append(True)
+            try:
+                return cell_bounds(*args)
+            finally:
+                inside.pop()
+
+        def counting_reduced(causal, omega):
+            counts["reads"] += bool(inside)
+            return reduced(causal, omega)
+
+        monkeypatch.setattr(bounds, "_cell_bounds", counting_cell_bounds)
+        for module in (laws, bounds):  # every module that binds it
+            monkeypatch.setattr(module, "_reduced", counting_reduced)
+        assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
+        assert counts == {"cell_bounds": 4, "reads": 4}
 
 
 class TestTimeDomainWork:

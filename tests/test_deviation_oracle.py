@@ -24,7 +24,7 @@ mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from lossywave import CausalLaw, alpha_difference_curvature_bound, deviation_factor  # noqa: E402
+from lossywave import CausalLaw, alpha_difference_majorants, deviation_factor  # noqa: E402
 from lossywave.laws import _alpha_difference  # noqa: E402
 
 mp = mpmath.mp
@@ -89,7 +89,7 @@ def test_curvature_bound_dominates_the_exact_second_derivative(
                        tau0=10.0**log10_tau0)
     b = 10.0**log10_tau0_b / causal.tau0
     a = b * (1.0 - 10.0**log10_gap)
-    bound = float(alpha_difference_curvature_bound(causal, a, b))
+    bound = float(alpha_difference_majorants(causal, a, b)[1])
     s = 10.0 ** ((gamma - 1.0) * min(log10_tau0_b, 0.0))
     with mp.workdps(30 + 2 * math.ceil(-math.log10(s))):
         for v in (a, 0.5 * (a + b), b):

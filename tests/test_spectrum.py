@@ -23,7 +23,6 @@ from lossywave import (
     write_table,
 )
 
-from lossywave.laws import _rise
 from lossywave.spectrum import (_CUT_RTOL, _TAIL_DECADES, _energy_passes, _log_energies,
                                 _secant_root, _tail_widths)
 
@@ -186,10 +185,10 @@ class TestLog10TruncationError:
         r, m = 10.0, 100.0
         alpha_m = float(np.real(eval_alpha(castor.causal, m)))
         tail = trapezoid_norm(castor.causal, r, m,
-                              m + _tail_widths(_rise(castor.causal, m), [r])[0],
+                              m + _tail_widths(attenuation_rise(castor.causal, m), [r])[0],
                               alpha_ref=alpha_m)
         full = trapezoid_norm(castor.causal, r, 0.0,
-                              _tail_widths(_rise(castor.causal, 0.0), [r])[0])
+                              _tail_widths(attenuation_rise(castor.causal, 0.0), [r])[0])
         oracle = math.log10(tail / full) - r * alpha_m / math.log(10.0)
         profile = energy_profiles(castor.causal, [r])[0]
         assert log10_truncation_errors([profile], m)[0] == pytest.approx(oracle, abs=1e-8)
@@ -215,28 +214,28 @@ class TestExtremeDistances:
     def test_tail_cut_converges_far_below_one(self, castor, r, cut):
         # the cut lies hundreds of decades below 1, inside the bracket of the
         # powers of two that the width solve starts from
-        got = _tail_widths(_rise(castor.causal, 0.0), [r])[0]
+        got = _tail_widths(attenuation_rise(castor.causal, 0.0), [r])[0]
         assert got == pytest.approx(cut, rel=1e-3)
         attenuation = float(np.real(eval_alpha(castor.causal, got)))
         assert 2.0 * r * attenuation == pytest.approx(70.0, rel=1e-6)
         # a tail cut from a start far below 1 brackets above the start
-        assert 0.5 * got + _tail_widths(_rise(castor.causal, 0.5 * got), [r])[0] > 0.5 * got
+        assert 0.5 * got + _tail_widths(attenuation_rise(castor.causal, 0.5 * got), [r])[0] > 0.5 * got
 
     def test_tail_cut_beyond_the_double_range_names_r(self, castor):
         with pytest.raises(NumericalError, match="r=1e-300"):
-            _tail_widths(_rise(castor.causal, 0.0), [1e-300])[0]
+            _tail_widths(attenuation_rise(castor.causal, 0.0), [1e-300])[0]
         # a law that does not decay still has no cut at all
-        assert _tail_widths(_rise(LOSSLESS, 0.0), [1e-300])[0] == math.inf
+        assert _tail_widths(attenuation_rise(LOSSLESS, 0.0), [1e-300])[0] == math.inf
 
     @pytest.mark.parametrize("r", [1e16, 1e22, 1e26])
     def test_subnormal_width_is_the_first_double_past_the_threshold(self, r):
         # a steep law decays within a subnormal width, where no double lies within
         # 1e-9 of h: the solve stops at adjacent doubles instead of looping
         steep = PowerLaw(gamma=2.0, a1=1e300, a2=0.0, c0=0.15)
-        h = _tail_widths(_rise(steep, 1.0), [r])[0]
+        h = _tail_widths(attenuation_rise(steep, 1.0), [r])[0]
 
         def exponent(width):
-            return 2.0 * r * float(attenuation_rise(steep, 1.0, np.array([width]))[0])
+            return 2.0 * r * float(attenuation_rise(steep, 1.0)(np.array([width]))[0])
 
         assert h < np.finfo(float).tiny
         assert exponent(h) >= 70.0 > exponent(h - math.ulp(h))
@@ -266,7 +265,7 @@ class TestExtremeDistances:
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_distance_rejected_everywhere(self, castor, r):
         for call in (lambda: green_hat(castor.causal, r, 1.0),
-                     lambda: _tail_widths(_rise(castor.causal, 0.0), [r])[0],
+                     lambda: _tail_widths(attenuation_rise(castor.causal, 0.0), [r])[0],
                      lambda: energy_profiles(castor.causal, [r], 10.0)[0].norm,
                      lambda: relative_model_errors(energy_profiles(castor.causal, [r], 100.0),
                                                    100.0)[0],
@@ -381,6 +380,22 @@ class TestModelError:
         assert relative_model_errors([short], 50.0)[0] > 0.0
 
 
+    @pytest.mark.parametrize("stage", ["the model error", "the deviation factor",
+                                       "the model-error report"])
+    def test_a_power_law_is_refused_naming_the_stage_and_the_law(self, castor, stage):
+        # the stages derive the power law from the causal one they are given; a power
+        # law once ended in an AttributeError on the causal law's constants
+        power = castor.powerlaw
+        run = {"the model error": lambda: relative_model_errors(
+                   energy_profiles(power, [1.0]), 100.0),
+               "the deviation factor": lambda: deviation_factor(power, 1.0, np.array([1.0])),
+               "the model-error report": lambda: model_error_reports(
+                   energy_profiles(power, [1.0]), 100.0, 6e-4)}[stage]
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == (f"{stage} needs a causal law to derive its power law from, "
+                                  f"got {power!r}")
+
     @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
     def test_deviation_factor_rejects_a_non_finite_omega(self, castor, omega):
         with pytest.raises(ValueError, match="omega must be finite"):
@@ -397,7 +412,7 @@ class TestEnergyProfile:
         r = 0.4
         profile = energy_profiles(castor.causal, [r])[0]
         edges = profile.energy.edges
-        assert profile.top == _tail_widths(_rise(castor.causal, 0.0), [r])[0]
+        assert profile.top == _tail_widths(attenuation_rise(castor.causal, 0.0), [r])[0]
         # inside the first graded panel, on a panel edge, mid-range and at the top
         for m in (0.5 * edges[1], edges[5], 0.5 * profile.top, profile.top):
             assert energies_at([profile], m)[0] == pytest.approx(

@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lossywave import CausalLaw, MediumPreset, NumericalError, PowerLaw  # noqa: E402
-from lossywave.laws import _rise, attenuation_rise  # noqa: E402
+from lossywave.laws import attenuation_rise  # noqa: E402
 from lossywave.spectrum import (  # noqa: E402
     _CUT_RTOL, _TAIL_DECADES, BAND_EDGE_RTOL, _log_energies, _tail_widths, band_edges,
     energies_at, energy_profiles, log10_truncation_errors, relative_model_errors)
@@ -39,7 +39,7 @@ def test_tail_width_meets_the_threshold_or_raises_naming_r(law, log10_r, start):
     # media (tau0 up to 10) put |u| beyond 1e205 from start = 1e300 on
     r = 10.0**log10_r
     try:
-        h = _tail_widths(_rise(law, start), [r])[0]
+        h = _tail_widths(attenuation_rise(law, start), [r])[0]
     except NumericalError as err:
         assert law is not LOSSLESS
         assert f"r={r!r}" in str(err)
@@ -50,7 +50,7 @@ def test_tail_width_meets_the_threshold_or_raises_naming_r(law, log10_r, start):
     assert 0.0 < h < math.inf
     # h is the upper end of a bracket no wider than _CUT_RTOL*h or one ulp
     below = h - max(_CUT_RTOL * h, math.ulp(h))
-    reached, short = 2.0 * r * attenuation_rise(law, start, np.array([h, below]))
+    reached, short = 2.0 * r * attenuation_rise(law, start)(np.array([h, below]))
     assert _TAIL_DECADES <= reached <= _TAIL_DECADES * (1.0 + 1e-8)
     assert short < _TAIL_DECADES
 
