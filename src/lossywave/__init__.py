@@ -41,7 +41,6 @@ from .timedomain import (
     RealSignal,
     ForcingSignal,
     synthesize_time_signal,
-    causality_energy_fraction,
     pre_arrival_fractions,
     forward_point_source,
 )

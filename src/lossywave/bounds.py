@@ -147,7 +147,7 @@ import numpy as np
 from .laws import (CausalLaw, _reduced, _scaled, alpha_difference_majorants, alpha_parts,
                    derive_powerlaw_coeffs)
 from .numerics import NumericalError
-from .spectrum import (_check_distance, _check_line_profile, _deviation, band_edges,
+from .spectrum import (_check_distance, _deviation, _one_law, band_edges,
                        check_band_edge, check_causal, energies_at, relative_model_errors)
 
 __all__ = [
@@ -618,10 +618,8 @@ def model_error_reports(profiles, m, delta):
     formed for every distance at once.
     """
     check_band_edge(m)
-    for profile in profiles:
-        _check_line_profile(profile, "the model-error report")
-        check_causal(profile.law, "the model-error report")
-    causal = profiles[0].law
+    causal = _one_law(profiles, "the model-error report", line=True)
+    check_causal(causal, "the model-error report")
     edges = band_edges(profiles, delta)
     closures = [_closure(causal, profile.r, m_delta) for profile, m_delta in zip(profiles, edges)]
     maxima = iter(_certified_maxima(causal, [

@@ -75,28 +75,31 @@ def cmd_table2(args):
              f"preset={preset.name} M={_fmt(m)}")]
 
 
+def _check_curves(fig, columns):
+    """Raise NumericalError naming the first column of a `fig` table that is not finite."""
+    for name, values in columns.items():
+        if not np.isfinite(values).all():
+            omega = columns["omega"][~np.isfinite(values)][0]
+            raise NumericalError(f"the {fig} curve {name} is not finite at "
+                                 f"omega={float(omega)!r}")
+
+
 def _curves(preset, fig, w_att, w_spd, att_note="", spd_note=""):
     """Attenuation and phase-speed tables of both laws, `fig`_attenuation and `fig`_phasespeed.
 
     Raises NumericalError where a curve is not finite: a law whose values
-    leave the doubles on the grid.
+    leave the doubles on the grid.  The attenuation is checked before the
+    phase speeds are formed, which raise where the wavenumber leaves them.
     """
     both = (preset.causal, preset.powerlaw)
     att_c, att_pl = (alpha_parts(law, w_att)[0] for law in both)
+    attenuation = {"omega": w_att, "attenuation_causal": att_c, "attenuation_powerlaw": att_pl}
+    _check_curves(fig, attenuation)
     spd_c, spd_pl = (phase_speed(law, w_spd) for law in both)
-    tables = [(f"{fig}_attenuation",
-               {"omega": w_att, "attenuation_causal": att_c, "attenuation_powerlaw": att_pl},
-               f"preset={preset.name}{att_note}"),
-              (f"{fig}_phasespeed",
-               {"omega": w_spd, "speed_causal": spd_c, "speed_powerlaw": spd_pl},
-               f"preset={preset.name}{spd_note}")]
-    for _, columns, _ in tables:
-        for name, values in columns.items():
-            if not np.isfinite(values).all():
-                omega = columns["omega"][~np.isfinite(values)][0]
-                raise NumericalError(f"the {fig} curve {name} is not finite at "
-                                     f"omega={float(omega)!r}")
-    return tables
+    speed = {"omega": w_spd, "speed_causal": spd_c, "speed_powerlaw": spd_pl}
+    _check_curves(fig, speed)
+    return [(f"{fig}_attenuation", attenuation, f"preset={preset.name}{att_note}"),
+            (f"{fig}_phasespeed", speed, f"preset={preset.name}{spd_note}")]
 
 
 def cmd_fig1(args):
@@ -193,7 +196,7 @@ def cmd_pulse(args):
                             carrier=args.carrier)
     grid = FrequencyGrid(omega_max=args.omega_max, n=args.samples)
     signal = forward_point_source(law, args.r, forcing, grid)
-    comment = (f"r={_fmt(signal.r)} law={law.tag} t0={_fmt(signal.t0)} dt={_fmt(signal.dt)} "
+    comment = (f"r={_fmt(signal.r)} law={law.tag} t0=0 dt={_fmt(signal.dt)} "
                f"n={len(signal.samples)} omega_max={_fmt(args.omega_max)} "
                f"samples={args.samples} convention=forward-kernel exp(+i w t), "
                "unitary 1/sqrt(2 pi)")

@@ -502,16 +502,20 @@ def phase_speed(law, omega):
     Raises ValueError naming the first omega where k(omega) vanishes to
     machine precision, 1e-9 of |omega|/c0 + |Im alpha*|: the power law's
     phase speed has a pole there (see `powerlaw_phase_singularity`); the
-    causal law's does not.  A k beyond the doubles does not vanish.
+    causal law's does not.  Raises NumericalError naming the first omega
+    where k leaves the doubles, where omega/k would read 0.
     """
     w = np.asarray(omega, dtype=float)
     _require(np.all(w != 0.0) and np.all(np.isfinite(w)), "omega must be finite and non-zero")
-    k = wavenumber(law, w)
     with np.errstate(over="ignore", invalid="ignore"):  # |Im alpha*| = |drift - k|
+        k = wavenumber(law, w)
         drift = w / law.c0
         vanishes = (np.abs(k) <= 1e-9 * (np.abs(drift) + np.abs(drift - k))) & np.isfinite(k)
     if np.any(vanishes):
         raise ValueError(f"phase speed singular near omega={float(w[vanishes].flat[0])!r}")
+    if not np.all(np.isfinite(k)):
+        raise NumericalError(f"the wavenumber leaves the doubles at "
+                             f"omega={float(w[~np.isfinite(k)].flat[0])!r}: no phase speed there")
     c = w / k
     return c if c.ndim else float(c)
 

@@ -94,18 +94,14 @@ def _kronrod_groups(f, groups, ids, where=None):
     """[(K15 integrals, |K15 - G7| estimates)] of each group (left, right) of panels.
 
     One call f(x, k) takes the nodes of all groups, a row of 15 per panel,
-    and the column k of each row's group id from ids (the id itself for one
-    group, so that one distance is read as a scalar).  Each group is
+    and the column k of each row's group id from ids.  Each group is
     summed in a matrix product of its own: the rows of one product over
     all panels depend on how many rows it has.  A non-finite value raises
     NumericalError naming where(id) of its group.
     """
     counts = [lo.size for lo, _ in groups]
-    if len(groups) == 1:
-        (left, right), k = groups[0], ids[0]
-    else:
-        left, right = (np.concatenate(ends) for ends in zip(*groups))
-        k = np.asarray(ids).repeat(counts)[:, None]
+    left, right = (np.concatenate(ends) for ends in zip(*groups))
+    k = np.asarray(ids).repeat(counts)[:, None]
     half = 0.5 * (right - left)
     x = (0.5 * (left + right))[:, None] + half[:, None] * _GK_NODES
     values = np.asarray(f(x, k), dtype=float).reshape(x.shape)
@@ -113,8 +109,6 @@ def _kronrod_groups(f, groups, ids, where=None):
         bad = np.argmin(np.isfinite(values), axis=None)
         label = where(np.broadcast_to(k, x.shape).flat[bad]) if where else ""
         raise NumericalError(f"the integrand{label} is not finite at {float(x.flat[bad])!r}")
-    if len(groups) == 1:
-        return [(half * (values @ _GK_KRONROD), np.abs(half * (values @ _GK_GAP)))]
     sums, stop = [], 0
     for count in counts:
         rows, stop = slice(stop, stop + count), stop + count
@@ -164,11 +158,10 @@ def integrate_intervals(f, a, b, rtol=QUADRATURE_RTOL, where=None):
     """Integrate a smooth, non-negative integrand over each interval [a[k], b[k]].
 
     Returns one Quadrature per interval.  f(x, k) takes a row of 15 nodes
-    per panel and the column k of each row's interval (the scalar k in a
-    round where one interval alone refines) and returns the values at x.
-    On each interval one Gauss-Kronrod 7/15 panel over [a, b] is tried
-    first: a smooth interval such as one step of a root solve needs no
-    more.  Otherwise the interval is split into panels graded
+    per panel and the column k of each row's interval and returns the
+    values at x.  On each interval one Gauss-Kronrod 7/15 panel over [a, b]
+    is tried first: a smooth interval such as one step of a root solve
+    needs no more.  Otherwise the interval is split into panels graded
     geometrically toward a, where decaying integrands peak and vary
     fastest.  Every panel whose estimate |K15 - G7| exceeds its equal
     share of rtol times the total is halved, until none does; the

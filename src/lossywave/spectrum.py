@@ -29,11 +29,13 @@ and positive.
 Every stage takes a sequence of distances of one law, or their profiles,
 and returns one result per distance, each bit for bit as in a one-element
 call: one rise serves every distance's width solve and integrand, and one
-quadrature takes every interval.
+quadrature takes every interval.  Profiles that hold more than one law
+raise ValueError naming the stage.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -81,11 +83,20 @@ def check_band_edge(m):
         raise ValueError(f"band edge must be finite and positive, got M={m!r}")
 
 
-def _check_line_profile(profile, what):
-    """Raise ValueError naming `what` unless profile is the line EnergyProfile (hi = inf)."""
-    if profile.hi != math.inf:
-        raise ValueError(f"{what} needs the line energy profile, "
-                         f"got one of the band [0, {profile.hi!r}]")
+def _one_law(profiles, what, line=False):
+    """The law of the EnergyProfiles `profiles`, which must hold one law between them.
+
+    Raises ValueError naming `what` where they hold more than one, or, with
+    line=True, where one of them is not the line profile (hi = inf).
+    """
+    for profile in profiles if line else ():
+        if profile.hi != math.inf:
+            raise ValueError(f"{what} needs the line energy profile, "
+                             f"got one of the band [0, {profile.hi!r}]")
+    laws = list(dict.fromkeys(profile.law for profile in profiles))
+    if len(laws) > 1:
+        raise ValueError(f"{what} needs the profiles of one law, got {', '.join(map(repr, laws))}")
+    return profiles[0].law
 
 
 def check_causal(law, what):
@@ -190,19 +201,13 @@ def green_hat(law, r, omega):
 
 
 def _band_nodes(grid, band_edge):
-    """The count of grid nodes w_m = m*delta_omega <= band_edge, a positive band edge.
+    """The count of grid nodes w_m = m*delta_omega <= band_edge.
 
-    The estimate from band_edge/delta_omega is corrected against the same
-    products that `FrequencyGrid.omegas` forms, so it is the count
-    np.searchsorted(grid.omegas(), band_edge, side="right").
+    A bisection over the same products that `FrequencyGrid.omegas` forms,
+    so it is the count np.searchsorted(grid.omegas(), band_edge, side="right").
     """
-    dw, last = grid.delta_omega, grid.n // 2
-    k = math.floor(min(band_edge / dw, last))
-    while k > 0 and dw * k > band_edge:
-        k -= 1
-    while k < last and dw * (k + 1) <= band_edge:
-        k += 1
-    return k + 1
+    dw = grid.delta_omega
+    return bisect.bisect_right(range(grid.n // 2 + 1), band_edge, key=lambda m: dw * m)
 
 
 def _node_chunks(grid, stop):
@@ -242,7 +247,8 @@ def sample_green_spectrum(law, r, grid, band_edge=None):
 def _gain_sq(rise, r):
     """|G_hat(r, lo + h)|**2 / |G_hat(r, lo)|**2 in the offset h, from `attenuation_rise` from lo.
 
-    f(h, k) takes the distance r[k] of each node; each call is one
+    f(h, k) takes the index k into r of each node, broadcast against h (in
+    a quadrature a column, one per row of nodes); each call is one
     evaluation of the rise for all of them.  From lo = 0 it is
     |G_hat(r, w)|**2 without the prefactor 1/(4*pi*r)**2.  Where the
     exponent overflows, the gain underflows to 0: callers turn numpy's
@@ -422,6 +428,7 @@ def energies_at(profiles, m):
     profile's panels below m plus one 15-node Gauss-Kronrod panel from the
     last edge to m.
     """
+    law = _one_law(profiles, "the energy")
     reads = []
     for profile in profiles:
         top = np.clip(np.asarray(m, dtype=float), 0.0, profile.top)
@@ -431,7 +438,7 @@ def energies_at(profiles, m):
         reads.append((top, below, (np.ravel(edges[k]), np.ravel(top))))
     rs = [profile.r for profile in profiles]
     with np.errstate(over="ignore"):
-        sums = _kronrod_groups(_gain_sq(attenuation_rise(profiles[0].law, 0.0), rs),
+        sums = _kronrod_groups(_gain_sq(attenuation_rise(law, 0.0), rs),
                                [panel for *_, panel in reads], range(len(rs)), _at_r(rs))
     out = [below + part.reshape(top.shape) for (top, below, _), (part, _) in zip(reads, sums)]
     return [e if e.ndim else float(e) for e in out]
@@ -482,8 +489,7 @@ def band_edges(profiles, delta):
     together, one kernel call per round.  delta = 1 gives 0; a
     delta * full that underflows to 0 raises NumericalError.
     """
-    for profile in profiles:
-        _check_line_profile(profile, "the band edge")
+    law = _one_law(profiles, "the band edge", line=True)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     if delta == 1.0:
@@ -500,7 +506,7 @@ def band_edges(profiles, delta):
         k = int(np.count_nonzero(tails >= target)) - 1
         brackets.append((r, target, tails[k:k + 2], band.edges[k], band.edges[k + 1]))
     rs = [profile.r for profile in profiles]
-    rise = attenuation_rise(profiles[0].law, 0.0)
+    rise = attenuation_rise(law, 0.0)
     with np.errstate(over="ignore"):
         ends = _gain_sq(rise, rs)(np.array([(lo, hi) for *_, lo, hi in brackets]).ravel(),
                                   np.repeat(np.arange(len(rs)), 2)).reshape(-1, 2)
@@ -589,9 +595,8 @@ def log10_truncation_errors(profiles, m):
     One tail pass from m serves all profiles.
     """
     check_band_edge(m)
-    for profile in profiles:
-        _check_line_profile(profile, "the truncation error")
-    tails = _log_energies(profiles[0].law, [profile.r for profile in profiles], m)
+    law = _one_law(profiles, "the truncation error", line=True)
+    tails = _log_energies(law, [profile.r for profile in profiles], m)
     return [(tail - math.log(profile.total)) / (2.0 * math.log(10.0))
             for tail, profile in zip(tails, profiles)]
 
@@ -651,8 +656,8 @@ def relative_model_errors(profiles, m, band=None):
         if profile.hi < m:
             raise ValueError(f"the model error at M={m!r} needs a profile that reaches M, "
                              f"got one of the band [0, {profile.hi!r}]")
-        check_causal(profile.law, "the model error")
-    causal, rs = profiles[0].law, [profile.r for profile in profiles]
+    causal, rs = _one_law(profiles, "the model error"), [profile.r for profile in profiles]
+    check_causal(causal, "the model error")
     r_of = np.array(rs)
 
     def diff_sq(w, k):  # |e^(-ac r) - e^(-ap r)|^2 = e^(-2 Re(ac) r) |expm1(-(ap - ac) r)|^2

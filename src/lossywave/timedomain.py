@@ -21,6 +21,7 @@ sum g_j^2 dt = (|ghat_0|^2 + 2*sum_{0<m<n/2} |ghat_m|^2 + (Re ghat_{n/2})^2) dw.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ __all__ = [
     "RealSignal",
     "ForcingSignal",
     "synthesize_time_signal",
-    "causality_energy_fraction",
     "pre_arrival_fractions",
     "forward_point_source",
 ]
@@ -42,15 +42,14 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class RealSignal:
-    """Real time-domain samples on t_j = t0 + j*dt at distance r."""
+    """Real time-domain samples on t_j = j*dt at distance r."""
 
-    t0: float
     dt: float
     samples: np.ndarray
     r: float
 
     def times(self):
-        return self.t0 + self.dt * np.arange(len(self.samples))
+        return self.dt * np.arange(len(self.samples))
 
 
 _FORCING_KINDS = ("delta", "gaussian-pulse", "gaussian-modulated-sine")
@@ -121,8 +120,8 @@ def _inverse_transform(values, grid):
 
 def _signal(values, grid, r):
     """RealSignal of `_inverse_transform`, which overwrites values."""
-    return RealSignal(t0=0.0, dt=math.pi / grid.omega_max,
-                      samples=_inverse_transform(values, grid), r=float(r))
+    return RealSignal(dt=math.pi / grid.omega_max, samples=_inverse_transform(values, grid),
+                      r=float(r))
 
 
 def synthesize_time_signal(spec):
@@ -134,62 +133,40 @@ def synthesize_time_signal(spec):
     return _signal(np.array(spec.values, dtype=complex), spec.grid, spec.r)
 
 
-def _guarded_edge(t0, arrival, guard):
-    """arrival - guard, checked to be after the first sample time t0."""
-    if guard < 0.0:
-        raise ValueError("guard must be non-negative")
-    edge = arrival - guard
-    if edge <= t0:
-        raise ValueError("window too short: guarded arrival precedes the first sample")
-    return edge
+def _energy_fractions(energy, dt, edges):
+    """Share of sum(energy) in the samples dt*j < edge, for each edge.
 
-
-def _energy_fractions(energy, t0, dt, edges):
-    """Share of sum(energy) in the samples t0 + dt*j < edge, for each edge > t0."""
+    Each count is a bisection over the products dt*j that `RealSignal.times`
+    forms, so it is the count of times() < edge without building times().
+    """
     total = float(np.sum(energy))
     if total == 0.0:
         return [0.0] * len(edges)
-    fractions, n = [], len(energy)
-    for edge in edges:
-        # the samples with t0 + dt*j < edge, j < k, counted without building times();
-        # the estimate is corrected against that exact arithmetic
-        k = math.ceil(min((edge - t0) / dt, n))  # edge > t0, so k >= 1
-        while k > 0 and t0 + dt * (k - 1) >= edge:
-            k -= 1
-        while k < n and t0 + dt * k < edge:
-            k += 1
-        fractions.append(float(np.sum(energy[:k])) / total)
-    return fractions
-
-
-def causality_energy_fraction(signal, arrival, guard=None):
-    """Fraction of signal energy arriving before `arrival - guard`.
-
-    guard defaults to 2*dt to absorb discretization ringing at the
-    wave front; pass guard=0.0 for the raw fraction.  Raises when the
-    guarded arrival precedes the signal window.
-    """
-    if guard is None:
-        guard = 2.0 * signal.dt
-    edge = _guarded_edge(signal.t0, arrival, guard)
-    return _energy_fractions(signal.samples**2, signal.t0, signal.dt, [edge])[0]
+    counts = (bisect.bisect_left(range(len(energy)), edge, key=lambda j: dt * j)
+              for edge in edges)
+    return [float(np.sum(energy[:k])) / total for k in counts]
 
 
 def pre_arrival_fractions(law, r, grid, band_edge, arrival):
-    """(raw, guarded, guard): `causality_energy_fraction` of the synthesized Green function.
+    """(raw, guarded, guard): the pre-arrival energy fractions of the synthesized Green function.
 
     The Green function of `law` at r is sampled on grid up to the band
-    edge (None: the whole grid) and synthesized; its fractions are those
-    at guard 0 and at the default guard 2*dt.  The spectrum is transformed
-    in place and dropped, and the signal is squared in place: both
-    fractions read that one energy array, and it is dropped on return, so
-    a caller's next law is synthesized with no signal of this one alive.
+    edge (None: the whole grid) and synthesized on t_j = j*dt; its
+    fractions are the shares of the signal energy in the samples before
+    arrival - guard, at guard 0 and at guard 2*dt, which absorbs the
+    discretization ringing at the wave front.  Raises ValueError when the
+    guarded arrival precedes the window.  The spectrum is transformed in
+    place and dropped, and the signal is squared in place: both fractions
+    read that one energy array, and it is dropped on return, so a caller's
+    next law is synthesized with no signal of this one alive.
     """
     dt = math.pi / grid.omega_max
     samples = _inverse_transform(sample_green_spectrum(law, r, grid, band_edge).values, grid)
     guard = 2.0 * dt
-    edges = [_guarded_edge(0.0, arrival, 0.0), _guarded_edge(0.0, arrival, guard)]
-    return (*_energy_fractions(np.square(samples, out=samples), 0.0, dt, edges), guard)
+    if arrival - guard <= 0.0:
+        raise ValueError("window too short: guarded arrival precedes the first sample")
+    edges = [arrival, arrival - guard]
+    return (*_energy_fractions(np.square(samples, out=samples), dt, edges), guard)
 
 
 def forward_point_source(law, r, forcing, grid):

@@ -40,6 +40,16 @@ def full_grid_synthesis(law, r, grid):
     return samples, float(np.sum(np.abs(values) ** 2)) * dw
 
 
+def pre_arrival_fraction(signal, edge):
+    """Share of a RealSignal's energy in the samples at times() < edge, by a boolean mask.
+
+    The reference of the pre-arrival fraction: it builds the times and the
+    mask that `timedomain._energy_fractions` counts without.
+    """
+    energy = signal.samples**2
+    return float(np.sum(energy[signal.times() < edge])) / float(np.sum(energy))
+
+
 def l2_norm(signal):
     """Time-domain L2 norm sqrt(sum samples^2 * dt) of a RealSignal."""
     return math.sqrt(float(np.sum(signal.samples**2)) * signal.dt)

@@ -17,7 +17,6 @@ from lossywave import (
     EnvelopeBoundConstants,
     FrequencyGrid,
     builtin_preset,
-    causality_energy_fraction,
     corrected_truncation_error_bound,
     derive_powerlaw_coeffs,
     energy_profiles,
@@ -25,13 +24,15 @@ from lossywave import (
     log10_truncation_errors,
     model_error_reports,
     powerlaw_phase_singularity,
+    pre_arrival_fractions,
     relative_model_errors,
     sample_green_spectrum,
     synthesize_time_signal,
     verify_envelope,
 )
 
-from conftest import alpha1_from_a1, helmholtz_radial_residual, l2_norm, trapezoid_norm
+from conftest import (alpha1_from_a1, helmholtz_radial_residual, l2_norm, pre_arrival_fraction,
+                      trapezoid_norm)
 
 CASTOR = builtin_preset("castor-oil")
 
@@ -184,14 +185,17 @@ def test_criterion_08_plancherel_consistency():
 
 
 def test_criterion_09_causality_energy_fractions():
+    # the guarded fractions of `causality`, each equal to the time-mask reference
     arrival = 1.0 / CASTOR.causal.c0
-    fractions = []
-    for n in (2**17, 2**18):
-        spec = sample_green_spectrum(CASTOR.causal, 1.0, FrequencyGrid(400.0, n))
-        fractions.append(causality_energy_fraction(synthesize_time_signal(spec), arrival))
-    pl_spec = sample_green_spectrum(CASTOR.powerlaw, 1.0, FrequencyGrid(400.0, 2**17),
-                                    band_edge=100.0)
-    pl_fraction = causality_energy_fraction(synthesize_time_signal(pl_spec), arrival)
+
+    def guarded(law, grid, band_edge=None):
+        _, fraction, guard = pre_arrival_fractions(law, 1.0, grid, band_edge, arrival)
+        signal = synthesize_time_signal(sample_green_spectrum(law, 1.0, grid, band_edge))
+        assert fraction == pre_arrival_fraction(signal, arrival - guard)
+        return fraction
+
+    fractions = [guarded(CASTOR.causal, FrequencyGrid(400.0, n)) for n in (2**17, 2**18)]
+    pl_fraction = guarded(CASTOR.powerlaw, FrequencyGrid(400.0, 2**17), band_edge=100.0)
     ok = (fractions[0] < 1e-6 and fractions[1] < fractions[0]
           and 0.0 < pl_fraction < 1e-3)
     report(9, "pre-arrival energy: causal tiny and refining, truncated power law positive",

@@ -672,10 +672,21 @@ class TestDistanceContract:
          "the tail cut at r=1e-300 lies beyond the frequencies where alpha is finite"),
         ((2.0, 1e-10, 1e-10, 1e300), ["bounds", "--m", "1e-3", "--r-list", "1e-300"],
          "the tail cut at r=1e-300 lies beyond the frequencies where alpha is finite"),
+        # fig2 where w/c0 overflows in the wavenumber and fig1 where Im alpha* does (once an
+        # overflow warning and rows of phase speed 0 at exit 0; fig1 of the first medium stays
+        # below the overflow); fig2 of the second medium, whose causal attenuation leaves the
+        # doubles too, names that curve first (once after an overflow warning)
+        ((1.5, 1e-305, 1e-10, 1e-6), ["fig2"],
+         "the wavenumber leaves the doubles at omega=1812.7308811846988"),
+        ((1.5, 1e-305, 138.08, 1e-6), ["fig1"],
+         "the wavenumber leaves the doubles at omega=12.999999999999998"),
+        ((1.5, 1e-305, 138.08, 1e-6), ["fig2"],
+         "the fig2 curve attenuation_causal is not finite at omega=1143.7558630495378"),
     ], ids=["a2-squared", "kappa", "closure-exp", "band-edge-underflow", "fig2-pole", "gamma-1.005",
             "slow-a0", "kappa-underflow", "fig3-deviation", "fig3-band-norm", "a0-underflow",
             "fig2-inf", "table2-sigma-underflow", "fig3-far", "cut-beyond-doubles-gamma-1.5",
-            "cut-beyond-doubles-gamma-2"])
+            "cut-beyond-doubles-gamma-2", "fig2-wavenumber", "fig1-wavenumber",
+            "fig2-attenuation-first"])
     def test_extreme_medium_exits_3(self, tmp_path, capsys, medium, argv, message):
         path = tmp_path / "medium.json"
         path.write_text(json.dumps(dict(zip(("gamma", "c0", "alpha1", "tau0"), medium),
@@ -688,6 +699,17 @@ class TestDistanceContract:
         assert err.startswith("numerical failure:") and message in err, err
         assert not out.exists()
 
+
+    def test_fig1_below_the_wavenumber_overflow_exits_0(self, tmp_path):
+        # the fig2-wavenumber medium: fig1's grid ends at 60, where w/c0 = 6e306 is a double
+        path = tmp_path / "medium.json"
+        path.write_text(json.dumps({"name": "extreme", "gamma": 1.5, "c0": 1e-305,
+                                    "alpha1": 1e-10, "tau0": 1e-6}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["fig1", "--preset", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "fig1_phasespeed.csv").read_text().splitlines()[2:]
+        assert len(rows) == 600 and all(float(row.split(",")[1]) > 0.0 for row in rows)
 
     @pytest.mark.parametrize("command", ["table2", "fig1", "fig2", "fig3", "bounds"])
     def test_derived_power_law_beyond_the_doubles_exits_2(self, tmp_path, capsys, command):

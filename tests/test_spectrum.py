@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lossywave import (
+    CausalLaw,
     ComplexSpectrum,
     FrequencyGrid,
     NumericalError,
@@ -485,6 +486,34 @@ class TestEnergyBandEdge:
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 band_edges(energy_profiles(castor.causal, [1.0]), bad)[0]
+
+
+class TestOneLawPerCall:
+    # each stage read every distance with the first profile's law: beside castor oil at
+    # r = 1, this law at r = 1 had the model error 2.45e-4 (2.39e-2 alone), the band edge
+    # 7.72 (9.89) and the log10 truncation error -39.7 (-28.9), with no error
+    OTHER = CausalLaw(1.3, 1.0, 50.0, 1e-6)
+
+    @pytest.mark.parametrize("stage,run", [
+        ("the energy", lambda profiles: energies_at(profiles, 50.0)),
+        ("the band edge", lambda profiles: band_edges(profiles, 6e-4)),
+        ("the truncation error", lambda profiles: log10_truncation_errors(profiles, 100.0)),
+        ("the model error", lambda profiles: relative_model_errors(profiles, 100.0)),
+        ("the model-error report", lambda profiles: model_error_reports(profiles, 100.0, 6e-4))],
+        ids=["energies_at", "band_edges", "log10_truncation_errors", "relative_model_errors",
+             "model_error_reports"])
+    def test_profiles_of_two_laws_are_refused_naming_the_stage(self, castor, stage, run):
+        profiles = energy_profiles(castor.causal, [1.0]) + energy_profiles(self.OTHER, [1.0])
+        with pytest.raises(ValueError) as err:
+            run(profiles)
+        assert str(err.value) == (f"{stage} needs the profiles of one law, "
+                                  f"got {castor.causal!r}, {self.OTHER!r}")
+
+    def test_equal_laws_are_one_law(self, castor):
+        profiles = (energy_profiles(castor.causal, [1.0])
+                    + energy_profiles(CausalLaw(1.66, 0.15, 138.08, 1e-6), [10.0]))
+        assert relative_model_errors(profiles, 100.0) == \
+            relative_model_errors(energy_profiles(castor.causal, [1.0, 10.0]), 100.0)
 
 
 class TestCsvExport:

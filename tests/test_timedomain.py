@@ -11,19 +11,19 @@ from lossywave import (
     FrequencyGrid,
     PowerLaw,
     RealSignal,
-    causality_energy_fraction,
     energy_profiles,
     eval_alpha,
     forward_point_source,
     log10_truncation_errors,
+    pre_arrival_fractions,
     sample_green_spectrum,
     synthesize_time_signal,
     write_table,
 )
 from lossywave import spectrum
-from lossywave.timedomain import _inverse_transform
+from lossywave.timedomain import _energy_fractions, _inverse_transform
 
-from conftest import full_grid_synthesis, helmholtz_radial_residual, l2_norm
+from conftest import full_grid_synthesis, helmholtz_radial_residual, l2_norm, pre_arrival_fraction
 
 LOSSLESS = PowerLaw(gamma=1.5, a1=0.0, a2=0.0, c0=0.15)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -31,7 +31,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _gaussian_signal(n=1024, dt=0.05, center=25.0, width=2.0):
     t = dt * np.arange(n)
-    return RealSignal(t0=0.0, dt=dt, samples=np.exp(-0.5 * ((t - center) / width) ** 2), r=1.0)
+    return RealSignal(dt=dt, samples=np.exp(-0.5 * ((t - center) / width) ** 2), r=1.0)
 
 
 class TestSynthesize:
@@ -97,45 +97,44 @@ class TestSynthesize:
 
 class TestCausalityFraction:
     def test_zero_before_arrival(self):
-        sig = RealSignal(t0=0.0, dt=0.1, samples=np.concatenate([np.zeros(50), np.ones(50)]),
-                         r=1.0)
-        assert causality_energy_fraction(sig, arrival=5.0, guard=0.0) == 0.0
+        energy = np.concatenate([np.zeros(50), np.ones(50)])
+        assert _energy_fractions(energy, 0.1, [5.0]) == [0.0]
 
     def test_counts_pre_arrival_mass(self):
-        samples = np.concatenate([np.ones(25), np.zeros(75)])
-        sig = RealSignal(t0=0.0, dt=0.1, samples=samples, r=1.0)
-        assert causality_energy_fraction(sig, arrival=5.0, guard=0.0) == pytest.approx(1.0)
-        assert causality_energy_fraction(sig, arrival=10.0, guard=0.0) == pytest.approx(1.0)
+        energy = np.concatenate([np.ones(25), np.zeros(75)])
+        assert _energy_fractions(energy, 0.1, [5.0, 10.0]) == pytest.approx([1.0, 1.0])
 
-    def test_guard_defaults_to_two_dt(self):
-        samples = np.zeros(100)
-        samples[30] = 1.0  # inside the guard band just before arrival
-        sig = RealSignal(t0=0.0, dt=0.1, samples=samples, r=1.0)
-        arrival = 3.15
-        assert causality_energy_fraction(sig, arrival) == 0.0
-        assert causality_energy_fraction(sig, arrival, guard=0.0) == pytest.approx(1.0)
+    def test_guard_defaults_to_two_dt(self, castor):
+        # the command's fractions at guard 0 and 2*dt against the mask over the times of the
+        # synthesized signal, bit for bit, for the causal and the truncated power law
+        grid, arrival = FrequencyGrid(400.0, 2**12), 1.0 / castor.causal.c0
+        for law, band_edge in ((castor.causal, None), (castor.powerlaw, 100.0)):
+            raw, guarded, guard = pre_arrival_fractions(law, 1.0, grid, band_edge, arrival)
+            signal = synthesize_time_signal(sample_green_spectrum(law, 1.0, grid, band_edge))
+            assert guard == 2.0 * signal.dt
+            assert raw == pre_arrival_fraction(signal, arrival)
+            assert guarded == pre_arrival_fraction(signal, arrival - guard)
+            assert 0.0 < guarded < raw
 
     def test_matches_the_time_mask_bit_for_bit(self):
         # the pre-arrival count by index equals the mask times() < edge, also
         # where the edge falls on a sample time or between rounded neighbours
         rng = np.random.default_rng(3)
-        for t0, dt in [(0.0, 0.1), (-0.37, 0.1), (2.5, math.pi / 400.0), (1e-3, 1e-7)]:
-            sig = RealSignal(t0=t0, dt=dt, samples=rng.standard_normal(1000), r=1.0)
+        for dt in [0.1, math.pi / 400.0, 1e-7]:
+            sig = RealSignal(dt=dt, samples=rng.standard_normal(1000), r=1.0)
             times = sig.times()
-            for edge in [*times[[1, 2, 333, 999]], *np.nextafter(times[[1, 500]], -np.inf),
-                         *np.nextafter(times[[1, 500]], np.inf), times[-1] + 5.0 * dt,
-                         t0 + 0.5 * dt]:
-                mask = np.sum(sig.samples[times < edge] ** 2) / np.sum(sig.samples**2)
-                assert causality_energy_fraction(sig, edge, guard=0.0) == float(mask)
+            edges = [*times[[1, 2, 333, 999]], *np.nextafter(times[[1, 500]], -np.inf),
+                     *np.nextafter(times[[1, 500]], np.inf), times[-1] + 5.0 * dt, 0.5 * dt]
+            assert _energy_fractions(sig.samples**2, dt, edges) == [
+                pre_arrival_fraction(sig, edge) for edge in edges]
 
-    def test_window_too_short(self):
-        sig = RealSignal(t0=5.0, dt=0.1, samples=np.ones(10), r=1.0)
-        with pytest.raises(ValueError):
-            causality_energy_fraction(sig, arrival=5.05)
+    def test_window_too_short(self, castor):
+        grid = FrequencyGrid(400.0, 64)
+        with pytest.raises(ValueError, match="window too short"):
+            pre_arrival_fractions(castor.causal, 1.0, grid, None, math.pi / 400.0)
 
     def test_all_zero_signal(self):
-        sig = RealSignal(t0=0.0, dt=0.1, samples=np.zeros(64), r=1.0)
-        assert causality_energy_fraction(sig, arrival=3.0) == 0.0
+        assert _energy_fractions(np.zeros(64), 0.1, [3.0, 2.8]) == [0.0, 0.0]
 
 
 class TestForwardPointSource:
@@ -176,7 +175,7 @@ class TestForwardPointSource:
         forcing = ForcingSignal("gaussian-pulse", center=10.0, width=0.8)
         out = forward_point_source(castor.causal, 1.0, forcing, FrequencyGrid(200.0, 2**16))
         arrival = 10.0 + 1.0 / castor.causal.c0
-        assert causality_energy_fraction(out, arrival) <= 1e-6
+        assert pre_arrival_fraction(out, arrival - 2.0 * out.dt) <= 1e-6
 
 
 class TestInputsUnchanged:
@@ -267,10 +266,8 @@ class TestTimeFrequencyConsistency:
 
     def test_grid_refinement_shrinks_preband_leakage(self, castor):
         arrival = 1.0 / castor.causal.c0
-        fractions = []
-        for n in (2**17, 2**18):
-            spec = sample_green_spectrum(castor.causal, 1.0, FrequencyGrid(400.0, n))
-            fractions.append(causality_energy_fraction(synthesize_time_signal(spec), arrival))
+        fractions = [pre_arrival_fractions(castor.causal, 1.0, FrequencyGrid(400.0, n), None,
+                                           arrival)[1] for n in (2**17, 2**18)]
         assert fractions[1] < fractions[0]
         assert abs(fractions[1] - fractions[0]) < fractions[0]
 
