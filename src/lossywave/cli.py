@@ -8,6 +8,9 @@ JSON.  Floats in CSV files carry 17 significant digits; identical
 invocations produce byte-identical output.  Each subcommand accepts
 only the flags it reads.  The parser is built once per process, on the
 first call of `main`, and reused: parsing does not change it.
+Every command reads `laws`, `numerics` and `tables`, imported here;
+`spectrum`, `bounds` and `timedomain` are imported by the commands that
+run them, so a process loads only the modules its commands read.
 
 Exit codes: 0 success, 2 usage error (also a grid or table that does not
 fit in memory), 3 numerical failure.
@@ -25,17 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, EnvelopeBoundConstants,
-                     corrected_truncation_error_bound, log10_truncation_error_bound,
-                     model_error_reports, verify_envelope)
 from .laws import (alpha_parts, load_preset, phase_speed, powerlaw_phase_singularity,
                    small_frequency_bound)
 from .numerics import QUADRATURE_RTOL, NumericalError
-from .spectrum import (BAND_EDGE_RTOL, FrequencyGrid, check_band_edge, deviation_factor,
-                       energies_at, energy_profiles, log10_truncation_errors,
-                       relative_model_errors)
 from .tables import write_json, write_table
-from .timedomain import ForcingSignal, forward_point_source, pre_arrival_fractions
 
 
 def _fmt(x):
@@ -67,6 +63,8 @@ def cmd_table1(args):
 
 
 def cmd_table2(args):
+    from .spectrum import energy_profiles, relative_model_errors
+
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
     m = args.m
@@ -117,6 +115,8 @@ def cmd_fig2(args):
 
 
 def cmd_fig3(args):
+    from .spectrum import check_band_edge, deviation_factor, energies_at, energy_profiles
+
     preset = load_preset(args.preset)
     r, m = args.r, args.m
     check_band_edge(m)
@@ -141,6 +141,11 @@ def cmd_fig3(args):
 
 
 def cmd_bounds(args):
+    from .bounds import (ENVELOPE_GRID_POINTS, SUPREMUM_RTOL, EnvelopeBoundConstants,
+                         corrected_truncation_error_bound, log10_truncation_error_bound,
+                         model_error_reports, verify_envelope)
+    from .spectrum import BAND_EDGE_RTOL, energy_profiles, log10_truncation_errors
+
     preset = load_preset(args.preset)
     r_list = _parse_floats(args.r_list, "--r-list")
     constants = EnvelopeBoundConstants(preset.causal, args.m, args.slope_factor)
@@ -190,6 +195,9 @@ def cmd_bounds(args):
 
 
 def cmd_pulse(args):
+    from .spectrum import FrequencyGrid
+    from .timedomain import ForcingSignal, forward_point_source
+
     preset = load_preset(args.preset)
     law = preset.causal if args.law == "causal" else preset.powerlaw
     forcing = ForcingSignal(kind=args.kind, center=args.center, width=args.width,
@@ -204,6 +212,9 @@ def cmd_pulse(args):
 
 
 def cmd_causality(args):
+    from .spectrum import FrequencyGrid
+    from .timedomain import pre_arrival_fractions
+
     preset = load_preset(args.preset)
     grid = FrequencyGrid(omega_max=args.omega_max, n=args.samples)
     arrival = args.r / preset.causal.c0

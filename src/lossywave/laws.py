@@ -499,25 +499,34 @@ def wavenumber(law, omega):
 def phase_speed(law, omega):
     """Phase speed c(omega) = omega / k(omega) in cm/us, vectorized over omega != 0.
 
-    Raises ValueError naming the first omega where k(omega) vanishes to
-    machine precision, 1e-9 of |omega|/c0 + |Im alpha*|: the power law's
-    phase speed has a pole there (see `powerlaw_phase_singularity`); the
-    causal law's does not.  Raises NumericalError naming the first omega
-    where k leaves the doubles, where omega/k would read 0.
+    Where k leaves the doubles, as omega/c0 does for a tiny c0, c is formed
+    as c0/q from the reduced wavenumber q = c0*k/omega = 1 - c0*Im alpha*/omega,
+    which is a double wherever Im alpha* is.  Raises ValueError naming the
+    first omega where k(omega) vanishes to machine precision, 1e-9 of
+    |omega|/c0 + |Im alpha*| (of 1 + |1 - q| in the reduced form): the power
+    law's phase speed has a pole there (see `powerlaw_phase_singularity`);
+    the causal law's does not.  Raises NumericalError naming the first omega
+    where q leaves the doubles too, where c would read 0.
     """
-    w = np.asarray(omega, dtype=float)
+    shape = np.shape(omega)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
     _require(np.all(w != 0.0) and np.all(np.isfinite(w)), "omega must be finite and non-zero")
     with np.errstate(over="ignore", invalid="ignore"):  # |Im alpha*| = |drift - k|
         k = wavenumber(law, w)
         drift = w / law.c0
-        vanishes = (np.abs(k) <= 1e-9 * (np.abs(drift) + np.abs(drift - k))) & np.isfinite(k)
+        wide = ~np.isfinite(k)
+        vanishes = (np.abs(k) <= 1e-9 * (np.abs(drift) + np.abs(drift - k))) & ~wide
+        c = w / k
+        if wide.any():  # c = c0/q, nan where q is no double either
+            q = 1.0 - law.c0 * alpha_parts(law, w[wide])[1] / w[wide]
+            vanishes[wide] = (np.abs(q) <= 1e-9 * (1.0 + np.abs(1.0 - q))) & np.isfinite(q)
+            c[wide] = np.where(np.isfinite(q), law.c0 / q, np.nan)
     if np.any(vanishes):
         raise ValueError(f"phase speed singular near omega={float(w[vanishes].flat[0])!r}")
-    if not np.all(np.isfinite(k)):
+    if np.any(np.isnan(c)):
         raise NumericalError(f"the wavenumber leaves the doubles at "
-                             f"omega={float(w[~np.isfinite(k)].flat[0])!r}: no phase speed there")
-    c = w / k
-    return c if c.ndim else float(c)
+                             f"omega={float(w[np.isnan(c)].flat[0])!r}: no phase speed there")
+    return c.reshape(shape) if shape else float(c[0])
 
 
 def powerlaw_phase_singularity(law):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import NumericalError
 from .spectrum import _from_polar, _green_polar, _node_chunks, sample_green_spectrum
 
 __all__ = [
@@ -155,7 +156,8 @@ def pre_arrival_fractions(law, r, grid, band_edge, arrival):
     fractions are the shares of the signal energy in the samples before
     arrival - guard, at guard 0 and at guard 2*dt, which absorbs the
     discretization ringing at the wave front.  Raises ValueError when the
-    guarded arrival precedes the window.  The spectrum is transformed in
+    guarded arrival precedes the window, NumericalError where the signal
+    energy exceeds the largest double.  The spectrum is transformed in
     place and dropped, and the signal is squared in place: both fractions
     read that one energy array, and it is dropped on return, so a caller's
     next law is synthesized with no signal of this one alive.
@@ -165,8 +167,13 @@ def pre_arrival_fractions(law, r, grid, band_edge, arrival):
     guard = 2.0 * dt
     if arrival - guard <= 0.0:
         raise ValueError("window too short: guarded arrival precedes the first sample")
-    edges = [arrival, arrival - guard]
-    return (*_energy_fractions(np.square(samples, out=samples), dt, edges), guard)
+    with np.errstate(over="ignore"):  # an energy beyond the doubles is refused below
+        energy = np.square(samples, out=samples)
+        total = np.sum(energy)
+    if not np.isfinite(total):
+        raise NumericalError(f"the energy of the synthesized signal exceeds the largest double "
+                             f"at omega_max={grid.omega_max!r}, n={grid.n}")
+    return (*_energy_fractions(energy, dt, [arrival, arrival - guard]), guard)
 
 
 def forward_point_source(law, r, forcing, grid):

@@ -23,16 +23,8 @@ INIT = Path(lossywave.__file__)
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _reexports():
-    """module name -> names `lossywave/__init__.py` imports from it."""
-    found = {}
-    for node in ast.parse(INIT.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            found.setdefault(node.module, []).extend(alias.name for alias in node.names)
-    return found
-
-
-REEXPORTS = _reexports()
+# module name -> the names the package exports from it, which it resolves on first access
+REEXPORTS = lossywave._EXPORTS
 
 
 def test_every_module_with_public_names_is_reexported():

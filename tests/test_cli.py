@@ -514,6 +514,24 @@ class TestPulseAndCausality:
             f"{spacing} at n=16: it must be finite and positive\n")
         assert not out.exists()
 
+    def test_causality_energy_beyond_the_doubles_exits_3(self, tmp_path, capsys):
+        # at omega_max = 1e160 the squares of the synthesized samples leave the doubles (once
+        # an overflow warning and null fractions at exit 0); at 1e156 they do not
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["causality", "--omega-max", "1e160", "--samples", "64",
+                             "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (
+                "numerical failure: the energy of the synthesized signal exceeds the largest "
+                "double at omega_max=1e+160, n=64\n")
+            assert cli.main(["causality", "--omega-max", "1e156", "--samples", "64",
+                             "--out", str(tmp_path / "finite")]) == 0
+        assert not out.exists()
+        doc = json.loads((tmp_path / "finite" / "causality.json").read_text())
+        assert all(math.isfinite(doc[key][name]) for key in ("causal", "truncated_powerlaw")
+                   for name in ("raw_fraction", "guarded_fraction"))
+
     def test_causality_report(self, tmp_path):
         proc = run_cli("causality", "--samples", "131072", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
@@ -672,21 +690,19 @@ class TestDistanceContract:
          "the tail cut at r=1e-300 lies beyond the frequencies where alpha is finite"),
         ((2.0, 1e-10, 1e-10, 1e300), ["bounds", "--m", "1e-3", "--r-list", "1e-300"],
          "the tail cut at r=1e-300 lies beyond the frequencies where alpha is finite"),
-        # fig2 where w/c0 overflows in the wavenumber and fig1 where Im alpha* does (once an
-        # overflow warning and rows of phase speed 0 at exit 0; fig1 of the first medium stays
-        # below the overflow); fig2 of the second medium, whose causal attenuation leaves the
-        # doubles too, names that curve first (once after an overflow warning)
-        ((1.5, 1e-305, 1e-10, 1e-6), ["fig2"],
-         "the wavenumber leaves the doubles at omega=1812.7308811846988"),
+        # fig1 where Im alpha* overflows, and with it the wavenumber and its reduced form
+        # 1 - c0*Im alpha*/w (once an overflow warning and rows of phase speed 0 at exit 0; at
+        # omega = 13 only k overflowed, and c0/q is the speed); fig2 of that medium, whose
+        # causal attenuation leaves the doubles too, names that curve first (once after an
+        # overflow warning)
         ((1.5, 1e-305, 138.08, 1e-6), ["fig1"],
-         "the wavenumber leaves the doubles at omega=12.999999999999998"),
+         "the wavenumber leaves the doubles at omega=13.099999999999998"),
         ((1.5, 1e-305, 138.08, 1e-6), ["fig2"],
          "the fig2 curve attenuation_causal is not finite at omega=1143.7558630495378"),
     ], ids=["a2-squared", "kappa", "closure-exp", "band-edge-underflow", "fig2-pole", "gamma-1.005",
             "slow-a0", "kappa-underflow", "fig3-deviation", "fig3-band-norm", "a0-underflow",
             "fig2-inf", "table2-sigma-underflow", "fig3-far", "cut-beyond-doubles-gamma-1.5",
-            "cut-beyond-doubles-gamma-2", "fig2-wavenumber", "fig1-wavenumber",
-            "fig2-attenuation-first"])
+            "cut-beyond-doubles-gamma-2", "fig1-wavenumber", "fig2-attenuation-first"])
     def test_extreme_medium_exits_3(self, tmp_path, capsys, medium, argv, message):
         path = tmp_path / "medium.json"
         path.write_text(json.dumps(dict(zip(("gamma", "c0", "alpha1", "tau0"), medium),
@@ -700,8 +716,36 @@ class TestDistanceContract:
         assert not out.exists()
 
 
+    def test_fig2_beyond_the_wavenumber_overflow_exits_0(self, tmp_path):
+        # from omega = 1812.73 on w/c0 and so k = w/c0 - Im alpha* leave the doubles, but
+        # c = c0/(1 - c0*Im alpha*/w) stays near c0 for both laws (once exit 3 there); the
+        # worst relative error over all 961 nodes of both laws measured 2.2e-16
+        mpmath = pytest.importorskip("mpmath")
+        path = tmp_path / "medium.json"
+        path.write_text(json.dumps({"name": "extreme", "gamma": 1.5, "c0": 1e-305,
+                                    "alpha1": 1e-10, "tau0": 1e-6}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["fig2", "--preset", str(path), "--out", str(tmp_path / "out")]) == 0
+        table = load_csv(tmp_path / "out" / "fig2_phasespeed.csv")
+        assert table.shape == (961, 3) and np.all(np.isfinite(table)) and np.all(table[:, 1:] > 0)
+        preset = laws.load_preset(str(path))
+        causal, power = preset.causal, preset.powerlaw
+        mp = mpmath.mp
+        with mp.workdps(50):
+            g, c0 = mp.mpf(1.5), mp.mpf(causal.c0)
+            for omega, c_causal, c_power in table[[0, 390, 391, 480, 700, 960]]:
+                w = mp.mpf(omega)
+                z = mp.mpc(0, -w)  # -1j*w
+                alpha_c = (mp.mpf(causal.alpha1) * z
+                           / (c0 * mp.sqrt(1 + (mp.mpf(causal.tau0) * z) ** (g - 1))))
+                alpha_pl = mp.mpf(power.a1) * z**g / mp.cos(g * mp.pi / 2) + mp.mpf(power.a2) * z
+                for got, alpha in ((c_causal, alpha_c), (c_power, alpha_pl)):
+                    exact = w / (w / c0 - mp.im(alpha))
+                    assert abs(got - exact) <= 1e-15 * abs(exact), (omega, got, exact)
+
     def test_fig1_below_the_wavenumber_overflow_exits_0(self, tmp_path):
-        # the fig2-wavenumber medium: fig1's grid ends at 60, where w/c0 = 6e306 is a double
+        # the medium of fig2 above: fig1's grid ends at 60, where w/c0 = 6e306 is a double
         path = tmp_path / "medium.json"
         path.write_text(json.dumps({"name": "extreme", "gamma": 1.5, "c0": 1e-305,
                                     "alpha1": 1e-10, "tau0": 1e-6}))
@@ -947,7 +991,7 @@ class TestEnvelopeWork:
     """
 
     def test_one_check_over_one_grid(self, tmp_path, monkeypatch):
-        check = cli.verify_envelope
+        check = bounds.verify_envelope
         calls, checks, inside = [], [], []
 
         def counting(kernel):
@@ -971,7 +1015,7 @@ class TestEnvelopeWork:
             for module in (laws, spectrum, bounds, cli):  # every module that binds the kernel
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
-        monkeypatch.setattr(cli, "verify_envelope", counting_check)
+        monkeypatch.setattr(bounds, "verify_envelope", counting_check)  # cmd_bounds reads it there
         assert cli.main(["bounds", "--out", str(tmp_path)]) == 0
         assert checks == [bounds.ENVELOPE_GRID_POINTS]
         assert len(calls) <= 1.1 * 26
